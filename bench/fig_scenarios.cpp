@@ -1,7 +1,10 @@
-// Scenario matrix behaviour gate: runs every named production scenario
-// (overload storm, fail-stop mid-burst, straggler, drain + autoscale,
-// diurnal trace replay, flash crowd), evaluates the committed thresholds on
-// the scheduling outcomes, and proves three run-to-run contracts:
+// Scenario matrix behaviour gate: runs every named production scenario —
+// the eleven of src/experiments/scenarios.h: overload storm, fail-stop
+// mid-burst, straggler, drain + autoscale, diurnal trace replay, flash
+// crowd, the stealing and re-homing recoveries, retry-storm meltdown,
+// hedging tail rescue, and the 64-GPU flash crowd — evaluates the committed
+// thresholds on the scheduling outcomes, and proves three run-to-run
+// contracts (plus a fourth with --threads N):
 //
 //  - deterministic: the same scenario run again in the same process yields
 //    a bit-identical behaviour digest;
@@ -10,7 +13,9 @@
 //    digest;
 //  - telemetry inert: a run with telemetry disabled yields the same
 //    behaviour digest as the telemetry-enabled runs — observation does not
-//    perturb the simulation.
+//    perturb the simulation;
+//  - lane-count invariant (--threads N): the scenario rerun on N worker
+//    lanes reproduces the 1-lane fingerprint and telemetry digest.
 //
 // scripts/check_scenarios.py and scripts/check_telemetry.py consume the
 // --json report and the --telemetry artifacts in CI; docs/SCENARIOS.md and
@@ -18,6 +23,7 @@
 //
 // Exit status: 0 when every check passes and every contract holds, 1
 // otherwise.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -61,12 +67,12 @@ struct ScenarioRow {
   bool deterministic = false;        // behaviour digest repeats
   bool telemetry_deterministic = false;  // telemetry digest repeats
   bool telemetry_inert = false;      // telemetry-off digest matches
-  bool sharded = false;              // --sharded replay ran
-  bool sharded_matches = false;      // sharded fingerprint + digest match
-  std::string sharded_fingerprint;
+  bool threads_matches = false;      // --threads replay matches 1 lane
 };
 
-void write_json(std::ostream& os, const std::vector<ScenarioRow>& rows) {
+/// `threads` > 0: the lane count of the --threads replay every row carries.
+void write_json(std::ostream& os, const std::vector<ScenarioRow>& rows,
+                int threads) {
   os << "{\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& row = rows[i];
@@ -88,11 +94,10 @@ void write_json(std::ostream& os, const std::vector<ScenarioRow>& rows) {
        << "      \"telemetry_digest\": \"" << digest << "\",\n"
        << "      \"fingerprint\": \"" << json_escape(r.fingerprint)
        << "\",\n";
-    if (row.sharded) {
-      os << "      \"sharded_matches\": "
-         << (row.sharded_matches ? "true" : "false") << ",\n"
-         << "      \"sharded_fingerprint\": \""
-         << json_escape(row.sharded_fingerprint) << "\",\n";
+    if (threads > 0) {
+      os << "      \"threads\": " << threads << ",\n"
+         << "      \"threads_matches\": "
+         << (row.threads_matches ? "true" : "false") << ",\n";
     }
     os << "      \"metrics\": {";
     bool first = true;
@@ -131,6 +136,13 @@ bool parse_log_level(const std::string& name, common::LogLevel* out) {
   return true;
 }
 
+/// Parses a whole-string integer; false on anything else ("abc", "2x", "").
+bool parse_int(const char* text, int* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
+}
+
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream os(path);
   if (!os) {
@@ -148,10 +160,9 @@ int main(int argc, char** argv) {
   std::string json_path;
   std::string telemetry_dir;
   bool show_profile = false;
-  bool sharded = false;
-  // 2 lanes forces real cross-thread execution even on one-core CI boxes;
-  // --sharded-threads 0 picks min(hardware_concurrency, device count).
-  int sharded_threads = 2;
+  // Lane count of the --threads replay; 0 = no replay. 2 lanes forces real
+  // cross-thread execution even on one-core CI boxes.
+  int threads = 0;
   std::vector<std::string> wanted;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -170,14 +181,15 @@ int main(int argc, char** argv) {
       telemetry_dir = value();
     } else if (arg == "--profile") {
       show_profile = true;
-    } else if (arg == "--sharded") {
-      // Replays every scenario on the sharded engine (sim/sharded.h) and
-      // requires the behaviour fingerprint AND telemetry digest to match the
-      // single-simulator run bit-for-bit.
-      sharded = true;
-    } else if (arg == "--sharded-threads") {
-      sharded = true;
-      sharded_threads = std::atoi(value());
+    } else if (arg == "--threads") {
+      // Replays every scenario on N worker lanes and requires the behaviour
+      // fingerprint AND telemetry digest to match the 1-lane run.
+      const char* text = value();
+      if (!parse_int(text, &threads) || threads < 1) {
+        std::fprintf(stderr, "--threads wants a lane count >= 1, got '%s'\n",
+                     text);
+        return 2;
+      }
     } else if (arg == "--log") {
       // Fleet fault/rehome paths narrate at info (docs/OBSERVABILITY.md);
       // the default warn threshold keeps the table output clean.
@@ -191,7 +203,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "usage: %s [--data-dir DIR] [--json FILE] [--telemetry DIR] "
-          "[--profile] [--sharded] [--sharded-threads N] [--log LEVEL] "
+          "[--profile] [--threads N] [--log LEVEL] "
           "[SCENARIO]...\n",
           argv[0]);
       return 0;
@@ -221,16 +233,13 @@ int main(int argc, char** argv) {
     const exp::ScenarioResult again = exp::run_scenario(name, data_dir, &topts);
     const exp::ScenarioResult bare = exp::run_scenario(name, data_dir);
     row.deterministic = r.fingerprint == again.fingerprint;
-    if (sharded) {
-      const exp::ScenarioSharding shopts{sharded_threads};
-      const exp::ScenarioResult shr =
-          exp::run_scenario(name, data_dir, &topts, &shopts);
-      row.sharded = true;
-      row.sharded_fingerprint = shr.fingerprint;
+    if (threads > 0) {
+      const exp::ScenarioResult lanes =
+          exp::run_scenario(name, data_dir, &topts, threads);
       // Telemetry digest included: the sampler/event-log capture must be
-      // insensitive to sharding, not just the end-of-run counters.
-      row.sharded_matches = shr.fingerprint == r.fingerprint &&
-                            shr.telemetry_digest == r.telemetry_digest;
+      // insensitive to the lane count, not just the end-of-run counters.
+      row.threads_matches = lanes.fingerprint == r.fingerprint &&
+                            lanes.telemetry_digest == r.telemetry_digest;
     }
     // The digest covers the full series/events/fingerprint content; the
     // telemetry JSON itself also embeds host wall-clock (profile), which is
@@ -253,14 +262,15 @@ int main(int argc, char** argv) {
                    row.telemetry_deterministic ? "PASS" : "FAIL"});
     table.add_row({"telemetry inert", row.telemetry_inert ? "yes" : "no",
                    "yes", row.telemetry_inert ? "PASS" : "FAIL"});
-    if (row.sharded) {
-      table.add_row({"sharded matches", row.sharded_matches ? "yes" : "no",
-                     "yes", row.sharded_matches ? "PASS" : "FAIL"});
+    if (threads > 0) {
+      table.add_row({"matches at " + std::to_string(threads) + " lanes",
+                     row.threads_matches ? "yes" : "no", "yes",
+                     row.threads_matches ? "PASS" : "FAIL"});
     }
     std::printf("%s", table.to_string().c_str());
     const bool ok = r.pass && row.deterministic &&
                     row.telemetry_deterministic && row.telemetry_inert &&
-                    (!row.sharded || row.sharded_matches);
+                    (threads == 0 || row.threads_matches);
     std::printf("   %s: %s\n\n", r.name.c_str(), ok ? "PASS" : "FAIL");
     if (show_profile) {
       std::printf("%s\n", r.cluster.profile.to_string().c_str());
@@ -288,7 +298,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
       return 1;
     }
-    write_json(os, rows);
+    write_json(os, rows, threads);
     std::printf("wrote %s\n", json_path.c_str());
   }
   if (!telemetry_dir.empty() && artifacts_ok) {

@@ -146,13 +146,12 @@ void BM_GpuBurstyColaunch(benchmark::State& state) {
 /// Fleet-scale event volume: an N-GPU cluster under open-loop Poisson
 /// arrivals, the shape that multiplies completion-event churn by the fleet
 /// size. Measures simulated jobs completed per wall second.
-/// Fleet throughput. One arg: the legacy single-simulator engine
-/// ("/8" is the committed baseline shape). Two args: the sharded engine
-/// (sim/sharded.h) with range(1) worker threads — "/8/4" is the
-/// 2x-vs-baseline acceptance shape, "/64/8" the 100+-GPU scaling shape.
-/// Sharded runs complete the exact same simulated jobs as the legacy
-/// engine (pinned by test_sim_sharded_differential), so items/s across
-/// shapes compares apples to apples.
+/// Fleet throughput on the sharded engine (sim/sharded.h). One arg: one
+/// worker lane ("/8" is the committed baseline shape). Two args: range(1)
+/// worker lanes — "/8/4" is the 2x-vs-baseline acceptance shape, "/64/8"
+/// the 100+-GPU scaling shape. Every lane count completes the exact same
+/// simulated jobs (pinned by test_sim_sharded_differential), so items/s
+/// across shapes compares apples to apples.
 void BM_ClusterFleetOpenLoop(benchmark::State& state) {
   const int num_gpus = static_cast<int>(state.range(0));
   exp::ClusterConfig cfg;
@@ -167,7 +166,6 @@ void BM_ClusterFleetOpenLoop(benchmark::State& state) {
   cfg.duration_s = 1.0;
   cfg.warmup_s = 0.25;
   if (state.range_count() > 1) {
-    cfg.sharded = true;
     cfg.sim_threads = static_cast<int>(state.range(1));
   }
   std::uint64_t jobs = 0;
@@ -225,10 +223,10 @@ BENCHMARK(BM_EventQueueChurn)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_EventQueueCancelHeavy)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_EventQueueReschedule)->Arg(1000)->Arg(100000);
 BENCHMARK(BM_ClusterFleetOpenLoop)
-    ->Arg(8)            // committed single-simulator baseline
-    ->Args({8, 4})      // sharded, 4 worker threads: the >= 2x gate
-    ->Arg(64)           // 100+-GPU fleet class, single-simulator reference
-    ->Args({64, 8})     // sharded scaling shape
+    ->Arg(8)            // committed 1-lane baseline
+    ->Args({8, 4})      // 4 worker lanes: the >= 2x gate
+    ->Arg(64)           // 100+-GPU fleet class, 1-lane reference
+    ->Args({64, 8})     // multi-lane scaling shape
     ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {

@@ -13,6 +13,7 @@
 #include "common/table.h"
 #include "experiments/cluster_runner.h"
 #include "metrics/trace_report.h"
+#include "sim/sharded.h"
 
 using namespace daris;
 
@@ -73,10 +74,12 @@ int main() {
   std::printf("%s\n", metrics::trace_report(r.stage_trace).to_string().c_str());
 
   // --- 2. The same fleet wired by hand ------------------------------------
-  // Everything the harness does is public API: build a Fleet on one
-  // simulator, register tasks with a home GPU, route releases through a
-  // Router, and drive it with any ReleaseFn-based driver.
-  sim::Simulator sim;
+  // Everything the harness does is public API: build a Fleet on a sharded
+  // simulator sized to it (one event heap per GPU plus the control heap;
+  // one worker lane here), register tasks with a home GPU, route releases
+  // through a Router, and drive it with any ReleaseFn-based driver on the
+  // control shard. More lanes also need collector.enable_lanes(2).
+  sim::ShardedSimulator sim(/*device_shards=*/2, /*threads=*/1);
   metrics::Collector collector;
   collector.set_gpu_count(2);
 
@@ -110,7 +113,7 @@ int main() {
   workload::TaskSetSpec taskset;
   taskset.tasks.push_back(spec);
   workload::PeriodicDriver driver(
-      sim, taskset, [&router](int id) { router.release(id); },
+      sim.control(), taskset, [&router](int id) { router.release(id); },
       common::from_sec(1.0));
   driver.start();
   sim.run_until(common::from_sec(1.0));

@@ -16,9 +16,9 @@ Both files must come from release-built harnesses: the committed baseline
 records `library_build_type` in its context, and this script refuses to
 compare debug-harness numbers (see README "Benchmarking methodology").
 
-The sharded fleet shapes (`BM_ClusterFleetOpenLoop/N/T`: N GPUs, T worker
-threads on the sharded engine) additionally get a within-run speedup report
-against their single-simulator sibling `BM_ClusterFleetOpenLoop/N` — the
+The multi-lane fleet shapes (`BM_ClusterFleetOpenLoop/N/T`: N GPUs, T worker
+lanes on the sharded engine) additionally get a within-run speedup report
+against their 1-lane sibling `BM_ClusterFleetOpenLoop/N` — the
 one comparison that is machine-independent, since both shapes ran on the
 same box seconds apart. Advisory, not gated: the expected ratio depends on
 the runner's core count (a single-core runner can only show barrier
@@ -88,7 +88,7 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<{width}} {'(new)':>14} {current[name]:>14.4g}")
 
-    # Within-run sharded-vs-single speedup (advisory; see module docstring).
+    # Within-run multi-lane vs 1-lane speedup (advisory; see module docstring).
     sharded = [n for n in sorted(current)
                if n.startswith("BM_ClusterFleetOpenLoop/")
                and n.count("/") == 2]

@@ -3,7 +3,8 @@
 
 Usage:
     scripts/check_scenarios.py --bench build/bench_fig_scenarios \
-        [--data-dir tests/data] [--json OUT.json] [--telemetry DIR]
+        [--data-dir tests/data] [--json OUT.json] [--telemetry DIR] \
+        [--baseline .baseline_scenarios.json] [--threads N]
     scripts/check_scenarios.py --json build/scenarios.json
 
 With --bench the scenario driver is executed (writing its JSON report to
@@ -11,7 +12,10 @@ With --bench the scenario driver is executed (writing its JSON report to
 validated. The gate fails when any scenario misses a committed threshold,
 is non-deterministic across the driver's built-in re-run, or when fewer
 scenarios ran than the matrix is expected to hold (a silently dropped
-scenario cannot fake a green gate).
+scenario cannot fake a green gate). With --baseline it also fails when a
+scenario's fingerprint or telemetry digest differs from the committed
+golden file; with --threads N, when the N-lane replay differs from the
+1-lane run.
 
 Unlike the perf gate, this one is strict: the simulator is deterministic,
 so threshold misses are real behaviour changes, not machine noise.
@@ -33,14 +37,14 @@ def load(path):
         return json.load(f)
 
 
-def run_bench(bench, data_dir, json_path, telemetry_dir=None, sharded=False):
+def run_bench(bench, data_dir, json_path, telemetry_dir=None, threads=None):
     cmd = [bench, "--json", json_path]
     if data_dir:
         cmd += ["--data-dir", data_dir]
     if telemetry_dir:
         cmd += ["--telemetry", telemetry_dir]
-    if sharded:
-        cmd += ["--sharded"]
+    if threads:
+        cmd += ["--threads", str(threads)]
     # The driver's own exit status is ignored here; the gate re-derives
     # pass/fail from the JSON so the two can never disagree silently.
     proc = subprocess.run(cmd, capture_output=True, text=True)
@@ -62,13 +66,16 @@ def main():
     parser.add_argument("--telemetry", help="with --bench: directory for the "
                         "per-scenario telemetry + Perfetto artifacts "
                         "(validated separately by check_telemetry.py)")
-    parser.add_argument("--sharded", action="store_true",
-                        help="also replay every scenario on the sharded "
-                        "engine and fail unless its fingerprint and "
-                        "telemetry digest match the single-simulator run "
-                        "bit-for-bit (with --bench passes --sharded to the "
-                        "driver; with --json alone requires the report to "
-                        "carry the sharded_matches fields)")
+    parser.add_argument("--baseline", help="committed golden report "
+                        "(.baseline_scenarios.json): fail unless every "
+                        "scenario's fingerprint and telemetry digest match it")
+    parser.add_argument("--threads", type=int, nargs="?", const=2,
+                        metavar="N", help="also replay every scenario on N "
+                        "worker lanes (default 2) and fail unless its "
+                        "fingerprint and telemetry digest match the 1-lane "
+                        "run (with --bench passes --threads N to the driver; "
+                        "with --json alone requires the report to carry the "
+                        "threads_matches fields)")
     args = parser.parse_args()
 
     if not args.bench and not args.json:
@@ -82,11 +89,14 @@ def main():
             tmp.close()
             json_path = tmp.name
         if not run_bench(args.bench, args.data_dir, json_path,
-                         args.telemetry, args.sharded):
+                         args.telemetry, args.threads):
             return 1
 
     doc = load(json_path)
     scenarios = doc.get("scenarios", [])
+    golden = None
+    if args.baseline:
+        golden = {s["name"]: s for s in load(args.baseline)["scenarios"]}
 
     failures = []
     if len(scenarios) < EXPECTED_MIN_SCENARIOS:
@@ -98,15 +108,26 @@ def main():
         name = s.get("name", "?")
         if not s.get("deterministic", False):
             failures.append(f"{name}: NOT bit-identical across repeat runs")
-        if args.sharded:
-            if "sharded_matches" not in s:
+        if args.threads:
+            if "threads_matches" not in s:
                 failures.append(
-                    f"{name}: report carries no sharded replay — driver "
-                    f"run without --sharded?")
-            elif not s["sharded_matches"]:
+                    f"{name}: report carries no lane-count replay — driver "
+                    f"run without --threads?")
+            elif not s["threads_matches"]:
                 failures.append(
-                    f"{name}: sharded fingerprint/telemetry digest differs "
-                    f"from the single-simulator baseline")
+                    f"{name}: fingerprint/telemetry digest at "
+                    f"{s.get('threads', '?')} lanes differs from 1 lane")
+        if golden is not None:
+            want = golden.get(name)
+            if want is None:
+                failures.append(f"{name}: no entry in {args.baseline}")
+            else:
+                for key in ("fingerprint", "telemetry_digest"):
+                    if s.get(key) != want.get(key):
+                        failures.append(
+                            f"{name}: {key} differs from {args.baseline}\n"
+                            f"      got  {s.get(key)}\n"
+                            f"      want {want.get(key)}")
         for c in s.get("checks", []):
             if not c.get("pass", False):
                 failures.append(
@@ -117,8 +138,10 @@ def main():
           f"{sum(1 for s in scenarios if s.get('pass'))} within thresholds, "
           f"{sum(1 for s in scenarios if s.get('deterministic'))} "
           "deterministic"
-          + (f", {sum(1 for s in scenarios if s.get('sharded_matches'))} "
-             "sharded-bit-identical" if args.sharded else ""))
+          + (f", {sum(1 for s in scenarios if s.get('threads_matches'))} "
+             f"bit-identical at {args.threads} lanes" if args.threads else "")
+          + (f", {sum(1 for s in scenarios if s['name'] in golden)} "
+             "checked against the golden baseline" if golden else ""))
 
     if tmp is not None:
         os.unlink(tmp.name)

@@ -20,42 +20,20 @@ gpusim::GpuSpec GpuNodeSpec::resolved() const {
   return spec;
 }
 
-Fleet::Fleet(sim::Simulator& sim, const FleetConfig& config,
-             metrics::Collector* collector)
-    : sim_(sim),
-      collector_(collector),
-      seed_rng_(config.seed),
-      transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
-  init(config);
-}
-
 Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
              metrics::Collector* collector)
-    : sim_(sharded.control()),
-      sharded_(&sharded),
+    : sharded_(sharded),
+      sim_(sharded.control()),
       collector_(collector),
       seed_rng_(config.seed),
       transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
-  init(config);
-  assert(sharded.device_shards() == 0 || sharded.device_shards() == size());
-}
-
-sim::Simulator& Fleet::device_sim(int g) {
-  return sharded_ ? sharded_->device_sim(g) : sim_;
-}
-
-void Fleet::init(const FleetConfig& config) {
   if (config.nodes.empty()) {
-    const int n = std::max(1, config.num_gpus);
-    nodes_.reserve(static_cast<std::size_t>(n));
-    for (int g = 0; g < n; ++g) {
-      GpuNodeSpec node;
-      node.base = config.gpu;
-      nodes_.push_back(node);
-    }
+    nodes_.assign(static_cast<std::size_t>(std::max(1, config.num_gpus)),
+                  GpuNodeSpec{config.gpu});
   } else {
     nodes_ = config.nodes;
   }
+  assert(sharded.device_shards() == static_cast<int>(nodes_.size()));
   sched_cfg_ = config.sched;
   sched_cfg_.canonicalize();
   // Per-GPU jitter seeds derive from the fleet seed through the same
@@ -68,14 +46,17 @@ void Fleet::init(const FleetConfig& config) {
   breaker_open_.assign(n, 0);
   hot_models_.assign(n, {});
   memory_used_mb_.assign(n, 0.0);
-  for (std::size_t g = 0; g < n; ++g) {
-    sim::Simulator& dev_sim = device_sim(static_cast<int>(g));
-    gpus_.push_back(std::make_unique<gpusim::Gpu>(
-        dev_sim, nodes_[g].resolved(), seed_rng_.next_u64()));
-    schedulers_.push_back(std::make_unique<rt::Scheduler>(
-        dev_sim, *gpus_.back(), sched_cfg_, collector_));
-    schedulers_.back()->set_device_id(static_cast<int>(g));
-  }
+  for (const GpuNodeSpec& node : nodes_) add_device(node);
+}
+
+void Fleet::add_device(const GpuNodeSpec& node) {
+  const int g = static_cast<int>(gpus_.size());
+  sim::Simulator& dev_sim = sharded_.shard(g);
+  gpus_.push_back(std::make_unique<gpusim::Gpu>(dev_sim, node.resolved(),
+                                                seed_rng_.next_u64()));
+  schedulers_.push_back(std::make_unique<rt::Scheduler>(
+      dev_sim, *gpus_.back(), sched_cfg_, collector_));
+  schedulers_.back()->set_device_id(g);
 }
 
 int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
@@ -355,21 +336,14 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   breaker_open_.push_back(0);
   hot_models_.emplace_back();
   memory_used_mb_.push_back(0.0);
-  // Sharded fleets grow a fresh device shard (clock pre-advanced to the
-  // fleet's now) so the new device's local events parallelise like every
-  // other; add_gpu_now runs from a control-shard event, which is exactly
-  // the phase add_shard() requires.
-  if (sharded_ && sharded_->device_shards() > 0) {
-    const int s = sharded_->add_shard();
-    (void)s;
-    assert(s == g);
-  }
-  sim::Simulator& dev_sim = device_sim(g);
-  gpus_.push_back(std::make_unique<gpusim::Gpu>(dev_sim, node.resolved(),
-                                                seed_rng_.next_u64()));
-  schedulers_.push_back(std::make_unique<rt::Scheduler>(
-      dev_sim, *gpus_.back(), sched_cfg_, collector_));
-  schedulers_.back()->set_device_id(g);
+  // A fresh device shard (clock pre-advanced to the fleet's now) so the new
+  // device's local events parallelise like every other; add_gpu_now runs
+  // from a control-shard event, which is exactly the phase add_shard()
+  // requires.
+  const int s = sharded_.add_shard();
+  (void)s;
+  assert(s == g);
+  add_device(node);
   if (collector_ && collector_->gpu_count() > 0) {
     collector_->grow_gpu_count(g + 1);
   }

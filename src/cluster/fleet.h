@@ -1,5 +1,6 @@
 // Multi-GPU fleet: N simulated GPUs, each running its own DARIS scheduler,
-// on one shared discrete-event simulator.
+// on a sharded discrete-event simulator (one event heap per device plus a
+// control heap for everything fleet-scoped; sim/sharded.h).
 //
 // Every task is registered on every GPU (the router can place any job
 // anywhere), but the static HP reservation of Eq. 11 (U^{h,t}_k) is charged
@@ -92,32 +93,24 @@ struct FleetConfig {
 
 class Fleet {
  public:
-  /// Creates one GPU + scheduler pair per configured device on `sim`. All
-  /// job and stage events flow into `collector` (may be null), stamped with
-  /// the device index.
-  Fleet(sim::Simulator& sim, const FleetConfig& config,
-        metrics::Collector* collector);
-
-  /// Sharded construction: device g's GPU + scheduler live on
-  /// `sharded.device_sim(g)` and their local events run in the parallel
-  /// phase; everything fleet-scoped (fault timers, rehoming, the router and
-  /// rebalancer via simulator()) stays on the control shard. With zero
-  /// device shards this is exactly the single-simulator constructor. The
-  /// fleet must be sized to the shard count: device_shards() must equal the
-  /// configured device count (or be 0).
+  /// Creates one GPU + scheduler pair per configured device; device g lives
+  /// on `sharded.shard(g)` and its local events run in the parallel phase,
+  /// while everything fleet-scoped (fault timers, rehoming, the router and
+  /// rebalancer via simulator()) stays on the control shard. The simulator
+  /// must be sized to the fleet: device_shards() == the configured device
+  /// count. All job and stage events flow into `collector` (may be null),
+  /// stamped with the device index; runs with more than one lane need its
+  /// per-device lanes enabled (metrics::Collector::enable_lanes).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
         metrics::Collector* collector);
 
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;
 
-  /// The control-shard simulator (the only simulator in unsharded fleets):
-  /// cross-device event timelines — routing, transfers, faults — live here.
+  /// The control-shard simulator: cross-device event timelines — routing,
+  /// transfers, faults — live here.
   sim::Simulator& simulator() { return sim_; }
 
-  /// The simulator device g's GPU and scheduler schedule on. Identical to
-  /// simulator() in unsharded fleets.
-  sim::Simulator& device_sim(int g);
   int size() const { return static_cast<int>(gpus_.size()); }
 
   gpusim::Gpu& gpu(int g) { return *gpus_[static_cast<std::size_t>(g)]; }
@@ -347,10 +340,11 @@ class Fleet {
   /// elsewhere; if no placeable device remains, homes stay and feasible()
   /// sheds the releases.
   void rehome_tasks_from(int g);
-  /// Shared tail of both constructors (runs after sim_/sharded_ are set).
-  void init(const FleetConfig& config);
-  sim::Simulator& sim_;
-  sim::ShardedSimulator* sharded_ = nullptr;  // null: single-simulator fleet
+  /// Appends the next device's GPU + scheduler, on the shard of the same
+  /// index.
+  void add_device(const GpuNodeSpec& node);
+  sim::ShardedSimulator& sharded_;
+  sim::Simulator& sim_;  // sharded_.control()
   std::vector<GpuNodeSpec> nodes_;
   std::vector<std::unique_ptr<gpusim::Gpu>> gpus_;
   std::vector<std::unique_ptr<rt::Scheduler>> schedulers_;

@@ -7,9 +7,7 @@
 #include <memory>
 
 #include "daris/offline.h"
-#include "dnn/zoo.h"
 #include "sim/sharded.h"
-#include "sim/simulator.h"
 
 namespace daris::exp {
 
@@ -110,29 +108,19 @@ bool same_spec(const gpusim::GpuSpec& a, const gpusim::GpuSpec& b) {
 
 ClusterResult run_cluster(const ClusterConfig& config) {
   const auto wall_start = std::chrono::steady_clock::now();
-  auto wall_ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  // The facade is constructed unconditionally: with zero device shards it
-  // degenerates to the single-threaded engine bit-for-bit, so the unsharded
-  // path stays byte-identical to runs predating sharding.
   const int devices = config.nodes.empty()
                           ? std::max(1, config.num_gpus)
                           : static_cast<int>(config.nodes.size());
-  sim::ShardedSimulator sharded_sim(config.sharded ? devices : 0,
-                                    config.sim_threads);
+  sim::ShardedSimulator sharded_sim(devices, config.sim_threads);
   sim::Simulator& sim = sharded_sim.control();
 
   metrics::Collector collector;
   collector.set_measure_start(common::from_sec(config.warmup_s));
   collector.enable_stage_trace(config.stage_trace);
-  if (config.sharded) {
-    // Device-shard events report finishes/stages from worker threads; lanes
-    // give each device a private append target (merged after the run).
-    collector.enable_lanes(devices);
-  }
+  // Device-shard events report finishes/stages from worker threads; lanes
+  // give each device a private append target (merged after the run) and
+  // one canonical trace order at every lane count.
+  collector.enable_lanes(devices);
   if (config.telemetry.enabled) {
     collector.enable_event_log(config.telemetry.event_capacity);
   }
@@ -148,36 +136,21 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   fleet_cfg.transfer_us_per_mb = config.transfer_us_per_mb;
   fleet_cfg.seed = config.seed;
   cluster::Fleet fleet(sharded_sim, fleet_cfg, &collector);
-  // Sized from the fleet, not the config: Fleet clamps num_gpus to >= 1 and
-  // config.nodes overrides it entirely.
-  collector.set_gpu_count(fleet.size());
+  collector.set_gpu_count(devices);
 
-  // Pre-size the event pool from the task-set cardinality (one pending
-  // release timer per task) plus per-stream launch/completion and per-job
-  // sync events; the slack absorbs open-loop bursts. Sizing is a hint — the
-  // pool still grows when a burst outruns it.
-  const std::size_t per_device_events =
-      static_cast<std::size_t>(sched_cfg.parallelism()) * 2;
-  if (config.sharded) {
-    sharded_sim.reserve(config.taskset.tasks.size() * 3 + 64,
-                        per_device_events + 64);
-  } else {
-    sim.reserve(config.taskset.tasks.size() * 3 +
-                static_cast<std::size_t>(fleet.size()) * per_device_events +
-                64);
-  }
+  // Pre-size the control pool from the task-set cardinality (one pending
+  // release timer per task) and each device pool from its per-stream
+  // launch/completion and per-job sync events; the slack absorbs open-loop
+  // bursts. Sizing is a hint — a pool still grows when a burst outruns it.
+  sharded_sim.reserve(
+      config.taskset.tasks.size() * 3 + 64,
+      static_cast<std::size_t>(sched_cfg.parallelism()) * 2 + 64);
 
   // One compiled model per distinct kind, shared by every GPU and
   // calibrated against the fleet's base spec; heterogeneous devices run the
   // same kernels at their own scaled rate.
-  std::map<dnn::ModelKind, std::unique_ptr<dnn::CompiledModel>> models;
-  for (const auto& t : config.taskset.tasks) {
-    if (!models.count(t.model)) {
-      models.emplace(t.model,
-                     std::make_unique<dnn::CompiledModel>(dnn::compiled_model(
-                         t.model, sched_cfg.batch, config.gpu)));
-    }
-  }
+  const CompiledModels models =
+      compile_models(config.taskset, sched_cfg.batch, config.gpu);
 
   // Offline phase 1: AFET profiling, once per distinct resolved device
   // spec (a homogeneous fleet profiles once; heterogeneous nodes each
@@ -186,9 +159,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   // callbacks re-seed a changed device through the same lookup, so a
   // straggler slowed to a scale some other node already runs at reuses that
   // node's profile verbatim.
-  std::vector<const dnn::CompiledModel*> distinct;
-  distinct.reserve(models.size());
-  for (const auto& [kind, m] : models) distinct.push_back(m.get());
   std::vector<gpusim::GpuSpec> profiled_specs;
   std::vector<rt::AfetResult> afet_profiles;
   auto profile_slot = [&](const gpusim::GpuSpec& spec) {
@@ -201,8 +171,10 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     }
     if (slot == profiled_specs.size()) {
       profiled_specs.push_back(spec);
-      afet_profiles.push_back(rt::profile_afet(
-          spec, sched_cfg, distinct, /*jobs_per_stream=*/16, config.seed));
+      afet_profiles.push_back(rt::profile_afet(spec, sched_cfg,
+                                               models.distinct,
+                                               /*jobs_per_stream=*/16,
+                                               config.seed));
     }
     return slot;
   };
@@ -215,18 +187,17 @@ ClusterResult run_cluster(const ClusterConfig& config) {
 
   std::vector<double> work_per_job(config.taskset.tasks.size(), 0.0);
   for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
-    work_per_job[i] =
-        models.at(config.taskset.tasks[i].model)->total_work();
+    work_per_job[i] = models.of(config.taskset.tasks[i].model)->total_work();
   }
   const std::vector<int> homes =
       assign_homes(config, fleet, work_per_job);
   for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
     const auto& t = config.taskset.tasks[i];
-    const int id = fleet.add_task(t, models.at(t.model).get(), homes[i]);
+    const int id = fleet.add_task(t, models.of(t.model), homes[i]);
     for (int g = 0; g < fleet.size(); ++g) {
       const auto& afet =
           afet_profiles[afet_of_gpu[static_cast<std::size_t>(g)]];
-      fleet.set_afet(id, g, afet.for_model(models.at(t.model).get()));
+      fleet.set_afet(id, g, afet.for_model(models.of(t.model)));
     }
   }
 
@@ -285,8 +256,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     const auto& afet = afet_profiles[profile_slot(fleet.node(g).resolved())];
     for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
       fleet.set_afet(static_cast<int>(i), g,
-                     afet.for_model(models.at(config.taskset.tasks[i].model)
-                                        .get()));
+                     afet.for_model(models.of(config.taskset.tasks[i].model)));
     }
   };
   for (const FaultSpec& f : config.faults) {
@@ -377,8 +347,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     });
     // Windowed DMR: misses over completions since the previous tick. The
     // window state lives inside the probe closure — sampler-owned, not
-    // simulation state. class_counts() folds un-finalized lanes, so sharded
-    // runs sample the same values the single-simulator run would.
+    // simulation state. class_counts() folds un-finalized lanes, so every
+    // lane count samples the same values.
     auto windowed_dmr = [&collector](common::Priority p) {
       return [&collector, p, last_missed = std::uint64_t{0},
               last_completed = std::uint64_t{0}]() mutable {
@@ -421,7 +391,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   sharded_sim.run_until(horizon);
   const double wall_ms_run = wall_ms_since(wall_run_start);
   series.stop();
-  // Fold per-device lanes into the flat summaries/traces (no-op unsharded).
+  // Fold per-device lanes into the flat summaries/traces.
   collector.finalize_lanes();
 
   ClusterResult result;
@@ -496,18 +466,10 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     }
   }
 
-  const sim::Simulator::Stats sstats = sharded_sim.stats();
-  result.profile.events_executed = sstats.events_executed;
-  result.profile.callbacks_inline = sstats.callbacks_inline;
-  result.profile.callbacks_heap = sstats.callbacks_heap;
-  result.profile.heap_high_water = sstats.heap_high_water;
-  result.profile.pool_slots = sstats.pool_slots;
-  for (int g = 0; g < fleet.size(); ++g) {
-    const gpusim::Gpu::SolverStats& ss = fleet.gpu(g).solver_stats();
-    result.profile.solver_flushes += ss.flushes;
-    result.profile.solver_contexts_solved += ss.contexts_solved;
-    result.profile.solver_contexts_reused += ss.contexts_reused;
-  }
+  std::vector<const gpusim::Gpu*> gpus;
+  gpus.reserve(static_cast<std::size_t>(fleet.size()));
+  for (int g = 0; g < fleet.size(); ++g) gpus.push_back(&fleet.gpu(g));
+  fill_profile(sharded_sim.stats(), gpus, &result.profile);
   result.profile.wall_ms_offline = wall_ms_offline;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);

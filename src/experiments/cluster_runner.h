@@ -78,17 +78,18 @@ struct ClusterConfig {
   std::uint64_t seed = 42;
   bool stage_trace = false;
 
-  /// Sharded parallel simulation (sim/sharded.h): one slab-pooled event heap
-  /// per device, run on a thread pool; cross-device events (routing,
-  /// transfers, steals, faults, telemetry) keep a seeded total order on the
-  /// control shard. Off by default. A sharded run reproduces the
-  /// single-simulator run's fingerprint at any thread count
-  /// (bench_fig_scenarios --sharded gates this across the scenario matrix).
-  bool sharded = false;
-  /// Worker lanes for sharded runs, including the calling thread; <= 0 picks
+  /// Worker lanes of the sharded engine (sim/sharded.h) every fleet runs
+  /// on: one event heap per device plus a control heap for cross-device
+  /// events, which keep a seeded total order. Includes the calling thread;
+  /// 1 (the default) drains the shards inline with no pool, <= 0 picks
   /// min(hardware_concurrency, device count). Results are identical at any
-  /// value — the knob only changes wall-clock.
-  int sim_threads = 0;
+  /// value — the knob only changes wall-clock (bench_fig_scenarios --threads
+  /// gates this across the scenario matrix).
+  int sim_threads = 1;
+  /// Ignored: every fleet runs on the sharded engine. Still declared only
+  /// because perfbench/src/workloads.cpp assigns it; delete both together
+  /// the next time the benchmark harness changes.
+  bool sharded = false;
 
   /// Self-healing rebalancing (cluster/rebalancer.h): work stealing,
   /// demand-aware re-homing, and — via RouterConfig::coalesce — transfer

@@ -2,8 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 
 #include "daris/offline.h"
 #include "daris/scheduler.h"
@@ -14,13 +12,45 @@
 
 namespace daris::exp {
 
+CompiledModels compile_models(const workload::TaskSetSpec& taskset, int batch,
+                              const gpusim::GpuSpec& gpu) {
+  CompiledModels models;
+  for (const auto& t : taskset.tasks) {
+    if (!models.by_kind.count(t.model)) {
+      models.by_kind.emplace(t.model,
+                             std::make_unique<dnn::CompiledModel>(
+                                 dnn::compiled_model(t.model, batch, gpu)));
+    }
+  }
+  models.distinct.reserve(models.by_kind.size());
+  for (const auto& [kind, m] : models.by_kind) models.distinct.push_back(m.get());
+  return models;
+}
+
+void fill_profile(const sim::Simulator::Stats& stats,
+                  const std::vector<const gpusim::Gpu*>& gpus,
+                  metrics::RunProfile* profile) {
+  profile->events_executed = stats.events_executed;
+  profile->callbacks_inline = stats.callbacks_inline;
+  profile->callbacks_heap = stats.callbacks_heap;
+  profile->heap_high_water = stats.heap_high_water;
+  profile->pool_slots = stats.pool_slots;
+  for (const gpusim::Gpu* gpu : gpus) {
+    const gpusim::Gpu::SolverStats& ss = gpu->solver_stats();
+    profile->solver_flushes += ss.flushes;
+    profile->solver_contexts_solved += ss.contexts_solved;
+    profile->solver_contexts_reused += ss.contexts_reused;
+  }
+}
+
+double wall_ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 RunResult run_daris(const RunConfig& config) {
   const auto wall_start = std::chrono::steady_clock::now();
-  auto wall_ms_since = [](std::chrono::steady_clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
   sim::Simulator sim;
   gpusim::Gpu gpu(sim, config.gpu, config.seed);
 
@@ -38,28 +68,18 @@ RunResult run_daris(const RunConfig& config) {
   rt::SchedulerConfig sched_cfg = config.sched;
   sched_cfg.canonicalize();
 
-  // One compiled model per distinct kind (weights shared across tasks, as
-  // MPS shares them across contexts — the zero-delay migration premise).
-  std::map<dnn::ModelKind, std::unique_ptr<dnn::CompiledModel>> models;
-  for (const auto& t : config.taskset.tasks) {
-    if (!models.count(t.model)) {
-      models.emplace(t.model,
-                     std::make_unique<dnn::CompiledModel>(dnn::compiled_model(
-                         t.model, sched_cfg.batch, config.gpu)));
-    }
-  }
+  const CompiledModels models =
+      compile_models(config.taskset, sched_cfg.batch, config.gpu);
 
   // Offline phase 1: AFET profiling under the same partitioning.
-  std::vector<const dnn::CompiledModel*> distinct;
-  distinct.reserve(models.size());
-  for (const auto& [kind, m] : models) distinct.push_back(m.get());
   const rt::AfetResult afet = rt::profile_afet(
-      config.gpu, sched_cfg, distinct, /*jobs_per_stream=*/16, config.seed);
+      config.gpu, sched_cfg, models.distinct, /*jobs_per_stream=*/16,
+      config.seed);
 
   rt::Scheduler scheduler(sim, gpu, sched_cfg, &collector);
   for (const auto& t : config.taskset.tasks) {
-    const int id = scheduler.add_task(t, models.at(t.model).get());
-    scheduler.set_afet(id, afet.for_model(models.at(t.model).get()));
+    const int id = scheduler.add_task(t, models.of(t.model));
+    scheduler.set_afet(id, afet.for_model(models.of(t.model)));
   }
 
   // Offline phase 2: Algorithm 1 initial context assignment.
@@ -81,16 +101,7 @@ RunResult run_daris(const RunConfig& config) {
   result.migrations = scheduler.migrations();
   result.stage_trace = collector.stage_trace();
 
-  const sim::Simulator::Stats sstats = sim.stats();
-  result.profile.events_executed = sstats.events_executed;
-  result.profile.callbacks_inline = sstats.callbacks_inline;
-  result.profile.callbacks_heap = sstats.callbacks_heap;
-  result.profile.heap_high_water = sstats.heap_high_water;
-  result.profile.pool_slots = sstats.pool_slots;
-  const gpusim::Gpu::SolverStats& ss = gpu.solver_stats();
-  result.profile.solver_flushes = ss.flushes;
-  result.profile.solver_contexts_solved = ss.contexts_solved;
-  result.profile.solver_contexts_reused = ss.contexts_reused;
+  fill_profile(sim.stats(), {&gpu}, &result.profile);
   result.profile.wall_ms_offline = wall_ms_offline;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);

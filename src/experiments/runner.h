@@ -3,15 +3,24 @@
 // reproducible run. Every bench binary goes through this.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "daris/config.h"
+#include "dnn/model.h"
 #include "gpusim/gpu_spec.h"
 #include "metrics/collector.h"
 #include "metrics/profile.h"
+#include "sim/simulator.h"
 #include "workload/taskset.h"
+
+namespace daris::gpusim {
+class Gpu;
+}
 
 namespace daris::exp {
 
@@ -38,6 +47,35 @@ struct RunResult {
 
 /// Runs DARIS on the configured task set and returns the measured summary.
 RunResult run_daris(const RunConfig& config);
+
+// --- Setup shared by run_daris and run_cluster ----------------------------
+
+/// One compiled model per model kind of a task set, shared by every task
+/// (and, in a fleet, every GPU) of the run — MPS shares weights across
+/// contexts, the zero-delay migration premise.
+struct CompiledModels {
+  std::map<dnn::ModelKind, std::unique_ptr<dnn::CompiledModel>> by_kind;
+  /// The same models in kind order: the list rt::profile_afet measures.
+  std::vector<const dnn::CompiledModel*> distinct;
+
+  const dnn::CompiledModel* of(dnn::ModelKind kind) const {
+    return by_kind.at(kind).get();
+  }
+};
+
+/// Compiles each model kind `taskset` uses once, at `batch`, calibrated
+/// against `gpu`.
+CompiledModels compile_models(const workload::TaskSetSpec& taskset, int batch,
+                              const gpusim::GpuSpec& gpu);
+
+/// Fills `profile`'s engine counters from `stats` and sums the fluid-solver
+/// counters of `gpus` into it.
+void fill_profile(const sim::Simulator::Stats& stats,
+                  const std::vector<const gpusim::Gpu*>& gpus,
+                  metrics::RunProfile* profile);
+
+/// Host wall-clock milliseconds since `t0` (RunProfile phase timings).
+double wall_ms_since(std::chrono::steady_clock::time_point t0);
 
 /// Paper-vs-measured helper: relative error string like "+3.2%".
 std::string relative_error(double measured, double expected);

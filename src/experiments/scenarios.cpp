@@ -511,7 +511,7 @@ std::string fingerprint_of(const ClusterResult& r,
     // resilience-off runs the invariant is still VERIFIED — the
     // unconditional ge("conservation") check below gates every scenario —
     // but it stays out of the fingerprint so legacy fingerprints remain
-    // byte-identical to the committed .baseline_scenarios_pr7.json.
+    // byte-identical to the committed .baseline_scenarios.json.
     append(&fp, "cons", static_cast<std::uint64_t>(r.conservation_ok ? 1 : 0));
   }
   for (const auto& g : r.per_gpu) append(&fp, "g", g.completed);
@@ -544,7 +544,7 @@ std::string scenario_description(const std::string& name) {
 ScenarioResult run_scenario(const std::string& name,
                             const std::string& data_dir,
                             const ScenarioTelemetry* telemetry,
-                            const ScenarioSharding* sharding) {
+                            int sim_threads) {
   ScenarioResult out;
   out.name = name;
   const ScenarioDef* def = find_scenario(name);
@@ -559,10 +559,7 @@ ScenarioResult run_scenario(const std::string& name,
     cfg.telemetry.enabled = true;
     cfg.telemetry.sample_period_s = telemetry->sample_period_s;
   }
-  if (sharding != nullptr) {
-    cfg.sharded = true;
-    cfg.sim_threads = sharding->threads;
-  }
+  cfg.sim_threads = sim_threads;
   out.cluster = run_cluster(cfg);
   out.report = metrics::trace_report(out.cluster.stage_trace);
   out.fingerprint = fingerprint_of(out.cluster, out.report);
@@ -679,10 +676,7 @@ ScenarioResult run_scenario(const std::string& name,
     // alone.
     ClusterConfig base_cfg = def->counterfactual(data_dir);
     base_cfg.telemetry.enabled = false;
-    if (sharding != nullptr) {
-      base_cfg.sharded = true;
-      base_cfg.sim_threads = sharding->threads;
-    }
+    base_cfg.sim_threads = sim_threads;
     const ClusterResult base = run_cluster(base_cfg);
     out.metrics.emplace("base_hp_dmr", base.hp.dmr());
     out.metrics.emplace("base_lp_dmr", base.lp.dmr());

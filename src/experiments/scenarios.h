@@ -1,7 +1,10 @@
-// Scenario matrix: named production-shaped runs (overload storm, fail-stop
-// mid-burst, straggler, drain-under-load + autoscale, diurnal replay, flash
-// crowd) with committed behaviour thresholds on the scheduling outcomes —
-// HP deadline-miss rate, starvation, worst stall, lost jobs. The paper's
+// Scenario matrix: eleven named production-shaped runs — overload storm,
+// fail-stop mid-burst, straggler, drain-under-load + autoscale, diurnal
+// replay, flash crowd, the two self-healing recoveries (stealing,
+// re-homing), retry-storm meltdown, hedging tail rescue, and the 64-GPU
+// flash crowd — with committed behaviour thresholds on the scheduling
+// outcomes: HP deadline-miss rate, starvation, worst stall, lost jobs,
+// and the recovery gains over each counterfactual. The paper's
 // figures check *speed and shape* under synthetic load; this matrix is the
 // behaviour-regression gate under realistic and adversarial load
 // (bench/fig_scenarios.cpp drives it, scripts/check_scenarios.py gates CI).
@@ -65,17 +68,6 @@ struct ScenarioTelemetry {
   double sample_period_s = 0.005;
 };
 
-/// Opt-in sharded execution for run_scenario (sim/sharded.h): one event heap
-/// per device on a worker pool. Enabling it must not change the scenario's
-/// fingerprint at any thread count (bench_fig_scenarios --sharded verifies
-/// against the single-simulator run; scripts/check_scenarios.py --sharded
-/// gates it in CI).
-struct ScenarioSharding {
-  /// Worker lanes including the caller; <= 0 picks
-  /// min(hardware_concurrency, device count).
-  int threads = 0;
-};
-
 /// Registered scenario names, in run order.
 std::vector<std::string> scenario_names();
 
@@ -86,11 +78,12 @@ std::string scenario_description(const std::string& name);
 /// repository's tests/data). Unknown names return a ScenarioResult with
 /// pass = false and an "unknown scenario" description. A non-null
 /// `telemetry` enables the sampler + event log and fills the telemetry
-/// artifacts in the result. A non-null `sharding` runs the scenario (and
-/// its counterfactual, when it has one) on the sharded engine.
+/// artifacts in the result. `sim_threads` is the worker-lane count of the
+/// run and of its counterfactual (ClusterConfig::sim_threads); results are
+/// identical at any value (bench_fig_scenarios --threads verifies).
 ScenarioResult run_scenario(const std::string& name,
                             const std::string& data_dir,
                             const ScenarioTelemetry* telemetry = nullptr,
-                            const ScenarioSharding* sharding = nullptr);
+                            int sim_threads = 1);
 
 }  // namespace daris::exp

@@ -148,7 +148,7 @@ void Collector::enable_lanes(int devices) {
 }
 
 void Collector::grow_lanes(int devices) {
-  if (lanes_.empty()) return;  // lanes off: stay off (single-simulator run)
+  if (lanes_.empty()) return;  // lanes off: stay off (1-lane hand-wired run)
   if (devices > static_cast<int>(lanes_.size())) {
     lanes_.resize(static_cast<std::size_t>(devices));
   }

@@ -127,7 +127,7 @@ class Collector {
 
   // --- sharded-run lanes (sim::ShardedSimulator) -------------------------
   //
-  // In a sharded fleet run, on_finish/on_stage fire from device-shard events
+  // In a multi-lane fleet run, on_finish/on_stage fire from device-shard events
   // on pool worker threads; every other hook (release/reject from the
   // router, routing counters, the event log) is control-phase-only and keeps
   // writing the shared state directly. Lanes give each device a private
@@ -142,7 +142,7 @@ class Collector {
   // merge into (when, gpu) order — per-lane streams are already
   // time-sorted, so a stable sort restores one canonical timeline whose
   // fold (metrics/trace_report.h tracks per-task consecutive stages, and a
-  // task occupies one device at a time) matches the single-threaded trace.
+  // task occupies one device at a time) matches the single-heap trace.
 
   /// Switches on per-device lanes for `devices` devices. Call before the
   /// run; events with ev.gpu in [0, devices) then land in lanes.

@@ -167,7 +167,6 @@ void ShardedSimulator::worker_loop(int lane) {
 }
 
 std::size_t ShardedSimulator::run_until(common::Time deadline) {
-  if (shards_.empty()) return control_.run_until(deadline);
   // Keep the pool hot for the whole run: between windows workers spin on
   // epoch_ instead of parking, so per-window dispatch is a fetch_add plus a
   // few cache-line transfers. They fall back to the futex path once the run

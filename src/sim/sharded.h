@@ -24,18 +24,18 @@
 //     parked at the barrier, and the phase transition establishes
 //     happens-before in both directions.
 //
-// Ties at Tc therefore execute control-first, which is exactly the order the
-// single-threaded engine produces for the fleet's timer-driven control events
-// (a periodic timer re-armed at tick T for tick T+P draws a smaller sequence
-// number than any device event scheduled later in real time), so sharded runs
-// reproduce the committed single-thread scenario fingerprints byte-for-byte.
+// Ties at Tc therefore execute control-first, which is exactly the order a
+// single event heap produces for the fleet's timer-driven control events (a
+// periodic timer re-armed at tick T for tick T+P draws a smaller sequence
+// number than any device event scheduled later in real time), so runs
+// reproduce the single-heap scenario fingerprints (.baseline_scenarios.json)
+// byte-for-byte.
 // Cross-shard delivery order is a pure function of (config, seed): the control
 // shard's serial (when, seq) order *is* the seeded total order in which
 // cross-device events land, independent of thread count and scheduling noise.
 //
-// With zero device shards every actor lands on the control shard and the
-// facade degenerates to the single-threaded engine bit-for-bit, which lets
-// call sites construct one ShardedSimulator unconditionally.
+// This is the only engine a cluster::Fleet runs on: one shard per device,
+// with one lane (no pool) unless more are asked for.
 #pragma once
 
 #include <atomic>
@@ -53,9 +53,7 @@ namespace daris::sim {
 
 class ShardedSimulator {
  public:
-  /// `device_shards` device-local heaps plus one control heap. 0 device
-  /// shards = single-threaded mode: device_sim() maps every device to the
-  /// control shard and run_until() is a plain Simulator::run_until().
+  /// `device_shards` device-local heaps plus one control heap.
   ///
   /// `threads` is the total worker-lane count *including* the calling thread;
   /// <= 0 picks min(hardware_concurrency, device_shards). 1 drains shards
@@ -72,14 +70,8 @@ class ShardedSimulator {
 
   int device_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// The i-th device shard (0 <= i < device_shards()).
+  /// The i-th device shard (0 <= i < device_shards()); device i lives on it.
   Simulator& shard(int i) { return *shards_[i]; }
-
-  /// The simulator device `device` lives on: its shard when sharded, the
-  /// control shard otherwise. This is the only mapping call sites need.
-  Simulator& device_sim(int device) {
-    return shards_.empty() ? control_ : *shards_[device];
-  }
 
   /// Appends a fresh device shard whose clock starts at the control shard's
   /// now() (live GPU add). Must be called from the control phase — i.e. from

@@ -8,6 +8,7 @@
 #include "cluster/fleet.h"
 #include "cluster/router.h"
 #include "experiments/cluster_runner.h"
+#include "sim/sharded.h"
 
 namespace daris::cluster {
 namespace {
@@ -15,13 +16,15 @@ namespace {
 using common::Priority;
 
 /// Small deterministic fixture: a jitter-free fleet with single-context
-/// single-stream GPUs, one ResNet18 model shared by every task. Transfers
-/// are zero-delay by default (the legacy premise); tests of the transfer
-/// cost model pass a rate, and heterogeneous tests pass explicit nodes.
+/// single-stream GPUs, one ResNet18 model shared by every task, on a 1-lane
+/// sharded simulator sized to the fleet. Transfers are zero-delay by default
+/// (the legacy premise); tests of the transfer cost model pass a rate, and
+/// heterogeneous tests pass explicit nodes.
 struct Harness {
   explicit Harness(int num_gpus, int num_contexts = 1,
                    double transfer_us_per_mb = 0.0,
-                   std::vector<GpuNodeSpec> nodes = {}) {
+                   std::vector<GpuNodeSpec> nodes = {})
+      : sim(nodes.empty() ? num_gpus : static_cast<int>(nodes.size()), 1) {
     FleetConfig cfg;
     cfg.num_gpus = num_gpus;
     cfg.gpu.jitter_cv = 0.0;
@@ -54,7 +57,7 @@ struct Harness {
     return id;
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator sim;
   metrics::Collector collector;
   std::unique_ptr<dnn::CompiledModel> model;
   std::unique_ptr<Fleet> fleet;

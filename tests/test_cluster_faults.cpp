@@ -2,9 +2,10 @@
 // in-flight jobs, the router never places on failed or draining devices,
 // drain completes in-flight work, stragglers slow deterministically via the
 // resolved-spec path, mid-run scale-up serves load, and a full fault
-// schedule is bit-identical across repeat runs.
+// schedule is bit-identical across repeat runs and across lane counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -12,6 +13,8 @@
 #include "cluster/fleet.h"
 #include "cluster/router.h"
 #include "experiments/cluster_runner.h"
+#include "sim/sharded.h"
+#include "workload/driver.h"
 
 namespace daris::cluster {
 namespace {
@@ -21,10 +24,13 @@ using common::Priority;
 /// Same deterministic fixture as test_cluster.cpp: jitter-free fleet,
 /// single-context single-stream GPUs, one shared ResNet18 model,
 /// zero-delay transfers (tests of in-flight cancellation pass a rate),
-/// directly chosen AFET.
+/// directly chosen AFET, on a sharded simulator with `lanes` worker lanes.
+/// Multi-lane runs record finishes into per-device collector lanes (device
+/// events then run on a pool worker); finalize_lanes() folds them back.
 struct Harness {
   explicit Harness(int num_gpus, int num_contexts = 1,
-                   double transfer_us_per_mb = 0.0) {
+                   double transfer_us_per_mb = 0.0, int lanes = 1)
+      : sim(num_gpus, lanes) {
     FleetConfig cfg;
     cfg.num_gpus = num_gpus;
     cfg.gpu.jitter_cv = 0.0;
@@ -34,6 +40,7 @@ struct Harness {
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
     collector.set_gpu_count(num_gpus);
+    if (lanes > 1) collector.enable_lanes(num_gpus);
     fleet = std::make_unique<Fleet>(sim, cfg, &collector);
   }
 
@@ -51,7 +58,10 @@ struct Harness {
     return id;
   }
 
-  sim::Simulator sim;
+  /// Runs until every job and transfer in flight has settled.
+  void run() { sim.run_until(sim.now() + common::from_sec(1.0)); }
+
+  sim::ShardedSimulator sim;
   metrics::Collector collector;
   std::unique_ptr<dnn::CompiledModel> model;
   std::unique_ptr<Fleet> fleet;
@@ -81,7 +91,7 @@ TEST(FleetFaults, FailStopShedsOnlyTheDeadGpusJobs) {
   EXPECT_EQ(h.fleet->jobs_lost(), 1u);
   // The shed job is reported as a missed finish.
   EXPECT_EQ(h.collector.summary(Priority::kLow).missed, 1u);
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).missed, 1u);
 
@@ -139,7 +149,7 @@ TEST(FleetFaults, DrainCompletesInFlightWork) {
   // Graceful: nothing is shed, the job finishes on the draining device.
   EXPECT_EQ(h.fleet->jobs_lost(), 0u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.fleet->scheduler(0).jobs_completed(), 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).missed, 0u);
   // The task was rehomed, so the next release lands on the survivor.
@@ -176,7 +186,7 @@ TEST(FleetFaults, FailCancelsInFlightTransferAndRetargetsTheJob) {
   EXPECT_EQ(router.transfers(), 2u);
   EXPECT_EQ(router.drops(), 0u);
 
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 0u);
   EXPECT_EQ(h.fleet->scheduler(2).jobs_completed(), 1u);
@@ -201,7 +211,7 @@ TEST(FleetFaults, DrainCancelsInFlightTransferToo) {
   EXPECT_EQ(router.transfer_cancels(), 1u);
   EXPECT_EQ(router.pending_transfers_to(1), 0);
 
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 0u);
   EXPECT_EQ(h.fleet->scheduler(2).jobs_completed(), 1u);
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 2u);
@@ -229,11 +239,11 @@ TEST(FleetFaults, CancelledTransferWithNoSurvivorDropsTheJob) {
   // The pending-job gauge was unwound with the cancellation: once GPU 0
   // frees up, the task's next release is admitted at home rather than shed
   // by the backlog guard counting a phantom in-flight duplicate.
-  h.sim.run();
+  h.run();
   router.release(b);
   EXPECT_EQ(router.drops(), 1u);
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 1u);
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 2u);
 }
 
@@ -247,7 +257,7 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
 
   router.release(lp);
-  h.sim.run();
+  h.run();
   ASSERT_EQ(h.collector.job_trace().size(), 1u);
   const auto baseline = h.collector.job_trace()[0].finish -
                         h.collector.job_trace()[0].release;
@@ -259,7 +269,7 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
             h.fleet->node(0).resolved().sm_count);
 
   router.release(lp);
-  h.sim.run();
+  h.run();
   ASSERT_EQ(h.collector.job_trace().size(), 2u);
   const auto slowed = h.collector.job_trace()[1].finish -
                       h.collector.job_trace()[1].release;
@@ -273,7 +283,7 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   // Restoring the scale restores the original timing exactly.
   h.fleet->slow_gpu_now(0, 2.0);
   router.release(lp);
-  h.sim.run();
+  h.run();
   ASSERT_EQ(h.collector.job_trace().size(), 3u);
   EXPECT_EQ(h.collector.job_trace()[2].finish -
                 h.collector.job_trace()[2].release,
@@ -363,7 +373,8 @@ bool identical(const exp::ClusterResult& a, const exp::ClusterResult& b) {
 
 TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
   // A full fault timeline — straggler, fail-stop, scale-up, drain — under
-  // open-loop arrivals, run twice: every counter must match exactly.
+  // open-loop arrivals, run twice on one lane and once on two: every
+  // counter must match exactly.
   exp::ClusterConfig cfg;
   cfg.taskset = workload::mixed_taskset();
   cfg.sched.policy = rt::Policy::kMps;
@@ -395,11 +406,73 @@ TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
 
   const exp::ClusterResult a = exp::run_cluster(cfg);
   const exp::ClusterResult b = exp::run_cluster(cfg);
+  cfg.sim_threads = 2;
+  const exp::ClusterResult two_lanes = exp::run_cluster(cfg);
   EXPECT_TRUE(identical(a, b));
+  EXPECT_TRUE(identical(a, two_lanes));
   EXPECT_GT(a.jobs_lost, 0u);        // the fail-stop shed something
   EXPECT_GT(a.hp.completed, 0u);     // the fleet kept serving throughout
   ASSERT_EQ(a.per_gpu.size(), 3u);   // the added device is reported
   EXPECT_GT(a.per_gpu[2].completed, 0u);
+}
+
+/// The hand-wired fault schedule's outcome: every counter a lane count
+/// could perturb, flattened for equality comparison.
+std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
+  Harness h(3, /*num_contexts=*/2, /*transfer_us_per_mb=*/100.0, lanes);
+  workload::TaskSetSpec taskset;
+  const int num_tasks = 6;
+  for (int i = 0; i < num_tasks; ++i) {
+    const int id = h.add_task(i % 3 == 0 ? Priority::kHigh : Priority::kLow,
+                              1500.0 + 700.0 * i, i % 3);
+    taskset.tasks.push_back(h.fleet->scheduler(0).task(id).spec());
+  }
+  h.fleet->run_offline_phase();
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  const common::Time horizon = common::from_ms(200.0);
+  workload::PeriodicDriver driver(
+      h.sim.control(), taskset, [&router](int id) { router.release(id); },
+      horizon);
+  driver.start();
+  // Fail-stop, then scale-up (add_gpu_now grows a device shard mid-run),
+  // then drain — each an ordinary control-shard event.
+  h.fleet->fail_gpu(1, common::from_ms(51.0));
+  h.sim.control().schedule_at(common::from_ms(90.0), [&h] {
+    const int g = h.fleet->add_gpu_now(GpuNodeSpec{});
+    for (int t = 0; t < num_tasks; ++t) {
+      h.fleet->set_afet(t, g,
+                        std::vector<double>(h.model->stage_count(), 500.0));
+    }
+    h.fleet->run_offline_phase(g);
+  });
+  h.fleet->drain_gpu(0, common::from_ms(130.0));
+  h.sim.run_until(horizon);
+  h.collector.finalize_lanes();
+
+  std::vector<std::uint64_t> out = {
+      h.fleet->jobs_lost(), router.drops(), router.cross_gpu_migrations(),
+      router.transfers(),   router.transfer_cancels(),
+      static_cast<std::uint64_t>(h.sim.device_shards())};
+  for (const Priority p : {Priority::kHigh, Priority::kLow}) {
+    const metrics::ClassSummary& c = h.collector.summary(p);
+    out.insert(out.end(), {c.released, c.accepted, c.rejected, c.completed,
+                           c.missed});
+  }
+  for (int g = 0; g < h.fleet->size(); ++g) {
+    out.push_back(h.fleet->jobs_completed(g));
+    out.push_back(h.collector.routing(g).routed);
+  }
+  return out;
+}
+
+TEST(FleetFaults, HandWiredFaultScheduleMatchesAcrossLanes) {
+  // Fail, scale-up, and drain through the Fleet API itself, with device
+  // events on a real pool worker at two lanes: same outcome as one lane.
+  const std::vector<std::uint64_t> one = hand_wired_fault_schedule(1);
+  const std::vector<std::uint64_t> two = hand_wired_fault_schedule(2);
+  EXPECT_EQ(one, two);
+  EXPECT_GT(one[0], 0u);  // the fail-stop shed in-flight work
+  EXPECT_EQ(one[5], 4u);  // the added device got its own shard
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "cluster/router.h"
 #include "daris/stage_queue.h"
 #include "experiments/cluster_runner.h"
+#include "sim/sharded.h"
 
 namespace daris::cluster {
 namespace {
@@ -20,10 +21,11 @@ namespace {
 using common::Priority;
 
 /// Same deterministic fixture as test_cluster.cpp: jitter-free fleet,
-/// single-context single-stream GPUs, one shared ResNet18 model; tests of
-/// delayed transfers pass a nonzero rate.
+/// single-context single-stream GPUs, one shared ResNet18 model, on a
+/// 1-lane sharded simulator; tests of delayed transfers pass a nonzero rate.
 struct Harness {
-  explicit Harness(int num_gpus, double transfer_us_per_mb = 0.0) {
+  explicit Harness(int num_gpus, double transfer_us_per_mb = 0.0)
+      : sim(num_gpus, 1) {
     FleetConfig cfg;
     cfg.num_gpus = num_gpus;
     cfg.gpu.jitter_cv = 0.0;
@@ -50,7 +52,10 @@ struct Harness {
     return id;
   }
 
-  sim::Simulator sim;
+  /// Runs until every job and transfer in flight has settled.
+  void run() { sim.run_until(sim.now() + common::from_sec(1.0)); }
+
+  sim::ShardedSimulator sim;
   metrics::Collector collector;
   std::unique_ptr<dnn::CompiledModel> model;
   std::unique_ptr<Fleet> fleet;
@@ -130,7 +135,7 @@ TEST(Donation, ReleaseThenRevokeMovesAQueuedJob) {
   const int c = h.add_task(Priority::kLow, 7000.0, 0);
   EXPECT_TRUE(h.fleet->scheduler(0).release_job(c, /*report=*/false));
 
-  h.sim.run();
+  h.run();
   EXPECT_EQ(h.fleet->scheduler(1).jobs_completed(), 1u);
   EXPECT_GE(h.fleet->scheduler(0).jobs_completed(), 2u);
 }
@@ -214,7 +219,7 @@ TEST(Coalesce, ConcurrentColdMigrationsShareOneCopy) {
 
   // One copy lands; the leader delivers first and warms the model, then the
   // attached job is admitted against the now-hot weights.
-  h.sim.run();
+  h.run();
   EXPECT_EQ(router.pending_transfers(), 0u);
   EXPECT_EQ(router.cross_gpu_migrations(), 2u);
   EXPECT_EQ(router.drops(), 0u);

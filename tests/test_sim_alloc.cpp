@@ -266,7 +266,7 @@ TEST(SimulatorAlloc, ShardedSteadyStateDoesNotAllocate) {
         const int g = next;
         next = (next + 1) % kShards;
         std::uint64_t* sink = sinks + g;
-        sharded->device_sim(g).schedule_at(
+        sharded->shard(g).schedule_at(
             sharded->now() + kLocalPeriod / 2, [sink] { ++*sink; });
         arm(sharded->now() + kControlPeriod);
       });

@@ -10,12 +10,15 @@
 //     makes thread scheduling invisible.
 //
 //  2. run_cluster with routing, faults, autoscaling, and rebalancing all
-//     armed: the sharded engine at 1/2/4 threads must reproduce every
-//     counter of the single-simulator run exactly, and run_scenario's
-//     committed fingerprint string must come out byte-identical sharded.
+//     armed: runs at 1/2/4 lanes must reproduce every counter exactly, and
+//     run_scenario's fingerprint string must come out byte-identical. The
+//     expected values are constants captured from the retired single-heap
+//     engine, so these tests also pin today's engine to that golden
+//     reference (as .baseline_scenarios.json does for the scenario matrix).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -57,7 +60,7 @@ struct LogEntry {
 /// (shards, seed) — never of the thread count.
 struct SyntheticFleet {
   SyntheticFleet(int num_shards, int threads, std::uint64_t seed)
-      : sharded(num_shards, threads), states(num_shards, 0),
+      : engine(num_shards, threads), states(num_shards, 0),
         logs(num_shards), control_rng(seed) {
     for (int s = 0; s < num_shards; ++s) {
       arm_local(s, common::Rng(seed ^ (0x9E3779B97F4A7C15ull * (s + 1))),
@@ -67,8 +70,8 @@ struct SyntheticFleet {
   }
 
   void arm_local(int s, common::Rng rng, common::Time when) {
-    sharded.shard(s).schedule_at(when, [this, s, rng]() mutable {
-      Simulator& sim = sharded.shard(s);
+    engine.shard(s).schedule_at(when, [this, s, rng]() mutable {
+      Simulator& sim = engine.shard(s);
       auto& st = states[static_cast<std::size_t>(s)];
       st = st * 6364136223846793005ull + 1442695040888963407ull;
       logs[static_cast<std::size_t>(s)].push_back(
@@ -79,8 +82,8 @@ struct SyntheticFleet {
   }
 
   void arm_control(common::Time when) {
-    sharded.control().schedule_at(when, [this] {
-      Simulator& ctl = sharded.control();
+    engine.control().schedule_at(when, [this] {
+      Simulator& ctl = engine.control();
       // Read every shard's state (a cross-shard observation).
       std::uint64_t sum = 0;
       for (const std::uint64_t st : states) sum += st;
@@ -89,12 +92,12 @@ struct SyntheticFleet {
       // Placement: schedule a local mutation onto a seeded-chosen shard.
       const int target = static_cast<int>(control_rng.uniform_int(0, n - 1));
       const double place_us = control_rng.uniform(1.0, 40.0);
-      sharded.shard(target).schedule_at(
+      engine.shard(target).schedule_at(
           ctl.now() + common::from_us(place_us), [this, target] {
             auto& st = states[static_cast<std::size_t>(target)];
             st ^= 0xD1B54A32D192ED03ull;
             logs[static_cast<std::size_t>(target)].push_back(
-                {sharded.shard(target).now(),
+                {engine.shard(target).now(),
                  logs[static_cast<std::size_t>(target)].size(), st});
           });
       // Steal: move "work" between two shards right now (control phase may
@@ -109,12 +112,12 @@ struct SyntheticFleet {
       const int dest = static_cast<int>(control_rng.uniform_int(0, n - 1));
       const double xfer_us = control_rng.uniform(10.0, 80.0);
       ctl.schedule_after(common::from_us(xfer_us), [this, dest] {
-        sharded.shard(dest).schedule_after(
+        engine.shard(dest).schedule_after(
             common::from_us(5.0), [this, dest] {
               auto& st = states[static_cast<std::size_t>(dest)];
               st += 0x2545F4914F6CDD1Dull;
               logs[static_cast<std::size_t>(dest)].push_back(
-                  {sharded.shard(dest).now(),
+                  {engine.shard(dest).now(),
                    logs[static_cast<std::size_t>(dest)].size(), st});
             });
       });
@@ -131,7 +134,7 @@ struct SyntheticFleet {
     return h;
   }
 
-  ShardedSimulator sharded;
+  ShardedSimulator engine;
   std::vector<std::uint64_t> states;
   std::vector<std::vector<LogEntry>> logs;
   std::vector<LogEntry> control_log;
@@ -149,7 +152,7 @@ SyntheticRun run_synthetic(int shards, int threads, std::uint64_t seed,
                            double horizon_ms) {
   SyntheticFleet fleet(shards, threads, seed);
   SyntheticRun out;
-  out.executed = fleet.sharded.run_until(common::from_ms(horizon_ms));
+  out.executed = fleet.engine.run_until(common::from_ms(horizon_ms));
   out.logs = std::move(fleet.logs);
   out.control_log = std::move(fleet.control_log);
   out.digest = fleet.digest();
@@ -192,34 +195,6 @@ TEST(ShardedDifferential, RepeatRunsBitIdenticalAtSameThreadCount) {
   const SyntheticRun a = run_synthetic(4, 4, 7, 20.0);
   const SyntheticRun b = run_synthetic(4, 4, 7, 20.0);
   expect_identical(a, b, "repeat at 4 threads");
-}
-
-TEST(ShardedDifferential, ZeroShardFacadeMatchesPlainSimulator) {
-  // With no device shards the facade must be the single-threaded engine
-  // bit-for-bit: same event order, same clock behaviour.
-  std::vector<std::pair<common::Time, int>> plain_log, facade_log;
-  auto drive = [](Simulator& sim,
-                  std::vector<std::pair<common::Time, int>>* log) {
-    for (int i = 0; i < 50; ++i) {
-      sim.schedule_at(common::from_us(10.0 * (i % 7)), [log, i, psim = &sim] {
-        log->emplace_back(psim->now(), i);
-      });
-    }
-  };
-  Simulator plain;
-  drive(plain, &plain_log);
-  const std::size_t plain_exec = plain.run_until(common::from_ms(1.0));
-
-  ShardedSimulator facade(0, 4);
-  drive(facade.control(), &facade_log);
-  const std::size_t facade_exec = facade.run_until(common::from_ms(1.0));
-
-  EXPECT_EQ(plain_exec, facade_exec);
-  EXPECT_EQ(plain.now(), facade.now());
-  ASSERT_EQ(plain_log.size(), facade_log.size());
-  for (std::size_t i = 0; i < plain_log.size(); ++i) {
-    EXPECT_EQ(plain_log[i], facade_log[i]) << "entry " << i;
-  }
 }
 
 TEST(ShardedDifferential, ClocksAllReachTheDeadline) {
@@ -310,24 +285,30 @@ exp::ClusterConfig differential_cluster_config() {
   return cfg;
 }
 
-TEST(ShardedDifferential, ClusterRunMatchesUnshardedAtEveryThreadCount) {
-  exp::ClusterConfig cfg = differential_cluster_config();
-  const exp::ClusterResult baseline = exp::run_cluster(cfg);
-  const std::vector<std::uint64_t> want = counters_of(baseline);
-  ASSERT_GT(baseline.hp.completed + baseline.lp.completed, 100u);
-  ASSERT_GT(baseline.stage_trace.size(), 0u);
+TEST(ShardedDifferential, ClusterRunMatchesGoldenAtEveryLaneCount) {
+  // Captured from the single-heap engine: counters_of(), total_jps, and the
+  // per-GPU utilisation (the kAdd device is index 4).
+  const std::vector<std::uint64_t> want = {
+      1565, 1359, 187, 1012, 168, 3065, 1230, 1820, 854, 116, 2007, 0,
+      9,    4630, 7,   704,  8,   0,    9,    368,  899, 0,   0,    0,
+      0,    0,    0,   0,    0,   0,    0,    0,    0,   0,   1,    598,
+      939,  131,  49,  357,  376, 88,   17,   645,  1159, 24, 84,   974,
+      1873, 125,  125, 8,    283, 0,    93,   10373};
+  const double want_jps = 0x1.032aaaaaaaaabp+11;
+  const double want_util[] = {0x1.7f1aefd61126ap-1, 0x1.cd22961febe7p-2,
+                              0x1.11327e0b2aac4p+0, 0x1.a52f8fde4d35p-1,
+                              0x1.7431531be4a53p-6};
 
   for (const int threads : {1, 2, 4}) {
-    exp::ClusterConfig sharded_cfg = differential_cluster_config();
-    sharded_cfg.sharded = true;
-    sharded_cfg.sim_threads = threads;
-    const exp::ClusterResult r = exp::run_cluster(sharded_cfg);
-    EXPECT_EQ(counters_of(r), want) << threads << " threads";
-    EXPECT_EQ(r.total_jps, baseline.total_jps) << threads << " threads";
-    ASSERT_EQ(r.per_gpu.size(), baseline.per_gpu.size());
+    exp::ClusterConfig cfg = differential_cluster_config();
+    cfg.sim_threads = threads;
+    const exp::ClusterResult r = exp::run_cluster(cfg);
+    EXPECT_EQ(counters_of(r), want) << threads << " lanes";
+    EXPECT_EQ(r.total_jps, want_jps) << threads << " lanes";
+    ASSERT_EQ(r.per_gpu.size(), std::size(want_util));
     for (std::size_t g = 0; g < r.per_gpu.size(); ++g) {
-      EXPECT_EQ(r.per_gpu[g].utilization, baseline.per_gpu[g].utilization)
-          << threads << " threads, gpu " << g;
+      EXPECT_EQ(r.per_gpu[g].utilization, want_util[g])
+          << threads << " lanes, gpu " << g;
     }
   }
 }
@@ -384,53 +365,67 @@ exp::ClusterConfig chaos_cluster_config(std::uint64_t seed) {
   return cfg;
 }
 
-TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossThreads) {
+TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
   // Fault schedule x rebalancing x retries/hedging/breakers, fuzzed per
   // seed: however the chaos lands, (a) every job must be conserved, and
-  // (b) the sharded engine must reproduce the single-simulator run exactly
-  // at every thread count.
-  for (const std::uint64_t seed : {3ull, 11ull, 0xABCDull}) {
-    const exp::ClusterResult baseline =
-        exp::run_cluster(chaos_cluster_config(seed));
-    EXPECT_TRUE(baseline.conservation_ok)
-        << "seed " << seed << ": " << baseline.conservation_detail;
-    const std::vector<std::uint64_t> want = counters_of(baseline);
-    ASSERT_GT(baseline.hp.completed + baseline.lp.completed, 50u)
-        << "seed " << seed;
-
+  // (b) every lane count must reproduce the golden counters captured from
+  // the single-heap engine exactly.
+  struct Golden {
+    std::uint64_t seed;
+    std::vector<std::uint64_t> counters;
+  };
+  const Golden golden[] = {
+      {3ull,
+       {1451, 1145, 275, 861, 80,   2999, 866,  2127, 625, 131, 2402, 0,
+        7,    4039, 0,   0,   0,    0,    0,    267,  430, 4039, 411, 8,
+        1626, 0,    364, 0,   0,    0,    0,    0,    0,   0,   1,   641,
+        1361, 207,  9,   316, 660,  48,   51,   1054, 2429, 12,  207, 0}},
+      {11ull,
+       {1394, 997,  391,  750, 13,   6662, 1017, 5622, 762, 104, 6013, 0,
+        10,   3085, 0,    0,   0,    0,    0,    294,  489, 3085, 4898, 328,
+        0,    0,    1058, 21,  13,   5,    16,   1,    0,   0,   1,    294,
+        1001, 81,   4,    483, 2168, 166,  85,   1237, 4887, 47, 205,  0}},
+      {0xABCDull,
+       {1042, 882, 149,  711, 27,  3094, 839,  2228, 615, 132, 2377, 0,
+        18,   3172, 0,   0,   0,   0,    0,    283,  415, 3172, 944, 19,
+        1252, 0,   227,  14,  8,   4,    9,    1,    7,   0,   1,   666,
+        1135, 235, 22,   298, 841, 25,   74,   559,  1265, 23, 73,  113,
+        512,  0,   62,   85,  383, 0,    52,   0}},
+  };
+  for (const Golden& g : golden) {
     for (const int threads : {1, 2, 4}) {
-      exp::ClusterConfig cfg = chaos_cluster_config(seed);
-      cfg.sharded = true;
+      exp::ClusterConfig cfg = chaos_cluster_config(g.seed);
       cfg.sim_threads = threads;
       const exp::ClusterResult r = exp::run_cluster(cfg);
       EXPECT_TRUE(r.conservation_ok)
-          << "seed " << seed << ", " << threads << " threads: "
+          << "seed " << g.seed << ", " << threads << " lanes: "
           << r.conservation_detail;
-      EXPECT_EQ(counters_of(r), want)
-          << "seed " << seed << ", " << threads << " threads";
+      EXPECT_EQ(counters_of(r), g.counters)
+          << "seed " << g.seed << ", " << threads << " lanes";
     }
   }
 }
 
-TEST(ShardedDifferential, ScenarioFingerprintAndTelemetryDigestMatch) {
-  // One full scenario through the public API: the committed fingerprint
-  // string and the telemetry digest must be byte-identical between the
-  // single-simulator run and sharded runs at 1, 2, and auto threads.
-  // (scripts/check_scenarios.py --sharded gates the whole matrix in CI.)
+TEST(ShardedDifferential, ScenarioFingerprintAndTelemetryDigestMatchGolden) {
+  // One full scenario through the public API: the fingerprint string and
+  // the telemetry digest must equal the single-heap engine's (the same
+  // values .baseline_scenarios.json commits) at 1, 2, and auto lanes.
+  // (scripts/check_scenarios.py --baseline gates the whole matrix in CI.)
+  const std::string want_fingerprint =
+      "jps=2656;hp_rel=5230;hp_acc=4190;hp_done=3543;hp_miss=46;"
+      "lp_rel=10083;lp_acc=3679;lp_done=3097;lp_miss=478;xmigr=1738;"
+      "imigr=2247;drops=7377;infeas=0;xfers=8;xfer_mb=642.7156982421875;"
+      "arrivals=15313;lost=0;unmatched=0;stages=31571;cswitch=773;"
+      "gmigr=2174;starved=107;stall_us=6960.3559999999998;g=1435;g=1480;"
+      "g=2517;g=2437;";
+  const std::uint64_t want_digest = 0x0f928ad8ab69b169ull;
   const std::string data_dir = DARIS_TEST_DATA_DIR;
   const exp::ScenarioTelemetry telemetry;
-  const exp::ScenarioResult baseline =
-      exp::run_scenario("overload-storm", data_dir, &telemetry);
-  ASSERT_FALSE(baseline.fingerprint.empty());
-
   for (const int threads : {1, 2, 0}) {
-    exp::ScenarioSharding sharding;
-    sharding.threads = threads;
     const exp::ScenarioResult r =
-        exp::run_scenario("overload-storm", data_dir, &telemetry, &sharding);
-    EXPECT_EQ(r.fingerprint, baseline.fingerprint) << threads << " threads";
-    EXPECT_EQ(r.telemetry_digest, baseline.telemetry_digest)
-        << threads << " threads";
+        exp::run_scenario("overload-storm", data_dir, &telemetry, threads);
+    EXPECT_EQ(r.fingerprint, want_fingerprint) << threads << " lanes";
+    EXPECT_EQ(r.telemetry_digest, want_digest) << threads << " lanes";
   }
 }
 
