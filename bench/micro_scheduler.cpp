@@ -1,11 +1,15 @@
 // Microbenchmarks of DARIS scheduler hot paths (google-benchmark): stage
-// queue operations, MRET updates, and end-to-end scheduling cost per job.
+// queue operations, MRET updates, end-to-end scheduling cost per job, and
+// the cost of registering a task set on every device of a fleet.
 #include <benchmark/benchmark.h>
 
+#include "cluster/fleet.h"
 #include "daris/mret.h"
+#include "daris/offline.h"
 #include "daris/stage_queue.h"
 #include "experiments/runner.h"
 #include "micro_common.h"
+#include "sim/sharded.h"
 
 using namespace daris;
 
@@ -63,12 +67,53 @@ void BM_EndToEndScheduling(benchmark::State& state) {
   }
 }
 
+/// The fleet registration layer alone: build a range(0)-GPU fleet, register
+/// the replicated mixed task set (32 tasks per GPU) on every device with
+/// profiled AFET, run Algorithm 1, and destroy the fleet. Items are
+/// (task, device) pairs; AFET is profiled once, outside the timed loop.
+void BM_FleetRegistration(benchmark::State& state) {
+  const int num_gpus = static_cast<int>(state.range(0));
+  const workload::TaskSetSpec taskset =
+      workload::replicated_taskset(workload::mixed_taskset(), num_gpus);
+  cluster::FleetConfig cfg;
+  cfg.num_gpus = num_gpus;
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 6;
+  cfg.sched.oversubscription = 6.0;
+  cfg.sched.canonicalize();
+  const exp::CompiledModels models =
+      exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
+  const rt::AfetResult afet =
+      rt::profile_afet(cfg.gpu, cfg.sched, models.distinct,
+                       /*jobs_per_stream=*/16, cfg.seed);
+  for (auto _ : state) {
+    sim::ShardedSimulator sim(num_gpus, 1);
+    cluster::Fleet fleet(sim, cfg, nullptr);
+    for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
+      const rt::TaskSpec& t = taskset.tasks[i];
+      const dnn::CompiledModel* m = models.of(t.model);
+      const int id = fleet.add_task(t, m, static_cast<int>(i) % num_gpus);
+      for (int g = 0; g < num_gpus; ++g) {
+        fleet.set_afet(id, g, afet.for_model(m));
+      }
+    }
+    fleet.run_offline_phase();
+    benchmark::DoNotOptimize(fleet.task_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(taskset.tasks.size()) * num_gpus);
+}
+
 }  // namespace
 
 BENCHMARK(BM_StageQueuePushPop)->Arg(64)->Arg(4096);
 BENCHMARK(BM_MretRecordAndQuery);
 BENCHMARK(BM_VirtualDeadlines);
 BENCHMARK(BM_EndToEndScheduling)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FleetRegistration)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   return daris::bench::run_benchmarks_with_json_out(

@@ -62,9 +62,10 @@ void Fleet::add_device(const GpuNodeSpec& node) {
 int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
                     int home_gpu) {
   assert(home_gpu >= 0 && home_gpu < size());
+  std::atomic<int>* active = &active_.emplace_back(0);
   int id = -1;
   for (int g = 0; g < size(); ++g) {
-    id = scheduler(g).add_task(spec, model);
+    id = scheduler(g).add_task(spec, model, active);
     scheduler(g).set_task_resident(id, g == home_gpu);
   }
   home_.push_back(home_gpu);
@@ -146,14 +147,6 @@ bool Fleet::feasible(int task_id) const {
   return false;
 }
 
-int Fleet::active_jobs(int task_id) const {
-  int total = 0;
-  for (int g = 0; g < size(); ++g) {
-    total += scheduler(g).task(task_id).active_jobs;
-  }
-  return total;
-}
-
 std::uint64_t Fleet::intra_gpu_migrations() const {
   std::uint64_t total = 0;
   for (int g = 0; g < size(); ++g) total += scheduler(g).migrations();
@@ -225,6 +218,22 @@ Fleet::ConservationReport Fleet::check_conservation(
            std::to_string(completed) + " + failed " + std::to_string(failed) +
            " + in-flight " + std::to_string(in_flight) +
            " + cancelled-hedges " + std::to_string(revoked - steals));
+    }
+  }
+  // The O(1) backlog count must track the per-device counts it replaced.
+  // Device-major so each scheduler's task storage is walked in order.
+  std::vector<long long> device_sum(static_cast<std::size_t>(task_count()), 0);
+  for (int g = 0; g < size(); ++g) {
+    for (int t = 0; t < task_count(); ++t) {
+      device_sum[static_cast<std::size_t>(t)] +=
+          scheduler(g).task(t).active_jobs;
+    }
+  }
+  for (int t = 0; t < task_count(); ++t) {
+    if (active_jobs(t) != device_sum[static_cast<std::size_t>(t)]) {
+      fail("task " + std::to_string(t) + ": fleet active count " +
+           std::to_string(active_jobs(t)) + " != device sum " +
+           std::to_string(device_sum[static_cast<std::size_t>(t)]));
     }
   }
   return rep;
@@ -354,7 +363,8 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   for (int t = 0; t < task_count(); ++t) {
     const int id = schedulers_.back()->add_task(
         scheduler(0).task(t).spec(),
-        model_of_task_[static_cast<std::size_t>(t)]);
+        model_of_task_[static_cast<std::size_t>(t)],
+        &active_[static_cast<std::size_t>(t)]);
     (void)id;
     assert(id == t);
   }

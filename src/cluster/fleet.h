@@ -27,7 +27,9 @@
 // daemons would.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -214,7 +216,12 @@ class Fleet {
   /// the router applies the same guard against this sum so an overloaded
   /// task cannot hold one job per device (jobs the paper's single-GPU
   /// admission would shed must be shed here too, not queued into lateness).
-  int active_jobs(int task_id) const;
+  /// O(1): every device's scheduler keeps the one shared count (see
+  /// rt::Scheduler::add_task). Read it in the serial control phase only.
+  int active_jobs(int task_id) const {
+    return active_[static_cast<std::size_t>(task_id)].load(
+        std::memory_order_relaxed);
+  }
 
   /// Jobs completed by GPU g (all priorities, includes warm-up).
   std::uint64_t jobs_completed(int g) const {
@@ -283,8 +290,11 @@ class Fleet {
   /// (a steal's revoke is cancelled by its re-admit; every other revoke is a
   /// cancelled hedge copy whose surviving twin is counted once), after first
   /// verifying each scheduler's internal identity
-  ///   admitted == completed + failed + revoked + in_flight.
-  /// Runs at end of run over live counters — O(fleet + in-flight jobs).
+  ///   admitted == completed + failed + revoked + in_flight
+  /// and, per logical task, that the shared count behind active_jobs equals
+  ///   sum_g scheduler(g).task(t).active_jobs.
+  /// Runs at end of run over live counters — O(tasks x devices + in-flight
+  /// jobs).
   ConservationReport check_conservation(const ConservationInput& in) const;
 
   /// Fail-stop: sheds every in-flight job on g (reported as missed
@@ -351,6 +361,9 @@ class Fleet {
   std::vector<GpuHealth> health_;
   std::vector<std::uint8_t> breaker_open_;
   std::vector<int> home_;
+  /// Per logical task: fleet-wide active jobs (active_jobs). A deque, so
+  /// the addresses every device's Task holds survive later add_task calls.
+  std::deque<std::atomic<int>> active_;
   // Construction state kept for add_gpu_now: the canonicalized scheduler
   // config every device shares, the collector new schedulers report to, and
   // the seed sequence the constructor drew per-GPU seeds from (a member so

@@ -77,27 +77,31 @@ double Percentiles::max() const {
 }
 
 SlidingWindowMax::SlidingWindowMax(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity), ring_(capacity_ + 1) {}
 
 void SlidingWindowMax::push(double value) {
+  const std::size_t slots = ring_.size();
+  // The ring slot `offset` places behind the head (head_, offset < slots).
+  auto at = [&](std::size_t offset) -> Entry& {
+    const std::size_t i = head_ + offset;
+    return ring_[i < slots ? i : i - slots];
+  };
   const std::uint64_t index = next_index_++;
-  while (!maxima_.empty() && maxima_.back().value <= value) {
-    maxima_.pop_back();
+  // Pop dominated maxima off the back, then append the new sample.
+  while (count_ > 0 && at(count_ - 1).value <= value) {
+    --count_;
   }
-  maxima_.push_back({index, value});
+  at(count_) = {index, value};
+  ++count_;
   if (size_ < capacity_) {
     ++size_;
   }
   // Drop maxima that fell out of the window.
   const std::uint64_t oldest = next_index_ - size_;
-  while (!maxima_.empty() && maxima_.front().index < oldest) {
-    maxima_.pop_front();
+  while (count_ > 0 && ring_[head_].index < oldest) {
+    head_ = head_ + 1 == slots ? 0 : head_ + 1;
+    --count_;
   }
-}
-
-double SlidingWindowMax::max_or(double fallback) const {
-  if (maxima_.empty()) return fallback;
-  return maxima_.front().value;
 }
 
 }  // namespace daris::common

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <vector>
 
@@ -59,15 +58,20 @@ class Percentiles {
 /// Sliding window that tracks the maximum of the last `capacity` values.
 ///
 /// This is the data structure behind MRET (Eq. 1): the maximum execution time
-/// observed within the most recent `ws` jobs of a stage. Deque-of-maxima
-/// gives O(1) amortised push and O(1) max query.
+/// observed within the most recent `ws` jobs of a stage. A monotonic queue of
+/// decreasing maxima gives O(1) amortised push and O(1) max query. The queue
+/// lives in a fixed ring of capacity + 1 entries, allocated once at
+/// construction: a push can briefly hold the previous window's `capacity`
+/// maxima plus the new sample before the oldest expires.
 class SlidingWindowMax {
  public:
   explicit SlidingWindowMax(std::size_t capacity);
 
   void push(double value);
   /// Maximum over the stored window; `fallback` when no samples yet.
-  double max_or(double fallback) const;
+  double max_or(double fallback) const {
+    return count_ == 0 ? fallback : ring_[head_].value;
+  }
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
@@ -80,7 +84,11 @@ class SlidingWindowMax {
   std::size_t capacity_;
   std::size_t size_ = 0;
   std::uint64_t next_index_ = 0;
-  std::deque<Entry> maxima_;  // decreasing values
+  /// The maxima, oldest (largest) first: ring_[head_] onward, count_ live
+  /// entries, wrapping at ring_.size() == capacity_ + 1.
+  std::vector<Entry> ring_;
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
 };
 
 }  // namespace daris::common

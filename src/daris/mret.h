@@ -7,6 +7,10 @@
 //
 // Virtual deadlines (Eq. 8) split the task's relative deadline across stages
 // proportionally to their MRET shares.
+//
+// The per-stage windows are created on the first record(): a fleet keeps
+// one estimator per (task, device) pair, and most pairs never run a stage,
+// so an unobserved estimator costs only its AFET vector.
 #pragma once
 
 #include <cstddef>
@@ -37,12 +41,14 @@ class MretEstimator {
   /// (Eq. 8): D_{i,j} = mret_{i,j} / mret_i * D.
   std::vector<common::Duration> virtual_deadlines(common::Duration d) const;
 
-  std::size_t num_stages() const { return windows_.size(); }
+  std::size_t num_stages() const { return afet_us_.size(); }
   std::size_t observations(std::size_t stage) const {
-    return windows_[stage].size();
+    return windows_.empty() ? 0 : windows_[stage].size();
   }
 
  private:
+  std::size_t window_;
+  /// One window per stage once any stage has been recorded; empty before.
   std::vector<common::SlidingWindowMax> windows_;
   std::vector<double> afet_us_;
 };

@@ -30,12 +30,21 @@ Scheduler::Scheduler(sim::Simulator& sim, gpusim::Gpu& gpu,
   }
 }
 
-int Scheduler::add_task(const TaskSpec& spec, const dnn::CompiledModel* model) {
+int Scheduler::add_task(const TaskSpec& spec, const dnn::CompiledModel* model,
+                        std::atomic<int>* fleet_active) {
   assert(model != nullptr && model->stage_count() > 0);
   const int id = static_cast<int>(tasks_.size());
-  tasks_.push_back(std::make_unique<Task>(
-      id, spec, model, static_cast<std::size_t>(config_.mret_window)));
+  tasks_.emplace_back(id, spec, model,
+                      static_cast<std::size_t>(config_.mret_window),
+                      fleet_active);
   return id;
+}
+
+void Scheduler::count_active(Task& t, int delta) {
+  t.active_jobs += delta;
+  if (t.fleet_active_ != nullptr) {
+    t.fleet_active_->fetch_add(delta, std::memory_order_relaxed);
+  }
 }
 
 void Scheduler::set_afet(int task_id, const std::vector<double>& per_stage_us) {
@@ -51,12 +60,12 @@ void Scheduler::run_offline_phase() {
   // fleet-wide load cannot bunch the resident HP tasks onto few contexts.
   std::vector<double> ctx_util(contexts_.size(), 0.0);
   auto assign_all = [&](Priority p, bool resident) {
-    for (auto& t : tasks_) {
-      if (t->spec().priority != p || t->resident() != resident) continue;
+    for (Task& t : tasks_) {
+      if (t.spec().priority != p || t.resident() != resident) continue;
       const auto it = std::min_element(ctx_util.begin(), ctx_util.end());
       const int ctx = static_cast<int>(it - ctx_util.begin());
-      set_task_context(t->id(), ctx);
-      ctx_util[static_cast<std::size_t>(ctx)] += t->utilization();
+      set_task_context(t.id(), ctx);
+      ctx_util[static_cast<std::size_t>(ctx)] += t.utilization();
     }
   };
   assign_all(Priority::kHigh, /*resident=*/true);
@@ -268,7 +277,7 @@ void Scheduler::admit(Task& t, int ctx, std::unique_ptr<JobRuntime> jr) {
     }
   }
   rec.outstanding_work_us += t.mret().total_mret_us();
-  ++t.active_jobs;
+  count_active(t, +1);
   ++cls_[static_cast<std::size_t>(t.spec().priority)].admitted;
 
   Job* job = &jr->job;
@@ -484,7 +493,7 @@ void Scheduler::finish_job(JobRuntime& jr) {
           std::max(0.0, rec.migrated_hp_util - job.admitted_utilization);
     }
   }
-  --t.active_jobs;
+  count_active(t, -1);
   ++jobs_completed_;
 
   const std::size_t cls = static_cast<std::size_t>(t.spec().priority);
@@ -583,7 +592,7 @@ bool Scheduler::revoke_job(std::uint64_t job_id) {
   }
   rec.outstanding_work_us =
       std::max(0.0, rec.outstanding_work_us - t.mret().total_mret_us());
-  --t.active_jobs;
+  count_active(t, -1);
 
   const std::size_t removed = rec.ready.remove_job(&job);
   ready_stages_[static_cast<std::size_t>(t.spec().priority)] -=
@@ -624,7 +633,7 @@ std::size_t Scheduler::fail_all_jobs() {
             std::max(0.0, rec.migrated_hp_util - job.admitted_utilization);
       }
     }
-    --t.active_jobs;
+    count_active(t, -1);
     ++jobs_failed_;
     ++cls_[static_cast<std::size_t>(t.spec().priority)].failed;
     if (collector_) {

@@ -13,7 +13,9 @@
 // paper's coarse-grained preemption mechanism ("staging").
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -39,8 +41,14 @@ class Scheduler {
   const SchedulerConfig& config() const { return config_; }
 
   /// Registers a task; the compiled model must outlive the scheduler.
-  /// Returns the task id.
-  int add_task(const TaskSpec& spec, const dnn::CompiledModel* model);
+  /// Returns the task id. `fleet_active` (cluster mode, may be null) is the
+  /// logical task's fleet-wide active-job count, which must outlive the
+  /// scheduler: every admit here adds one and every finish, revoke and
+  /// failure subtracts one, alongside Task::active_jobs. Finishes run on
+  /// this device's shard, concurrently with other devices', so the count is
+  /// a relaxed atomic; readers use it in the serial control phase.
+  int add_task(const TaskSpec& spec, const dnn::CompiledModel* model,
+               std::atomic<int>* fleet_active = nullptr);
 
   /// Seeds the task's MRET estimator with offline AFET values (Eq. 10).
   void set_afet(int task_id, const std::vector<double>& per_stage_us);
@@ -62,9 +70,9 @@ class Scheduler {
   bool release_job(int task_id, bool report = true, Time released_at = -1,
                    std::uint64_t* job_id_out = nullptr);
 
-  Task& task(int id) { return *tasks_[static_cast<std::size_t>(id)]; }
+  Task& task(int id) { return tasks_[static_cast<std::size_t>(id)]; }
   const Task& task(int id) const {
-    return *tasks_[static_cast<std::size_t>(id)];
+    return tasks_[static_cast<std::size_t>(id)];
   }
   int task_count() const { return static_cast<int>(tasks_.size()); }
   int num_contexts() const { return static_cast<int>(contexts_.size()); }
@@ -237,6 +245,9 @@ class Scheduler {
   };
 
   void admit(Task& task, int ctx, std::unique_ptr<JobRuntime> jr);
+  /// Moves one of the task's jobs into (+1) or out of (-1) the active set:
+  /// Task::active_jobs and, in a fleet, the shared fleet-wide count.
+  static void count_active(Task& t, int delta);
   bool passes_admission(const Task& task, int ctx, double util) const;
   /// Membership maintenance around a placement-field change: call remove
   /// before mutating the task's context/resident, add after.
@@ -260,7 +271,9 @@ class Scheduler {
   SchedulerConfig config_;
   metrics::Collector* collector_;
 
-  std::vector<std::unique_ptr<Task>> tasks_;
+  /// Contiguous task storage; a deque never relocates its elements, so
+  /// Job::task stays valid as tasks are added.
+  std::deque<Task> tasks_;
   std::vector<ContextRec> contexts_;
   std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;
   std::uint64_t next_job_id_ = 1;

@@ -6,8 +6,8 @@
 // frozen at admission time.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/priority.h"
@@ -55,12 +55,16 @@ struct Job {
 
 class Task {
  public:
+  /// `fleet_active` (cluster mode, may be null) is the logical task's
+  /// fleet-wide active-job count, shared by its Task on every device; see
+  /// Scheduler::add_task.
   Task(int id, TaskSpec spec, const dnn::CompiledModel* model,
-       std::size_t mret_window)
+       std::size_t mret_window, std::atomic<int>* fleet_active = nullptr)
       : id_(id),
         spec_(spec),
         model_(model),
-        mret_(model->stage_count(), mret_window) {}
+        mret_(model->stage_count(), mret_window),
+        fleet_active_(fleet_active) {}
 
   int id() const { return id_; }
   const TaskSpec& spec() const { return spec_; }
@@ -81,7 +85,8 @@ class Task {
   /// membership (the Eq. 4 aggregate) stays coherent.
   int context() const { return context_; }
 
-  /// Number of this task's jobs currently admitted but unfinished.
+  /// Number of this task's jobs currently admitted but unfinished on this
+  /// scheduler (the fleet-wide sum is cluster::Fleet::active_jobs).
   int active_jobs = 0;
 
   /// Whether this scheduler is the task's home device. In a cluster the task
@@ -98,6 +103,7 @@ class Task {
   TaskSpec spec_;
   const dnn::CompiledModel* model_;
   MretEstimator mret_;
+  std::atomic<int>* fleet_active_;
   int context_ = -1;
   bool resident_ = true;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/fleet.h"
@@ -167,6 +168,50 @@ TEST(Router, FleetWideBacklogGuardShedsLpEverywhere) {
   EXPECT_EQ(router.drops(), 1u);
   EXPECT_EQ(router.cross_gpu_migrations(), 0u);
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
+}
+
+Fleet::ConservationInput conservation_input(const Router& router) {
+  Fleet::ConservationInput in;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto p = static_cast<Priority>(c);
+    in.released[c] = router.released_of(p);
+    in.shed[c] = router.shed_of(p);
+    in.pending[c] = router.pending_of(p);
+  }
+  return in;
+}
+
+TEST(Fleet, ActiveJobCountIsSharedByEveryDevice) {
+  Harness h(2);
+  const int hp = h.add_task(Priority::kHigh, 500.0, 1);
+  const int a = h.add_task(Priority::kLow, 9000.0, 0);
+  const int b = h.add_task(Priority::kLow, 9000.0, 0);
+  h.fleet->run_offline_phase();
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  router.release(hp);
+  router.release(a);
+  router.release(b);  // rejected at home, migrates to GPU 1
+  ASSERT_EQ(router.cross_gpu_migrations(), 1u);
+  // One shared count per logical task, whichever device admitted the job.
+  EXPECT_EQ(h.fleet->active_jobs(hp), 1);
+  EXPECT_EQ(h.fleet->active_jobs(a), 1);
+  EXPECT_EQ(h.fleet->active_jobs(b), 1);
+  EXPECT_EQ(h.fleet->scheduler(0).task(b).active_jobs, 0);
+  EXPECT_EQ(h.fleet->scheduler(1).task(b).active_jobs, 1);
+  EXPECT_TRUE(h.fleet->check_conservation(conservation_input(router)).ok);
+
+  // Finishes on the device shards bring every count back to zero.
+  h.sim.run_until(h.sim.now() + common::from_sec(1.0));
+  for (const int t : {hp, a, b}) EXPECT_EQ(h.fleet->active_jobs(t), 0);
+  EXPECT_TRUE(h.fleet->check_conservation(conservation_input(router)).ok);
+
+  // A device count drifting from the shared one is a conservation failure.
+  ++h.fleet->scheduler(1).task(a).active_jobs;
+  const Fleet::ConservationReport rep =
+      h.fleet->check_conservation(conservation_input(router));
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.detail.find("fleet active count"), std::string::npos)
+      << rep.detail;
 }
 
 TEST(Router, HybridStaysHomeUnderLightLoad) {

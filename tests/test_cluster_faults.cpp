@@ -449,6 +449,18 @@ std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
   h.sim.run_until(horizon);
   h.collector.finalize_lanes();
 
+  // Conservation, including the shared per-task active count that every
+  // device — the one added mid-run too — updates from its own shard.
+  Fleet::ConservationInput cons;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto p = static_cast<Priority>(c);
+    cons.released[c] = router.released_of(p);
+    cons.shed[c] = router.shed_of(p);
+    cons.pending[c] = router.pending_of(p);
+  }
+  const Fleet::ConservationReport rep = h.fleet->check_conservation(cons);
+  EXPECT_TRUE(rep.ok) << lanes << " lanes: " << rep.detail;
+
   std::vector<std::uint64_t> out = {
       h.fleet->jobs_lost(), router.drops(), router.cross_gpu_migrations(),
       router.transfers(),   router.transfer_cancels(),

@@ -147,8 +147,12 @@ TEST(SlidingWindowMax, ZeroCapacityClampedToOne) {
   EXPECT_EQ(w.max_or(0), 3.0);
 }
 
-/// Property check against a brute-force window over random inputs — this is
-/// the MRET window (Eq. 1), so correctness matters.
+/// Property check against a brute-force window — this is the MRET window
+/// (Eq. 1), so correctness matters. At least 50 windows' worth of pushes
+/// wrap the capacity + 1 ring many times over, in blocks of four shapes:
+/// a few repeated levels (ties exercise the `<=` pop), a strictly
+/// decreasing ramp (fills the ring, so every maximum expires by age), a
+/// rising ramp (each push pops everything), and a constant run.
 class SlidingWindowMaxProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SlidingWindowMaxProperty, MatchesBruteForce) {
@@ -156,8 +160,24 @@ TEST_P(SlidingWindowMaxProperty, MatchesBruteForce) {
   SlidingWindowMax w(static_cast<std::size_t>(capacity));
   Rng rng(1000 + static_cast<std::uint64_t>(capacity));
   std::vector<double> history;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.uniform(0.0, 100.0);
+  const int pushes = std::max(500, 50 * capacity);
+  const int block = 2 * capacity + 1;
+  for (int i = 0; i < pushes; ++i) {
+    double x = 0.0;
+    switch ((i / block) % 4) {
+      case 0:
+        x = static_cast<double>(rng.uniform_int(0, 3));
+        break;
+      case 1:
+        x = static_cast<double>(pushes - i);
+        break;
+      case 2:
+        x = static_cast<double>(i);
+        break;
+      default:
+        x = 2.0;
+        break;
+    }
     history.push_back(x);
     w.push(x);
     const std::size_t start =
@@ -167,12 +187,14 @@ TEST_P(SlidingWindowMaxProperty, MatchesBruteForce) {
     const double expect =
         *std::max_element(history.begin() + static_cast<long>(start),
                           history.end());
-    ASSERT_DOUBLE_EQ(w.max_or(-1.0), expect) << "at step " << i;
+    ASSERT_EQ(w.max_or(-1.0), expect) << "at step " << i;
+    ASSERT_EQ(w.size(), history.size() - start) << "at step " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Windows, SlidingWindowMaxProperty,
-                         ::testing::Values(1, 2, 3, 5, 8, 16, 64));
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                           12, 13, 14, 15, 16, 64));
 
 }  // namespace
 }  // namespace daris::common

@@ -88,6 +88,30 @@ TEST(Mret, ObservationCountTracking) {
   EXPECT_EQ(m.num_stages(), 2u);
 }
 
+TEST(Mret, UnobservedEstimatorReadsAfetUntilTheFirstRecord) {
+  // The stage windows are created on the first record(). Until then every
+  // stage reports no observations and reads its AFET seed exactly, so
+  // Algorithm 1, Eq. 8 and Eq. 12 see the same values as with eager windows.
+  MretEstimator m(3, 5);
+  m.set_afet({120.5, 80.25, 300.0});
+  for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(m.observations(j), 0u);
+  EXPECT_EQ(m.stage_mret_us(0), 120.5);
+  EXPECT_EQ(m.stage_mret_us(1), 80.25);
+  EXPECT_EQ(m.stage_mret_us(2), 300.0);
+  EXPECT_EQ(m.total_mret_us(), 120.5 + 80.25 + 300.0);
+  // A re-seed (runner kSlow/kAdd faults) is read directly too.
+  m.set_afet({60.0, 40.0, 150.0});
+  EXPECT_EQ(m.stage_mret_us(2), 150.0);
+
+  m.record(1, 50.0);
+  EXPECT_EQ(m.observations(0), 0u);
+  EXPECT_EQ(m.observations(1), 1u);
+  EXPECT_EQ(m.observations(2), 0u);
+  EXPECT_EQ(m.stage_mret_us(0), 60.0);  // unrecorded stages keep the AFET
+  EXPECT_EQ(m.stage_mret_us(1), 50.0);
+  EXPECT_EQ(m.stage_mret_us(2), 150.0);
+}
+
 /// Property: MRET is always >= the most recent observation and >= every
 /// observation still inside the window.
 class MretWindowProperty : public ::testing::TestWithParam<int> {};

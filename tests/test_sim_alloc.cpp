@@ -16,6 +16,8 @@
 #include <new>
 #include <vector>
 
+#include "cluster/fleet.h"
+#include "experiments/runner.h"
 #include "metrics/eventlog.h"
 #include "metrics/timeseries.h"
 #include "sim/sharded.h"
@@ -295,6 +297,45 @@ TEST(SimulatorAlloc, ShardedSteadyStateDoesNotAllocate) {
     EXPECT_GT(local_sinks[g], 200u) << "shard " << g;
     EXPECT_GT(cross_sinks[g], 10u) << "shard " << g;
   }
+}
+
+// Fleet registration is pay-as-you-go: each (task, device) pair is a slot in
+// its scheduler's contiguous task storage plus one AFET vector, and its MRET
+// windows only appear once a stage runs there. Registering 512 tasks on a
+// 16-device fleet — add_task, per-device set_afet, Algorithm 1 — must cost
+// fewer than two allocations per pair.
+TEST(SimulatorAlloc, FleetRegistrationCostsUnderTwoAllocationsPerPair) {
+  using namespace daris;
+  constexpr int kDevices = 16;
+  const workload::TaskSetSpec taskset =
+      workload::replicated_taskset(workload::mixed_taskset(), kDevices);
+  ASSERT_EQ(taskset.tasks.size(), 512u);
+  ShardedSimulator sharded(kDevices, 1);
+  cluster::FleetConfig cfg;
+  cfg.num_gpus = kDevices;
+  cluster::Fleet fleet(sharded, cfg, nullptr);
+  const exp::CompiledModels models =
+      exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
+  // Synthetic AFET, built outside the measured window.
+  std::vector<std::vector<double>> afet;
+  for (const auto& t : taskset.tasks) {
+    afet.emplace_back(models.of(t.model)->stage_count(), 400.0);
+  }
+
+  const std::size_t before = g_allocations;
+  for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
+    const rt::TaskSpec& t = taskset.tasks[i];
+    const int id = fleet.add_task(t, models.of(t.model),
+                                  static_cast<int>(i) % kDevices);
+    for (int g = 0; g < kDevices; ++g) fleet.set_afet(id, g, afet[i]);
+  }
+  fleet.run_offline_phase();
+  const std::size_t allocations = g_allocations - before;
+
+  const std::size_t pairs = taskset.tasks.size() * kDevices;
+  EXPECT_LT(allocations, 2 * pairs)
+      << allocations << " allocations for " << pairs << " pairs";
+  EXPECT_EQ(fleet.scheduler(kDevices - 1).task_count(), 512);
 }
 
 TEST(SimulatorAlloc, OversizedCapturesFallBackToTheHeap) {
