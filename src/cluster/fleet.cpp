@@ -358,15 +358,16 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   }
   if (collector_) collector_->grow_lanes(g + 1);
   // Register every logical task on the new device, non-resident (homes do
-  // not move on scale-up; load reaches the device through routing). Task
-  // ids line up with every other scheduler by construction.
+  // not move on scale-up; load reaches the device through routing), so its
+  // contexts reserve no HP utilisation in Eq. 11. Task ids line up with
+  // every other scheduler by construction.
+  rt::Scheduler& added = *schedulers_.back();
   for (int t = 0; t < task_count(); ++t) {
-    const int id = schedulers_.back()->add_task(
-        scheduler(0).task(t).spec(),
-        model_of_task_[static_cast<std::size_t>(t)],
-        &active_[static_cast<std::size_t>(t)]);
-    (void)id;
+    const int id = added.add_task(scheduler(0).task(t).spec(),
+                                  model_of_task_[static_cast<std::size_t>(t)],
+                                  &active_[static_cast<std::size_t>(t)]);
     assert(id == t);
+    added.set_task_resident(id, false);
   }
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " added (scale-up), compute scale "

@@ -374,7 +374,8 @@ const std::vector<ScenarioDef>& scenario_defs() {
        "GPU 0 drains at t=1.0s; a replacement joins at t=1.2s",
        &drain_under_load,
        {le("jobs_lost", 0.0), le("hp_dmr", 0.10), ge("total_jps", 1800.0),
-        le("starved_frac", 0.02), le("worst_stall_us", 100e3)}},
+        ge("added_gpu_completed", 1.0), le("starved_frac", 0.02),
+        le("worst_stall_us", 100e3)}},
       {"diurnal-replay",
        "bundled 50k-row diurnal+flash trace on 3 GPUs",
        &diurnal_replay,
@@ -667,6 +668,17 @@ ScenarioResult run_scenario(const std::string& name,
                                 static_cast<double>(r.first_attempts));
   out.metrics.emplace("lp_p99_ms", r.lp.response_ms.percentile(99.0));
   out.metrics.emplace("hedge_client_p99_ms", r.hedge_client_p99_ms);
+  // Jobs completed by devices that joined mid-run (kAdd faults): the
+  // "scale-up serves live" check.
+  const std::size_t initial_gpus =
+      cfg.nodes.empty() ? static_cast<std::size_t>(std::max(1, cfg.num_gpus))
+                        : cfg.nodes.size();
+  std::uint64_t added_completed = 0;
+  for (std::size_t g = initial_gpus; g < r.per_gpu.size(); ++g) {
+    added_completed += r.per_gpu[g].completed;
+  }
+  out.metrics.emplace("added_gpu_completed",
+                      static_cast<double>(added_completed));
 
   if (def->counterfactual != nullptr) {
     // The same scenario with its recovery mechanism forced off — everything

@@ -352,6 +352,51 @@ TEST(FleetFaults, AddedGpuJoinsTheFleetAndTakesPlacements) {
   EXPECT_EQ(h.fleet->scheduler(2).jobs_in_flight(), 1u);
 }
 
+TEST(FleetFaults, AddedGpuReservesNoHpUtilizationAndAdmitsLpWork) {
+  // Homes do not move on scale-up: the added device registers every task
+  // non-resident, so its contexts carry no static HP reservation (Eq. 11)
+  // and its LP admission test sees the whole device. Were the tasks
+  // resident there, the two HP reservations (0.4 each, one per context)
+  // would leave 0.6 of headroom per context, and the 0.6 LP job below
+  // would fail Eq. 12 everywhere on the idle device.
+  Harness h(2, /*num_contexts=*/2);
+  const double total_afet[] = {4000.0, 4000.0, 6000.0};
+  const int hp0 = h.add_task(Priority::kHigh, total_afet[0], 0);
+  const int hp1 = h.add_task(Priority::kHigh, total_afet[1], 1);
+  const int lp = h.add_task(Priority::kLow, total_afet[2], 0);
+  h.fleet->run_offline_phase();
+
+  const int g = h.fleet->add_gpu_now(GpuNodeSpec{});
+  const double stages = static_cast<double>(h.model->stage_count());
+  for (const int t : {hp0, hp1, lp}) {
+    h.fleet->set_afet(t, g,
+                      std::vector<double>(h.model->stage_count(),
+                                          total_afet[t] / stages));
+  }
+  h.fleet->run_offline_phase(g);
+
+  const rt::Scheduler& added = h.fleet->scheduler(g);
+  for (int t = 0; t < added.task_count(); ++t) {
+    EXPECT_FALSE(added.task(t).resident()) << "task " << t;
+  }
+  for (int c = 0; c < added.num_contexts(); ++c) {
+    EXPECT_EQ(added.hp_utilization(c), 0.0) << "context " << c;
+  }
+
+  // Load both incumbents so least-utilization routes the LP job to the new
+  // device, which must admit it locally.
+  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  router.release(hp0);
+  router.release(hp1);
+  router.release(lp);
+  EXPECT_EQ(h.collector.routing(g).routed, 1u);
+  EXPECT_EQ(h.collector.routing(g).home_admits, 1u);
+  EXPECT_EQ(h.fleet->scheduler(g).jobs_in_flight(), 1u);
+  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
+  h.run();
+  EXPECT_EQ(h.fleet->jobs_completed(g), 1u);
+}
+
 // --- determinism ----------------------------------------------------------
 
 bool identical(const exp::ClusterResult& a, const exp::ClusterResult& b) {

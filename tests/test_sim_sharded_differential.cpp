@@ -15,6 +15,8 @@
 //     expected values are constants captured from the retired single-heap
 //     engine, so these tests also pin today's engine to that golden
 //     reference (as .baseline_scenarios.json does for the scenario matrix).
+//     Configs with a live scale-up (kAdd) were re-captured once, at every
+//     lane count, for the add_gpu_now residency fix.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -286,18 +288,21 @@ exp::ClusterConfig differential_cluster_config() {
 }
 
 TEST(ShardedDifferential, ClusterRunMatchesGoldenAtEveryLaneCount) {
-  // Captured from the single-heap engine: counters_of(), total_jps, and the
-  // per-GPU utilisation (the kAdd device is index 4).
+  // counters_of(), total_jps, and the per-GPU utilisation (the kAdd device
+  // is index 4). Captured from the single-heap engine, then re-captured at
+  // 1/2/4 lanes when add_gpu_now began registering the added device's tasks
+  // non-resident, a declared behaviour change: the added device now admits
+  // LP work instead of reserving the fleet's HP utilisation.
   const std::vector<std::uint64_t> want = {
-      1565, 1359, 187, 1012, 168, 3065, 1230, 1820, 854, 116, 2007, 0,
-      9,    4630, 7,   704,  8,   0,    9,    368,  899, 0,   0,    0,
-      0,    0,    0,   0,    0,   0,    0,    0,    0,   0,   1,    598,
-      939,  131,  49,  357,  376, 88,   17,   645,  1159, 24, 84,   974,
-      1873, 125,  125, 8,    283, 0,    93,   10373};
-  const double want_jps = 0x1.032aaaaaaaaabp+11;
-  const double want_util[] = {0x1.7f1aefd61126ap-1, 0x1.cd22961febe7p-2,
-                              0x1.11327e0b2aac4p+0, 0x1.a52f8fde4d35p-1,
-                              0x1.7431531be4a53p-6};
+      1565, 1358, 189, 1011, 168,  3065, 1354, 1686, 978,  120, 1875, 0,
+      9,    4630, 7,   804,  8,    0,    7,    407,  952,  0,   0,    0,
+      0,    0,    0,   0,    0,    0,    0,    0,    0,    0,   1,    593,
+      1079, 93,   128, 357,  376,  88,   17,   646,  1159, 24,  88,   948,
+      1980, 117,  174, 161,  36,   85,   0,    10877};
+  const double want_jps = 0x1.144p+11;
+  const double want_util[] = {0x1.7eb9e13db0962p-1, 0x1.cd22961febe7p-2,
+                              0x1.113b16e604523p+0, 0x1.a3d2e35480078p-1,
+                              0x1.9e36fd2a93f3ap-3};
 
   for (const int threads : {1, 2, 4}) {
     exp::ClusterConfig cfg = differential_cluster_config();
@@ -385,12 +390,14 @@ TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
         10,   3085, 0,    0,   0,    0,    0,    294,  489, 3085, 4898, 328,
         0,    0,    1058, 21,  13,   5,    16,   1,    0,   0,   1,    294,
         1001, 81,   4,    483, 2168, 166,  85,   1237, 4887, 47, 205,  0}},
+      // Re-captured with the added device's tasks non-resident (the
+      // schedule includes a kAdd; see ClusterRunMatchesGoldenAtEveryLaneCount).
       {0xABCDull,
-       {1042, 882, 149,  711, 27,  3094, 839,  2228, 615, 132, 2377, 0,
-        18,   3172, 0,   0,   0,   0,    0,    283,  415, 3172, 944, 19,
-        1252, 0,   227,  14,  8,   4,    9,    1,    7,   0,   1,   666,
-        1135, 235, 22,   298, 841, 25,   74,   559,  1265, 23, 73,  113,
-        512,  0,   62,   85,  383, 0,    52,   0}},
+       {1042, 872, 157,  701, 26,  3093, 864,  2207, 640, 188, 2364, 0,
+        15,   3172, 0,   0,   0,   0,    0,    188,  374, 3172, 936, 14,
+        1295, 0,   222,  17,  10,  7,    10,   2,    7,   0,   1,   544,
+        1067, 110, 30,   294, 855, 26,   73,   544,  1305, 21, 75,  242,
+        568,  30,  6,    112, 340, 1,    4,    0}},
   };
   for (const Golden& g : golden) {
     for (const int threads : {1, 2, 4}) {
