@@ -220,7 +220,7 @@ Fleet::ConservationReport Fleet::check_conservation(
            " + cancelled-hedges " + std::to_string(revoked - steals));
     }
   }
-  // The O(1) backlog count must track the per-device counts it replaced.
+  // The shared count behind active_jobs must equal the per-device counts.
   // Device-major so each scheduler's task storage is walked in order.
   std::vector<long long> device_sum(static_cast<std::size_t>(task_count()), 0);
   for (int g = 0; g < size(); ++g) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace daris::common {
 
@@ -77,20 +78,16 @@ double Percentiles::max() const {
 }
 
 SlidingWindowMax::SlidingWindowMax(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity), ring_(capacity_ + 1) {}
+    : capacity_(capacity == 0 ? 1 : capacity),
+      ring_(std::min<std::size_t>(capacity_ + 1, 8)) {}
 
 void SlidingWindowMax::push(double value) {
-  const std::size_t slots = ring_.size();
-  // The ring slot `offset` places behind the head (head_, offset < slots).
-  auto at = [&](std::size_t offset) -> Entry& {
-    const std::size_t i = head_ + offset;
-    return ring_[i < slots ? i : i - slots];
-  };
   const std::uint64_t index = next_index_++;
   // Pop dominated maxima off the back, then append the new sample.
   while (count_ > 0 && at(count_ - 1).value <= value) {
     --count_;
   }
+  if (count_ == ring_.size()) grow();
   at(count_) = {index, value};
   ++count_;
   if (size_ < capacity_) {
@@ -99,9 +96,18 @@ void SlidingWindowMax::push(double value) {
   // Drop maxima that fell out of the window.
   const std::uint64_t oldest = next_index_ - size_;
   while (count_ > 0 && ring_[head_].index < oldest) {
-    head_ = head_ + 1 == slots ? 0 : head_ + 1;
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
     --count_;
   }
+}
+
+void SlidingWindowMax::grow() {
+  // Only a full ring grows, and the count_ maxima it holds all lie inside the
+  // previous window, so count_ <= capacity_ and the ring is below its bound.
+  std::vector<Entry> bigger(std::min(capacity_ + 1, 2 * ring_.size()));
+  for (std::size_t i = 0; i < count_; ++i) bigger[i] = at(i);
+  ring_ = std::move(bigger);
+  head_ = 0;
 }
 
 }  // namespace daris::common

@@ -271,8 +271,8 @@ class Scheduler {
   SchedulerConfig config_;
   metrics::Collector* collector_;
 
-  /// Contiguous task storage; a deque never relocates its elements, so
-  /// Job::task stays valid as tasks are added.
+  /// Tasks stored in place, several per allocation; a deque never relocates
+  /// its elements, so Job::task stays valid as tasks are added.
   std::deque<Task> tasks_;
   std::vector<ContextRec> contexts_;
   std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;

@@ -59,7 +59,7 @@ class Task {
   /// fleet-wide active-job count, shared by its Task on every device; see
   /// Scheduler::add_task.
   Task(int id, TaskSpec spec, const dnn::CompiledModel* model,
-       std::size_t mret_window, std::atomic<int>* fleet_active = nullptr)
+       std::size_t mret_window, std::atomic<int>* fleet_active)
       : id_(id),
         spec_(spec),
         model_(model),

@@ -147,11 +147,25 @@ TEST(SlidingWindowMax, ZeroCapacityClampedToOne) {
   EXPECT_EQ(w.max_or(0), 3.0);
 }
 
+TEST(SlidingWindowMax, HugeCapacityHoldsOnlyItsMaxima) {
+  // The window size is user input (--window): a 2^40 window must not
+  // reserve capacity + 1 entries up front. A falling ramp keeps every
+  // sample as a live maximum, so the ring grows to hold them all.
+  SlidingWindowMax w(std::size_t{1} << 40);
+  for (int i = 0; i < 1000; ++i) w.push(1000.0 - i);
+  EXPECT_EQ(w.size(), 1000u);
+  EXPECT_EQ(w.max_or(-1.0), 1000.0);
+  w.push(5000.0);
+  EXPECT_EQ(w.max_or(-1.0), 5000.0);
+}
+
 /// Property check against a brute-force window — this is the MRET window
 /// (Eq. 1), so correctness matters. At least 50 windows' worth of pushes
-/// wrap the capacity + 1 ring many times over, in blocks of four shapes:
-/// a few repeated levels (ties exercise the `<=` pop), a strictly
-/// decreasing ramp (fills the ring, so every maximum expires by age), a
+/// wrap the ring many times over, in blocks of four shapes: a spike that
+/// expires by age (moving the ring's head) followed by a few repeated
+/// levels (ties exercise the `<=` pop), a strictly decreasing ramp (fills
+/// the ring to its capacity + 1 bound — growing it from a wrapped state
+/// first when the capacity exceeds 7 — so every maximum expires by age), a
 /// rising ramp (each push pops everything), and a constant run.
 class SlidingWindowMaxProperty : public ::testing::TestWithParam<int> {};
 
@@ -166,7 +180,7 @@ TEST_P(SlidingWindowMaxProperty, MatchesBruteForce) {
     double x = 0.0;
     switch ((i / block) % 4) {
       case 0:
-        x = static_cast<double>(rng.uniform_int(0, 3));
+        x = i % block == 0 ? 10.0 : static_cast<double>(rng.uniform_int(0, 3));
         break;
       case 1:
         x = static_cast<double>(pushes - i);
