@@ -22,7 +22,8 @@
 // docs/OBSERVABILITY.md are the catalogues.
 //
 // Exit status: 0 when every check passes and every contract holds, 1
-// otherwise.
+// otherwise, 2 on a bad flag or a scenario config the runner refuses
+// (exp::validate_faults).
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -227,6 +228,11 @@ int main(int argc, char** argv) {
     ScenarioRow row;
     row.result = exp::run_scenario(name, data_dir, &topts);
     exp::ScenarioResult& r = row.result;
+    if (!r.cluster.error.empty()) {
+      std::fprintf(stderr, "%s: invalid config: %s\n", name.c_str(),
+                   r.cluster.error.c_str());
+      return 2;
+    }
     // Run-to-run contracts: the behaviour digest AND the telemetry capture
     // must repeat bit-identically, and disabling telemetry must not move
     // the behaviour digest (observation is inert).

@@ -12,6 +12,7 @@
 //
 // Implemented surface (exactly what bench/micro_*.cpp use):
 //   - BENCHMARK(fn)->Arg(a)->Args({a,b})->Unit(benchmark::kMillisecond)
+//     ->UseRealTime()
 //   - State: range-for iteration protocol, range(i), iterations(),
 //     SetItemsProcessed(), counters["name"] = value
 //   - DoNotOptimize()
@@ -24,7 +25,10 @@
 // re-run with a growing iteration count until wall time reaches min_time
 // (default 0.5 s); the timer covers only the `for (auto _ : state)` range;
 // items_per_second divides by CPU time, matching the upstream definition the
-// committed baselines and the CI regression gate consume.
+// committed baselines and the CI regression gate consume — or, for a
+// benchmark marked UseRealTime() (as upstream: one whose work runs on
+// threads of its own, where process CPU time sums every thread), by wall
+// time, with "/real_time" appended to its name as upstream does.
 #pragma once
 
 #include <unistd.h>
@@ -97,6 +101,7 @@ struct Family {
   std::string name;
   Function fn = nullptr;
   TimeUnit unit = kNanosecond;
+  bool use_real_time = false;  // items/s from wall time
   std::vector<std::vector<std::int64_t>> arg_sets;  // empty -> one no-arg run
 };
 
@@ -140,6 +145,10 @@ class Benchmark {
   }
   Benchmark* Unit(TimeUnit u) {
     family_->unit = u;
+    return this;
+  }
+  Benchmark* UseRealTime() {
+    family_->use_real_time = true;
     return this;
   }
 
@@ -240,6 +249,7 @@ inline std::string instance_name(const Family& family,
                                  const std::vector<std::int64_t>& args) {
   std::string name = family.name;
   for (const auto a : args) name += "/" + std::to_string(a);
+  if (family.use_real_time) name += "/real_time";
   return name;
 }
 
@@ -282,7 +292,8 @@ inline Result run_instance(const Family& family, std::size_t family_index,
     r.has_items = true;
     r.items_per_second =
         static_cast<double>(state.items_processed()) /
-        std::max(1e-12, state.cpu_seconds());
+        std::max(1e-12, family.use_real_time ? state.wall_seconds()
+                                              : state.cpu_seconds());
   }
   r.counters = state.counters;
   return r;

@@ -22,7 +22,9 @@ against their 1-lane sibling `BM_ClusterFleetOpenLoop/N` — the
 one comparison that is machine-independent, since both shapes ran on the
 same box seconds apart. Advisory, not gated: the expected ratio depends on
 the runner's core count (a single-core runner can only show barrier
-overhead; the >= 2x target applies when hardware cores >= T).
+overhead; the >= 2x target applies when hardware cores >= T). The fleet
+shapes time in wall clock (UseRealTime), so their names carry the
+harness's `/real_time` suffix, which the pairing ignores.
 """
 
 import argparse
@@ -89,15 +91,15 @@ def main():
         print(f"{name:<{width}} {'(new)':>14} {current[name]:>14.4g}")
 
     # Within-run multi-lane vs 1-lane speedup (advisory; see module docstring).
-    sharded = [n for n in sorted(current)
-               if n.startswith("BM_ClusterFleetOpenLoop/")
-               and n.count("/") == 2]
-    for name in sharded:
-        single = name.rsplit("/", 1)[0]
-        if single in current and current[single] > 0:
-            ratio = current[name] / current[single]
-            threads = name.rsplit("/", 1)[1]
-            print(f"sharded speedup {name} vs {single}: {ratio:.2f}x "
+    suffix = "/real_time"
+    shapes = {n[:-len(suffix)] if n.endswith(suffix) else n: n
+              for n in current if n.startswith("BM_ClusterFleetOpenLoop/")}
+    for shape in sorted(s for s in shapes if s.count("/") == 2):
+        single = shape.rsplit("/", 1)[0]
+        if single in shapes and current[shapes[single]] > 0:
+            ratio = current[shapes[shape]] / current[shapes[single]]
+            threads = shape.rsplit("/", 1)[1]
+            print(f"sharded speedup {shape} vs {single}: {ratio:.2f}x "
                   f"({threads} worker threads on this runner)")
 
     if failures:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/log.h"
@@ -11,6 +12,16 @@
 #include "sim/sharded.h"
 
 namespace daris::cluster {
+
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+}  // namespace
 
 gpusim::GpuSpec GpuNodeSpec::resolved() const {
   gpusim::GpuSpec spec = base;
@@ -46,6 +57,7 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
   breaker_open_.assign(n, 0);
   hot_models_.assign(n, {});
   memory_used_mb_.assign(n, 0.0);
+  placement_.reserve(n);
   for (const GpuNodeSpec& node : nodes_) add_device(node);
 }
 
@@ -57,6 +69,20 @@ void Fleet::add_device(const GpuNodeSpec& node) {
   schedulers_.push_back(std::make_unique<rt::Scheduler>(
       dev_sim, *gpus_.back(), sched_cfg_, collector_));
   schedulers_.back()->set_device_id(g);
+  const double* table = placement_.data();
+  placement_.push_back(0.0);
+  if (placement_.data() == table) {
+    schedulers_.back()->publish_load(&placement_.back(), node.compute_scale);
+  } else {
+    bind_placement();
+  }
+}
+
+void Fleet::bind_placement() {
+  for (int g = 0; g < size(); ++g) {
+    scheduler(g).publish_load(&placement_[static_cast<std::size_t>(g)],
+                              node(g).compute_scale);
+  }
 }
 
 int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
@@ -236,6 +262,16 @@ Fleet::ConservationReport Fleet::check_conservation(
            std::to_string(device_sum[static_cast<std::size_t>(t)]));
     }
   }
+  // Every placement-table entry must be exactly what a fresh fold gives.
+  for (int g = 0; g < size(); ++g) {
+    const double want = scheduler(g).active_utilization() / compute_scale(g);
+    const double have = placement_score(g);
+    if (bits_of(want) != bits_of(have)) {
+      fail("gpu " + std::to_string(g) + ": placement score " +
+           std::to_string(have) + " != active utilisation / scale " +
+           std::to_string(want));
+    }
+  }
   return rep;
 }
 
@@ -310,6 +346,8 @@ void Fleet::slow_gpu_now(int g, double factor) {
   assert(factor > 0.0);
   nodes_[static_cast<std::size_t>(g)].compute_scale *= factor;
   gpu(g).set_spec(nodes_[static_cast<std::size_t>(g)].resolved());
+  scheduler(g).publish_load(&placement_[static_cast<std::size_t>(g)],
+                            compute_scale(g));
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " compute scale x" << factor << " -> "
                  << nodes_[static_cast<std::size_t>(g)].compute_scale;

@@ -20,7 +20,9 @@
 // scale + memory capacity). Placement comparisons between devices go
 // through `placement_score()` (load normalised by compute scale) so a
 // half-size GPU at 40% admitted utilisation ranks busier than a flagship at
-// 50%.
+// 50%. The scores live in one contiguous table that each device's scheduler
+// rewrites whenever its admitted utilisation changes, so a placement scan
+// over the fleet reads one array instead of every scheduler's contexts.
 //
 // Per-GPU seeds, schedulers, and MRET estimators are independent: each
 // device accumulates its own execution-time history, exactly as real MPS
@@ -172,9 +174,13 @@ class Fleet {
 
   /// Device-comparable busyness: load(g) divided by the node's compute
   /// scale, so heterogeneous devices rank by absolute headroom. Identical
-  /// to load(g) in homogeneous fleets.
+  /// to load(g) in homogeneous fleets. A read of the placement table: the
+  /// device's scheduler stores this quotient, from the same operands, on
+  /// every change to its admitted utilisation (rt::Scheduler::publish_load),
+  /// and slow_gpu_now on every change to its scale; check_conservation
+  /// re-derives each entry bit for bit. Read it in the control phase.
   double placement_score(int g) const {
-    return load(g) / node(g).compute_scale;
+    return placement_[static_cast<std::size_t>(g)];
   }
 
   // --- model memory (hot-weight pinning) ---------------------------------
@@ -290,9 +296,11 @@ class Fleet {
   /// (a steal's revoke is cancelled by its re-admit; every other revoke is a
   /// cancelled hedge copy whose surviving twin is counted once), after first
   /// verifying each scheduler's internal identity
-  ///   admitted == completed + failed + revoked + in_flight
-  /// and, per logical task, that the shared count behind active_jobs equals
-  ///   sum_g scheduler(g).task(t).active_jobs.
+  ///   admitted == completed + failed + revoked + in_flight,
+  /// per logical task, that the shared count behind active_jobs equals
+  ///   sum_g scheduler(g).task(t).active_jobs,
+  /// and, per device, that the placement table holds exactly (bit for bit)
+  ///   scheduler(g).active_utilization() / compute_scale(g).
   /// Runs at end of run over live counters — O(tasks x devices + in-flight
   /// jobs).
   ConservationReport check_conservation(const ConservationInput& in) const;
@@ -351,8 +359,11 @@ class Fleet {
   /// sheds the releases.
   void rehome_tasks_from(int g);
   /// Appends the next device's GPU + scheduler, on the shard of the same
-  /// index.
+  /// index, and its placement-table entry.
   void add_device(const GpuNodeSpec& node);
+  /// Points every scheduler at its placement-table entry (after the table
+  /// moved) with its node's current compute scale as the divisor.
+  void bind_placement();
   sim::ShardedSimulator& sharded_;
   sim::Simulator& sim_;  // sharded_.control()
   std::vector<GpuNodeSpec> nodes_;
@@ -360,6 +371,9 @@ class Fleet {
   std::vector<std::unique_ptr<rt::Scheduler>> schedulers_;
   std::vector<GpuHealth> health_;
   std::vector<std::uint8_t> breaker_open_;
+  /// Placement table: placement_score(g) per device, written by device g's
+  /// scheduler (on its shard) and by slow_gpu_now.
+  std::vector<double> placement_;
   std::vector<int> home_;
   /// Per logical task: fleet-wide active jobs (active_jobs). A deque, so
   /// the addresses every device's Task holds survive later add_task calls.

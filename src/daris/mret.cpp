@@ -5,12 +5,8 @@
 namespace daris::rt {
 
 MretEstimator::MretEstimator(std::size_t num_stages, std::size_t window)
-    : window_(window), afet_us_(num_stages, 0.0) {}
-
-void MretEstimator::set_afet(const std::vector<double>& per_stage_us) {
-  assert(per_stage_us.size() == afet_us_.size());
-  afet_us_ = per_stage_us;
-}
+    : num_stages_(static_cast<std::uint32_t>(num_stages)),
+      window_(static_cast<std::uint32_t>(window)) {}
 
 void MretEstimator::record(std::size_t stage, double execution_us) {
   assert(stage < num_stages());
@@ -25,8 +21,7 @@ void MretEstimator::record(std::size_t stage, double execution_us) {
 
 double MretEstimator::stage_mret_us(std::size_t stage) const {
   assert(stage < num_stages());
-  return windows_.empty() ? afet_us_[stage]
-                          : windows_[stage].max_or(afet_us_[stage]);
+  return windows_.empty() ? afet(stage) : windows_[stage].max_or(afet(stage));
 }
 
 double MretEstimator::total_mret_us() const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 
 #include "common/log.h"
@@ -47,8 +48,39 @@ void Scheduler::count_active(Task& t, int delta) {
   }
 }
 
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+}  // namespace
+
+bool Scheduler::AfetLess::operator()(const std::vector<double>& a,
+                                     const std::vector<double>& b) const {
+  if (a.size() != b.size()) return a.size() < b.size();
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const std::uint64_t x = bits_of(a[i]);
+    const std::uint64_t y = bits_of(b[i]);
+    if (x != y) return x < y;
+  }
+  return false;
+}
+
 void Scheduler::set_afet(int task_id, const std::vector<double>& per_stage_us) {
-  task(task_id).mret().set_afet(per_stage_us);
+  Task& t = task(task_id);
+  assert(per_stage_us.size() == t.num_stages());
+  auto it = afet_pool_.find(per_stage_us);
+  if (it == afet_pool_.end()) it = afet_pool_.insert(per_stage_us).first;
+  t.mret().set_afet(it->data());
+}
+
+void Scheduler::publish_load(double* slot, double divisor) {
+  load_slot_ = slot;
+  load_divisor_ = divisor;
+  refresh_load();
 }
 
 void Scheduler::run_offline_phase() {
@@ -60,7 +92,8 @@ void Scheduler::run_offline_phase() {
   // fleet-wide load cannot bunch the resident HP tasks onto few contexts.
   std::vector<double> ctx_util(contexts_.size(), 0.0);
   auto assign_all = [&](Priority p, bool resident) {
-    for (Task& t : tasks_) {
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      const Task& t = tasks_[i];
       if (t.spec().priority != p || t.resident() != resident) continue;
       const auto it = std::min_element(ctx_util.begin(), ctx_util.end());
       const int ctx = static_cast<int>(it - ctx_util.begin());
@@ -279,6 +312,7 @@ void Scheduler::admit(Task& t, int ctx, std::unique_ptr<JobRuntime> jr) {
   rec.outstanding_work_us += t.mret().total_mret_us();
   count_active(t, +1);
   ++cls_[static_cast<std::size_t>(t.spec().priority)].admitted;
+  refresh_load();
 
   Job* job = &jr->job;
   jobs_.emplace(jr->job.job_id, std::move(jr));
@@ -494,6 +528,7 @@ void Scheduler::finish_job(JobRuntime& jr) {
     }
   }
   count_active(t, -1);
+  refresh_load();
   ++jobs_completed_;
 
   const std::size_t cls = static_cast<std::size_t>(t.spec().priority);
@@ -593,6 +628,7 @@ bool Scheduler::revoke_job(std::uint64_t job_id) {
   rec.outstanding_work_us =
       std::max(0.0, rec.outstanding_work_us - t.mret().total_mret_us());
   count_active(t, -1);
+  refresh_load();
 
   const std::size_t removed = rec.ready.remove_job(&job);
   ready_stages_[static_cast<std::size_t>(t.spec().priority)] -=
@@ -657,6 +693,7 @@ std::size_t Scheduler::fail_all_jobs() {
   }
   ready_stages_[0] = 0;
   ready_stages_[1] = 0;
+  refresh_load();
   return ids.size();
 }
 

@@ -15,11 +15,12 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
+#include "common/stable_array.h"
 #include "daris/config.h"
 #include "daris/stage_queue.h"
 #include "daris/task.h"
@@ -50,7 +51,11 @@ class Scheduler {
   int add_task(const TaskSpec& spec, const dnn::CompiledModel* model,
                std::atomic<int>* fleet_active = nullptr);
 
-  /// Seeds the task's MRET estimator with offline AFET values (Eq. 10).
+  /// Seeds the task's MRET estimator with offline AFET values (Eq. 10), one
+  /// per stage of the task's model. The scheduler keeps one copy of each
+  /// distinct vector it is handed and points the estimator at it, so the
+  /// caller's vector need not outlive the call and tasks sharing a profile
+  /// share its storage.
   void set_afet(int task_id, const std::vector<double>& per_stage_us);
 
   /// Algorithm 1: initial context assignment balancing utilisation.
@@ -97,6 +102,14 @@ class Scheduler {
   /// Sum of the admitted (active) HP+LP utilisation across all contexts —
   /// the load signal the cluster router balances on.
   double active_utilization() const;
+
+  /// Cluster mode: keeps `*slot` equal to active_utilization() / divisor,
+  /// written at once and again on every admit, finish, revoke and
+  /// fail_all_jobs — the only changes to the active utilisation — so the
+  /// fleet's placement table (cluster::Fleet::placement_score) is a plain
+  /// read. Call again to move the slot or change the divisor; nullptr stops
+  /// the writes. The slot is written from this device's shard.
+  void publish_load(double* slot, double divisor);
 
   /// Remaining utilisation U^r_k(t) = Ns - U^{h,t}_k(t) (Eq. 11).
   double remaining_utilization(int ctx) const;
@@ -245,6 +258,12 @@ class Scheduler {
   };
 
   void admit(Task& task, int ctx, std::unique_ptr<JobRuntime> jr);
+  /// Rewrites the publish_load slot, if any, after an active-set change.
+  void refresh_load() {
+    if (load_slot_ != nullptr) {
+      *load_slot_ = active_utilization() / load_divisor_;
+    }
+  }
   /// Moves one of the task's jobs into (+1) or out of (-1) the active set:
   /// Task::active_jobs and, in a fleet, the shared fleet-wide count.
   static void count_active(Task& t, int delta);
@@ -271,9 +290,21 @@ class Scheduler {
   SchedulerConfig config_;
   metrics::Collector* collector_;
 
-  /// Tasks stored in place, several per allocation; a deque never relocates
-  /// its elements, so Job::task stays valid as tasks are added.
-  std::deque<Task> tasks_;
+  /// Bitwise order on AFET vectors (length, then bytes): exact identity and
+  /// a strict weak order whatever the values hold.
+  struct AfetLess {
+    bool operator()(const std::vector<double>& a,
+                    const std::vector<double>& b) const;
+  };
+  /// One copy of each distinct AFET vector set_afet was handed; every
+  /// task's MRET estimator reads its seed from here. Set nodes never move,
+  /// and the pool is declared first so it outlives the tasks.
+  std::set<std::vector<double>, AfetLess> afet_pool_;
+  /// Tasks stored in place in blocks that never relocate, so Job::task
+  /// stays valid as tasks are added.
+  common::StableArray<Task> tasks_;
+  double* load_slot_ = nullptr;  // publish_load
+  double load_divisor_ = 1.0;
   std::vector<ContextRec> contexts_;
   std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;
   std::uint64_t next_job_id_ = 1;

@@ -54,17 +54,29 @@ struct Job {
 };
 
 class Task {
+  // Data first, widest first, so the public active_jobs count packs into the
+  // tail: a fleet holds one Task per (task, device) pair.
+  friend class Scheduler;  // placement fields feed its cached aggregates
+
+  TaskSpec spec_;
+  const dnn::CompiledModel* model_;
+  MretEstimator mret_;
+  std::atomic<int>* fleet_active_;
+  int id_;
+  int context_ = -1;
+  bool resident_ = true;
+
  public:
   /// `fleet_active` (cluster mode, may be null) is the logical task's
   /// fleet-wide active-job count, shared by its Task on every device; see
   /// Scheduler::add_task.
   Task(int id, TaskSpec spec, const dnn::CompiledModel* model,
        std::size_t mret_window, std::atomic<int>* fleet_active)
-      : id_(id),
-        spec_(spec),
+      : spec_(spec),
         model_(model),
         mret_(model->stage_count(), mret_window),
-        fleet_active_(fleet_active) {}
+        fleet_active_(fleet_active),
+        id_(id) {}
 
   int id() const { return id_; }
   const TaskSpec& spec() const { return spec_; }
@@ -85,10 +97,6 @@ class Task {
   /// membership (the Eq. 4 aggregate) stays coherent.
   int context() const { return context_; }
 
-  /// Number of this task's jobs currently admitted but unfinished on this
-  /// scheduler (the fleet-wide sum is cluster::Fleet::active_jobs).
-  int active_jobs = 0;
-
   /// Whether this scheduler is the task's home device. In a cluster the task
   /// is registered on every GPU (so migrated jobs can run anywhere) but its
   /// static HP reservation (Eq. 4 term of Eq. 11) is charged only on the home
@@ -96,16 +104,9 @@ class Task {
   /// Scheduler::set_task_resident (membership coherence, as above).
   bool resident() const { return resident_; }
 
- private:
-  friend class Scheduler;  // placement fields feed its cached aggregates
-
-  int id_;
-  TaskSpec spec_;
-  const dnn::CompiledModel* model_;
-  MretEstimator mret_;
-  std::atomic<int>* fleet_active_;
-  int context_ = -1;
-  bool resident_ = true;
+  /// Number of this task's jobs currently admitted but unfinished on this
+  /// scheduler (the fleet-wide sum is cluster::Fleet::active_jobs).
+  int active_jobs = 0;
 };
 
 }  // namespace daris::rt

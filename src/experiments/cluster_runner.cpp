@@ -5,6 +5,8 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "daris/offline.h"
 #include "sim/sharded.h"
@@ -104,9 +106,78 @@ bool same_spec(const gpusim::GpuSpec& a, const gpusim::GpuSpec& b) {
          a.jitter_rho == b.jitter_rho;
 }
 
+const char* fault_kind_name(FaultSpec::Kind k) {
+  switch (k) {
+    case FaultSpec::Kind::kFail:
+      return "fail";
+    case FaultSpec::Kind::kSlow:
+      return "slow";
+    case FaultSpec::Kind::kDrain:
+      return "drain";
+    case FaultSpec::Kind::kAdd:
+      return "add";
+  }
+  return "?";
+}
+
+/// The instant a validated fault fires: its time, clamped to the run start
+/// as Simulator::schedule_at clamps it.
+common::Time fault_time(const FaultSpec& f) {
+  return f.at_s <= 0.0 ? 0 : common::from_sec(f.at_s);
+}
+
 }  // namespace
 
+std::string validate_faults(const ClusterConfig& config) {
+  const std::vector<FaultSpec>& faults = config.faults;
+  auto label = [&faults](std::size_t i) {
+    return "fault " + std::to_string(i) + " (" +
+           fault_kind_name(faults[i].kind) + ")";
+  };
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const FaultSpec& f = faults[i];
+    if (!std::isfinite(f.at_s) || f.at_s > 1e9) {
+      return label(i) + ": time " + std::to_string(f.at_s) +
+             " s is not a finite time up to 1e9 s";
+    }
+    if (f.kind == FaultSpec::Kind::kSlow &&
+        !(std::isfinite(f.factor) && f.factor > 0.0)) {
+      return label(i) + ": factor " + std::to_string(f.factor) +
+             " is not finite and > 0";
+    }
+    if (f.kind == FaultSpec::Kind::kAdd &&
+        !(std::isfinite(f.node.compute_scale) && f.node.compute_scale > 0.0)) {
+      return label(i) + ": compute scale " +
+             std::to_string(f.node.compute_scale) + " is not finite and > 0";
+    }
+  }
+  const int initial = config.nodes.empty()
+                          ? std::max(1, config.num_gpus)
+                          : static_cast<int>(config.nodes.size());
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (faults[i].kind == FaultSpec::Kind::kAdd) continue;
+    const common::Time when = fault_time(faults[i]);
+    int devices = initial;
+    for (std::size_t j = 0; j < faults.size(); ++j) {
+      if (faults[j].kind != FaultSpec::Kind::kAdd) continue;
+      const common::Time added = fault_time(faults[j]);
+      if (added < when || (added == when && j < i)) ++devices;
+    }
+    if (faults[i].gpu < 0 || faults[i].gpu >= devices) {
+      return label(i) + ": gpu " + std::to_string(faults[i].gpu) +
+             " does not exist when it fires (" + std::to_string(devices) +
+             " devices then)";
+    }
+  }
+  return {};
+}
+
 ClusterResult run_cluster(const ClusterConfig& config) {
+  if (std::string error = validate_faults(config); !error.empty()) {
+    ClusterResult refused;
+    refused.error = std::move(error);
+    return refused;
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   const int devices = config.nodes.empty()
                           ? std::max(1, config.num_gpus)
@@ -469,7 +540,11 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   std::vector<const gpusim::Gpu*> gpus;
   gpus.reserve(static_cast<std::size_t>(fleet.size()));
   for (int g = 0; g < fleet.size(); ++g) gpus.push_back(&fleet.gpu(g));
-  fill_profile(sharded_sim.stats(), gpus, &result.profile);
+  const sim::ShardedSimulator::Stats stats = sharded_sim.stats();
+  fill_profile(stats, gpus, &result.profile);
+  result.profile.windows_dispatched = stats.windows_dispatched;
+  result.profile.windows_skipped = stats.windows_skipped;
+  result.profile.shard_runs = stats.shard_runs;
   result.profile.wall_ms_offline = wall_ms_offline;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);

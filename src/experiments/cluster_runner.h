@@ -42,7 +42,7 @@ struct FaultSpec {
   };
   Kind kind = Kind::kFail;
   int gpu = 0;         // target device index (ignored for kAdd)
-  double at_s = 0.0;   // simulated seconds from run start
+  double at_s = 0.0;   // simulated seconds from run start (<= 0: at start)
   double factor = 1.0; // kSlow only (0.5 halves the device's throughput)
   cluster::GpuNodeSpec node;  // kAdd only: the device brought online
 };
@@ -130,6 +130,9 @@ struct GpuSummary {
 };
 
 struct ClusterResult {
+  /// Non-empty when run_cluster refused the config (validate_faults); no
+  /// other field is filled then.
+  std::string error;
   double total_jps = 0.0;
   metrics::ClassSummary hp;
   metrics::ClassSummary lp;
@@ -202,7 +205,18 @@ struct ClusterResult {
   metrics::RunProfile profile;
 };
 
+/// Checks the fault schedule against the fleet it will run on. Returns an
+/// error naming the first bad entry, or an empty string when every entry is
+/// valid: times are finite and at most 1e9 s; a kSlow factor and a kAdd
+/// node's compute scale are finite and > 0; and a kFail, kSlow or kDrain
+/// targets a device that exists when it fires — one of the initial devices
+/// or one brought online by a kAdd firing no later (at equal times, earlier
+/// in the list: equal-time faults fire in list order).
+std::string validate_faults(const ClusterConfig& config);
+
 /// Runs the fleet on the configured task set and returns the fleet summary.
+/// A config validate_faults rejects is not simulated: the result carries
+/// only the error.
 ClusterResult run_cluster(const ClusterConfig& config);
 
 }  // namespace daris::exp

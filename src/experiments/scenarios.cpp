@@ -562,6 +562,7 @@ ScenarioResult run_scenario(const std::string& name,
   }
   cfg.sim_threads = sim_threads;
   out.cluster = run_cluster(cfg);
+  if (!out.cluster.error.empty()) return out;  // refused: pass stays false
   out.report = metrics::trace_report(out.cluster.stage_trace);
   out.fingerprint = fingerprint_of(out.cluster, out.report);
 

@@ -76,11 +76,13 @@ std::string scenario_description(const std::string& name);
 
 /// Runs one named scenario; `data_dir` locates bundled traces (the
 /// repository's tests/data). Unknown names return a ScenarioResult with
-/// pass = false and an "unknown scenario" description. A non-null
-/// `telemetry` enables the sampler + event log and fills the telemetry
-/// artifacts in the result. `sim_threads` is the worker-lane count of the
-/// run and of its counterfactual (ClusterConfig::sim_threads); results are
-/// identical at any value (bench_fig_scenarios --threads verifies).
+/// pass = false and an "unknown scenario" description; a config run_cluster
+/// refuses returns pass = false with cluster.error set and nothing run. A
+/// non-null `telemetry` enables the sampler + event log and fills the
+/// telemetry artifacts in the result. `sim_threads` is the worker-lane
+/// count of the run and of its counterfactual (ClusterConfig::sim_threads);
+/// results are identical at any value (bench_fig_scenarios --threads
+/// verifies).
 ScenarioResult run_scenario(const std::string& name,
                             const std::string& data_dir,
                             const ScenarioTelemetry* telemetry = nullptr,

@@ -12,6 +12,9 @@ RunProfile& RunProfile::operator+=(const RunProfile& o) {
     heap_high_water = o.heap_high_water;
   }
   if (o.pool_slots > pool_slots) pool_slots = o.pool_slots;
+  windows_dispatched += o.windows_dispatched;
+  windows_skipped += o.windows_skipped;
+  shard_runs += o.shard_runs;
   solver_flushes += o.solver_flushes;
   solver_contexts_solved += o.solver_contexts_solved;
   solver_contexts_reused += o.solver_contexts_reused;
@@ -35,6 +38,15 @@ std::string RunProfile::to_string() const {
                 static_cast<unsigned long long>(callbacks_heap),
                 100.0 * inline_rate());
   out += buf;
+  if (windows_dispatched + windows_skipped > 0) {
+    std::snprintf(buf, sizeof buf,
+                  "   barrier windows      %llu dispatched, %llu skipped"
+                  " (%llu device-shard runs)\n",
+                  static_cast<unsigned long long>(windows_dispatched),
+                  static_cast<unsigned long long>(windows_skipped),
+                  static_cast<unsigned long long>(shard_runs));
+    out += buf;
+  }
   std::snprintf(buf, sizeof buf,
                 "   solver flushes       %llu (ctx solved %llu, reused %llu,"
                 " %.1f%% cache hits)\n"
@@ -50,12 +62,14 @@ std::string RunProfile::to_string() const {
 }
 
 void RunProfile::append_json(std::string* out) const {
-  char buf[640];
+  char buf[800];
   std::snprintf(
       buf, sizeof buf,
       "{\"events_executed\": %llu, \"heap_high_water\": %llu, "
       "\"pool_slots\": %llu, \"callbacks_inline\": %llu, "
-      "\"callbacks_heap\": %llu, \"solver_flushes\": %llu, "
+      "\"callbacks_heap\": %llu, \"windows_dispatched\": %llu, "
+      "\"windows_skipped\": %llu, \"shard_runs\": %llu, "
+      "\"solver_flushes\": %llu, "
       "\"solver_contexts_solved\": %llu, \"solver_contexts_reused\": %llu, "
       "\"dirty_hit_rate\": %.17g, \"wall_ms_offline\": %.3f, "
       "\"wall_ms_run\": %.3f, \"wall_ms_total\": %.3f}",
@@ -64,6 +78,9 @@ void RunProfile::append_json(std::string* out) const {
       static_cast<unsigned long long>(pool_slots),
       static_cast<unsigned long long>(callbacks_inline),
       static_cast<unsigned long long>(callbacks_heap),
+      static_cast<unsigned long long>(windows_dispatched),
+      static_cast<unsigned long long>(windows_skipped),
+      static_cast<unsigned long long>(shard_runs),
       static_cast<unsigned long long>(solver_flushes),
       static_cast<unsigned long long>(solver_contexts_solved),
       static_cast<unsigned long long>(solver_contexts_reused),

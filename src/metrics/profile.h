@@ -1,7 +1,8 @@
 // Run self-profiler: counters describing how the *simulator* spent a run —
 // events dispatched, event-heap high-water mark, callbacks stored inline vs
 // spilled to the heap, fluid-solver flushes and the dirty-context hit rate,
-// and host wall-clock per phase. Filled by the experiment runners from
+// the sharded barrier's window and shard-run counts (fleet runs), and host
+// wall-clock per phase. Filled by the experiment runners from
 // sim::Simulator::stats() and gpusim::Gpu::solver_stats(); printed by the
 // figure/scenario benches under --profile and embedded in the minibench
 // JSON context. Plain counters only, so this header depends on nothing
@@ -20,6 +21,11 @@ struct RunProfile {
   std::uint64_t callbacks_heap = 0;    // captures > 48B: spilled
   std::uint64_t heap_high_water = 0;   // max concurrently-pending events
   std::uint64_t pool_slots = 0;        // event-node slots ever handed out
+
+  // Sharded barrier (sim::ShardedSimulator::stats(); zero outside fleets).
+  std::uint64_t windows_dispatched = 0;  // parallel phases with work due
+  std::uint64_t windows_skipped = 0;     // windows no device shard needed
+  std::uint64_t shard_runs = 0;          // device-shard drains, all lanes
 
   // Fluid rate solver (gpusim::Gpu::solver_stats(), summed over devices).
   std::uint64_t solver_flushes = 0;          // flush_rates() invocations

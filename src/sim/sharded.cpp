@@ -1,6 +1,7 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace daris::sim {
 
@@ -28,14 +29,17 @@ constexpr int kSpinIterations = 20000;
 
 ShardedSimulator::ShardedSimulator(int device_shards, int threads) {
   if (device_shards < 0) device_shards = 0;
-  shards_.reserve(static_cast<std::size_t>(device_shards) + 4);
-  for (int i = 0; i < device_shards; ++i) {
-    shards_.push_back(std::make_unique<Simulator>());
-  }
   const unsigned hw_raw = std::thread::hardware_concurrency();
   const int hw = static_cast<int>(hw_raw == 0 ? 1 : hw_raw);
   if (threads <= 0) threads = hw;
   threads_ = std::max(1, std::min(threads, std::max(device_shards, 1)));
+  lane_runs_.resize(static_cast<std::size_t>(threads_));
+  shards_.reserve(static_cast<std::size_t>(device_shards) + 4);
+  for (int i = 0; i < device_shards; ++i) {
+    shards_.push_back(std::make_unique<Simulator>());
+    shards_.back()->follow_clock(control_);
+  }
+  layout_heads(shards_.size());
   // More lanes than cores (explicitly requested — the differential tests do
   // this to force real cross-thread execution on small CI boxes): spinning
   // would burn whole scheduler quanta per window, so the pool drops straight
@@ -58,40 +62,64 @@ ShardedSimulator::~ShardedSimulator() {
 
 int ShardedSimulator::add_shard() {
   shards_.push_back(std::make_unique<Simulator>());
-  shards_.back()->advance_to(control_.now());
+  shards_.back()->follow_clock(control_);
+  layout_heads(shards_.size());  // a live add is rare: O(shards) is fine
   return static_cast<int>(shards_.size()) - 1;
+}
+
+void ShardedSimulator::layout_heads(std::size_t shards) {
+  const std::size_t lanes = static_cast<std::size_t>(threads_);
+  const std::size_t per_lane = (shards + lanes - 1) / lanes;
+  std::size_t lines = std::max<std::size_t>(lane_lines_, 1);
+  while (lines * kHeadsPerLine < per_lane) lines *= 2;
+  lane_lines_ = lines;
+  HeadLine idle;
+  std::fill(std::begin(idle.head), std::end(idle.head),
+            common::kTimeInfinity);
+  heads_.assign(lanes * lane_lines_, idle);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    shards_[s]->mirror_head(&heads_[head_line(s)].head[head_column(s)]);
+  }
 }
 
 std::size_t ShardedSimulator::run_lane(int lane, common::Time bound,
                                        std::size_t num_shards) {
+  // The lane's heads are its own run of lines, in shard order.
+  const HeadLine* heads =
+      heads_.data() + static_cast<std::size_t>(lane) * lane_lines_;
+  const auto lanes = static_cast<std::size_t>(threads_);
   std::size_t executed = 0;
+  std::uint64_t runs = 0;
+  std::size_t k = 0;
   for (std::size_t s = static_cast<std::size_t>(lane); s < num_shards;
-       s += static_cast<std::size_t>(threads_)) {
+       s += lanes, ++k) {
+    if (heads[k / kHeadsPerLine].head[k % kHeadsPerLine] > bound) continue;
     executed += shards_[s]->run_until(bound);
+    ++runs;
   }
+  lane_runs_[static_cast<std::size_t>(lane)].shard_runs += runs;
   return executed;
 }
 
 std::size_t ShardedSimulator::drain_shards(common::Time bound) {
   const std::size_t n = shards_.size();
   if (n == 0) return 0;
-  // Window fast path: shard heaps are quiescent here (the previous parallel
-  // phase completed through the pending_workers_ barrier), so their heads can
-  // be read directly. Windows whose shards hold nothing at or before `bound`
-  // — back-to-back control timers, mostly — skip the dispatch entirely.
+  // Window fast path: the head table is quiescent here (the previous
+  // parallel phase completed through the pending_workers_ barrier), so it
+  // can be scanned directly. Windows whose shards hold nothing at or before
+  // `bound` — back-to-back control timers, mostly — skip the dispatch
+  // entirely. Unused entries hold kTimeInfinity.
   bool any_work = false;
-  for (const auto& s : shards_) {
-    if (s->next_event_time() <= bound) {
-      any_work = true;
-      break;
-    }
+  for (const HeadLine& line : heads_) {
+    for (const common::Time head : line.head) any_work |= head <= bound;
+    if (any_work) break;
   }
-  if (!any_work) return 0;
-  if (threads_ <= 1 || workers_.empty()) {
-    std::size_t executed = 0;
-    for (auto& s : shards_) executed += s->run_until(bound);
-    return executed;
+  if (!any_work) {
+    ++windows_skipped_;
+    return 0;
   }
+  ++windows_dispatched_;
+  if (workers_.empty()) return run_lane(0, bound, n);
   bound_ = bound;
   active_shards_ = n;
   drained_.store(0, std::memory_order_relaxed);
@@ -188,9 +216,9 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
     }
     // Parallel phase: device-local events strictly before Tc.
     executed += drain_shards(tc - 1);
-    // Control phase: clocks first (control callbacks read device now()),
-    // then the serial (when, seq)-ordered batch at Tc, cascades included.
-    for (auto& s : shards_) s->advance_to(tc);
+    // Control phase: the serial (when, seq)-ordered batch at Tc, cascades
+    // included. Device clocks need no update: each shard's now() reads the
+    // control clock as its floor.
     executed += control_.run_until(tc);
   }
 }
@@ -215,8 +243,9 @@ void ShardedSimulator::reserve(std::size_t control_events,
   for (auto& s : shards_) s->reserve(per_shard_events);
 }
 
-Simulator::Stats ShardedSimulator::stats() const {
-  Simulator::Stats total = control_.stats();
+ShardedSimulator::Stats ShardedSimulator::stats() const {
+  Stats total;
+  static_cast<Simulator::Stats&>(total) = control_.stats();
   for (const auto& s : shards_) {
     const Simulator::Stats st = s->stats();
     total.events_executed += st.events_executed;
@@ -224,6 +253,11 @@ Simulator::Stats ShardedSimulator::stats() const {
     total.callbacks_heap += st.callbacks_heap;
     total.heap_high_water += st.heap_high_water;
     total.pool_slots += st.pool_slots;
+  }
+  total.windows_dispatched = windows_dispatched_;
+  total.windows_skipped = windows_skipped_;
+  for (const LaneCounter& lane : lane_runs_) {
+    total.shard_runs += lane.shard_runs;
   }
   return total;
 }

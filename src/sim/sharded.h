@@ -13,16 +13,29 @@
 // Execution alternates two phases under a conservative time-window barrier:
 //
 //  1. Parallel phase. Let Tc be the control shard's next event time. Every
-//     device shard runs its local events strictly *before* Tc on a small
-//     spin-then-sleep thread pool (the calling thread drains its own share).
-//     Shards never touch each other's state, so any interleaving of this
-//     phase produces the same result.
-//  2. Control phase. All device clocks advance to Tc, then the control shard
-//     drains serially through Tc — including events its callbacks schedule at
-//     Tc — in (when, seq) order. Control callbacks may freely poke device
-//     shards (release a job, steal a stage, cancel events): the workers are
-//     parked at the barrier, and the phase transition establishes
-//     happens-before in both directions.
+//     device shard with an event due strictly *before* Tc runs its local
+//     events before Tc on a small spin-then-sleep thread pool (the calling
+//     thread drains its own share). Shards never touch each other's state,
+//     so any interleaving of this phase produces the same result.
+//  2. Control phase. The control shard drains serially through Tc —
+//     including events its callbacks schedule at Tc — in (when, seq) order.
+//     Control callbacks may freely poke device shards (release a job, steal
+//     a stage, cancel events): the workers are parked at the barrier, and
+//     the phase transition establishes happens-before in both directions.
+//
+// Two pieces of shared state keep a window's cost proportional to the
+// shards that have work in it, not to the fleet size:
+//
+//  - Clock floor. A device shard follows the control shard's clock
+//    (Simulator::follow_clock): its now() is the later of its own clock and
+//    the control clock, so a control callback on a quiet shard reads Tc
+//    without the barrier re-stamping every shard clock each window.
+//  - Head table. Every device shard mirrors its earliest event time into a
+//    table the barrier owns (Simulator::mirror_head). The table is laid out
+//    lane-major — each lane's shards in a run of whole cache lines — so the
+//    writes a lane makes in the parallel phase never share a line with
+//    another lane's. A lane runs only the shards whose head is due, and the
+//    "any work this window?" check scans the same table.
 //
 // Ties at Tc therefore execute control-first, which is exactly the order a
 // single event heap produces for the fleet's timer-driven control events (a
@@ -41,6 +54,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -73,18 +87,26 @@ class ShardedSimulator {
   /// The i-th device shard (0 <= i < device_shards()); device i lives on it.
   Simulator& shard(int i) { return *shards_[i]; }
 
-  /// Appends a fresh device shard whose clock starts at the control shard's
-  /// now() (live GPU add). Must be called from the control phase — i.e. from
-  /// a control-shard callback or outside run_until() — never from a device
+  /// Appends a fresh device shard, whose now() reads the control shard's
+  /// (live GPU add). Must be called from the control phase — i.e. from a
+  /// control-shard callback or outside run_until() — never from a device
   /// event. Returns the new shard index.
   int add_shard();
 
   /// Worker-lane count actually in use (>= 1; includes the calling thread).
   int threads() const { return threads_; }
 
-  /// Fleet-wide clock == the control shard's clock. Device shards only ever
-  /// trail it by the current window.
+  /// Fleet-wide clock == the control shard's clock. A device shard's own
+  /// clock only ever runs ahead of it within the current window.
   common::Time now() const { return control_.now(); }
+
+  /// The earliest event time shard `i` has published to the head table
+  /// (kTimeInfinity when idle). Equal to shard(i).next_event_time() whenever
+  /// the shard is not running; read it from the control phase.
+  common::Time published_head(int i) const {
+    const auto s = static_cast<std::size_t>(i);
+    return heads_[head_line(s)].head[head_column(s)];
+  }
 
   /// Runs the two-phase window loop until every shard is drained up to (and
   /// including) `deadline`; all clocks end at `deadline`. Returns the number
@@ -98,21 +120,57 @@ class ShardedSimulator {
   /// Pre-sizes the control heap and each device-shard heap.
   void reserve(std::size_t control_events, std::size_t per_shard_events);
 
-  /// Self-profiler counters folded across all shards. Sums every field;
-  /// heap_high_water becomes a fleet-wide upper bound (per-shard peaks need
-  /// not coincide in time).
-  Simulator::Stats stats() const;
+  /// Self-profiler counters: the engine counters folded across all shards
+  /// (every field summed; heap_high_water becomes a fleet-wide upper bound,
+  /// as per-shard peaks need not coincide in time) plus the barrier's own.
+  struct Stats : Simulator::Stats {
+    std::uint64_t windows_dispatched = 0;  // parallel phases with work due
+    std::uint64_t windows_skipped = 0;     // windows no device shard needed
+    std::uint64_t shard_runs = 0;          // device-shard drains, all lanes
+  };
+  Stats stats() const;
 
  private:
-  /// Drains shards [lane, lane + threads_, ...) through `bound`.
+  /// Cache-line-sized run of head-table entries.
+  static constexpr std::size_t kHeadsPerLine = 8;
+  struct alignas(64) HeadLine {
+    common::Time head[kHeadsPerLine];
+  };
+
+  /// Shard s's head-table entry is lane s % threads_, position
+  /// s / threads_ within that lane's run of lane_lines_ lines.
+  std::size_t head_line(std::size_t s) const {
+    const auto lanes = static_cast<std::size_t>(threads_);
+    return (s % lanes) * lane_lines_ + s / lanes / kHeadsPerLine;
+  }
+  std::size_t head_column(std::size_t s) const {
+    return s / static_cast<std::size_t>(threads_) % kHeadsPerLine;
+  }
+  /// Rebuilds the head table for `shards` device shards (doubling each
+  /// lane's run when it must grow) and re-points every shard's mirror at
+  /// it, which writes the current heads.
+  void layout_heads(std::size_t shards);
+  /// Drains the due shards among [lane, lane + threads_, ...) through
+  /// `bound`.
   std::size_t run_lane(int lane, common::Time bound, std::size_t num_shards);
-  /// Parallel phase: every device shard runs run_until(bound).
+  /// Parallel phase: every device shard with an event due by `bound` runs
+  /// run_until(bound).
   std::size_t drain_shards(common::Time bound);
   void worker_loop(int lane);
 
   Simulator control_;
   std::vector<std::unique_ptr<Simulator>> shards_;
   int threads_ = 1;
+  /// Head table (see the file comment), kTimeInfinity in unused entries.
+  std::vector<HeadLine> heads_;
+  std::size_t lane_lines_ = 0;  // lines per lane
+  /// Per-lane shard-run counters, one cache line each; summed by stats().
+  struct alignas(64) LaneCounter {
+    std::uint64_t shard_runs = 0;
+  };
+  std::vector<LaneCounter> lane_runs_;
+  std::uint64_t windows_dispatched_ = 0;
+  std::uint64_t windows_skipped_ = 0;
   // True when worker lanes exceed hardware cores; disables every spin path
   // (hot mode included) so oversubscribed runs cost futex waits, not quanta.
   bool oversubscribed_ = false;

@@ -94,7 +94,7 @@ EventHandle Simulator::schedule_at(Time when, Callback cb) {
 }
 
 EventHandle Simulator::schedule_after(Duration delay, Callback cb) {
-  return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(cb));
+  return schedule_at(now() + (delay < 0 ? 0 : delay), std::move(cb));
 }
 
 void Simulator::cancel(EventHandle handle) {
@@ -103,6 +103,7 @@ void Simulator::cancel(EventHandle handle) {
   const std::uint32_t pos = pos_[slot];
   if (pos == kNpos) return;  // the currently-firing event: already off the heap
   heap_remove(pos);
+  publish_head();
   if (node(slot).firing_depth == 0) release_node(slot);
   // A firing node is recycled by fire_top() once its callback chain unwinds;
   // here the cancel only undoes a reschedule() made during that callback.
@@ -110,7 +111,8 @@ void Simulator::cancel(EventHandle handle) {
 
 void Simulator::reschedule_resolved(std::uint32_t slot, std::uint32_t pos,
                                     Time when, std::uint64_t seq) {
-  if (when < now_) when = now_;
+  const Time t = now();
+  if (when < t) when = t;
   if (pos != kNpos) {
     heap_[pos].when = when;
     heap_[pos].seq = seq;
@@ -118,6 +120,7 @@ void Simulator::reschedule_resolved(std::uint32_t slot, std::uint32_t pos,
   } else {
     heap_push(HeapEntry{when, seq, slot});  // re-arm from the event's callback
   }
+  publish_head();
 }
 
 bool Simulator::reschedule(EventHandle handle, Time when) {
@@ -131,12 +134,13 @@ bool Simulator::reschedule(EventHandle handle, Time when) {
 }
 
 bool Simulator::reschedule_after(EventHandle handle, Duration delay) {
-  return reschedule(handle, now_ + (delay < 0 ? 0 : delay));
+  return reschedule(handle, now() + (delay < 0 ? 0 : delay));
 }
 
 EventHandle Simulator::schedule_at_with_sequence(Time when, std::uint64_t seq,
                                                  Callback cb) {
-  if (when < now_) when = now_;  // clamp: past events fire on the current tick
+  const Time t = now();
+  if (when < t) when = t;  // clamp: past events fire on the current tick
   if (cb.on_heap()) {
     ++stats_.callbacks_heap;
   } else {
@@ -145,6 +149,7 @@ EventHandle Simulator::schedule_at_with_sequence(Time when, std::uint64_t seq,
   const std::uint32_t slot = acquire_node();
   node(slot).cb = std::move(cb);
   heap_push(HeapEntry{when, seq, slot});
+  publish_head();
   return handle_for(slot);
 }
 
@@ -178,6 +183,7 @@ void Simulator::fire_top() {
 bool Simulator::step() {
   if (heap_.empty()) return false;
   fire_top();
+  publish_head();
   return true;
 }
 
@@ -188,6 +194,7 @@ std::size_t Simulator::run_until(Time deadline) {
     ++executed;
   }
   if (now_ < deadline) now_ = deadline;
+  publish_head();
   return executed;
 }
 
@@ -197,6 +204,7 @@ std::size_t Simulator::run() {
     fire_top();
     ++executed;
   }
+  publish_head();
   return executed;
 }
 

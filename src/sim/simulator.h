@@ -55,8 +55,9 @@ class Simulator {
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  /// Current simulated time.
-  Time now() const { return now_; }
+  /// Current simulated time: the later of this queue's own clock and the
+  /// clock it follows (follow_clock; none by default).
+  Time now() const { return now_ < *floor_ ? *floor_ : now_; }
 
   /// Schedules `cb` to run at absolute time `when`. Times in the past are
   /// clamped to now(): the event fires on the current tick, after events
@@ -124,12 +125,29 @@ class Simulator {
     return heap_.empty() ? common::kTimeInfinity : heap_[0].when;
   }
 
-  /// Advances now() to `when` without executing anything; no-op when `when`
-  /// is not ahead of now(). Used by the sharded barrier so that callbacks
-  /// invoked on a quiet shard from the control phase (job releases, steals)
-  /// observe the fleet-wide time rather than the shard's last local event.
+  /// Advances the own clock to `when` without executing anything; no-op
+  /// when `when` is not ahead of it.
   void advance_to(Time when) {
     if (now_ < when) now_ = when;
+  }
+
+  // --- sharded-engine hooks (sim/sharded.h) -------------------------------
+
+  /// From now on now() never reads earlier than `leader.now()`: a device
+  /// shard follows the control shard, so callbacks the control phase runs
+  /// on a quiet shard (job releases, steals) observe the fleet-wide time
+  /// without the barrier re-stamping every shard clock per window. The
+  /// leader must outlive this simulator and must not advance while this
+  /// one runs on another thread.
+  void follow_clock(const Simulator& leader) { floor_ = &leader.now_; }
+
+  /// Keeps `*slot` equal to next_event_time() from now on (written at once,
+  /// then after every operation that can move the earliest event), so the
+  /// barrier can tell which shards have work due without touching their
+  /// heaps. nullptr stops the mirroring.
+  void mirror_head(Time* slot) {
+    head_ = slot;
+    publish_head();
   }
 
   /// Pre-sizes the pool and heap for `events` concurrently-pending events.
@@ -210,7 +228,16 @@ class Simulator {
   /// Pops and executes the heap root (the heap must be non-empty).
   void fire_top();
 
+  /// Writes the earliest event time to the mirror slot, if any.
+  void publish_head() {
+    if (head_ != nullptr) *head_ = next_event_time();
+  }
+
+  static constexpr Time kNoFloor = INT64_MIN;
+
   Time now_ = 0;
+  const Time* floor_ = &kNoFloor;  // follow_clock target
+  Time* head_ = nullptr;           // mirror_head slot
   std::uint64_t next_seq_ = 1;
   std::vector<std::unique_ptr<Node[]>> slabs_;
   std::uint32_t pool_size_ = 0;  // slots handed out across all slabs

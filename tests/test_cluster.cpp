@@ -214,6 +214,49 @@ TEST(Fleet, ActiveJobCountIsSharedByEveryDevice) {
       << rep.detail;
 }
 
+TEST(Fleet, PlacementTableTracksEveryActiveSetChange) {
+  // Heterogeneous, so the table divides by a scale other than 1.
+  GpuNodeSpec half;
+  half.compute_scale = 0.5;
+  GpuNodeSpec full;
+  Harness h(2, 1, 0.0, {full, half});
+  const int a = h.add_task(Priority::kLow, 3000.0, 0);
+  const int b = h.add_task(Priority::kLow, 3000.0, 1);
+  h.fleet->run_offline_phase();
+  auto exact = [&h] {
+    for (int g = 0; g < h.fleet->size(); ++g) {
+      EXPECT_EQ(h.fleet->placement_score(g),
+                h.fleet->load(g) / h.fleet->compute_scale(g))
+          << "gpu " << g;
+    }
+  };
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &h.collector);
+  router.release(a);
+  router.release(b);
+  EXPECT_GT(h.fleet->placement_score(1), h.fleet->load(1));  // scale 0.5
+  exact();
+  h.fleet->slow_gpu_now(0, 0.25);  // a new scale, same load
+  exact();
+  EXPECT_TRUE(h.fleet->check_conservation(conservation_input(router)).ok);
+  h.sim.run_until(h.sim.now() + common::from_sec(1.0));  // finishes
+  EXPECT_EQ(h.fleet->placement_score(0), 0.0);
+  EXPECT_EQ(h.fleet->placement_score(1), 0.0);
+  router.release(b);
+  h.fleet->fail_gpu_now(1);  // drops the in-flight job
+  exact();
+  EXPECT_TRUE(h.fleet->check_conservation(conservation_input(router)).ok);
+
+  // A scheduler that stops writing its entry is a conservation failure.
+  double stray = 0.0;
+  h.fleet->scheduler(0).publish_load(&stray, 1.0);
+  router.release(a);
+  const Fleet::ConservationReport rep =
+      h.fleet->check_conservation(conservation_input(router));
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.detail.find("placement score"), std::string::npos)
+      << rep.detail;
+}
+
 TEST(Router, HybridStaysHomeUnderLightLoad) {
   Harness h(2);
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/1);

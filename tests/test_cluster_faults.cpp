@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -459,6 +461,99 @@ TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
   EXPECT_GT(a.hp.completed, 0u);     // the fleet kept serving throughout
   ASSERT_EQ(a.per_gpu.size(), 3u);   // the added device is reported
   EXPECT_GT(a.per_gpu[2].completed, 0u);
+}
+
+// --- fault-schedule validation ---------------------------------------------
+
+/// A small 4-GPU open-loop run for the validation cases.
+exp::ClusterConfig four_gpu_config() {
+  exp::ClusterConfig cfg;
+  cfg.taskset = workload::mixed_taskset();
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 4;
+  cfg.sched.oversubscription = 4.0;
+  cfg.num_gpus = 4;
+  cfg.routing = RoutingPolicy::kLeastUtilization;
+  cfg.arrivals = exp::ArrivalMode::kPoisson;
+  cfg.duration_s = 0.6;
+  cfg.warmup_s = 0.1;
+  return cfg;
+}
+
+exp::FaultSpec fault(exp::FaultSpec::Kind kind, int gpu, double at_s) {
+  exp::FaultSpec f;
+  f.kind = kind;
+  f.gpu = gpu;
+  f.at_s = at_s;
+  return f;
+}
+
+TEST(FaultValidation, FaultOnAMissingGpuIsRefusedWithoutSimulating) {
+  // GPU 7 of a 4-GPU fleet: before validation this indexed the fleet's
+  // per-device arrays out of bounds.
+  for (const auto kind : {exp::FaultSpec::Kind::kFail,
+                          exp::FaultSpec::Kind::kSlow,
+                          exp::FaultSpec::Kind::kDrain}) {
+    exp::ClusterConfig cfg = four_gpu_config();
+    cfg.faults = {fault(kind, 7, 0.2)};
+    const exp::ClusterResult r = exp::run_cluster(cfg);
+    EXPECT_NE(r.error.find("fault 0"), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("gpu 7 does not exist"), std::string::npos)
+        << r.error;
+    EXPECT_TRUE(r.per_gpu.empty());  // nothing ran
+    EXPECT_EQ(r.arrivals, 0u);
+  }
+  exp::ClusterConfig cfg = four_gpu_config();
+  cfg.faults = {fault(exp::FaultSpec::Kind::kFail, -1, 0.2)};
+  EXPECT_FALSE(exp::validate_faults(cfg).empty());
+}
+
+TEST(FaultValidation, DevicesAddedNoLaterCountAndTiesGoInListOrder) {
+  exp::ClusterConfig cfg = four_gpu_config();
+  // GPU 4 exists once the kAdd at 0.2 s has fired.
+  cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, 0.2),
+                fault(exp::FaultSpec::Kind::kFail, 4, 0.4)};
+  EXPECT_EQ(exp::validate_faults(cfg), "");
+  const exp::ClusterResult r = exp::run_cluster(cfg);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  ASSERT_EQ(r.per_gpu.size(), 5u);
+  EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;
+
+  // Same instant: the kAdd must come first in the list.
+  cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, 0.3),
+                fault(exp::FaultSpec::Kind::kDrain, 4, 0.3)};
+  EXPECT_EQ(exp::validate_faults(cfg), "");
+  cfg.faults = {fault(exp::FaultSpec::Kind::kDrain, 4, 0.3),
+                fault(exp::FaultSpec::Kind::kAdd, 0, 0.3)};
+  EXPECT_NE(exp::validate_faults(cfg), "");
+  // A kAdd after the fault, or times at/before the start firing together.
+  cfg.faults = {fault(exp::FaultSpec::Kind::kSlow, 4, 0.2),
+                fault(exp::FaultSpec::Kind::kAdd, 0, 0.3)};
+  EXPECT_NE(exp::validate_faults(cfg), "");
+  cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, -1.0),
+                fault(exp::FaultSpec::Kind::kFail, 4, -2.0)};
+  EXPECT_EQ(exp::validate_faults(cfg), "");
+}
+
+TEST(FaultValidation, SlowFactorAndTimesMustBeFinite) {
+  exp::ClusterConfig cfg = four_gpu_config();
+  for (const double factor :
+       {0.0, -0.5, std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN()}) {
+    exp::FaultSpec slow = fault(exp::FaultSpec::Kind::kSlow, 1, 0.2);
+    slow.factor = factor;
+    cfg.faults = {slow};
+    EXPECT_NE(exp::validate_faults(cfg).find("factor"), std::string::npos)
+        << factor;
+  }
+  cfg.faults = {fault(exp::FaultSpec::Kind::kFail, 1,
+                      std::numeric_limits<double>::quiet_NaN())};
+  EXPECT_NE(exp::validate_faults(cfg), "");
+  exp::FaultSpec add = fault(exp::FaultSpec::Kind::kAdd, 0, 0.2);
+  add.node.compute_scale = 0.0;
+  cfg.faults = {add};
+  EXPECT_NE(exp::validate_faults(cfg).find("compute scale"),
+            std::string::npos);
 }
 
 /// The hand-wired fault schedule's outcome: every counter a lane count

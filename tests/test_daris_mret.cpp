@@ -14,7 +14,8 @@ using common::from_ms;
 
 TEST(Mret, AfetSeedsBeforeObservations) {
   MretEstimator m(3, 5);
-  m.set_afet({100.0, 200.0, 300.0});
+  const double afet[] = {100.0, 200.0, 300.0};
+  m.set_afet(afet);
   EXPECT_DOUBLE_EQ(m.stage_mret_us(0), 100.0);
   EXPECT_DOUBLE_EQ(m.stage_mret_us(2), 300.0);
   EXPECT_DOUBLE_EQ(m.total_mret_us(), 600.0);
@@ -22,7 +23,8 @@ TEST(Mret, AfetSeedsBeforeObservations) {
 
 TEST(Mret, ObservationReplacesAfet) {
   MretEstimator m(2, 5);
-  m.set_afet({100.0, 100.0});
+  const double afet[] = {100.0, 100.0};
+  m.set_afet(afet);
   m.record(0, 40.0);
   // Stage 0 now uses the measured window (even though 40 < AFET 100):
   // MRET adapts downward, which is the whole point vs. static WCET.
@@ -93,14 +95,16 @@ TEST(Mret, UnobservedEstimatorReadsAfetUntilTheFirstRecord) {
   // stage reports no observations and reads its AFET seed exactly, so
   // Algorithm 1, Eq. 8 and Eq. 12 see the same values as with eager windows.
   MretEstimator m(3, 5);
-  m.set_afet({120.5, 80.25, 300.0});
+  const double afet[] = {120.5, 80.25, 300.0};
+  m.set_afet(afet);
   for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(m.observations(j), 0u);
   EXPECT_EQ(m.stage_mret_us(0), 120.5);
   EXPECT_EQ(m.stage_mret_us(1), 80.25);
   EXPECT_EQ(m.stage_mret_us(2), 300.0);
   EXPECT_EQ(m.total_mret_us(), 120.5 + 80.25 + 300.0);
   // A re-seed (runner kSlow/kAdd faults) is read directly too.
-  m.set_afet({60.0, 40.0, 150.0});
+  const double reseed[] = {60.0, 40.0, 150.0};
+  m.set_afet(reseed);
   EXPECT_EQ(m.stage_mret_us(2), 150.0);
 
   m.record(1, 50.0);

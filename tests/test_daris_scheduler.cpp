@@ -68,6 +68,25 @@ TEST(Scheduler, SingleJobRunsToCompletion) {
   EXPECT_EQ(h.sched->jobs_in_flight(), 0u);
 }
 
+TEST(Scheduler, TasksAddedWhileJobsAreInFlightLeaveThoseJobsIntact) {
+  // Jobs reach their task through the scheduler's task storage; growing it
+  // past several storage blocks mid-run must not move a task under a job.
+  Harness h(mps_config(2, 2.0));
+  const int hp = h.add_task(Priority::kHigh, 50.0);
+  const int lp = h.add_task(Priority::kLow, 50.0);
+  h.sched->run_offline_phase();
+  ASSERT_TRUE(h.sched->release_job(hp));
+  ASSERT_TRUE(h.sched->release_job(lp));
+  h.sim.run_until(h.sim.now() + common::from_us(300.0));  // mid-stage
+  ASSERT_EQ(h.sched->jobs_in_flight(), 2u);
+  for (int i = 0; i < 600; ++i) h.add_task(Priority::kLow, 50.0);
+  h.sim.run();
+  EXPECT_EQ(h.sched->jobs_completed(), 2u);
+  EXPECT_EQ(h.sched->task(hp).active_jobs, 0);
+  EXPECT_EQ(h.sched->task(lp).active_jobs, 0);
+  EXPECT_EQ(h.sched->task_count(), 602);
+}
+
 TEST(Scheduler, PeriodicTaskCompletesEveryPeriod) {
   Harness h(mps_config(2, 2.0));
   const int id = h.add_task(Priority::kHigh, 20.0);

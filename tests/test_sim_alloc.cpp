@@ -299,12 +299,13 @@ TEST(SimulatorAlloc, ShardedSteadyStateDoesNotAllocate) {
   }
 }
 
-// Fleet registration is pay-as-you-go: each (task, device) pair is a slot in
-// its scheduler's contiguous task storage plus one AFET vector, and its MRET
-// windows only appear once a stage runs there. Registering 512 tasks on a
-// 16-device fleet — add_task, per-device set_afet, Algorithm 1 — must cost
-// fewer than two allocations per pair.
-TEST(SimulatorAlloc, FleetRegistrationCostsUnderTwoAllocationsPerPair) {
+// Fleet registration is pay-as-you-go: each (task, device) pair is a slot
+// in its scheduler's block storage (O(log n) blocks per scheduler), its AFET
+// seed points at the one copy its scheduler keeps of each distinct profile,
+// and its MRET windows only appear once a stage runs there. Registering 512
+// tasks on a 16-device fleet — add_task, per-device set_afet, Algorithm 1 —
+// must cost fewer than 0.1 allocations per pair.
+TEST(SimulatorAlloc, FleetRegistrationCostsUnderATenthOfAnAllocationPerPair) {
   using namespace daris;
   constexpr int kDevices = 16;
   const workload::TaskSetSpec taskset =
@@ -316,7 +317,8 @@ TEST(SimulatorAlloc, FleetRegistrationCostsUnderTwoAllocationsPerPair) {
   cluster::Fleet fleet(sharded, cfg, nullptr);
   const exp::CompiledModels models =
       exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
-  // Synthetic AFET, built outside the measured window.
+  // Synthetic AFET, one profile per model, built outside the measured
+  // window.
   std::vector<std::vector<double>> afet;
   for (const auto& t : taskset.tasks) {
     afet.emplace_back(models.of(t.model)->stage_count(), 400.0);
@@ -333,9 +335,11 @@ TEST(SimulatorAlloc, FleetRegistrationCostsUnderTwoAllocationsPerPair) {
   const std::size_t allocations = g_allocations - before;
 
   const std::size_t pairs = taskset.tasks.size() * kDevices;
-  EXPECT_LT(allocations, 2 * pairs)
+  EXPECT_LT(10 * allocations, pairs)
       << allocations << " allocations for " << pairs << " pairs";
   EXPECT_EQ(fleet.scheduler(kDevices - 1).task_count(), 512);
+  EXPECT_EQ(fleet.scheduler(kDevices - 1).task(511).mret().stage_mret_us(0),
+            400.0);
 }
 
 TEST(SimulatorAlloc, OversizedCapturesFallBackToTheHeap) {
