@@ -53,19 +53,11 @@ double fleet_utilization(const exp::ClusterResult& r) {
   return r.per_gpu.empty() ? 0.0 : u / static_cast<double>(r.per_gpu.size());
 }
 
+/// True when every counter of the two runs (exp::counters_of) is equal;
+/// %.17g text round-trips a double, so equal text is equal bits.
 bool identical(const exp::ClusterResult& a, const exp::ClusterResult& b) {
-  return a.total_jps == b.total_jps && a.hp.completed == b.hp.completed &&
-         a.lp.completed == b.lp.completed && a.hp.missed == b.hp.missed &&
-         a.lp.missed == b.lp.missed &&
-         a.cross_gpu_migrations == b.cross_gpu_migrations &&
-         a.drops == b.drops && a.transfers == b.transfers &&
-         a.transferred_mb == b.transferred_mb &&
-         a.infeasible_rejects == b.infeasible_rejects &&
-         a.intra_gpu_migrations == b.intra_gpu_migrations &&
-         a.steals == b.steals && a.rehomes == b.rehomes &&
-         a.coalesced_transfers == b.coalesced_transfers &&
-         a.coalesced_mb_saved == b.coalesced_mb_saved &&
-         a.transfer_cancels == b.transfer_cancels;
+  return exp::format_counters(exp::counters_of(a)) ==
+         exp::format_counters(exp::counters_of(b));
 }
 
 void add_policy_row(common::Table& table, const char* label,

@@ -25,6 +25,7 @@
 // otherwise, 2 on a bad flag or a scenario config the runner refuses
 // (exp::validate_faults).
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -111,9 +112,11 @@ void write_json(std::ostream& os, const std::vector<ScenarioRow>& rows,
     os << "},\n      \"checks\": [\n";
     for (std::size_t j = 0; j < r.checks.size(); ++j) {
       const auto& c = r.checks[j];
-      char value[64];
+      char value[64] = "null";  // a check on a metric never emitted
       char limit[64];
-      std::snprintf(value, sizeof value, "%.17g", c.value);
+      if (!std::isnan(c.value)) {
+        std::snprintf(value, sizeof value, "%.17g", c.value);
+      }
       std::snprintf(limit, sizeof limit, "%.17g", c.limit);
       os << "        {\"metric\": \"" << c.metric << "\", \"op\": \""
          << (c.op == '<' ? "<=" : ">=") << "\", \"value\": " << value

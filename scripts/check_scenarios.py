@@ -9,13 +9,14 @@ Usage:
 
 With --bench the scenario driver is executed (writing its JSON report to
 --json, or a temporary file); with only --json an existing report is
-validated. The gate fails when any scenario misses a committed threshold,
-is non-deterministic across the driver's built-in re-run, or when fewer
+validated. The gate fails when any scenario misses a committed threshold
+or has a threshold on a metric it does not emit (a misspelled name), is
+non-deterministic across the driver's built-in re-run, or when fewer
 scenarios ran than the matrix is expected to hold (a silently dropped
 scenario cannot fake a green gate). With --baseline it also fails when a
 scenario's fingerprint or telemetry digest differs from the committed
-golden file; with --threads N, when the N-lane replay differs from the
-1-lane run.
+golden file, and lists the fingerprint entries that differ; with
+--threads N, when the N-lane replay differs from the 1-lane run.
 
 Unlike the perf gate, this one is strict: the simulator is deterministic,
 so threshold misses are real behaviour changes, not machine noise.
@@ -35,6 +36,25 @@ EXPECTED_MIN_SCENARIOS = 11
 def load(path):
     with open(path) as f:
         return json.load(f)
+
+
+def fingerprint_diff(got, want):
+    """The entries of two `name=value;` fingerprints that differ, one line
+    each: a name on both sides with its two values, or a name one side
+    lacks."""
+    g = dict(e.split("=", 1) for e in got.split(";") if e)
+    w = dict(e.split("=", 1) for e in want.split(";") if e)
+    lines = []
+    for name in list(w) + [n for n in g if n not in w]:
+        if name not in g:
+            lines.append(f"{name}: missing from the report (want {w[name]})")
+        elif name not in w:
+            lines.append(f"{name}: not in the baseline (got {g[name]})")
+        elif g[name] != w[name]:
+            lines.append(f"{name}: got {g[name]}, want {w[name]}")
+    if not lines and got != want:
+        lines.append("same entries in a different order")
+    return lines
 
 
 def run_bench(bench, data_dir, json_path, telemetry_dir=None, threads=None):
@@ -122,14 +142,24 @@ def main():
             if want is None:
                 failures.append(f"{name}: no entry in {args.baseline}")
             else:
-                for key in ("fingerprint", "telemetry_digest"):
-                    if s.get(key) != want.get(key):
-                        failures.append(
-                            f"{name}: {key} differs from {args.baseline}\n"
-                            f"      got  {s.get(key)}\n"
-                            f"      want {want.get(key)}")
+                diff = fingerprint_diff(s.get("fingerprint", ""),
+                                        want.get("fingerprint", ""))
+                if diff:
+                    failures.append(
+                        f"{name}: fingerprint differs from {args.baseline}:"
+                        + "".join(f"\n      {line}" for line in diff))
+                if s.get("telemetry_digest") != want.get("telemetry_digest"):
+                    failures.append(
+                        f"{name}: telemetry_digest "
+                        f"{s.get('telemetry_digest')} differs from "
+                        f"{args.baseline} ({want.get('telemetry_digest')})")
+        metrics = s.get("metrics", {})
         for c in s.get("checks", []):
-            if not c.get("pass", False):
+            if c["metric"] not in metrics:
+                failures.append(
+                    f"{name}: threshold on {c['metric']!r}, a metric the "
+                    f"scenario does not emit")
+            elif not c.get("pass", False):
                 failures.append(
                     f"{name}: {c['metric']} = {c['value']:.4g} violates "
                     f"{c['op']} {c['limit']:.4g}")

@@ -338,10 +338,6 @@ std::size_t Fleet::fail_gpu_now(int g) {
   return lost;
 }
 
-void Fleet::fail_gpu(int g, common::Time when) {
-  sim_.schedule_at(when, [this, g] { fail_gpu_now(g); });
-}
-
 void Fleet::slow_gpu_now(int g, double factor) {
   assert(factor > 0.0);
   nodes_[static_cast<std::size_t>(g)].compute_scale *= factor;
@@ -357,10 +353,6 @@ void Fleet::slow_gpu_now(int g, double factor) {
   }
 }
 
-void Fleet::slow_gpu(int g, double factor, common::Time when) {
-  sim_.schedule_at(when, [this, g, factor] { slow_gpu_now(g, factor); });
-}
-
 void Fleet::drain_gpu_now(int g) {
   auto& h = health_[static_cast<std::size_t>(g)];
   if (h != GpuHealth::kHealthy) return;  // failed stays failed
@@ -370,10 +362,6 @@ void Fleet::drain_gpu_now(int g) {
   if (collector_) collector_->log_drain(sim_.now(), g);
   if (on_unplaceable_) on_unplaceable_(g);
   rehome_tasks_from(g);
-}
-
-void Fleet::drain_gpu(int g, common::Time when) {
-  sim_.schedule_at(when, [this, g] { drain_gpu_now(g); });
 }
 
 int Fleet::add_gpu_now(const GpuNodeSpec& node) {

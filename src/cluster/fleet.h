@@ -239,10 +239,11 @@ class Fleet {
 
   // --- fault injection / autoscaling -------------------------------------
   //
-  // The *_now forms act immediately; fail_gpu/slow_gpu/drain_gpu schedule
-  // the action as an ordinary simulator event at `when` (clamped to now if
-  // past), so fault timelines obey the same (when, seq) determinism
-  // contract as every other event. The fleet must outlive the simulator
+  // Each transition acts immediately. A timed fault is an ordinary event
+  // the caller schedules on the control simulator (simulator()) that runs
+  // the *_now transition, so fault timelines obey the same (when, seq)
+  // determinism contract as every other event (exp::run_cluster schedules
+  // ClusterConfig::faults this way). The fleet must outlive the simulator
   // run, as with the release drivers.
 
   GpuHealth health(int g) const { return health_[static_cast<std::size_t>(g)]; }
@@ -311,7 +312,6 @@ class Fleet {
   /// moves to the least-loaded placeable device, and their models are
   /// warmed there when capacity allows). Returns the number of jobs lost.
   std::size_t fail_gpu_now(int g);
-  void fail_gpu(int g, common::Time when);
 
   /// Straggler: multiplies g's compute scale by `factor` (< 1 slows, > 1
   /// restores/boosts) and feeds the re-resolved spec into the simulated
@@ -320,12 +320,10 @@ class Fleet {
   /// admission side to see the change immediately should re-seed AFET from
   /// a profile of node(g).resolved() (cluster_runner does).
   void slow_gpu_now(int g, double factor);
-  void slow_gpu(int g, double factor, common::Time when);
 
   /// Graceful scale-down: g stops receiving placements but finishes its
   /// in-flight work; tasks homed on g are rehomed as in fail_gpu_now.
   void drain_gpu_now(int g);
-  void drain_gpu(int g, common::Time when);
 
   /// Scale-up: appends a healthy device mid-run. Its jitter seed is the
   /// next draw of the fleet's seed sequence (so a run with an add at time T

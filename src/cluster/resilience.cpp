@@ -391,12 +391,4 @@ double ResiliencePolicy::hedge_client_percentile_ms(double q) const {
   return sorted[idx];
 }
 
-int ResiliencePolicy::breakers_open_now() const {
-  int n = 0;
-  for (const auto& b : breakers_) {
-    n += b.state == BreakerState::kOpen ? 1 : 0;
-  }
-  return n;
-}
-
 }  // namespace daris::cluster

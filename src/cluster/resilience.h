@@ -177,8 +177,6 @@ class ResiliencePolicy {
   std::uint64_t breaker_closes() const { return breaker_closes_; }
   /// Current budget balance (telemetry gauge).
   double budget_tokens() const { return tokens_; }
-  /// Devices currently masked by an open breaker (telemetry gauge).
-  int breakers_open_now() const;
   /// q-th percentile of the CLIENT-perceived response over hedged pairs —
   /// time from the original release to the FIRST copy finishing (detected
   /// at pair-poll granularity). This is the latency hedging actually

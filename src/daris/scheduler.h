@@ -225,7 +225,6 @@ class Scheduler {
 
   /// Device index stamped into job/stage events (cluster runs; default -1).
   void set_device_id(int id) { device_id_ = id; }
-  int device_id() const { return device_id_; }
 
  private:
   struct ContextRec {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -127,6 +128,86 @@ common::Time fault_time(const FaultSpec& f) {
 }
 
 }  // namespace
+
+std::vector<NamedCounter> counters_of(const ClusterResult& r) {
+  std::vector<NamedCounter> out;
+  out.reserve(42 + 15 * r.per_gpu.size());
+  auto add = [&out](std::string name, double value) {
+    out.push_back({std::move(name), value});
+  };
+  add("total_jps", r.total_jps);
+  for (const auto& [cls, s] :
+       {std::pair{"hp_", &r.hp}, std::pair{"lp_", &r.lp}}) {
+    const std::string p = cls;
+    add(p + "released", s->released);
+    add(p + "accepted", s->accepted);
+    add(p + "rejected", s->rejected);
+    add(p + "completed", s->completed);
+    add(p + "missed", s->missed);
+  }
+  add("cross_gpu_migrations", r.cross_gpu_migrations);
+  add("drops", r.drops);
+  add("infeasible", r.infeasible_rejects);
+  add("transfers", r.transfers);
+  add("transferred_mb", r.transferred_mb);
+  add("intra_gpu_migrations", r.intra_gpu_migrations);
+  add("arrivals", r.arrivals);
+  add("steals", r.steals);
+  add("steal_scans", r.steal_scans);
+  add("rehomes", r.rehomes);
+  add("rehome_rounds", r.rehome_rounds);
+  add("coalesced", r.coalesced_transfers);
+  add("coalesced_mb_saved", r.coalesced_mb_saved);
+  add("transfer_cancels", r.transfer_cancels);
+  add("jobs_lost", r.jobs_lost);
+  add("unmatched_rows", r.unmatched_rows);
+  add("first_attempts", r.first_attempts);
+  add("retries", r.retries);
+  add("retry_admits", r.retry_admits);
+  add("retry_abandoned_budget", r.retry_abandoned_budget);
+  add("retry_abandoned_expired", r.retry_abandoned_expired);
+  add("retry_abandoned_attempts", r.retry_abandoned_attempts);
+  add("hedges", r.hedges);
+  add("hedge_wins", r.hedge_wins);
+  add("hedge_cancels", r.hedge_cancels);
+  add("hedge_waste", r.hedge_waste);
+  add("hedge_rescued", r.hedge_rescued_misses);
+  add("hedge_client_p99_ms", r.hedge_client_p99_ms);
+  add("breaker_opens", r.breaker_opens);
+  add("breaker_closes", r.breaker_closes);
+  add("conservation", r.conservation_ok ? 1.0 : 0.0);
+  for (std::size_t g = 0; g < r.per_gpu.size(); ++g) {
+    const GpuSummary& s = r.per_gpu[g];
+    const std::string p = "gpu" + std::to_string(g) + "_";
+    add(p + "utilization", s.utilization);
+    add(p + "completed", s.completed);
+    add(p + "intra_migrations", s.intra_migrations);
+    add(p + "routed", s.routing.routed);
+    add(p + "home_admits", s.routing.home_admits);
+    add(p + "migrated_in", s.routing.migrated_in);
+    add(p + "migrated_out", s.routing.migrated_out);
+    add(p + "dropped", s.routing.dropped);
+    add(p + "infeasible", s.routing.infeasible);
+    add(p + "transfers_in", s.routing.transfers_in);
+    add(p + "transferred_mb", s.routing.transferred_mb);
+    add(p + "steals_in", s.routing.steals_in);
+    add(p + "steals_out", s.routing.steals_out);
+    add(p + "coalesced", s.routing.coalesced);
+    add(p + "coalesced_mb", s.routing.coalesced_mb);
+  }
+  return out;
+}
+
+std::string format_counters(const std::vector<NamedCounter>& counters) {
+  std::string out;
+  char value[32];
+  for (const NamedCounter& c : counters) {
+    std::snprintf(value, sizeof value, "=%.17g;", c.value);
+    out += c.name;
+    out += value;
+  }
+  return out;
+}
 
 std::string validate_faults(const ClusterConfig& config) {
   const std::vector<FaultSpec>& faults = config.faults;
@@ -316,8 +397,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     open_loop->start();
   }
 
-  // Fault schedule: each action is an ordinary simulator event. kFail and
-  // kDrain are pure Fleet transitions; kSlow and kAdd additionally re-seed
+  // Fault schedule: each action is an ordinary control-simulator event
+  // running a Fleet *_now transition. kSlow and kAdd additionally re-seed
   // the changed device's AFET from the profile cache above (MRET would
   // converge on its own, but only after mispredicted stages — the paper's
   // offline phase exists precisely to spare the admission test that blind
@@ -334,10 +415,10 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     const common::Time when = common::from_sec(f.at_s);
     switch (f.kind) {
       case FaultSpec::Kind::kFail:
-        fleet.fail_gpu(f.gpu, when);
+        sim.schedule_at(when, [&fleet, g = f.gpu] { fleet.fail_gpu_now(g); });
         break;
       case FaultSpec::Kind::kDrain:
-        fleet.drain_gpu(f.gpu, when);
+        sim.schedule_at(when, [&fleet, g = f.gpu] { fleet.drain_gpu_now(g); });
         break;
       case FaultSpec::Kind::kSlow:
         sim.schedule_at(when, [&fleet, &seed_afet, f] {
@@ -439,21 +520,17 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     series.add_track("fleet/jobs_lost", -1, [&fleet] {
       return static_cast<double>(fleet.jobs_lost());
     });
-    // Resilience gauges, registered only when the layer is live so a
-    // resilience-off capture stays byte-identical to one predating it.
-    if (config.resilience.enabled) {
-      for (int g = 0; g < max_gpus; ++g) {
-        series.add_track("gpu/breaker", g, [&fleet, online, g] {
-          return online(g) && fleet.breaker_open(g) ? 1.0 : 0.0;
-        });
-      }
-      series.add_track("fleet/retry_tokens", -1, [&resilience] {
-        return resilience.budget_tokens();
-      });
-      series.add_track("fleet/retries", -1, [&resilience] {
-        return static_cast<double>(resilience.retries());
+    for (int g = 0; g < max_gpus; ++g) {
+      series.add_track("gpu/breaker", g, [&fleet, online, g] {
+        return online(g) && fleet.breaker_open(g) ? 1.0 : 0.0;
       });
     }
+    series.add_track("fleet/retry_tokens", -1, [&resilience] {
+      return resilience.budget_tokens();
+    });
+    series.add_track("fleet/retries", -1, [&resilience] {
+      return static_cast<double>(resilience.retries());
+    });
     series.start(sim, common::from_sec(config.telemetry.sample_period_s),
                  horizon);
   }

@@ -144,9 +144,10 @@ struct ClusterResult {
   double transferred_mb = 0.0;           // total weight MB shipped
   std::uint64_t intra_gpu_migrations = 0;
   std::uint64_t arrivals = 0;  // open-loop + trace modes; 0 for periodic
-  /// Rebalancing outcomes (all zero unless ClusterConfig::rebalance.enabled;
-  /// `rebalancing` records the switch so reports can tell "off" from
-  /// "on but idle").
+  /// Rebalancing outcomes (all zero unless ClusterConfig::rebalance.enabled).
+  /// `rebalancing` records the switch. Nothing branches on it; it stays
+  /// declared only because perfbench/src/traced.cpp assigns it — delete both
+  /// the next time the benchmark harness changes.
   bool rebalancing = false;
   std::uint64_t steals = 0;         // queued LP jobs claimed by peers
   std::uint64_t steal_scans = 0;    // backlog-triggered scans executed
@@ -164,8 +165,8 @@ struct ClusterResult {
   /// Trace rows skipped because no task serves their (model, SLO) class.
   std::uint64_t unmatched_rows = 0;
   /// Resilience-layer outcomes (all zero unless
-  /// ClusterConfig::resilience.enabled; `resilience` records the switch so
-  /// reports can tell "off" from "on but idle").
+  /// ClusterConfig::resilience.enabled). `resilience` records the switch and
+  /// stays declared for perfbench only, like `rebalancing`.
   bool resilience = false;
   std::uint64_t first_attempts = 0; // releases entering the layer
   std::uint64_t retries = 0;        // re-releases actually attempted
@@ -204,6 +205,29 @@ struct ClusterResult {
   /// unconditionally, so reading them costs nothing).
   metrics::RunProfile profile;
 };
+
+/// One named scalar of a fleet run (see counters_of).
+struct NamedCounter {
+  std::string name;
+  double value = 0.0;
+};
+
+/// Every scalar a fleet run reports, as (name, value) pairs in one fixed
+/// order: the fleet-wide counters in ClusterResult declaration order, then
+/// each device's GpuSummary as `gpu<g>_<field>` (RoutingCounters fields
+/// included). A counter that run_scenario gates on is named as its metric
+/// (`infeasible`, `coalesced`, `hedge_rescued`, `conservation`, ...), every
+/// other one after its field (`hp_released`, `steal_scans`, ...). Counts
+/// travel as doubles: all stay below 2^53, where %.17g prints them as %llu
+/// does. Fingerprints, scenario metrics, goldens and repeat checks iterate
+/// this list, so adding a counter takes three lines: the ClusterResult
+/// field, its copy in run_cluster, and its entry here. Computed on demand
+/// from one result; run_cluster never calls it.
+std::vector<NamedCounter> counters_of(const ClusterResult& r);
+
+/// The counters written out as `name=value;` entries (%.17g): the text
+/// fingerprints and goldens compare.
+std::string format_counters(const std::vector<NamedCounter>& counters);
 
 /// Checks the fault schedule against the fleet it will run on. Returns an
 /// error naming the first bad entry, or an empty string when every entry is

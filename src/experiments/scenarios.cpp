@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "metrics/trace_export.h"
@@ -441,82 +442,17 @@ const ScenarioDef* find_scenario(const std::string& name) {
   return nullptr;
 }
 
-void append(std::string* out, const char* key, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", key, v);
-  *out += buf;
-}
-
-void append(std::string* out, const char* key, std::uint64_t v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s=%llu;", key,
-                static_cast<unsigned long long>(v));
-  *out += buf;
-}
-
+/// The behaviour digest: every counter of the run (counters_of), then the
+/// stage-trace report's, written out.
 std::string fingerprint_of(const ClusterResult& r,
                            const metrics::TraceReport& rep) {
-  std::string fp;
-  append(&fp, "jps", r.total_jps);
-  append(&fp, "hp_rel", r.hp.released);
-  append(&fp, "hp_acc", r.hp.accepted);
-  append(&fp, "hp_done", r.hp.completed);
-  append(&fp, "hp_miss", r.hp.missed);
-  append(&fp, "lp_rel", r.lp.released);
-  append(&fp, "lp_acc", r.lp.accepted);
-  append(&fp, "lp_done", r.lp.completed);
-  append(&fp, "lp_miss", r.lp.missed);
-  append(&fp, "xmigr", r.cross_gpu_migrations);
-  append(&fp, "imigr", r.intra_gpu_migrations);
-  append(&fp, "drops", r.drops);
-  append(&fp, "infeas", r.infeasible_rejects);
-  append(&fp, "xfers", r.transfers);
-  append(&fp, "xfer_mb", r.transferred_mb);
-  append(&fp, "arrivals", r.arrivals);
-  append(&fp, "lost", r.jobs_lost);
-  append(&fp, "unmatched", r.unmatched_rows);
-  append(&fp, "stages", static_cast<std::uint64_t>(rep.stages));
-  append(&fp, "cswitch", static_cast<std::uint64_t>(rep.context_switches));
-  append(&fp, "gmigr", static_cast<std::uint64_t>(rep.gpu_migrations));
-  append(&fp, "starved", static_cast<std::uint64_t>(rep.starved_stages));
-  append(&fp, "stall_us", rep.worst_stall_us);
-  // Appended only for rebalancing runs, so every pre-rebalancer fingerprint
-  // stays byte-identical to its committed baseline.
-  if (r.rebalancing) {
-    append(&fp, "steals", r.steals);
-    append(&fp, "rehomes", r.rehomes);
-    append(&fp, "coal", r.coalesced_transfers);
-    append(&fp, "coal_mb", r.coalesced_mb_saved);
-    append(&fp, "cancels", r.transfer_cancels);
-  }
-  // Same contract for the resilience layer: counters appear only when it is
-  // armed, keeping every resilience-off fingerprint byte-identical to its
-  // pre-resilience form.
-  if (r.resilience) {
-    append(&fp, "att", r.first_attempts);
-    append(&fp, "retries", r.retries);
-    append(&fp, "radmit", r.retry_admits);
-    append(&fp, "rbudget", r.retry_abandoned_budget);
-    append(&fp, "rexpire", r.retry_abandoned_expired);
-    append(&fp, "rmax", r.retry_abandoned_attempts);
-    append(&fp, "hedges", r.hedges);
-    append(&fp, "hwins", r.hedge_wins);
-    append(&fp, "hcancel", r.hedge_cancels);
-    append(&fp, "hwaste", r.hedge_waste);
-    append(&fp, "hrescue", r.hedge_rescued_misses);
-    append(&fp, "hclient", r.hedge_client_p99_ms);
-    append(&fp, "bopen", r.breaker_opens);
-    append(&fp, "bclose", r.breaker_closes);
-    // Conservation joins the behaviour digest on resilience runs: a run
-    // that leaks a job must not reproduce a clean run's fingerprint. On
-    // resilience-off runs the invariant is still VERIFIED — the
-    // unconditional ge("conservation") check below gates every scenario —
-    // but it stays out of the fingerprint so legacy fingerprints remain
-    // byte-identical to the committed .baseline_scenarios.json.
-    append(&fp, "cons", static_cast<std::uint64_t>(r.conservation_ok ? 1 : 0));
-  }
-  for (const auto& g : r.per_gpu) append(&fp, "g", g.completed);
-  return fp;
+  std::vector<NamedCounter> c = counters_of(r);
+  c.push_back({"stages", static_cast<double>(rep.stages)});
+  c.push_back({"context_switches", static_cast<double>(rep.context_switches)});
+  c.push_back({"gpu_migrations", static_cast<double>(rep.gpu_migrations)});
+  c.push_back({"starved_stages", static_cast<double>(rep.starved_stages)});
+  c.push_back({"worst_stall_us", rep.worst_stall_us});
+  return format_counters(c);
 }
 
 /// FNV-1a 64-bit over a string — the telemetry determinism digest.
@@ -609,39 +545,17 @@ ScenarioResult run_scenario(const std::string& name,
 
   const ClusterResult& r = out.cluster;
   const metrics::TraceReport& rep = out.report;
-  out.metrics = {
-      {"hp_dmr", r.hp.dmr()},
-      {"lp_dmr", r.lp.dmr()},
-      {"hp_completed", static_cast<double>(r.hp.completed)},
-      {"lp_completed", static_cast<double>(r.lp.completed)},
-      {"hp_missed", static_cast<double>(r.hp.missed)},
-      {"jobs_lost", static_cast<double>(r.jobs_lost)},
-      {"drops", static_cast<double>(r.drops)},
-      {"infeasible", static_cast<double>(r.infeasible_rejects)},
-      {"worst_stall_us", rep.worst_stall_us},
-      {"starved_frac",
-       rep.stages == 0 ? 0.0
-                       : static_cast<double>(rep.starved_stages) /
-                             static_cast<double>(rep.stages)},
-      {"unmatched_rows", static_cast<double>(r.unmatched_rows)},
-      {"arrivals", static_cast<double>(r.arrivals)},
-      {"total_jps", r.total_jps},
-      {"steals", static_cast<double>(r.steals)},
-      {"rehomes", static_cast<double>(r.rehomes)},
-      {"coalesced", static_cast<double>(r.coalesced_transfers)},
-      {"coalesced_mb_saved", r.coalesced_mb_saved},
-      {"transfer_cancels", static_cast<double>(r.transfer_cancels)},
-      {"conservation", r.conservation_ok ? 1.0 : 0.0},
-      {"retries", static_cast<double>(r.retries)},
-      {"retry_admits", static_cast<double>(r.retry_admits)},
-      {"hedges", static_cast<double>(r.hedges)},
-      {"hedge_wins", static_cast<double>(r.hedge_wins)},
-      {"hedge_cancels", static_cast<double>(r.hedge_cancels)},
-      {"hedge_waste", static_cast<double>(r.hedge_waste)},
-      {"hedge_rescued", static_cast<double>(r.hedge_rescued_misses)},
-      {"breaker_opens", static_cast<double>(r.breaker_opens)},
-      {"breaker_closes", static_cast<double>(r.breaker_closes)},
-  };
+  for (NamedCounter& c : counters_of(r)) {
+    out.metrics.emplace(std::move(c.name), c.value);
+  }
+  out.metrics.emplace("hp_dmr", r.hp.dmr());
+  out.metrics.emplace("lp_dmr", r.lp.dmr());
+  out.metrics.emplace("worst_stall_us", rep.worst_stall_us);
+  out.metrics.emplace("starved_frac",
+                      rep.stages == 0
+                          ? 0.0
+                          : static_cast<double>(rep.starved_stages) /
+                                static_cast<double>(rep.stages));
   // Derived resilience metrics. Goodput counts only on-time completions;
   // amplification is the retry traffic as a fraction of first attempts;
   // hedge_frac bounds the duplicate-work overhead.
@@ -668,7 +582,6 @@ ScenarioResult run_scenario(const std::string& name,
                           : static_cast<double>(r.hedges) /
                                 static_cast<double>(r.first_attempts));
   out.metrics.emplace("lp_p99_ms", r.lp.response_ms.percentile(99.0));
-  out.metrics.emplace("hedge_client_p99_ms", r.hedge_client_p99_ms);
   // Jobs completed by devices that joined mid-run (kAdd faults): the
   // "scale-up serves live" check.
   const std::size_t initial_gpus =
@@ -691,20 +604,15 @@ ScenarioResult run_scenario(const std::string& name,
     base_cfg.telemetry.enabled = false;
     base_cfg.sim_threads = sim_threads;
     const ClusterResult base = run_cluster(base_cfg);
+    for (NamedCounter& c : counters_of(base)) {
+      out.metrics.emplace("base_" + c.name, c.value);
+    }
     out.metrics.emplace("base_hp_dmr", base.hp.dmr());
     out.metrics.emplace("base_lp_dmr", base.lp.dmr());
-    out.metrics.emplace("base_drops", static_cast<double>(base.drops));
-    out.metrics.emplace("base_jobs_lost",
-                        static_cast<double>(base.jobs_lost));
-    out.metrics.emplace("base_total_jps", base.total_jps);
-    out.metrics.emplace("base_transferred_mb", base.transferred_mb);
     out.metrics.emplace("base_goodput_jps", goodput_of(base));
     out.metrics.emplace("base_retry_amplification", amplification_of(base));
-    out.metrics.emplace("base_retries", static_cast<double>(base.retries));
     out.metrics.emplace("base_lp_p99_ms",
                         base.lp.response_ms.percentile(99.0));
-    out.metrics.emplace("base_conservation",
-                        base.conservation_ok ? 1.0 : 0.0);
     out.metrics.emplace("hp_dmr_gain", base.hp.dmr() - r.hp.dmr());
     out.metrics.emplace("lp_dmr_gain", base.lp.dmr() - r.lp.dmr());
     out.metrics.emplace("drops_cut",
@@ -732,8 +640,12 @@ ScenarioResult run_scenario(const std::string& name,
   }
   out.pass = true;
   for (auto& check : out.checks) {
+    // A check on a metric the run never emitted (a misspelled name) reads
+    // NaN, which fails against any limit.
     const auto it = out.metrics.find(check.metric);
-    check.value = it == out.metrics.end() ? 0.0 : it->second;
+    check.value = it == out.metrics.end()
+                      ? std::numeric_limits<double>::quiet_NaN()
+                      : it->second;
     check.pass = check.op == '<' ? check.value <= check.limit
                                  : check.value >= check.limit;
     out.pass = out.pass && check.pass;

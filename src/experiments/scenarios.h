@@ -34,16 +34,19 @@ struct ScenarioResult {
   std::string description;
   ClusterResult cluster;  // stage_trace cleared (folded into `report`)
   metrics::TraceReport report;
-  /// Named behaviour metrics the thresholds (and the CI gate) read:
-  /// hp_dmr, lp_dmr, hp_completed, lp_completed, hp_missed, jobs_lost,
-  /// drops, infeasible, worst_stall_us, starved_frac, unmatched_rows,
-  /// arrivals, total_jps.
+  /// Named behaviour metrics the thresholds (and the CI gate) read: every
+  /// counter of the run under its counters_of name, the counterfactual's
+  /// as base_<name>, and the derived rates (hp_dmr, starved_frac,
+  /// goodput_jps, the *_gain and *_cut differences, ...).
   std::map<std::string, double> metrics;
+  /// A check on a metric missing from `metrics` reads NaN and fails.
   std::vector<ThresholdCheck> checks;
   bool pass = false;  // every check passed
 
   /// Behaviour digest for bit-identity comparison across repeated runs:
-  /// every counter above plus per-GPU completions, exactly formatted.
+  /// format_counters over counters_of(cluster), then the stage-trace
+  /// report's stages, context_switches, gpu_migrations, starved_stages and
+  /// worst_stall_us.
   std::string fingerprint;
 
   /// Telemetry artifacts, filled only when run_scenario received a

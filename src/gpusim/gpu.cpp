@@ -97,10 +97,6 @@ StreamId Gpu::create_stream(ContextId ctx) {
   return static_cast<StreamId>(streams_.size()) - 1;
 }
 
-ContextId Gpu::context_of(StreamId s) const {
-  return streams_[static_cast<std::size_t>(s)].ctx;
-}
-
 void Gpu::launch_kernel(StreamId s, const KernelDesc& desc) {
   Command cmd{Command::Kind::kKernel, desc, {}};
   streams_[static_cast<std::size_t>(s)].queue.push_back(std::move(cmd));
@@ -121,11 +117,6 @@ bool Gpu::stream_idle(StreamId s) const {
 std::size_t Gpu::stream_depth(StreamId s) const {
   const auto& st = streams_[static_cast<std::size_t>(s)];
   return st.queue.size() + (st.busy ? 1 : 0);
-}
-
-int Gpu::active_kernels(ContextId ctx) const {
-  return static_cast<int>(
-      contexts_[static_cast<std::size_t>(ctx)].members.size());
 }
 
 void Gpu::advance_stream(StreamId s) {

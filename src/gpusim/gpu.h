@@ -99,12 +99,9 @@ class Gpu {
   /// Setting the current quota again is a no-op: no settle, no rate flush.
   void set_context_quota(ContextId ctx, double sm_quota);
   double context_quota(ContextId ctx) const;
-  int context_count() const { return static_cast<int>(contexts_.size()); }
 
   /// Creates an in-order stream bound to `ctx`.
   StreamId create_stream(ContextId ctx);
-  int stream_count() const { return static_cast<int>(streams_.size()); }
-  ContextId context_of(StreamId s) const;
 
   /// Enqueues a kernel launch on a stream (asynchronous, FIFO order).
   void launch_kernel(StreamId s, const KernelDesc& desc);
@@ -120,9 +117,6 @@ class Gpu {
 
   /// Number of enqueued-but-unfinished commands on the stream.
   std::size_t stream_depth(StreamId s) const;
-
-  /// Number of kernels currently resident in a context.
-  int active_kernels(ContextId ctx) const;
 
   /// Total resident kernels on the device.
   int total_active_kernels() const { return static_cast<int>(order_.size()); }

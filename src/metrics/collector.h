@@ -149,7 +149,6 @@ class Collector {
   void enable_lanes(int devices);
   /// Widens the lane array mid-run (live GPU add); control phase only.
   void grow_lanes(int devices);
-  bool lanes_enabled() const { return !lanes_.empty(); }
   /// Folds lanes into the flat summaries and traces; idempotent. Until this
   /// runs, summary()/stage_trace()/total_completed() exclude lane contents.
   void finalize_lanes();

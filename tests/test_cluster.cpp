@@ -2,67 +2,16 @@
 // failure, fleet-wide backlog shedding, and fleet determinism.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/fleet.h"
 #include "cluster/router.h"
-#include "experiments/cluster_runner.h"
-#include "sim/sharded.h"
+#include "fleet_harness.h"
 
 namespace daris::cluster {
 namespace {
 
 using common::Priority;
-
-/// Small deterministic fixture: a jitter-free fleet with single-context
-/// single-stream GPUs, one ResNet18 model shared by every task, on a 1-lane
-/// sharded simulator sized to the fleet. Transfers are zero-delay by default
-/// (the legacy premise); tests of the transfer cost model pass a rate, and
-/// heterogeneous tests pass explicit nodes.
-struct Harness {
-  explicit Harness(int num_gpus, int num_contexts = 1,
-                   double transfer_us_per_mb = 0.0,
-                   std::vector<GpuNodeSpec> nodes = {})
-      : sim(nodes.empty() ? num_gpus : static_cast<int>(nodes.size()), 1) {
-    FleetConfig cfg;
-    cfg.num_gpus = num_gpus;
-    cfg.gpu.jitter_cv = 0.0;
-    cfg.nodes = std::move(nodes);
-    for (auto& node : cfg.nodes) node.base.jitter_cv = 0.0;
-    cfg.transfer_us_per_mb = transfer_us_per_mb;
-    cfg.sched.policy = rt::Policy::kMps;
-    cfg.sched.num_contexts = num_contexts;
-    model = std::make_unique<dnn::CompiledModel>(
-        dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(cfg.nodes.empty()
-                                ? num_gpus
-                                : static_cast<int>(cfg.nodes.size()));
-    fleet = std::make_unique<Fleet>(sim, cfg, &collector);
-  }
-
-  /// Adds a task whose AFET (and so utilisation ~ total_afet/period) is
-  /// chosen directly; period 10ms.
-  int add_task(Priority priority, double total_afet_us, int home_gpu) {
-    rt::TaskSpec spec;
-    spec.model = dnn::ModelKind::kResNet18;
-    spec.period = common::from_ms(10.0);
-    spec.relative_deadline = spec.period;
-    spec.priority = priority;
-    const int id = fleet->add_task(spec, model.get(), home_gpu);
-    fleet->set_afet(
-        id, std::vector<double>(
-                model->stage_count(),
-                total_afet_us / static_cast<double>(model->stage_count())));
-    return id;
-  }
-
-  sim::ShardedSimulator sim;
-  metrics::Collector collector;
-  std::unique_ptr<dnn::CompiledModel> model;
-  std::unique_ptr<Fleet> fleet;
-};
 
 TEST(Router, RoundRobinCyclesGpusForLpJobs) {
   Harness h(2);
@@ -219,7 +168,7 @@ TEST(Fleet, PlacementTableTracksEveryActiveSetChange) {
   GpuNodeSpec half;
   half.compute_scale = 0.5;
   GpuNodeSpec full;
-  Harness h(2, 1, 0.0, {full, half});
+  Harness h(2, 1, 0.0, 1, {full, half});
   const int a = h.add_task(Priority::kLow, 3000.0, 0);
   const int b = h.add_task(Priority::kLow, 3000.0, 1);
   h.fleet->run_offline_phase();
@@ -396,7 +345,7 @@ TEST(Fleet, ModelPinningRespectsMemoryCapacity) {
   std::vector<GpuNodeSpec> nodes(2);
   nodes[0].memory_mb = 10.0;  // smaller than ResNet18's ~45 MB of weights
   nodes[1].memory_mb = 4096.0;
-  Harness h(2, 1, 0.0, nodes);
+  Harness h(2, 1, 0.0, 1, nodes);
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/0);
   EXPECT_FALSE(h.fleet->model_hot(0, a));
   EXPECT_DOUBLE_EQ(h.fleet->memory_used_mb(0), 0.0);
@@ -415,7 +364,7 @@ TEST(Router, MemoryInfeasibleJobIsShedByAdmissionController) {
   std::vector<GpuNodeSpec> nodes(2);
   nodes[0].memory_mb = 1.0;
   nodes[1].memory_mb = 1.0;
-  Harness h(2, 1, 100.0, nodes);
+  Harness h(2, 1, 100.0, 1, nodes);
   const int a = h.add_task(Priority::kLow, 500.0, 0);
   h.fleet->run_offline_phase();
   Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
@@ -459,7 +408,7 @@ TEST(Router, HpJobsBypassUtilizationFeasibility) {
 TEST(Fleet, HeterogeneousNodesScaleGpuSpecs) {
   std::vector<GpuNodeSpec> nodes(2);
   nodes[1].compute_scale = 2.0;
-  Harness h(2, 1, 0.0, nodes);
+  Harness h(2, 1, 0.0, 1, nodes);
   EXPECT_EQ(h.fleet->gpu(0).spec().sm_count, 68);
   EXPECT_EQ(h.fleet->gpu(1).spec().sm_count, 136);
   EXPECT_DOUBLE_EQ(h.fleet->compute_scale(1), 2.0);
@@ -468,7 +417,7 @@ TEST(Fleet, HeterogeneousNodesScaleGpuSpecs) {
 TEST(Router, PlacementScoreNormalisesLoadByComputeScale) {
   std::vector<GpuNodeSpec> nodes(2);
   nodes[1].compute_scale = 2.0;
-  Harness h(2, 1, 0.0, nodes);
+  Harness h(2, 1, 0.0, 1, nodes);
   const int a = h.add_task(Priority::kLow, 4000.0, 0);
   const int b = h.add_task(Priority::kLow, 4000.0, 1);
   const int c = h.add_task(Priority::kLow, 500.0, 0);
@@ -513,19 +462,7 @@ TEST(Cluster, RunClusterIsDeterministic) {
   cfg.warmup_s = 0.5;
   const exp::ClusterResult a = exp::run_cluster(cfg);
   const exp::ClusterResult b = exp::run_cluster(cfg);
-  EXPECT_EQ(a.total_jps, b.total_jps);
-  EXPECT_EQ(a.hp.completed, b.hp.completed);
-  EXPECT_EQ(a.lp.completed, b.lp.completed);
-  EXPECT_EQ(a.hp.missed, b.hp.missed);
-  EXPECT_EQ(a.lp.missed, b.lp.missed);
-  EXPECT_EQ(a.cross_gpu_migrations, b.cross_gpu_migrations);
-  EXPECT_EQ(a.drops, b.drops);
-  EXPECT_EQ(a.intra_gpu_migrations, b.intra_gpu_migrations);
-  ASSERT_EQ(a.per_gpu.size(), b.per_gpu.size());
-  for (std::size_t g = 0; g < a.per_gpu.size(); ++g) {
-    EXPECT_EQ(a.per_gpu[g].completed, b.per_gpu[g].completed);
-    EXPECT_EQ(a.per_gpu[g].utilization, b.per_gpu[g].utilization);
-  }
+  EXPECT_EQ(counters_text(a), counters_text(b));
 }
 
 TEST(Cluster, TwoGpusScaleThroughputOnReplicatedDemand) {
@@ -589,20 +526,9 @@ TEST(Cluster, HeterogeneousRunClusterIsDeterministic) {
   cfg.warmup_s = 0.5;
   const exp::ClusterResult a = exp::run_cluster(cfg);
   const exp::ClusterResult b = exp::run_cluster(cfg);
-  EXPECT_EQ(a.total_jps, b.total_jps);
-  EXPECT_EQ(a.hp.completed, b.hp.completed);
-  EXPECT_EQ(a.lp.completed, b.lp.completed);
-  EXPECT_EQ(a.cross_gpu_migrations, b.cross_gpu_migrations);
-  EXPECT_EQ(a.transfers, b.transfers);
-  EXPECT_EQ(a.transferred_mb, b.transferred_mb);
-  EXPECT_EQ(a.infeasible_rejects, b.infeasible_rejects);
-  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(counters_text(a), counters_text(b));
   ASSERT_EQ(a.per_gpu.size(), 2u);
   EXPECT_GT(a.per_gpu[0].completed, 0u);
-  for (std::size_t g = 0; g < a.per_gpu.size(); ++g) {
-    EXPECT_EQ(a.per_gpu[g].completed, b.per_gpu[g].completed);
-    EXPECT_EQ(a.per_gpu[g].utilization, b.per_gpu[g].utilization);
-  }
 }
 
 TEST(Cluster, HybridServesSkewedDemandWithoutHpMisses) {

@@ -7,67 +7,18 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
+#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "cluster/fleet.h"
 #include "cluster/router.h"
-#include "experiments/cluster_runner.h"
-#include "sim/sharded.h"
+#include "fleet_harness.h"
 #include "workload/driver.h"
 
 namespace daris::cluster {
 namespace {
 
 using common::Priority;
-
-/// Same deterministic fixture as test_cluster.cpp: jitter-free fleet,
-/// single-context single-stream GPUs, one shared ResNet18 model,
-/// zero-delay transfers (tests of in-flight cancellation pass a rate),
-/// directly chosen AFET, on a sharded simulator with `lanes` worker lanes.
-/// Multi-lane runs record finishes into per-device collector lanes (device
-/// events then run on a pool worker); finalize_lanes() folds them back.
-struct Harness {
-  explicit Harness(int num_gpus, int num_contexts = 1,
-                   double transfer_us_per_mb = 0.0, int lanes = 1)
-      : sim(num_gpus, lanes) {
-    FleetConfig cfg;
-    cfg.num_gpus = num_gpus;
-    cfg.gpu.jitter_cv = 0.0;
-    cfg.transfer_us_per_mb = transfer_us_per_mb;
-    cfg.sched.policy = rt::Policy::kMps;
-    cfg.sched.num_contexts = num_contexts;
-    model = std::make_unique<dnn::CompiledModel>(
-        dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(num_gpus);
-    if (lanes > 1) collector.enable_lanes(num_gpus);
-    fleet = std::make_unique<Fleet>(sim, cfg, &collector);
-  }
-
-  int add_task(Priority priority, double total_afet_us, int home_gpu) {
-    rt::TaskSpec spec;
-    spec.model = dnn::ModelKind::kResNet18;
-    spec.period = common::from_ms(10.0);
-    spec.relative_deadline = spec.period;
-    spec.priority = priority;
-    const int id = fleet->add_task(spec, model.get(), home_gpu);
-    fleet->set_afet(
-        id, std::vector<double>(
-                model->stage_count(),
-                total_afet_us / static_cast<double>(model->stage_count())));
-    return id;
-  }
-
-  /// Runs until every job and transfer in flight has settled.
-  void run() { sim.run_until(sim.now() + common::from_sec(1.0)); }
-
-  sim::ShardedSimulator sim;
-  metrics::Collector collector;
-  std::unique_ptr<dnn::CompiledModel> model;
-  std::unique_ptr<Fleet> fleet;
-};
 
 // --- fail-stop ------------------------------------------------------------
 
@@ -401,23 +352,6 @@ TEST(FleetFaults, AddedGpuReservesNoHpUtilizationAndAdmitsLpWork) {
 
 // --- determinism ----------------------------------------------------------
 
-bool identical(const exp::ClusterResult& a, const exp::ClusterResult& b) {
-  if (a.per_gpu.size() != b.per_gpu.size()) return false;
-  for (std::size_t g = 0; g < a.per_gpu.size(); ++g) {
-    if (a.per_gpu[g].completed != b.per_gpu[g].completed) return false;
-  }
-  return a.total_jps == b.total_jps && a.hp.completed == b.hp.completed &&
-         a.lp.completed == b.lp.completed && a.hp.missed == b.hp.missed &&
-         a.lp.missed == b.lp.missed &&
-         a.cross_gpu_migrations == b.cross_gpu_migrations &&
-         a.drops == b.drops && a.transfers == b.transfers &&
-         a.transferred_mb == b.transferred_mb &&
-         a.infeasible_rejects == b.infeasible_rejects &&
-         a.intra_gpu_migrations == b.intra_gpu_migrations &&
-         a.arrivals == b.arrivals && a.jobs_lost == b.jobs_lost &&
-         a.unmatched_rows == b.unmatched_rows;
-}
-
 TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
   // A full fault timeline — straggler, fail-stop, scale-up, drain — under
   // open-loop arrivals, run twice on one lane and once on two: every
@@ -455,8 +389,8 @@ TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
   const exp::ClusterResult b = exp::run_cluster(cfg);
   cfg.sim_threads = 2;
   const exp::ClusterResult two_lanes = exp::run_cluster(cfg);
-  EXPECT_TRUE(identical(a, b));
-  EXPECT_TRUE(identical(a, two_lanes));
+  EXPECT_EQ(counters_text(a), counters_text(b));
+  EXPECT_EQ(counters_text(a), counters_text(two_lanes));
   EXPECT_GT(a.jobs_lost, 0u);        // the fail-stop shed something
   EXPECT_GT(a.hp.completed, 0u);     // the fleet kept serving throughout
   ASSERT_EQ(a.per_gpu.size(), 3u);   // the added device is reported
@@ -556,6 +490,31 @@ TEST(FaultValidation, SlowFactorAndTimesMustBeFinite) {
             std::string::npos);
 }
 
+// --- the counter list ------------------------------------------------------
+
+TEST(CounterList, NamesAreUniqueAndCoverADeviceAddedMidRun) {
+  // Every name is non-empty and unique, and the device that joined mid-run
+  // (gpu4) reports all 15 per-device entries.
+  exp::ClusterConfig cfg = four_gpu_config();
+  cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, 0.2)};
+  const exp::ClusterResult r = exp::run_cluster(cfg);
+  ASSERT_EQ(r.per_gpu.size(), 5u);
+  const std::vector<exp::NamedCounter> counters = exp::counters_of(r);
+  EXPECT_EQ(counters.size(), 42u + 15u * r.per_gpu.size());
+  std::set<std::string> names;
+  std::size_t added_device = 0;
+  for (const exp::NamedCounter& c : counters) {
+    EXPECT_FALSE(c.name.empty());
+    EXPECT_TRUE(names.insert(c.name).second) << "duplicate " << c.name;
+    if (c.name.rfind("gpu4_", 0) == 0) ++added_device;
+    if (c.name == "gpu4_completed") {
+      EXPECT_EQ(c.value, static_cast<double>(r.per_gpu[4].completed));
+    }
+  }
+  EXPECT_EQ(added_device, 15u);
+  EXPECT_GT(r.per_gpu[4].completed, 0u);
+}
+
 /// The hand-wired fault schedule's outcome: every counter a lane count
 /// could perturb, flattened for equality comparison.
 std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
@@ -576,7 +535,8 @@ std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
   driver.start();
   // Fail-stop, then scale-up (add_gpu_now grows a device shard mid-run),
   // then drain — each an ordinary control-shard event.
-  h.fleet->fail_gpu(1, common::from_ms(51.0));
+  h.sim.control().schedule_at(common::from_ms(51.0),
+                              [&h] { h.fleet->fail_gpu_now(1); });
   h.sim.control().schedule_at(common::from_ms(90.0), [&h] {
     const int g = h.fleet->add_gpu_now(GpuNodeSpec{});
     for (int t = 0; t < num_tasks; ++t) {
@@ -585,7 +545,8 @@ std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
     }
     h.fleet->run_offline_phase(g);
   });
-  h.fleet->drain_gpu(0, common::from_ms(130.0));
+  h.sim.control().schedule_at(common::from_ms(130.0),
+                              [&h] { h.fleet->drain_gpu_now(0); });
   h.sim.run_until(horizon);
   h.collector.finalize_lanes();
 
