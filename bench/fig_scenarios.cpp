@@ -226,10 +226,9 @@ int main(int argc, char** argv) {
   bool all_pass = true;
   bool artifacts_ok = true;
 
-  const exp::ScenarioTelemetry topts;
   for (const auto& name : wanted) {
     ScenarioRow row;
-    row.result = exp::run_scenario(name, data_dir, &topts);
+    row.result = exp::run_scenario(name, data_dir, /*telemetry=*/true);
     exp::ScenarioResult& r = row.result;
     if (!r.cluster.error.empty()) {
       std::fprintf(stderr, "%s: invalid config: %s\n", name.c_str(),
@@ -239,12 +238,13 @@ int main(int argc, char** argv) {
     // Run-to-run contracts: the behaviour digest AND the telemetry capture
     // must repeat bit-identically, and disabling telemetry must not move
     // the behaviour digest (observation is inert).
-    const exp::ScenarioResult again = exp::run_scenario(name, data_dir, &topts);
+    const exp::ScenarioResult again =
+        exp::run_scenario(name, data_dir, /*telemetry=*/true);
     const exp::ScenarioResult bare = exp::run_scenario(name, data_dir);
     row.deterministic = r.fingerprint == again.fingerprint;
     if (threads > 0) {
       const exp::ScenarioResult lanes =
-          exp::run_scenario(name, data_dir, &topts, threads);
+          exp::run_scenario(name, data_dir, /*telemetry=*/true, threads);
       // Telemetry digest included: the sampler/event-log capture must be
       // insensitive to the lane count, not just the end-of-run counters.
       row.threads_matches = lanes.fingerprint == r.fingerprint &&

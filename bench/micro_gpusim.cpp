@@ -1,4 +1,4 @@
-// Microbenchmarks of the GPU simulator itself (google-benchmark): event
+// Microbenchmarks of the GPU simulator itself (bench/minibench): event
 // throughput of the fluid executor under different concurrency shapes, raw
 // event-engine shapes (churn / cancel-heavy / reschedule-heavy), and a
 // fleet-scale open-loop run. Results are also written to

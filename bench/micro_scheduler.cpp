@@ -1,4 +1,4 @@
-// Microbenchmarks of DARIS scheduler hot paths (google-benchmark): stage
+// Microbenchmarks of DARIS scheduler hot paths (bench/minibench): stage
 // queue operations, MRET updates, end-to-end scheduling cost per job, and
 // the cost of registering a task set on every device of a fleet.
 #include <benchmark/benchmark.h>

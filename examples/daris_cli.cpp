@@ -5,11 +5,17 @@
 //
 //   daris_cli --model resnet18 --policy mps --contexts 6 --os 6
 //             --duration 4 --trace /tmp/timeline.json
+//
+// A malformed or out-of-range flag value exits 2 with a message naming the
+// flag (ctest: cli_rejects_bad_flags).
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "experiments/runner.h"
 #include "metrics/trace_export.h"
@@ -41,6 +47,44 @@ void usage(const char* argv0) {
 
 bool arg_is(const char* a, const char* name) { return !std::strcmp(a, name); }
 
+/// Parses a whole-string number; false on anything else ("abc", "2x", "").
+template <typename T>
+bool parse_whole(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end && ptr != text;
+}
+
+/// Exits 2 naming the flag unless `ok`.
+void require(bool ok, const char* flag, const char* want, const char* text) {
+  if (ok) return;
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag, want, text);
+  std::exit(2);
+}
+
+/// A count flag: an integer >= 1.
+int count_arg(const char* flag, const char* text) {
+  int v = 0;
+  require(parse_whole(text, &v) && v >= 1, flag, "an integer >= 1", text);
+  return v;
+}
+
+/// The seed flag: an unsigned 64-bit integer.
+std::uint64_t seed_arg(const char* flag, const char* text) {
+  std::uint64_t v = 0;
+  require(parse_whole(text, &v), flag, "an unsigned integer", text);
+  return v;
+}
+
+/// A real flag: a finite number that `in_range` accepts.
+double real_arg(const char* flag, const char* text, const char* want,
+                bool (*in_range)(double)) {
+  double v = 0.0;
+  require(parse_whole(text, &v) && std::isfinite(v) && in_range(v), flag,
+          want, text);
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -53,6 +97,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   rt::SchedulerConfig sched;
 
+  const auto positive = [](double v) { return v > 0.0; };
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     auto next = [&]() -> const char* {
@@ -64,15 +109,21 @@ int main(int argc, char** argv) {
     };
     if (arg_is(a, "--model")) model = next();
     else if (arg_is(a, "--policy")) policy = next();
-    else if (arg_is(a, "--contexts")) contexts = std::atoi(next());
-    else if (arg_is(a, "--streams")) streams = std::atoi(next());
-    else if (arg_is(a, "--os")) os = std::atof(next());
-    else if (arg_is(a, "--batch")) batch = std::atoi(next());
-    else if (arg_is(a, "--load")) load = std::atof(next());
-    else if (arg_is(a, "--hp-frac")) hp_frac = std::atof(next());
-    else if (arg_is(a, "--window")) window = std::atoi(next());
-    else if (arg_is(a, "--duration")) duration = std::atof(next());
-    else if (arg_is(a, "--seed")) seed = std::strtoull(next(), nullptr, 10);
+    else if (arg_is(a, "--contexts")) contexts = count_arg(a, next());
+    else if (arg_is(a, "--streams")) streams = count_arg(a, next());
+    else if (arg_is(a, "--os"))
+      os = real_arg(a, next(), "a finite number >= 1",
+                    [](double v) { return v >= 1.0; });
+    else if (arg_is(a, "--batch")) batch = count_arg(a, next());
+    else if (arg_is(a, "--load"))
+      load = real_arg(a, next(), "a finite number > 0", positive);
+    else if (arg_is(a, "--hp-frac"))
+      hp_frac = real_arg(a, next(), "a fraction in [0, 1]",
+                         [](double v) { return v >= 0.0 && v <= 1.0; });
+    else if (arg_is(a, "--window")) window = count_arg(a, next());
+    else if (arg_is(a, "--duration"))
+      duration = real_arg(a, next(), "a finite number > 0", positive);
+    else if (arg_is(a, "--seed")) seed = seed_arg(a, next());
     else if (arg_is(a, "--hpa")) sched.hp_admission = true;
     else if (arg_is(a, "--no-staging")) sched.staging = false;
     else if (arg_is(a, "--no-last")) sched.prioritize_last_stage = false;

@@ -308,7 +308,8 @@ void Fleet::rehome_task(int task_id, int to, metrics::EventCause cause) {
                  << "us rehome task " << task_id << " gpu " << from << " -> "
                  << to;
   if (collector_) {
-    collector_->log_rehome(sim_.now(), from, to, task_id, cause);
+    collector_->record(sim_.now(), metrics::EventKind::kRehome, cause, from,
+                       to, task_id);
   }
 }
 
@@ -326,8 +327,9 @@ std::size_t Fleet::fail_gpu_now(int g) {
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " fail-stop, " << lost << " in-flight jobs lost";
   if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kFailStop,
-                          static_cast<double>(lost));
+    collector_->record(sim_.now(), metrics::EventKind::kFault,
+                       metrics::EventCause::kFailStop, g, -1, -1,
+                       static_cast<double>(lost));
   }
   // Let the router cancel/retarget transfers still headed here before the
   // homes move (the retarget re-migration reads placement scores, which
@@ -348,8 +350,8 @@ void Fleet::slow_gpu_now(int g, double factor) {
                  << " compute scale x" << factor << " -> "
                  << nodes_[static_cast<std::size_t>(g)].compute_scale;
   if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kStraggler,
-                          factor);
+    collector_->record(sim_.now(), metrics::EventKind::kFault,
+                       metrics::EventCause::kStraggler, g, -1, -1, factor);
   }
 }
 
@@ -359,7 +361,10 @@ void Fleet::drain_gpu_now(int g) {
   h = GpuHealth::kDraining;
   DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
                  << " draining (finishes in-flight work, no new placements)";
-  if (collector_) collector_->log_drain(sim_.now(), g);
+  if (collector_) {
+    collector_->record(sim_.now(), metrics::EventKind::kDrain,
+                       metrics::EventCause::kScaleDown, g);
+  }
   if (on_unplaceable_) on_unplaceable_(g);
   rehome_tasks_from(g);
 }
@@ -399,8 +404,9 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
                  << " added (scale-up), compute scale "
                  << node.compute_scale;
   if (collector_) {
-    collector_->log_fault(sim_.now(), g, metrics::EventCause::kScaleUp,
-                          node.compute_scale);
+    collector_->record(sim_.now(), metrics::EventKind::kFault,
+                       metrics::EventCause::kScaleUp, g, -1, -1,
+                       node.compute_scale);
   }
   return g;
 }

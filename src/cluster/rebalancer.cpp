@@ -104,11 +104,9 @@ void Rebalancer::start(common::Time horizon) {
             release_count_[static_cast<std::size_t>(t)]);
       });
     }
-    period_ = common::from_sec(config_.rehome_period_s);
-    if (period_ <= 0) return;
     demand_.sample_now(sim_.now());  // window baseline at arm time
-    if (sim_.now() + period_ <= horizon_) {
-      sim_.schedule_after(period_, [this] { rehome_tick(); });
+    if (sim_.now() + kRehomePeriod <= horizon_) {
+      sim_.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
     }
   }
 }
@@ -176,8 +174,9 @@ void Rebalancer::steal_scan(int victim) {
                    << j.task_id << " job " << j.job_id << " gpu " << victim
                    << " -> " << thief;
     if (collector_) {
-      collector_->on_steal(victim, thief);
-      collector_->log_steal(now, victim, thief, j.task_id);
+      collector_->record(now, metrics::EventKind::kSteal,
+                         metrics::EventCause::kBacklogSteal, victim, thief,
+                         j.task_id);
     }
   }
 }
@@ -187,8 +186,8 @@ void Rebalancer::rehome_tick() {
   demand_.sample_now(now);
   ++round_;
   rehome_round(now);
-  if (now + period_ <= horizon_) {
-    sim_.schedule_after(period_, [this] { rehome_tick(); });
+  if (now + kRehomePeriod <= horizon_) {
+    sim_.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
   }
 }
 
@@ -202,7 +201,7 @@ void Rebalancer::rehome_round(common::Time now) {
   // anchors the rate. Early rounds fall back to the full history so the
   // controller can act before a whole window has elapsed.
   std::size_t lo = 0;
-  const common::Time window_start = now - common::from_sec(config_.window_s);
+  const common::Time window_start = now - kDemandWindow;
   while (lo + 1 < samples && demand_.stamp(lo) < window_start) ++lo;
   const double span_s = common::to_sec(now - demand_.stamp(lo));
   if (span_s <= 0.0) return;

@@ -22,11 +22,11 @@
 //    construction, which is what makes stealing cheap enough to run per
 //    backlog trip.
 //
-//  - Demand-aware re-homing (proactive, periodic). A fixed-cadence event
-//    samples cumulative per-task release counts into a private
-//    metrics::TimeSeries ring and converts the sliding window into
-//    per-task load (release rate x SM-us per job — the same unit the
-//    static packer balances). When some device carries more than
+//  - Demand-aware re-homing (proactive, periodic). An event every
+//    kRehomePeriod samples cumulative per-task release counts into a
+//    private metrics::TimeSeries ring and converts the sliding
+//    kDemandWindow into per-task load (release rate x SM-us per job — the
+//    same unit the static packer balances). When some device carries more than
 //    `hysteresis` times its fair share, the round replays the static
 //    hybrid packer (pack_homes below) against the *windowed* demand and
 //    moves at most `max_moves_per_round` homes toward the packed
@@ -56,6 +56,11 @@
 
 namespace daris::cluster {
 
+/// Re-homing cadence, also the demand sample period (simulated 0.25 s).
+inline constexpr common::Duration kRehomePeriod = common::from_sec(0.25);
+/// Sliding demand window the re-homer averages over (simulated 1 s).
+inline constexpr common::Duration kDemandWindow = common::from_sec(1.0);
+
 struct RebalanceConfig {
   /// Master switch. Off: the rebalancer is inert (no observers, no events).
   bool enabled = false;
@@ -65,12 +70,9 @@ struct RebalanceConfig {
   /// Cap on jobs claimed per steal scan (one scan per backlog trip).
   int max_steals_per_scan = 4;
 
-  /// Periodic demand-aware re-homing.
+  /// Periodic demand-aware re-homing, every kRehomePeriod over the last
+  /// kDemandWindow of demand.
   bool rehome = true;
-  /// Re-homing cadence in simulated seconds (also the demand sample period).
-  double rehome_period_s = 0.25;
-  /// Sliding demand window the re-homer averages over, in seconds.
-  double window_s = 1.0;
   /// Max homes moved per round; keeps each round a small correction.
   int max_moves_per_round = 2;
   /// Act only when some device carries more than this multiple of its fair
@@ -131,7 +133,6 @@ class Rebalancer {
   Router& router_;
   RebalanceConfig config_;
   metrics::Collector* collector_;
-  common::Duration period_ = 0;
   common::Time horizon_ = 0;
   int round_ = 0;
   std::uint64_t steals_ = 0;

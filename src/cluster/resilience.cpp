@@ -8,6 +8,7 @@
 namespace daris::cluster {
 
 using metrics::EventCause;
+using metrics::EventKind;
 
 ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
                                    Router& router,
@@ -18,19 +19,14 @@ ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
       router_(router),
       config_(config),
       collector_(collector),
-      rng_(config.seed),
-      hedge_poll_(common::from_sec(std::max(1e-6, config.hedge_poll_s))),
-      breaker_period_(
-          common::from_sec(std::max(1e-3, config.breaker_window_s))),
-      breaker_cooldown_(
-          common::from_sec(std::max(0.0, config.breaker_cooldown_s))) {}
+      rng_(config.seed) {}
 
 void ResiliencePolicy::start(common::Time horizon) {
   if (!config_.enabled) return;
   horizon_ = horizon;
   if (config_.breaker) {
     breakers_.assign(static_cast<std::size_t>(fleet_.size()), BreakerRec{});
-    sim_.schedule_after(breaker_period_, [this] { breaker_tick(); });
+    sim_.schedule_after(kBreakerWindow, [this] { breaker_tick(); });
   }
 }
 
@@ -86,8 +82,8 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
   if (attempt >= pol.max_attempts) {
     ++abandoned_attempts_;
     if (collector_) {
-      collector_->log_retry(sim_.now(), -1, task_id,
-                            EventCause::kMaxAttempts, attempt);
+      collector_->record(sim_.now(), EventKind::kRetry,
+                         EventCause::kMaxAttempts, -1, -1, task_id, attempt);
     }
     return;
   }
@@ -127,21 +123,23 @@ void ResiliencePolicy::fire_retry(int task_id, common::Time released,
   if (now >= released + spec.relative_deadline) {
     ++abandoned_expired_;
     if (collector_) {
-      collector_->log_retry(now, -1, task_id, EventCause::kExpired, attempt);
+      collector_->record(now, EventKind::kRetry, EventCause::kExpired, -1, -1,
+                         task_id, attempt);
     }
     return;
   }
   if (!spend_token()) {
     ++abandoned_budget_;
     if (collector_) {
-      collector_->log_retry(now, -1, task_id, EventCause::kBudgetExhausted,
-                            attempt);
+      collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
+                         -1, -1, task_id, attempt);
     }
     return;
   }
   ++retries_;
   if (collector_) {
-    collector_->log_retry(now, -1, task_id, EventCause::kBackoff, attempt);
+    collector_->record(now, EventKind::kRetry, EventCause::kBackoff, -1, -1,
+                       task_id, attempt);
   }
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, attempt, r);
@@ -165,8 +163,7 @@ void ResiliencePolicy::arm_hedge(int task_id, common::Time released,
   for (int g = 0; g < fleet_.size(); ++g) {
     if (!fleet_.placeable(g)) continue;
     const rt::Scheduler& sch = fleet_.scheduler(g);
-    if (sch.response_samples(common::Priority::kLow) <
-        config_.hedge_min_samples) {
+    if (sch.response_samples(common::Priority::kLow) < kHedgeMinSamples) {
       continue;
     }
     const double p = sch.response_percentile_us(common::Priority::kLow,
@@ -197,8 +194,8 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   if (!spend_token()) {
     ++abandoned_budget_;
     if (collector_) {
-      collector_->log_retry(now, primary_gpu, task_id,
-                            EventCause::kBudgetExhausted, 1);
+      collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
+                         primary_gpu, -1, task_id, 1);
     }
     return;
   }
@@ -208,8 +205,8 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us hedge task "
                  << task_id << " gpu " << primary_gpu << " -> " << h.gpu;
   if (collector_) {
-    collector_->log_hedge(now, primary_gpu, h.gpu, task_id,
-                          EventCause::kHedgeLaunch);
+    collector_->record(now, EventKind::kHedge, EventCause::kHedgeLaunch,
+                       primary_gpu, h.gpu, task_id);
   }
   const std::uint64_t id = next_pair_id_++;
   HedgePair p;
@@ -220,7 +217,7 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   p.hedge_job = h.job_id;
   p.released = released;
   pairs_.emplace(id, p);
-  sim_.schedule_after(hedge_poll_, [this, id] { poll_pair(id); });
+  sim_.schedule_after(kHedgePoll, [this, id] { poll_pair(id); });
 }
 
 void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
@@ -232,7 +229,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const bool hedge_live =
       fleet_.scheduler(p.hedge_gpu).job_in_flight(p.hedge_job);
   if (primary_live && hedge_live) {
-    sim_.schedule_after(hedge_poll_, [this, pair_id] { poll_pair(pair_id); });
+    sim_.schedule_after(kHedgePoll, [this, pair_id] { poll_pair(pair_id); });
     return;
   }
   pairs_.erase(it);
@@ -254,15 +251,15 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   if (primary_live) {
     ++hedge_wins_;
     if (collector_) {
-      collector_->log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                            EventCause::kHedgeWin);
+      collector_->record(now, EventKind::kHedge, EventCause::kHedgeWin,
+                         p.primary_gpu, p.hedge_gpu, p.task);
     }
   }
   if (fleet_.scheduler(loser_gpu).revoke_job(loser_job)) {
     ++hedge_cancels_;
     if (collector_) {
-      collector_->log_hedge(now, p.primary_gpu, p.hedge_gpu, p.task,
-                            EventCause::kHedgeCancel);
+      collector_->record(now, EventKind::kHedge, EventCause::kHedgeCancel,
+                         p.primary_gpu, p.hedge_gpu, p.task);
     }
   } else {
     ++hedge_waste_;
@@ -280,7 +277,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
 void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
                                    common::Time deadline) {
   if (fleet_.scheduler(gpu).job_in_flight(job)) {
-    sim_.schedule_after(hedge_poll_,
+    sim_.schedule_after(kHedgePoll,
                         [this, gpu, job, deadline] {
                           watch_loser(gpu, job, deadline);
                         });
@@ -288,7 +285,7 @@ void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
   }
   // Settlement is observed up to one poll period late, so only count the
   // miss once it clears a full period — a lower bound on rescued misses.
-  if (sim_.now() > deadline + hedge_poll_) ++hedge_rescued_misses_;
+  if (sim_.now() > deadline + kHedgePoll) ++hedge_rescued_misses_;
 }
 
 void ResiliencePolicy::breaker_tick() {
@@ -298,7 +295,7 @@ void ResiliencePolicy::breaker_tick() {
   }
   for (int g = 0; g < fleet_.size(); ++g) evaluate_breaker(g, now);
   if (now < horizon_) {
-    sim_.schedule_after(breaker_period_, [this] { breaker_tick(); });
+    sim_.schedule_after(kBreakerWindow, [this] { breaker_tick(); });
   }
 }
 
@@ -344,7 +341,8 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
     DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu " << g
                    << " breaker OPEN (rate " << rate << ")";
     if (collector_) {
-      collector_->log_breaker(now, g, EventCause::kBreakerOpen, rate);
+      collector_->record(now, EventKind::kBreaker, EventCause::kBreakerOpen,
+                         g, -1, -1, rate);
     }
   };
   switch (b.state) {
@@ -356,23 +354,25 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
       }
       break;
     case BreakerState::kOpen:
-      if (now - b.opened_at >= breaker_cooldown_) {
+      if (now - b.opened_at >= kBreakerCooldown) {
         b.state = BreakerState::kHalfOpen;
         fleet_.set_breaker_open(g, false);
         if (collector_) {
-          collector_->log_breaker(now, g, EventCause::kBreakerHalfOpen, rate);
+          collector_->record(now, EventKind::kBreaker,
+                             EventCause::kBreakerHalfOpen, g, -1, -1, rate);
         }
       }
       break;
     case BreakerState::kHalfOpen:
       if (volume == 0) break;  // no probe traffic yet; keep waiting
-      if (rate <= config_.breaker_close_threshold) {
+      if (rate <= kBreakerCloseThreshold) {
         b.state = BreakerState::kClosed;
         ++breaker_closes_;
         DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu "
                        << g << " breaker CLOSED (rate " << rate << ")";
         if (collector_) {
-          collector_->log_breaker(now, g, EventCause::kBreakerClose, rate);
+          collector_->record(now, EventKind::kBreaker,
+                             EventCause::kBreakerClose, g, -1, -1, rate);
         }
       } else if (may_open) {
         open();

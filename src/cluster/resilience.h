@@ -26,8 +26,8 @@
 //    breaker, which masks the device from routing exactly like a draining
 //    one (Fleet::set_breaker_open folds into placeable()) — without
 //    rehoming anything, because the state is temporary: after
-//    `breaker_cooldown_s` the breaker half-opens (probe traffic allowed)
-//    and either closes or re-opens on the next window.
+//    kBreakerCooldown the breaker half-opens (probe traffic allowed) and
+//    either closes or re-opens on the next window.
 //
 //  - Hedged requests (LP only). When a primary copy is still in flight
 //    after the device's recent p-th percentile response time (per-class
@@ -63,6 +63,20 @@
 #include "sim/simulator.h"
 
 namespace daris::cluster {
+
+/// Ring samples a device needs before its LP response percentile drives the
+/// hedge trigger; below this the trigger falls back to hedge_fallback_frac x
+/// relative deadline.
+inline constexpr int kHedgeMinSamples = 16;
+/// Hedge-pair settlement poll period (first-finish-wins detection).
+inline constexpr common::Duration kHedgePoll = common::from_sec(0.0005);
+/// Breaker rolling window, also the breaker tick period.
+inline constexpr common::Duration kBreakerWindow = common::from_sec(0.1);
+/// An open breaker half-opens after this cooldown.
+inline constexpr common::Duration kBreakerCooldown = common::from_sec(0.3);
+/// A half-open breaker closes when its probe window's miss+shed rate falls
+/// to this or below; otherwise it re-opens.
+inline constexpr double kBreakerCloseThreshold = 0.2;
 
 /// Per-class retry policy. kNone disables retries for the class; kFixed
 /// waits base_delay_us (jittered) between attempts; kExponential doubles
@@ -103,26 +117,16 @@ struct ResilienceConfig {
   /// devices with warm rings) — a straggler's own inflated percentile must
   /// not get to postpone its own rescue.
   double hedge_percentile = 95.0;
-  /// Ring samples required before the percentile is trusted; below this the
-  /// trigger falls back to hedge_fallback_frac x relative deadline.
-  int hedge_min_samples = 16;
+  /// Trigger fallback while rings are cold (kHedgeMinSamples): this
+  /// fraction of the relative deadline.
   double hedge_fallback_frac = 0.5;
-  /// Pair-settlement poll period (first-finish-wins detection), seconds.
-  double hedge_poll_s = 0.0005;
 
-  /// Per-GPU circuit breaker.
+  /// Per-GPU circuit breaker, evaluated every kBreakerWindow.
   bool breaker = false;
-  /// Rolling window / tick period, seconds.
-  double breaker_window_s = 0.1;
   /// Open when (missed + shed) / (completed + shed) over the window reaches
   /// this, with at least breaker_min_volume outcomes observed.
   double breaker_open_threshold = 0.5;
   int breaker_min_volume = 16;
-  /// Open -> half-open after this cooldown, seconds.
-  double breaker_cooldown_s = 0.3;
-  /// Half-open closes when the probe window's rate falls to this or below;
-  /// otherwise it re-opens.
-  double breaker_close_threshold = 0.2;
 
   std::uint64_t seed = 42;
 };
@@ -229,9 +233,6 @@ class ResiliencePolicy {
   metrics::Collector* collector_;
   common::Rng rng_;
   common::Time horizon_ = 0;
-  common::Duration hedge_poll_ = 0;
-  common::Duration breaker_period_ = 0;
-  common::Duration breaker_cooldown_ = 0;
   double tokens_ = 0.0;
 
   std::uint64_t first_attempts_ = 0;

@@ -154,19 +154,7 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   // fits no GPU's memory, or one job's utilisation exceeds every idle
   // context) is shed here, not bounced through placement and migration.
   if (!fleet_.feasible(task_id)) {
-    ++drops_;
-    ++infeasible_;
-    ++shed_cls_[cls];
-    note_shed_at(home);
-    if (collector_) {
-      collector_->on_reject(ev);
-      collector_->on_infeasible(home);
-      collector_->log_reject(released, home, task_id,
-                             metrics::EventCause::kInfeasible);
-    }
-    RouteResult r;
-    r.cause = metrics::EventCause::kInfeasible;
-    return r;
+    return drop(task_id, home, released, metrics::EventCause::kInfeasible);
   }
 
   // Fleet-wide backlog guard, mirroring the per-device rule in
@@ -178,18 +166,9 @@ RouteResult Router::route_job(int task_id, common::Time released) {
           ? 1
           : fleet_.scheduler(home).config().max_backlog_per_task;
   if (fleet_.active_jobs(task_id) + pending_jobs(task_id) >= backlog_cap) {
-    ++drops_;
-    ++shed_cls_[cls];
-    note_shed_at(home);
-    if (collector_) {
-      collector_->on_reject(ev);
-      collector_->on_drop(home);
-      collector_->log_reject(released, home, task_id,
-                             metrics::EventCause::kBacklog);
-    }
+    const RouteResult r =
+        drop(task_id, home, released, metrics::EventCause::kBacklog);
     if (pressure_observer_) pressure_observer_(home);
-    RouteResult r;
-    r.cause = metrics::EventCause::kBacklog;
     return r;
   }
 
@@ -197,8 +176,8 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   if (fleet_.scheduler(home).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
     if (collector_) {
-      collector_->on_home_admit(home);
-      collector_->log_admit(released, home, task_id);
+      collector_->record(released, metrics::EventKind::kAdmit,
+                         metrics::EventCause::kHomeAdmit, home, -1, task_id);
     }
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
@@ -255,25 +234,15 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   if (fleet_.scheduler(best).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
     if (collector_) {
-      collector_->on_home_admit(best);
-      collector_->log_admit(released, best, task_id);
+      collector_->record(released, metrics::EventKind::kAdmit,
+                         metrics::EventCause::kHomeAdmit, best, -1, task_id);
     }
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = best;
     r.job_id = job_id;
     return r;
   }
-  ++drops_;
-  ++shed_cls_[cls];
-  note_shed_at(best);
-  if (collector_) {
-    collector_->on_reject(ev);
-    collector_->on_drop(best);
-    collector_->log_reject(released, best, task_id,
-                           metrics::EventCause::kPeerReject);
-  }
-  r.cause = metrics::EventCause::kPeerReject;
-  return r;
+  return drop(task_id, best, released);
 }
 
 RouteResult Router::migrate(int task_id, int from, int peer,
@@ -297,9 +266,10 @@ RouteResult Router::migrate(int task_id, int from, int peer,
         ++coalesced_;
         coalesced_mb_saved_ += mb;
         if (collector_) {
-          collector_->on_coalesce(peer, mb);
-          collector_->log_coalesce(fleet_.simulator().now(), peer, task_id,
-                                   mb);
+          collector_->record(fleet_.simulator().now(),
+                             metrics::EventKind::kCoalesce,
+                             metrics::EventCause::kCoalesced, peer, -1,
+                             task_id, mb);
         }
         // The attacher's delivery event is scheduled after the leader's, so
         // at equal arrival times it runs second — the leader's delivery has
@@ -312,8 +282,10 @@ RouteResult Router::migrate(int task_id, int from, int peer,
     ++transfers_;
     transferred_mb_ += mb;
     if (collector_) {
-      collector_->on_transfer(peer, mb);
-      collector_->log_transfer(fleet_.simulator().now(), peer, task_id, mb);
+      collector_->record(fleet_.simulator().now(),
+                         metrics::EventKind::kTransfer,
+                         metrics::EventCause::kColdModel, peer, -1, task_id,
+                         mb);
     }
     if (delay > 0) {
       queue_delivery(task_id, from, peer, released,
@@ -423,8 +395,9 @@ RouteResult Router::deliver(int task_id, int from, int peer,
                                          &job_id)) {
     ++migrations_;
     if (collector_) {
-      collector_->on_cross_migration(from, peer);
-      collector_->log_migrate(fleet_.simulator().now(), from, peer, task_id);
+      collector_->record(fleet_.simulator().now(),
+                         metrics::EventKind::kMigrate,
+                         metrics::EventCause::kSpill, from, peer, task_id);
     }
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
@@ -438,6 +411,7 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
   ++drops_;
+  if (cause == metrics::EventCause::kInfeasible) ++infeasible_;
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
   ++shed_cls_[static_cast<std::size_t>(spec.priority)];
   note_shed_at(gpu);
@@ -451,8 +425,8 @@ RouteResult Router::drop(int task_id, int gpu, common::Time released,
   ev.relative_deadline = spec.relative_deadline;
   ev.gpu = gpu;
   collector_->on_reject(ev);
-  collector_->on_drop(gpu);
-  collector_->log_reject(released, gpu, task_id, cause);
+  collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
+                     task_id);
   return r;
 }
 

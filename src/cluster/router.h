@@ -240,6 +240,9 @@ class Router {
   RouteResult migrate(int task_id, int from, int peer, common::Time released);
   /// Transfer-completion half of migrate(): admit-or-drop on the target.
   RouteResult deliver(int task_id, int from, int peer, common::Time released);
+  /// Sheds one job routed to `gpu`: the one shed path (infeasible, backlog,
+  /// peer and post-transfer rejections, retarget drops). Counts the drop,
+  /// the class shed and the breaker signal, and reports the rejection.
   RouteResult drop(int task_id, int gpu, common::Time released,
                    metrics::EventCause cause = metrics::EventCause::kPeerReject);
   /// Registers a delayed delivery arriving at `arrive` and bumps the

@@ -670,7 +670,6 @@ std::size_t Scheduler::fail_all_jobs() {
       }
     }
     count_active(t, -1);
-    ++jobs_failed_;
     ++cls_[static_cast<std::size_t>(t.spec().priority)].failed;
     if (collector_) {
       metrics::JobEvent ev;

@@ -220,9 +220,6 @@ class Scheduler {
   /// unknown job is refused. Returns true when the job was revoked.
   bool revoke_job(std::uint64_t job_id);
 
-  /// Jobs dropped by fail_all_jobs (distinct from jobs_completed()).
-  std::uint64_t jobs_failed() const { return jobs_failed_; }
-
   /// Device index stamped into job/stage events (cluster runs; default -1).
   void set_device_id(int id) { device_id_ = id; }
 
@@ -308,7 +305,6 @@ class Scheduler {
   std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t jobs_completed_ = 0;
-  std::uint64_t jobs_failed_ = 0;
   std::uint64_t jobs_missed_ = 0;
   std::uint64_t migrations_ = 0;
   ClassCounters cls_[2];

@@ -34,6 +34,27 @@ ClusterConfig fleet_base(int num_gpus) {
   return cfg;
 }
 
+// Generated-trace arrivals shared by the flash-crowd rows: a steady
+// `rate_jps` over `duration_s` with one `factor`x spike of `spike_s` seconds
+// starting at `start_s` (no diurnal swing, trace seed 7). Sets the run's
+// duration to the trace's.
+void flash_crowd_trace(ClusterConfig* cfg, double duration_s, double rate_jps,
+                       double start_s, double spike_s, double factor) {
+  cfg->arrivals = ArrivalMode::kTrace;
+  cfg->duration_s = duration_s;
+  workload::TraceGenConfig gen;
+  gen.duration_s = duration_s;
+  gen.mean_rate_jps = rate_jps;
+  gen.diurnal_amplitude = 0.0;
+  workload::FlashCrowd spike;
+  spike.start_s = start_s;
+  spike.duration_s = spike_s;
+  spike.factor = factor;
+  gen.flashes.push_back(spike);
+  gen.seed = 7;
+  cfg->trace = workload::generate_trace(workload::trace_mix(cfg->taskset), gen);
+}
+
 // Overload storm: bursty (MMPP-style) arrivals at 1.6x nominal demand on a
 // healthy 4-GPU fleet. The fleet must shed load through admission control
 // (LP rejections / drops), not through HP deadline misses or starvation.
@@ -113,19 +134,7 @@ ClusterConfig diurnal_replay(const std::string& data_dir) {
 // must be absorbed by admission control without starving resident HP work.
 ClusterConfig flash_crowd(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(3);
-  cfg.arrivals = ArrivalMode::kTrace;
-  cfg.duration_s = 6.0;
-  workload::TraceGenConfig gen;
-  gen.duration_s = 6.0;
-  gen.mean_rate_jps = 2000.0;
-  gen.diurnal_amplitude = 0.0;
-  workload::FlashCrowd spike;
-  spike.start_s = 2.0;
-  spike.duration_s = 1.5;
-  spike.factor = 3.0;
-  gen.flashes.push_back(spike);
-  gen.seed = 7;
-  cfg.trace = workload::generate_trace(workload::trace_mix(cfg.taskset), gen);
+  flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 1.5, 3.0);
   return cfg;
 }
 
@@ -139,19 +148,8 @@ ClusterConfig flash_crowd(const std::string& /*data_dir*/) {
 // on-run recovers it.
 ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(3);
-  cfg.arrivals = ArrivalMode::kTrace;
-  cfg.duration_s = 6.0;
-  workload::TraceGenConfig gen;
-  gen.duration_s = 6.0;
-  gen.mean_rate_jps = 2000.0;
-  gen.diurnal_amplitude = 0.0;
-  workload::FlashCrowd spike;
-  spike.start_s = 2.0;
-  spike.duration_s = 2.0;
-  spike.factor = 4.0;  // harsher than flash-crowd: the off-run must hurt
-  gen.flashes.push_back(spike);
-  gen.seed = 7;
-  cfg.trace = workload::generate_trace(workload::trace_mix(cfg.taskset), gen);
+  // A 4x spike for 2 s, harsher than flash-crowd: the off-run must hurt.
+  flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 2.0, 4.0);
   cfg.rebalance.enabled = true;
   cfg.rebalance.rehome = false;
   cfg.rebalance.max_steals_per_scan = 8;
@@ -183,19 +181,7 @@ ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
 // devices (its exit guard in cluster/resilience.cpp enforces exactly that).
 ClusterConfig retry_storm(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(3);
-  cfg.arrivals = ArrivalMode::kTrace;
-  cfg.duration_s = 6.0;
-  workload::TraceGenConfig gen;
-  gen.duration_s = 6.0;
-  gen.mean_rate_jps = 2000.0;
-  gen.diurnal_amplitude = 0.0;
-  workload::FlashCrowd spike;
-  spike.start_s = 2.0;
-  spike.duration_s = 1.5;
-  spike.factor = 4.0;
-  gen.flashes.push_back(spike);
-  gen.seed = 7;
-  cfg.trace = workload::generate_trace(workload::trace_mix(cfg.taskset), gen);
+  flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 1.5, 4.0);
   cfg.resilience.enabled = true;
   // An aggressive client: 5 attempts with fast exponential backoff — the
   // policy a front-end team tunes for transient blips, and exactly what
@@ -266,20 +252,7 @@ ClusterConfig hedging_tail_rescue_off(const std::string& data_dir) {
 // honest at an order of magnitude more devices than the rest of the matrix.
 ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(64);
-  cfg.arrivals = ArrivalMode::kTrace;
-  cfg.duration_s = 2.5;
-  cfg.warmup_s = 0.5;
-  workload::TraceGenConfig gen;
-  gen.duration_s = 2.5;
-  gen.mean_rate_jps = 2000.0 * 64.0 / 3.0;
-  gen.diurnal_amplitude = 0.0;
-  workload::FlashCrowd spike;
-  spike.start_s = 1.0;
-  spike.duration_s = 0.8;
-  spike.factor = 2.5;
-  gen.flashes.push_back(spike);
-  gen.seed = 7;
-  cfg.trace = workload::generate_trace(workload::trace_mix(cfg.taskset), gen);
+  flash_crowd_trace(&cfg, 2.5, 2000.0 * 64.0 / 3.0, 1.0, 0.8, 2.5);
   cfg.rebalance.enabled = true;
   cfg.rebalance.max_steals_per_scan = 8;
   cfg.resilience.enabled = true;
@@ -473,14 +446,9 @@ std::vector<std::string> scenario_names() {
   return names;
 }
 
-std::string scenario_description(const std::string& name) {
-  const ScenarioDef* def = find_scenario(name);
-  return def ? def->description : std::string();
-}
-
 ScenarioResult run_scenario(const std::string& name,
                             const std::string& data_dir,
-                            const ScenarioTelemetry* telemetry,
+                            bool telemetry,
                             int sim_threads) {
   ScenarioResult out;
   out.name = name;
@@ -492,9 +460,9 @@ ScenarioResult run_scenario(const std::string& name,
   out.description = def->description;
 
   ClusterConfig cfg = def->config(data_dir);
-  if (telemetry != nullptr) {
+  if (telemetry) {
     cfg.telemetry.enabled = true;
-    cfg.telemetry.sample_period_s = telemetry->sample_period_s;
+    cfg.telemetry.sample_period_s = kScenarioSamplePeriodS;
   }
   cfg.sim_threads = sim_threads;
   out.cluster = run_cluster(cfg);
@@ -502,7 +470,7 @@ ScenarioResult run_scenario(const std::string& name,
   out.report = metrics::trace_report(out.cluster.stage_trace);
   out.fingerprint = fingerprint_of(out.cluster, out.report);
 
-  if (telemetry != nullptr) {
+  if (telemetry) {
     // Unified Perfetto trace: stage spans on per-GPU lanes + counter tracks
     // + event-log instants, built before the stage trace is folded away.
     metrics::TraceRecorder rec;
@@ -524,7 +492,7 @@ ScenarioResult run_scenario(const std::string& name,
     t += "{\n  \"scenario\": \"";
     t += name;  // scenario names are code-chosen identifiers
     std::snprintf(buf, sizeof buf, "\",\n  \"sample_period_us\": %.17g,\n",
-                  telemetry->sample_period_s * 1e6);
+                  kScenarioSamplePeriodS * 1e6);
     t += buf;
     std::snprintf(buf, sizeof buf, "  \"digest\": \"%016llx\",\n",
                   static_cast<unsigned long long>(out.telemetry_digest));

@@ -49,8 +49,8 @@ struct ScenarioResult {
   /// worst_stall_us.
   std::string fingerprint;
 
-  /// Telemetry artifacts, filled only when run_scenario received a
-  /// ScenarioTelemetry (docs/OBSERVABILITY.md documents both formats):
+  /// Telemetry artifacts, filled only when run_scenario ran with telemetry
+  /// on (docs/OBSERVABILITY.md documents both formats):
   /// - telemetry_json: {"scenario", "sample_period_us", "digest",
   ///   "fingerprint", "timeseries", "events", "profile"} — the profile's
   ///   wall-clock fields are host timing and are excluded from the digest.
@@ -63,32 +63,26 @@ struct ScenarioResult {
   std::uint64_t telemetry_digest = 0;
 };
 
-/// Opt-in telemetry capture for run_scenario. Enabling it must not change
-/// the scenario's behaviour fingerprint (bench_fig_scenarios verifies).
-struct ScenarioTelemetry {
-  /// Sampler cadence in simulated seconds (5 ms default: ~600 samples over
-  /// the 3 s scenarios, ~6k over the 30 s diurnal replay).
-  double sample_period_s = 0.005;
-};
+/// Sampler cadence of a scenario's telemetry capture, simulated seconds:
+/// ~600 samples over the 3 s scenarios, ~6k over the 30 s diurnal replay.
+inline constexpr double kScenarioSamplePeriodS = 0.005;
 
 /// Registered scenario names, in run order.
 std::vector<std::string> scenario_names();
 
-/// One-line description of a scenario (empty for unknown names).
-std::string scenario_description(const std::string& name);
-
 /// Runs one named scenario; `data_dir` locates bundled traces (the
 /// repository's tests/data). Unknown names return a ScenarioResult with
 /// pass = false and an "unknown scenario" description; a config run_cluster
-/// refuses returns pass = false with cluster.error set and nothing run. A
-/// non-null `telemetry` enables the sampler + event log and fills the
-/// telemetry artifacts in the result. `sim_threads` is the worker-lane
-/// count of the run and of its counterfactual (ClusterConfig::sim_threads);
-/// results are identical at any value (bench_fig_scenarios --threads
-/// verifies).
+/// refuses returns pass = false with cluster.error set and nothing run.
+/// `telemetry` enables the sampler (every kScenarioSamplePeriodS) and the
+/// event log and fills the telemetry artifacts in the result; it must not
+/// change the behaviour fingerprint (bench_fig_scenarios verifies).
+/// `sim_threads` is the worker-lane count of the run and of its
+/// counterfactual (ClusterConfig::sim_threads); results are identical at any
+/// value (bench_fig_scenarios --threads verifies).
 ScenarioResult run_scenario(const std::string& name,
                             const std::string& data_dir,
-                            const ScenarioTelemetry* telemetry = nullptr,
+                            bool telemetry = false,
                             int sim_threads = 1);
 
 }  // namespace daris::exp

@@ -14,91 +14,11 @@ void Collector::enable_event_log(std::size_t capacity) {
   event_log_->reserve(capacity);
 }
 
-void Collector::log_admit(Time when, int gpu, int task) {
+void Collector::record(Time when, EventKind kind, EventCause cause, int gpu,
+                       int peer, int task, double value) {
+  add_routing(routing_, kind, cause, gpu, peer, value);
   if (event_log_) {
-    event_log_->append(when, EventKind::kAdmit, EventCause::kHomeAdmit, gpu,
-                       -1, task);
-  }
-}
-
-void Collector::log_reject(Time when, int gpu, int task, EventCause cause) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kReject, cause, gpu, -1, task);
-  }
-}
-
-void Collector::log_migrate(Time when, int from_gpu, int to_gpu, int task) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kMigrate, EventCause::kSpill,
-                       from_gpu, to_gpu, task);
-  }
-}
-
-void Collector::log_transfer(Time when, int to_gpu, int task, double mb) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kTransfer, EventCause::kColdModel,
-                       to_gpu, -1, task, mb);
-  }
-}
-
-void Collector::log_fault(Time when, int gpu, EventCause cause,
-                          double value) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kFault, cause, gpu, -1, -1, value);
-  }
-}
-
-void Collector::log_rehome(Time when, int from_gpu, int to_gpu, int task) {
-  log_rehome(when, from_gpu, to_gpu, task, EventCause::kNone);
-}
-
-void Collector::log_rehome(Time when, int from_gpu, int to_gpu, int task,
-                           EventCause cause) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kRehome, cause, from_gpu, to_gpu,
-                       task);
-  }
-}
-
-void Collector::log_steal(Time when, int victim, int thief, int task) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kSteal, EventCause::kBacklogSteal,
-                       victim, thief, task);
-  }
-}
-
-void Collector::log_coalesce(Time when, int to_gpu, int task, double mb) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kCoalesce, EventCause::kCoalesced,
-                       to_gpu, -1, task, mb);
-  }
-}
-
-void Collector::log_drain(Time when, int gpu) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kDrain, EventCause::kScaleDown, gpu);
-  }
-}
-
-void Collector::log_retry(Time when, int gpu, int task, EventCause cause,
-                          int attempt) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kRetry, cause, gpu, -1, task,
-                       static_cast<double>(attempt));
-  }
-}
-
-void Collector::log_hedge(Time when, int gpu, int peer, int task,
-                          EventCause cause) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kHedge, cause, gpu, peer, task);
-  }
-}
-
-void Collector::log_breaker(Time when, int gpu, EventCause cause,
-                            double rate) {
-  if (event_log_) {
-    event_log_->append(when, EventKind::kBreaker, cause, gpu, -1, -1, rate);
+    event_log_->append(when, kind, cause, gpu, peer, task, value);
   }
 }
 
@@ -217,40 +137,6 @@ void Collector::grow_gpu_count(int n) {
 
 void Collector::on_route(int gpu) {
   ++routing_[static_cast<std::size_t>(gpu)].routed;
-}
-
-void Collector::on_home_admit(int gpu) {
-  ++routing_[static_cast<std::size_t>(gpu)].home_admits;
-}
-
-void Collector::on_cross_migration(int from_gpu, int to_gpu) {
-  ++routing_[static_cast<std::size_t>(from_gpu)].migrated_out;
-  ++routing_[static_cast<std::size_t>(to_gpu)].migrated_in;
-}
-
-void Collector::on_drop(int gpu) {
-  ++routing_[static_cast<std::size_t>(gpu)].dropped;
-}
-
-void Collector::on_infeasible(int gpu) {
-  ++routing_[static_cast<std::size_t>(gpu)].infeasible;
-}
-
-void Collector::on_transfer(int to_gpu, double mb) {
-  auto& r = routing_[static_cast<std::size_t>(to_gpu)];
-  ++r.transfers_in;
-  r.transferred_mb += mb;
-}
-
-void Collector::on_steal(int victim, int thief) {
-  ++routing_[static_cast<std::size_t>(victim)].steals_out;
-  ++routing_[static_cast<std::size_t>(thief)].steals_in;
-}
-
-void Collector::on_coalesce(int to_gpu, double mb) {
-  auto& r = routing_[static_cast<std::size_t>(to_gpu)];
-  ++r.coalesced;
-  r.coalesced_mb += mb;
 }
 
 RoutingCounters Collector::fleet_routing() const {

@@ -69,7 +69,8 @@ struct ClassSummary {
 };
 
 /// Cluster-level routing outcomes for one GPU (also summed fleet-wide).
-/// Filled by `cluster::Router`; zero in single-GPU runs.
+/// Filled by Collector::on_route and, through add_routing
+/// (metrics/eventlog.h), Collector::record; zero in single-GPU runs.
 struct RoutingCounters {
   std::uint64_t routed = 0;        // arrivals first offered to this GPU
   std::uint64_t home_admits = 0;   // admitted by the GPU they were routed to
@@ -129,7 +130,7 @@ class Collector {
   //
   // In a multi-lane fleet run, on_finish/on_stage fire from device-shard events
   // on pool worker threads; every other hook (release/reject from the
-  // router, routing counters, the event log) is control-phase-only and keeps
+  // router, on_route, record) is control-phase-only and keeps
   // writing the shared state directly. Lanes give each device a private
   // append target so the worker-side hooks never share cache lines, let
   // alone race: a hook with ev.gpu >= 0 writes lane[ev.gpu], and exactly one
@@ -170,55 +171,31 @@ class Collector {
   /// Widens the per-GPU routing counters without wiping accumulated state
   /// (mid-run autoscaling: cluster::Fleet::add_gpu_now). Never shrinks.
   void grow_gpu_count(int n);
+  /// Counts one arrival first offered to `gpu` (RoutingCounters::routed).
+  /// Every other routing count comes from record().
   void on_route(int gpu);
-  void on_home_admit(int gpu);
-  void on_cross_migration(int from_gpu, int to_gpu);
-  void on_drop(int gpu);
-  /// Fleet admission controller shed a job no device could host.
-  void on_infeasible(int gpu);
-  /// A migration shipped `mb` of model weights onto `to_gpu`.
-  void on_transfer(int to_gpu, double mb);
-  /// A queued LP job was claimed off `victim` by `thief` (work stealing).
-  void on_steal(int victim, int thief);
-  /// A migration to `to_gpu` attached to an in-flight weight copy instead of
-  /// re-shipping `mb`.
-  void on_coalesce(int to_gpu, double mb);
 
-  // --- structured event log (metrics/eventlog.h) -------------------------
+  // --- fleet decisions and the structured event log (metrics/eventlog.h) --
   //
-  // Typed, timestamped records of the fleet's routing and lifecycle
-  // decisions, appended by the router and the fleet next to the counter
-  // hooks above. Disabled by default; every log_* call is a no-op until
-  // enable_event_log reserves the storage, so the always-on counters stay
-  // the only steady-state bookkeeping and telemetry-off runs do no extra
-  // work. EventLog::fold_routing reproduces the RoutingCounters from the
-  // records alone (tested), making the log the queryable source of truth.
+  // The router, the rebalancer, the fleet and the resilience layer report
+  // every decision once, through record(): it adds the routing counts the
+  // decision implies (add_routing, the one record-to-counter map) and, when
+  // the event log is on, appends the typed, timestamped record. The log is
+  // off by default; until enable_event_log reserves its storage, a decision
+  // costs only its counter update. EventLog::fold_routing replays the same
+  // map over the records and reproduces the RoutingCounters (tested),
+  // making the log the queryable source of truth.
 
   /// Creates (or resets) the log with room for `capacity` records.
   void enable_event_log(std::size_t capacity);
   EventLog* event_log() { return event_log_.get(); }
   const EventLog* event_log() const { return event_log_.get(); }
 
-  void log_admit(Time when, int gpu, int task);
-  void log_reject(Time when, int gpu, int task, EventCause cause);
-  void log_migrate(Time when, int from_gpu, int to_gpu, int task);
-  void log_transfer(Time when, int to_gpu, int task, double mb);
-  void log_fault(Time when, int gpu, EventCause cause, double value);
-  void log_rehome(Time when, int from_gpu, int to_gpu, int task);
-  /// Rehome with an explicit cause (kDemandShift for the rebalancer's
-  /// periodic moves; the overload above logs fault-driven rehomes as kNone).
-  void log_rehome(Time when, int from_gpu, int to_gpu, int task,
-                  EventCause cause);
-  void log_drain(Time when, int gpu);
-  void log_steal(Time when, int victim, int thief, int task);
-  void log_coalesce(Time when, int to_gpu, int task, double mb);
-  /// Resilience-layer records: a retry released or abandoned (value =
-  /// attempt number), a hedge launched/won/cancelled (`gpu` = primary,
-  /// `peer` = hedge device), a breaker transition (value = the window's
-  /// miss+shed rate).
-  void log_retry(Time when, int gpu, int task, EventCause cause, int attempt);
-  void log_hedge(Time when, int gpu, int peer, int task, EventCause cause);
-  void log_breaker(Time when, int gpu, EventCause cause, double rate);
+  /// Reports one fleet decision. `gpu` is the primary device, `peer` the
+  /// secondary (migration, rehome, steal or hedge target), `task` the
+  /// logical task id, `value` the kind's payload (metrics/eventlog.h).
+  void record(Time when, EventKind kind, EventCause cause, int gpu,
+              int peer = -1, int task = -1, double value = 0.0);
 
   int gpu_count() const { return static_cast<int>(routing_.size()); }
   const RoutingCounters& routing(int gpu) const {

@@ -1,7 +1,6 @@
 #include "metrics/eventlog.h"
 
 #include <cstdio>
-#include <ostream>
 
 namespace daris::metrics {
 
@@ -91,71 +90,76 @@ const char* event_cause_name(EventCause c) {
   return "?";
 }
 
+void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
+                 EventCause cause, int gpu, int peer, double value) {
+  auto at = [&per_gpu](int g) -> RoutingCounters* {
+    if (g < 0 || static_cast<std::size_t>(g) >= per_gpu.size()) return nullptr;
+    return &per_gpu[static_cast<std::size_t>(g)];
+  };
+  switch (kind) {
+    case EventKind::kAdmit:
+      if (auto* c = at(gpu)) ++c->home_admits;
+      break;
+    case EventKind::kReject:
+      // Infeasible sheds have their own column; guard, peer and retarget
+      // rejections count as drops.
+      if (auto* c = at(gpu)) {
+        if (cause == EventCause::kInfeasible) {
+          ++c->infeasible;
+        } else {
+          ++c->dropped;
+        }
+      }
+      break;
+    case EventKind::kMigrate:
+      // Routed to `gpu`, admitted on `peer`.
+      if (auto* c = at(gpu)) ++c->migrated_out;
+      if (auto* c = at(peer)) ++c->migrated_in;
+      break;
+    case EventKind::kTransfer:
+      if (auto* c = at(gpu)) {
+        ++c->transfers_in;
+        c->transferred_mb += value;
+      }
+      break;
+    case EventKind::kSteal:
+      // Claimed off `gpu` (the victim) by `peer` (the thief).
+      if (auto* c = at(gpu)) ++c->steals_out;
+      if (auto* c = at(peer)) ++c->steals_in;
+      break;
+    case EventKind::kCoalesce:
+      // A duplicate copy to `gpu` attached to the in-flight one; value is
+      // the MB it did not re-ship.
+      if (auto* c = at(gpu)) {
+        ++c->coalesced;
+        c->coalesced_mb += value;
+      }
+      break;
+    case EventKind::kFault:
+    case EventKind::kRehome:
+    case EventKind::kDrain:
+    case EventKind::kRetry:
+    case EventKind::kHedge:
+    case EventKind::kBreaker:
+      // Lifecycle and resilience records carry no routing counts: a retry
+      // or hedge that was actually released shows up as its own
+      // admit/reject/migrate record.
+      break;
+  }
+}
+
 std::vector<RoutingCounters> EventLog::fold_routing(int gpu_count) const {
   std::vector<RoutingCounters> out(
       static_cast<std::size_t>(gpu_count < 0 ? 0 : gpu_count));
-  auto at = [&out](int g) -> RoutingCounters* {
-    if (g < 0 || static_cast<std::size_t>(g) >= out.size()) return nullptr;
-    return &out[static_cast<std::size_t>(g)];
-  };
   for (const FleetEvent& ev : events_) {
-    switch (ev.kind) {
-      case EventKind::kAdmit:
-        if (auto* c = at(ev.gpu)) {
-          ++c->routed;
-          ++c->home_admits;
-        }
-        break;
-      case EventKind::kReject:
-        if (auto* c = at(ev.gpu)) {
-          ++c->routed;
-          // Mirrors the live counters exactly: infeasible sheds are counted
-          // in their own column, guard/peer rejections in `dropped`.
-          if (ev.cause == EventCause::kInfeasible) {
-            ++c->infeasible;
-          } else {
-            ++c->dropped;
-          }
-        }
-        break;
-      case EventKind::kMigrate:
-        // Routed to `gpu`, admitted on `peer`.
-        if (auto* c = at(ev.gpu)) {
-          ++c->routed;
-          ++c->migrated_out;
-        }
-        if (auto* c = at(ev.peer)) ++c->migrated_in;
-        break;
-      case EventKind::kTransfer:
-        if (auto* c = at(ev.gpu)) {
-          ++c->transfers_in;
-          c->transferred_mb += ev.value;
-        }
-        break;
-      case EventKind::kSteal:
-        // Claimed off `gpu` (the victim) by `peer` (the thief).
-        if (auto* c = at(ev.gpu)) ++c->steals_out;
-        if (auto* c = at(ev.peer)) ++c->steals_in;
-        break;
-      case EventKind::kCoalesce:
-        // A duplicate copy to `gpu` attached to the in-flight one; value is
-        // the MB it did not re-ship.
-        if (auto* c = at(ev.gpu)) {
-          ++c->coalesced;
-          c->coalesced_mb += ev.value;
-        }
-        break;
-      case EventKind::kFault:
-      case EventKind::kRehome:
-      case EventKind::kDrain:
-      case EventKind::kRetry:
-      case EventKind::kHedge:
-      case EventKind::kBreaker:
-        // Lifecycle and resilience records carry no routing counts: a retry
-        // or hedge that was actually released shows up as its own
-        // admit/reject/migrate record.
-        break;
+    const bool outcome = ev.kind == EventKind::kAdmit ||
+                         ev.kind == EventKind::kReject ||
+                         ev.kind == EventKind::kMigrate;
+    if (outcome && ev.gpu >= 0 &&
+        static_cast<std::size_t>(ev.gpu) < out.size()) {
+      ++out[static_cast<std::size_t>(ev.gpu)].routed;
     }
+    add_routing(out, ev.kind, ev.cause, ev.gpu, ev.peer, ev.value);
   }
   return out;
 }
@@ -176,16 +180,6 @@ void EventLog::append_json_array(std::string* out) const {
     *out += buf;
   }
   *out += events_.empty() ? "]" : "\n  ]";
-}
-
-void EventLog::write_jsonl(std::ostream& os) const {
-  for (const FleetEvent& ev : events_) {
-    os << "{\"ts_us\": " << common::to_us(ev.when) << ", \"kind\": \""
-       << event_kind_name(ev.kind) << "\", \"cause\": \""
-       << event_cause_name(ev.cause) << "\", \"gpu\": " << ev.gpu
-       << ", \"peer\": " << ev.peer << ", \"task\": " << ev.task
-       << ", \"value\": " << ev.value << "}\n";
-  }
 }
 
 }  // namespace daris::metrics

@@ -3,22 +3,25 @@
 // transfer, fault, rehome, drain — stamped with the device id, the simulated
 // time, and a cause code.
 //
-// The log is the queryable source of truth for the fleet's routing
-// outcomes: `fold_routing()` reconstructs the per-GPU `RoutingCounters`
-// from the records alone (a unit test pins the fold against the live
-// counters), and the Perfetto export renders the records as instant events
-// on the per-GPU lanes. Records are PODs appended into a pre-reserved
-// vector, so steady-state logging performs no allocation (pinned in
-// tests/test_sim_alloc.cpp) and — because nothing ever reads the log during
-// the run — enabling it cannot perturb a single scheduling decision.
+// Decisions reach the log through metrics::Collector::record, which also
+// adds the routing counts each one implies (`add_routing`). The log is the
+// queryable source of truth for the fleet's routing outcomes:
+// `fold_routing()` replays `add_routing` over the records alone and
+// reconstructs the per-GPU `RoutingCounters` (a unit test pins the fold
+// against the live counters), and the Perfetto export renders the records
+// as instant events on the per-GPU lanes. Records are PODs appended into a
+// pre-reserved vector, so steady-state logging performs no allocation
+// (pinned in tests/test_sim_alloc.cpp) and — because nothing ever reads the
+// log during the run — enabling it cannot perturb a single scheduling
+// decision.
 //
-// Export formats: JSON Lines (`write_jsonl`, one object per record) for
-// offline tooling, and the unified Perfetto trace via
+// Export formats: a JSON array (`append_json_array`, the telemetry
+// artifact's "events") and the unified Perfetto trace via
 // metrics::to_chrome_trace_json.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "common/time.h"
@@ -80,6 +83,14 @@ enum class EventCause : std::uint8_t {
 const char* event_kind_name(EventKind k);
 const char* event_cause_name(EventCause c);
 
+/// Adds the routing counts one record implies to the per-GPU counters: the
+/// only map from records to RoutingCounters (Collector::record and
+/// EventLog::fold_routing both run it). Devices outside `per_gpu` are
+/// skipped; lifecycle and resilience kinds add nothing. `routed` is left
+/// alone: the live count comes from Collector::on_route.
+void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
+                 EventCause cause, int gpu, int peer, double value);
+
 /// One fixed-size record. `gpu` is the primary device, `peer` the secondary
 /// (migration/rehome target; -1 otherwise), `task` the logical task id (-1
 /// for device-level events), `value` a kind-specific payload (transfer MB,
@@ -118,19 +129,15 @@ class EventLog {
   bool empty() const { return events_.empty(); }
   void clear() { events_.clear(); }
 
-  /// Reconstructs the per-GPU routing counters from the records alone.
-  /// With no transfers still in flight at the end of a run this equals the
-  /// live `Collector` counters field for field — the property that makes
-  /// the log the source of truth rather than a second bookkeeping system.
+  /// Reconstructs the per-GPU routing counters from the records alone by
+  /// replaying add_routing. With no transfers still in flight at the end of
+  /// a run this equals the live `Collector` counters field for field.
   /// `routed` is derived as the sum of per-GPU outcomes (every routed job
   /// ends in exactly one admit/migrate/reject record).
   std::vector<RoutingCounters> fold_routing(int gpu_count) const;
 
-  /// One JSON object per record (JSON Lines), in append order.
-  void write_jsonl(std::ostream& os) const;
-
-  /// Appends the records as one JSON array (same per-record fields as
-  /// write_jsonl, deterministic %.17g number formatting).
+  /// Appends the records as one JSON array, in append order (fields ts_us,
+  /// kind, cause, gpu, peer, task, value; deterministic %.17g numbers).
   void append_json_array(std::string* out) const;
 
  private:

@@ -57,14 +57,11 @@ OpenLoopDriver::OpenLoopDriver(sim::Simulator& sim,
       config_(config) {
   common::Rng root(config_.seed);
   streams_.reserve(taskset.tasks.size());
-  // Long-run mean rate: r_calm*(1-f_b) + burst_factor*r_calm*f_b, where f_b
+  // Long-run mean rate: r_calm*(1-f_b) + kBurstFactor*r_calm*f_b, where f_b
   // is the fraction of time spent bursting. Solving for r_calm keeps the
   // mean at the task's nominal rate regardless of burst shape.
-  const double dwell_total =
-      std::max(1e-9, config_.mean_calm_s + config_.mean_burst_s);
-  const double f_burst = config_.mean_burst_s / dwell_total;
-  const double calm_share =
-      (1.0 - f_burst) + std::max(1.0, config_.burst_factor) * f_burst;
+  const double f_burst = kMeanBurstS / (kMeanCalmS + kMeanBurstS);
+  const double calm_share = (1.0 - f_burst) + kBurstFactor * f_burst;
   for (const auto& t : taskset.tasks) {
     Stream s;
     const double nominal_jps =
@@ -74,13 +71,13 @@ OpenLoopDriver::OpenLoopDriver(sim::Simulator& sim,
       s.burst_rate_jps = nominal_jps;
     } else {
       s.calm_rate_jps = nominal_jps / calm_share;
-      s.burst_rate_jps = s.calm_rate_jps * std::max(1.0, config_.burst_factor);
+      s.burst_rate_jps = s.calm_rate_jps * kBurstFactor;
     }
     s.rng = root.fork();
     if (config_.process == ArrivalProcess::kBursty) {
       // Every task starts calm, with its first dwell drawn up front.
       s.state_until = common::from_sec(
-          std::max(s.rng.exponential(config_.mean_calm_s), 1e-6));
+          std::max(s.rng.exponential(kMeanCalmS), 1e-6));
     }
     streams_.push_back(s);
   }
@@ -100,8 +97,8 @@ double OpenLoopDriver::current_rate(Stream& s, common::Time now) {
   // approximation barely moves the realised burst fraction.
   while (now >= s.state_until) {
     s.burst = !s.burst;
-    const double dwell_s = s.rng.exponential(
-        s.burst ? config_.mean_burst_s : config_.mean_calm_s);
+    const double dwell_s =
+        s.rng.exponential(s.burst ? kMeanBurstS : kMeanCalmS);
     s.state_until += common::from_sec(std::max(dwell_s, 1e-6));
   }
   return s.burst ? s.burst_rate_jps : s.calm_rate_jps;

@@ -77,19 +77,20 @@ enum class ArrivalProcess {
   kBursty,   // two-state MMPP-style modulated Poisson
 };
 
+// Shape of the bursty process. Dwell times in each state are exponential
+// with these means (seconds); the burst state releases at kBurstFactor x the
+// calm rate, and the calm rate is chosen so the long-run mean rate stays at
+// rate_scale/T.
+inline constexpr double kBurstFactor = 4.0;
+inline constexpr double kMeanCalmS = 0.4;
+inline constexpr double kMeanBurstS = 0.1;
+
 struct OpenLoopConfig {
   ArrivalProcess process = ArrivalProcess::kPoisson;
 
   /// Multiplies every task's nominal rate 1/T (1.0 = the task set's demand;
   /// >1 drives overload).
   double rate_scale = 1.0;
-
-  // Bursty process parameters. Dwell times in each state are exponential;
-  // the burst state releases at `burst_factor` x the calm rate, and the calm
-  // rate is chosen so the long-run mean rate stays at rate_scale/T.
-  double burst_factor = 4.0;
-  double mean_calm_s = 0.4;
-  double mean_burst_s = 0.1;
 
   std::uint64_t seed = 42;
 };

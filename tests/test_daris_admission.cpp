@@ -1,45 +1,18 @@
 // The utilisation-based admission test (Eq. 11-12) in isolation.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "daris/scheduler.h"
-#include "dnn/zoo.h"
-#include "gpusim/gpu.h"
-#include "metrics/collector.h"
-#include "sim/simulator.h"
+#include "scheduler_harness.h"
 
 namespace daris::rt {
 namespace {
 
-using common::from_ms;
-
-struct AdmissionHarness {
-  sim::Simulator sim;
-  gpusim::GpuSpec spec;
-  std::unique_ptr<gpusim::Gpu> gpu;
-  metrics::Collector collector;
-  std::unique_ptr<Scheduler> sched;
-  std::unique_ptr<dnn::CompiledModel> model;
-
-  explicit AdmissionHarness(SchedulerConfig cfg) {
-    spec.jitter_cv = 0.0;
-    gpu = std::make_unique<gpusim::Gpu>(sim, spec);
-    model = std::make_unique<dnn::CompiledModel>(
-        dnn::compiled_model(dnn::ModelKind::kResNet18, 1, spec));
-    sched = std::make_unique<Scheduler>(sim, *gpu, cfg, &collector);
-  }
+// Admission cases state a task's total AFET and pin its context.
+struct AdmissionHarness : Harness {
+  using Harness::Harness;
 
   int add(Priority p, double period_ms, double total_afet_us, int ctx) {
-    TaskSpec t;
-    t.model = dnn::ModelKind::kResNet18;
-    t.period = from_ms(period_ms);
-    t.relative_deadline = t.period;
-    t.priority = p;
-    const int id = sched->add_task(t, model.get());
-    sched->set_afet(
-        id, std::vector<double>(model->stage_count(),
-                                total_afet_us / model->stage_count()));
+    const int id =
+        add_task(p, period_ms, total_afet_us / model->stage_count());
     sched->set_task_context(id, ctx);
     return id;
   }

@@ -2,14 +2,8 @@
 // migration, stream holding, and the ablation switches.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "daris/scheduler.h"
 #include "dnn/calibration.h"
-#include "dnn/zoo.h"
-#include "gpusim/gpu.h"
-#include "metrics/collector.h"
-#include "sim/simulator.h"
+#include "scheduler_harness.h"
 #include "workload/driver.h"
 #include "workload/taskset.h"
 
@@ -18,35 +12,6 @@ namespace {
 
 using common::from_ms;
 using common::from_sec;
-
-struct Harness {
-  sim::Simulator sim;
-  gpusim::GpuSpec spec;
-  std::unique_ptr<gpusim::Gpu> gpu;
-  metrics::Collector collector;
-  std::unique_ptr<Scheduler> sched;
-  std::unique_ptr<dnn::CompiledModel> model;
-
-  explicit Harness(SchedulerConfig cfg, bool jitter = false) {
-    if (!jitter) spec.jitter_cv = 0.0;
-    gpu = std::make_unique<gpusim::Gpu>(sim, spec);
-    model = std::make_unique<dnn::CompiledModel>(
-        dnn::compiled_model(dnn::ModelKind::kResNet18, 1, spec));
-    sched = std::make_unique<Scheduler>(sim, *gpu, cfg, &collector);
-  }
-
-  int add_task(Priority p, double period_ms, double afet_stage_us = 500.0) {
-    TaskSpec t;
-    t.model = dnn::ModelKind::kResNet18;
-    t.period = from_ms(period_ms);
-    t.relative_deadline = t.period;
-    t.priority = p;
-    const int id = sched->add_task(t, model.get());
-    sched->set_afet(id, std::vector<double>(model->stage_count(),
-                                            afet_stage_us));
-    return id;
-  }
-};
 
 SchedulerConfig mps_config(int contexts, double os) {
   SchedulerConfig c;

@@ -402,12 +402,14 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   c.on_route(0);
   c.on_route(0);
   c.on_route(1);
-  c.on_home_admit(0);
-  c.on_cross_migration(/*from=*/0, /*to=*/1);
-  c.on_drop(1);
-  c.on_infeasible(0);
-  c.on_transfer(/*to_gpu=*/1, /*mb=*/44.5);
-  c.on_transfer(/*to_gpu=*/1, /*mb=*/0.5);
+  c.record(0, EventKind::kAdmit, EventCause::kHomeAdmit, 0);
+  c.record(0, EventKind::kMigrate, EventCause::kSpill, /*gpu=*/0, /*peer=*/1);
+  c.record(0, EventKind::kReject, EventCause::kPeerReject, 1);
+  c.record(0, EventKind::kReject, EventCause::kInfeasible, 0);
+  c.record(0, EventKind::kTransfer, EventCause::kColdModel, 1, -1, -1,
+           /*mb=*/44.5);
+  c.record(0, EventKind::kTransfer, EventCause::kColdModel, 1, -1, -1,
+           /*mb=*/0.5);
   EXPECT_EQ(c.routing(0).routed, 2u);
   EXPECT_EQ(c.routing(0).home_admits, 1u);
   EXPECT_EQ(c.routing(0).migrated_out, 1u);

@@ -646,10 +646,9 @@ TEST(ShardedDifferential, ScenarioFingerprintAndTelemetryDigestMatchGolden) {
       "starved_stages=107;worst_stall_us=6960.3559999999998;";
   const std::uint64_t want_digest = 0xf4f13a3693d1547cull;
   const std::string data_dir = DARIS_TEST_DATA_DIR;
-  const exp::ScenarioTelemetry telemetry;
   for (const int threads : {1, 2, 0}) {
-    const exp::ScenarioResult r =
-        exp::run_scenario("overload-storm", data_dir, &telemetry, threads);
+    const exp::ScenarioResult r = exp::run_scenario(
+        "overload-storm", data_dir, /*telemetry=*/true, threads);
     EXPECT_EQ(r.fingerprint, want_fingerprint) << threads << " lanes";
     EXPECT_EQ(r.telemetry_digest, want_digest) << threads << " lanes";
   }

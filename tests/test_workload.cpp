@@ -156,7 +156,6 @@ TEST(OpenLoopDriver, BurstyPreservesLongRunMeanRate) {
   const TaskSetSpec set = single_task_spec(100.0);
   OpenLoopConfig cfg;
   cfg.process = ArrivalProcess::kBursty;
-  cfg.burst_factor = 4.0;
   OpenLoopDriver driver(sim, set, [](int) {}, common::from_sec(20.0), cfg);
   driver.start();
   sim.run();
