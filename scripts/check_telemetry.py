@@ -17,7 +17,9 @@ Validates, for every scenario in the bench_fig_scenarios JSON report:
     non-zero event counts;
   - the per-scenario Perfetto trace (<name>.trace.json) parses as a JSON
     array and contains all three phase types: "X" (spans), "C" (counters),
-    and "i" (instants).
+    and "i" (instants), and its spans carry both task classes ("HP" and
+    "LP") — every scenario runs both, so a one-class trace means the span
+    args lost the task's class.
 
 The gate is strict: the simulator is deterministic, so any mismatch is a
 real regression, not machine noise.
@@ -31,7 +33,8 @@ import sys
 TELEMETRY_KEYS = {"scenario", "sample_period_us", "digest", "fingerprint",
                   "timeseries", "events", "profile"}
 PROFILE_KEYS = {"events_executed", "callbacks_inline", "callbacks_heap",
-                "heap_high_water", "pool_slots", "solver_flushes",
+                "heap_high_water", "pool_slots", "windows_dispatched",
+                "windows_skipped", "shard_runs", "solver_flushes",
                 "solver_contexts_solved", "solver_contexts_reused",
                 "dirty_hit_rate", "wall_ms_offline", "wall_ms_run",
                 "wall_ms_total"}
@@ -115,6 +118,11 @@ def check_trace_file(path, name, failures):
                      ("i", "instant events")):
         if ph not in phases:
             failures.append(f"{name}: Perfetto trace has no \"{ph}\" {what}")
+    classes = {ev.get("args", {}).get("priority")
+               for ev in trace if ev.get("ph") == "X"}
+    for cls in ("HP", "LP"):
+        if cls not in classes:
+            failures.append(f"{name}: Perfetto trace has no {cls} spans")
 
 
 def main():

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "common/log.h"
 #include "common/rng.h"
@@ -276,20 +275,9 @@ Fleet::ConservationReport Fleet::check_conservation(
 }
 
 void Fleet::rehome_tasks_from(int g) {
-  // The new home is the placeable device with the lowest placement score
-  // (ties to the lowest index) — the router's best_peer signal. The score
-  // reads *active* utilisation, which rehoming does not change, so one
-  // lookup serves every task and the result is order-independent.
-  int best = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (int p = 0; p < size(); ++p) {
-    if (!placeable(p)) continue;
-    const double score = placement_score(p);
-    if (score < best_score) {
-      best_score = score;
-      best = p;
-    }
-  }
+  // The score reads *active* utilisation, which rehoming does not change,
+  // so one lookup serves every task and the result is order-independent.
+  const int best = best_placeable();
   if (best < 0) return;  // nowhere to go: feasible() sheds the releases
   for (int t = 0; t < task_count(); ++t) {
     if (home_[static_cast<std::size_t>(t)] != g) continue;

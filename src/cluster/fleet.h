@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -181,6 +182,28 @@ class Fleet {
   /// re-derives each entry bit for bit. Read it in the control phase.
   double placement_score(int g) const {
     return placement_[static_cast<std::size_t>(g)];
+  }
+
+  /// The placeable device other than `exclude` that `eligible(g)` accepts
+  /// with the lowest placement score, ties to the lowest index; -1 when
+  /// none qualifies. Every placement scan (routing, hedging, rehoming, work
+  /// stealing) goes through here. Read it in the control phase.
+  template <typename Eligible>
+  int best_placeable(int exclude, Eligible eligible) const {
+    int best = -1;
+    double best_score = std::numeric_limits<double>::infinity();
+    for (int g = 0; g < size(); ++g) {
+      if (g == exclude || !placeable(g) || !eligible(g)) continue;
+      const double score = placement_score(g);
+      if (score < best_score) {
+        best_score = score;
+        best = g;
+      }
+    }
+    return best;
+  }
+  int best_placeable(int exclude = -1) const {
+    return best_placeable(exclude, [](int) { return true; });
   }
 
   // --- model memory (hot-weight pinning) ---------------------------------
@@ -351,10 +374,9 @@ class Fleet {
   }
 
  private:
-  /// Moves every task homed on `g` to the least-loaded placeable device
-  /// (placement_score, ties to the lowest index). No-op for tasks homed
-  /// elsewhere; if no placeable device remains, homes stay and feasible()
-  /// sheds the releases.
+  /// Moves every task homed on `g` to best_placeable(). No-op for tasks
+  /// homed elsewhere; if no placeable device remains, homes stay and
+  /// feasible() sheds the releases.
   void rehome_tasks_from(int g);
   /// Appends the next device's GPU + scheduler, on the shard of the same
   /// index, and its placement-table entry.

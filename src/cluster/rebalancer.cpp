@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 
 #include "common/log.h"
@@ -144,20 +143,12 @@ void Rebalancer::steal_scan(int victim) {
     // Thief: best-scoring placeable peer that holds the model hot (steals
     // never ship weights) and can still make the job's original deadline
     // from a standing start.
-    int thief = -1;
-    double best_score = std::numeric_limits<double>::infinity();
-    for (int g = 0; g < fleet_.size(); ++g) {
-      if (g == victim || !fleet_.placeable(g)) continue;
-      if (!fleet_.model_hot(g, j.task_id)) continue;
+    const int thief = fleet_.best_placeable(victim, [&](int g) {
+      if (!fleet_.model_hot(g, j.task_id)) return false;
       const double mret_us =
           fleet_.scheduler(g).task(j.task_id).mret().total_mret_us();
-      if (now + common::from_us(mret_us) > j.absolute_deadline) continue;
-      const double score = fleet_.placement_score(g);
-      if (score < best_score) {
-        best_score = score;
-        thief = g;
-      }
-    }
+      return now + common::from_us(mret_us) <= j.absolute_deadline;
+    });
     if (thief < 0) continue;
     // Release-then-revoke: a failed admission on the thief has no side
     // effects (report=false), so the job simply stays on the victim. Both

@@ -58,7 +58,7 @@ int Router::pick(int task_id) {
       return g;
     }
     case RoutingPolicy::kLeastUtilization:
-      return best_peer(/*exclude=*/-1);
+      return fleet_.best_placeable();
     case RoutingPolicy::kPowerOfTwo: {
       // Both draws always happen, so the RNG stream — and with it every
       // healthy-fleet run — is untouched by the availability filter.
@@ -72,7 +72,7 @@ int Router::pick(int task_id) {
                             : std::numeric_limits<double>::infinity();
       if (sa == std::numeric_limits<double>::infinity() &&
           sb == std::numeric_limits<double>::infinity()) {
-        return best_peer(/*exclude=*/-1);  // both samples dead: fall back
+        return fleet_.best_placeable();  // both samples dead: fall back
       }
       return sb < sa ? b : a;
     }
@@ -86,7 +86,7 @@ int Router::pick(int task_id) {
       // uniformly saturated fleet does not ping-pong jobs for nothing.
       const int home = fleet_.home_gpu(task_id);
       if (fleet_.relative_load(home) < config_.spill_threshold) return home;
-      const int peer = best_peer(home);
+      const int peer = fleet_.best_placeable(home);
       if (peer < 0 ||
           fleet_.placement_score(peer) >= fleet_.placement_score(home)) {
         return home;
@@ -95,20 +95,6 @@ int Router::pick(int task_id) {
     }
   }
   return 0;
-}
-
-int Router::best_peer(int exclude) const {
-  int best = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (int g = 0; g < fleet_.size(); ++g) {
-    if (g == exclude || !fleet_.placeable(g)) continue;
-    const double score = fleet_.placement_score(g);
-    if (score < best_score) {
-      best_score = score;
-      best = g;
-    }
-  }
-  return best;
 }
 
 void Router::release(int task_id) {
@@ -134,19 +120,13 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   // rejects the job. Task homes themselves are kept placeable by the
   // fleet's rehoming, so this only fires in degraded states.
   if (home < 0 || !fleet_.placeable(home)) {
-    const int alt = best_peer(home);
+    const int alt = fleet_.best_placeable(home);
     if (alt >= 0) home = alt;
   }
   if (home < 0) home = 0;  // whole fleet unplaceable: nominal accounting slot
 
-  metrics::JobEvent ev;
-  ev.task_id = task_id;
-  ev.priority = spec.priority;
-  ev.release = released;
-  ev.relative_deadline = spec.relative_deadline;
-  ev.gpu = home;
   if (collector_) {
-    collector_->on_release(ev);
+    collector_->on_release(spec.priority);
     collector_->on_route(home);
   }
 
@@ -157,15 +137,11 @@ RouteResult Router::route_job(int task_id, common::Time released) {
     return drop(task_id, home, released, metrics::EventCause::kInfeasible);
   }
 
-  // Fleet-wide backlog guard, mirroring the per-device rule in
-  // Scheduler::release_job (LP: shed while a predecessor is active anywhere;
-  // HP: small bounded backlog). Jobs whose weight transfer is still in
+  // Fleet-wide backlog guard: the per-device rule (rt::backlog_cap) applied
+  // to the task's jobs anywhere. Jobs whose weight transfer is still in
   // flight sit in no scheduler yet, so they are counted here explicitly.
-  const int backlog_cap =
-      spec.priority == common::Priority::kLow
-          ? 1
-          : fleet_.scheduler(home).config().max_backlog_per_task;
-  if (fleet_.active_jobs(task_id) + pending_jobs(task_id) >= backlog_cap) {
+  if (fleet_.active_jobs(task_id) + pending_jobs(task_id) >=
+      rt::backlog_cap(spec.priority)) {
     const RouteResult r =
         drop(task_id, home, released, metrics::EventCause::kBacklog);
     if (pressure_observer_) pressure_observer_(home);
@@ -188,7 +164,7 @@ RouteResult Router::route_job(int task_id, common::Time released) {
 
   // Cross-GPU migration: the job failed admission on every context of its
   // routed GPU; offer it once to the best-scoring peer before dropping.
-  const int peer = best_peer(home);
+  const int peer = fleet_.best_placeable(home);
   if (peer < 0) return drop(task_id, home, released);
   return migrate(task_id, home, peer, released);
 }
@@ -198,17 +174,8 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   // Eligible peers: placeable, not the primary's device, and the model
   // already hot — a hedge races a straggling primary, so a weight transfer
   // (or queueing behind one) would defeat its purpose.
-  int best = -1;
-  double best_score = std::numeric_limits<double>::infinity();
-  for (int g = 0; g < fleet_.size(); ++g) {
-    if (g == exclude_gpu || !fleet_.placeable(g)) continue;
-    if (!fleet_.model_hot(g, task_id)) continue;
-    const double score = fleet_.placement_score(g);
-    if (score < best_score) {
-      best_score = score;
-      best = g;
-    }
-  }
+  const int best = fleet_.best_placeable(
+      exclude_gpu, [&](int g) { return fleet_.model_hot(g, task_id); });
   RouteResult r;
   if (best < 0) return r;  // no eligible peer: hedge not launched, no counts
 
@@ -216,14 +183,8 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   const auto cls = static_cast<std::size_t>(spec.priority);
   ++released_cls_[cls];
 
-  metrics::JobEvent ev;
-  ev.task_id = task_id;
-  ev.priority = spec.priority;
-  ev.release = released;
-  ev.relative_deadline = spec.relative_deadline;
-  ev.gpu = best;
   if (collector_) {
-    collector_->on_release(ev);
+    collector_->on_release(spec.priority);
     collector_->on_route(best);
   }
 
@@ -367,7 +328,7 @@ void Router::cancel_transfers_to(int g) {
     // it to the best surviving device (a cancelled leader's followers
     // retarget right after it and coalesce onto its new copy) or drop it
     // when the fleet has nowhere left.
-    const int alt = best_peer(g);
+    const int alt = fleet_.best_placeable(g);
     if (alt >= 0) {
       migrate(rec.task, rec.from, alt, rec.released);
     } else {
@@ -418,13 +379,7 @@ RouteResult Router::drop(int task_id, int gpu, common::Time released,
   RouteResult r;
   r.cause = cause;
   if (collector_ == nullptr) return r;
-  metrics::JobEvent ev;
-  ev.task_id = task_id;
-  ev.priority = spec.priority;
-  ev.release = released;
-  ev.relative_deadline = spec.relative_deadline;
-  ev.gpu = gpu;
-  collector_->on_reject(ev);
+  collector_->on_reject(spec.priority);
   collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
                      task_id);
   return r;

@@ -193,10 +193,6 @@ class Router {
     return i < pending_to_.size() ? pending_to_[i] : 0;
   }
 
-  /// Best-scoring placeable GPU other than `exclude` (-1 when none). Public
-  /// so the rebalancer shares the router's notion of "best peer".
-  int best_peer(int exclude) const;
-
   // --- rebalancing observers (cluster::Rebalancer) ------------------------
   //
   // Both default to unset and cost one branch per release when unset, so a

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "common/priority.h"
+
 namespace daris::rt {
 
 /// Spatial partitioning policies evaluated in the paper (Sec. V).
@@ -14,6 +16,17 @@ enum class Policy {
 };
 
 const char* policy_name(Policy p);
+
+/// Most active (admitted, unfinished) jobs one task may hold; a release
+/// beyond it is rejected rather than queued. With D = T a job queued behind
+/// an unfinished predecessor is all but doomed, so LP jobs are shed as soon
+/// as their predecessor is still active (the admission test's spirit:
+/// reject what cannot meet its deadline); HP jobs get a small backlog so
+/// overload shows up as lateness rather than silent shedding (Fig. 11). The
+/// scheduler applies it per device, the cluster router fleet-wide.
+inline int backlog_cap(common::Priority p) {
+  return p == common::Priority::kLow ? 1 : 2;
+}
 
 struct SchedulerConfig {
   Policy policy = Policy::kMps;
@@ -64,11 +77,6 @@ struct SchedulerConfig {
 
   /// HP jobs also take the admission test (Overload+HPA).
   bool hp_admission = false;
-
-  /// Upper bound on jobs of one task waiting to start (release queue). The
-  /// paper's tasks have D = T, so more than one backlogged job means misses;
-  /// beyond this the release is rejected rather than queued.
-  int max_backlog_per_task = 2;
 
   /// Total number of concurrently schedulable jobs Np = Nc * Ns.
   int parallelism() const { return num_contexts * streams_per_context; }

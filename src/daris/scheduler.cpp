@@ -205,35 +205,23 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
   // and response times anchor at the original release, not the delivery.
   const Time release = released_at >= 0 ? released_at : sim_.now();
 
-  metrics::JobEvent ev;
-  ev.task_id = task_id;
-  ev.priority = t.spec().priority;
-  ev.release = release;
-  ev.relative_deadline = t.spec().relative_deadline;
-  ev.gpu = device_id_;
-  if (report && collector_) collector_->on_release(ev);
+  const Priority cls = t.spec().priority;
+  if (report && collector_) collector_->on_release(cls);
 
   // A failed device admits nothing: releases that race the failure (e.g. a
   // migrated job whose weight transfer was in flight when the GPU died) are
   // shed like any other rejection.
   if (failed_) {
-    if (report && collector_) collector_->on_reject(ev);
+    if (report && collector_) collector_->on_reject(cls);
     return false;
   }
 
   // Late assignment for tasks added after the offline phase.
   if (t.context() < 0) set_task_context(task_id, 0);
 
-  // Backlog guard: with D = T, a queued job behind an unfinished
-  // predecessor is all but doomed. LP jobs are shed as soon as their
-  // predecessor is still active (the admission test's spirit: reject what
-  // cannot meet its deadline); HP jobs are allowed a small backlog so that
-  // overload shows up as lateness rather than silent shedding (Fig. 11).
-  const int backlog_cap = t.spec().priority == Priority::kLow
-                              ? 1
-                              : config_.max_backlog_per_task;
-  if (t.active_jobs >= backlog_cap) {
-    if (report && collector_) collector_->on_reject(ev);
+  // Backlog guard (rt::backlog_cap).
+  if (t.active_jobs >= backlog_cap(cls)) {
+    if (report && collector_) collector_->on_reject(cls);
     return false;
   }
 
@@ -259,14 +247,14 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
         }
       }
       if (best < 0) {
-        if (report && collector_) collector_->on_reject(ev);
+        if (report && collector_) collector_->on_reject(cls);
         return false;
       }
       ++migrations_;
       set_task_context(task_id, best);  // ctx_i(t) moves with the task
       target_ctx = best;
     } else {
-      if (report && collector_) collector_->on_reject(ev);
+      if (report && collector_) collector_->on_reject(cls);
       return false;
     }
   }
@@ -433,22 +421,24 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
   // Record et_{i,j} into the MRET window (Eq. 1).
   const double et_us = common::to_us(now - dispatch_time);
   t.mret().record(stage, et_us);
+  const bool missed_virtual = now > job.stage_deadlines[stage];
   if (collector_) {
     metrics::StageEvent sev;
     sev.task_id = t.id();
+    sev.priority = t.spec().priority;
     sev.stage = stage;
     sev.when = now;
     sev.execution_us = et_us;
     sev.mret_us = mret_at_dispatch;
     sev.context = ctx;
     sev.gpu = device_id_;
+    sev.missed = missed_virtual;
     collector_->on_stage(sev);
   }
 
   rec.outstanding_work_us = std::max(
       0.0, rec.outstanding_work_us - t.mret().stage_mret_us(stage));
 
-  const bool missed_virtual = now > job.stage_deadlines[stage];
   job.next_stage = stage + 1;
   job.prev_stage_missed = missed_virtual;
 
@@ -464,7 +454,7 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
   }
 
   if (job_done) {
-    finish_job(jr);
+    finish_job(job);
     jobs_.erase(it);
   } else if (config_.staging) {
     // The next stage becomes ready after the host sync wake-up.
@@ -510,12 +500,9 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
   if (frees_stream && !hold_stream) try_dispatch(ctx);
 }
 
-void Scheduler::finish_job(JobRuntime& jr) {
-  Job& job = jr.job;
+void Scheduler::leave_active(const Job& job) {
   Task& t = *job.task;
-  const Time now = sim_.now();
   auto& rec = contexts_[static_cast<std::size_t>(job.context)];
-
   if (t.spec().priority == Priority::kLow) {
     rec.active_lp_util =
         std::max(0.0, rec.active_lp_util - job.admitted_utilization);
@@ -529,9 +516,14 @@ void Scheduler::finish_job(JobRuntime& jr) {
   }
   count_active(t, -1);
   refresh_load();
-  ++jobs_completed_;
+}
 
-  const std::size_t cls = static_cast<std::size_t>(t.spec().priority);
+void Scheduler::finish_job(const Job& job) {
+  const Time now = sim_.now();
+  leave_active(job);
+
+  const Priority p = job.task->spec().priority;
+  const std::size_t cls = static_cast<std::size_t>(p);
   ++cls_[cls].completed;
   const bool missed = now > job.absolute_deadline;
   if (missed) ++jobs_missed_;
@@ -540,16 +532,7 @@ void Scheduler::finish_job(JobRuntime& jr) {
   ++resp_count_[cls];
 
   if (collector_) {
-    metrics::JobEvent ev;
-    ev.task_id = t.id();
-    ev.priority = t.spec().priority;
-    ev.release = job.release;
-    ev.finish = now;
-    ev.relative_deadline = t.spec().relative_deadline;
-    ev.missed = missed;
-    ev.context = job.context;
-    ev.gpu = device_id_;
-    collector_->on_finish(ev);
+    collector_->on_finish(device_id_, p, job.release, now, missed);
   }
 }
 
@@ -611,24 +594,11 @@ bool Scheduler::revoke_job(std::uint64_t job_id) {
   Task& t = *job.task;
   auto& rec = contexts_[static_cast<std::size_t>(job.context)];
 
-  // Same utilisation unwind as finish_job — the job leaves the active set —
-  // but with no finish event and no completion count: the job is not done,
-  // it moved to a peer scheduler.
-  if (t.spec().priority == Priority::kLow) {
-    rec.active_lp_util =
-        std::max(0.0, rec.active_lp_util - job.admitted_utilization);
-  } else {
-    rec.active_hp_util =
-        std::max(0.0, rec.active_hp_util - job.admitted_utilization);
-    if (!t.resident()) {
-      rec.migrated_hp_util =
-          std::max(0.0, rec.migrated_hp_util - job.admitted_utilization);
-    }
-  }
+  // The job leaves the active set as on a finish, but with no finish event
+  // and no completion count: it is not done, it moved to a peer scheduler.
+  leave_active(job);
   rec.outstanding_work_us =
       std::max(0.0, rec.outstanding_work_us - t.mret().total_mret_us());
-  count_active(t, -1);
-  refresh_load();
 
   const std::size_t removed = rec.ready.remove_job(&job);
   ready_stages_[static_cast<std::size_t>(t.spec().priority)] -=
@@ -651,37 +621,16 @@ std::size_t Scheduler::fail_all_jobs() {
   const Time now = sim_.now();
   for (const std::uint64_t id : ids) {
     const auto it = jobs_.find(id);
-    Job& job = it->second->job;
-    Task& t = *job.task;
-    auto& rec = contexts_[static_cast<std::size_t>(job.context)];
-    // Same utilisation unwind as finish_job — the job leaves the active set
-    // either way — but it counts as failed, not completed, and its finish
-    // event is forced missed: a request lost to a dead GPU is a deadline
-    // miss from the client's point of view even if its deadline lay ahead.
-    if (t.spec().priority == Priority::kLow) {
-      rec.active_lp_util =
-          std::max(0.0, rec.active_lp_util - job.admitted_utilization);
-    } else {
-      rec.active_hp_util =
-          std::max(0.0, rec.active_hp_util - job.admitted_utilization);
-      if (!t.resident()) {
-        rec.migrated_hp_util =
-            std::max(0.0, rec.migrated_hp_util - job.admitted_utilization);
-      }
-    }
-    count_active(t, -1);
-    ++cls_[static_cast<std::size_t>(t.spec().priority)].failed;
+    const Job& job = it->second->job;
+    // The job leaves the active set as on a finish, but it counts as failed,
+    // not completed, and its finish is forced missed: a request lost to a
+    // dead GPU is a deadline miss from the client's point of view even if
+    // its deadline lay ahead.
+    leave_active(job);
+    const Priority p = job.task->spec().priority;
+    ++cls_[static_cast<std::size_t>(p)].failed;
     if (collector_) {
-      metrics::JobEvent ev;
-      ev.task_id = t.id();
-      ev.priority = t.spec().priority;
-      ev.release = job.release;
-      ev.finish = now;
-      ev.relative_deadline = t.spec().relative_deadline;
-      ev.missed = true;
-      ev.context = job.context;
-      ev.gpu = device_id_;
-      collector_->on_finish(ev);
+      collector_->on_finish(device_id_, p, job.release, now, /*missed=*/true);
     }
     jobs_.erase(it);
   }
@@ -692,7 +641,6 @@ std::size_t Scheduler::fail_all_jobs() {
   }
   ready_stages_[0] = 0;
   ready_stages_[1] = 0;
-  refresh_load();
   return ids.size();
 }
 

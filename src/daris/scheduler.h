@@ -125,7 +125,9 @@ class Scheduler {
   }
 
   /// Completed-job counter (all priorities, includes warm-up).
-  std::uint64_t jobs_completed() const { return jobs_completed_; }
+  std::uint64_t jobs_completed() const {
+    return cls_[0].completed + cls_[1].completed;
+  }
 
   /// Completed-but-late counter (finish past the absolute deadline, all
   /// priorities, includes warm-up) — the breaker's miss signal.
@@ -253,7 +255,12 @@ class Scheduler {
     double stage_mret_at_dispatch = 0.0;
   };
 
+  /// The one entry to the active set: charges the job's utilisation to its
+  /// context's running sums (Eq. 12) and counts it active.
   void admit(Task& task, int ctx, std::unique_ptr<JobRuntime> jr);
+  /// The one exit, shared by finish, revoke and failure: undoes admit's
+  /// utilisation charge and active count, and rewrites the load slot.
+  void leave_active(const Job& job);
   /// Rewrites the publish_load slot, if any, after an active-set change.
   void refresh_load() {
     if (load_slot_ != nullptr) {
@@ -279,7 +286,7 @@ class Scheduler {
   void on_stage_complete(int ctx, int stream_idx, std::uint64_t job_id,
                          std::size_t stage, Time dispatch_time,
                          double mret_at_dispatch, bool frees_stream);
-  void finish_job(JobRuntime& jr);
+  void finish_job(const Job& job);
 
   sim::Simulator& sim_;
   gpusim::Gpu& gpu_;
@@ -304,7 +311,6 @@ class Scheduler {
   std::vector<ContextRec> contexts_;
   std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;
   std::uint64_t next_job_id_ = 1;
-  std::uint64_t jobs_completed_ = 0;
   std::uint64_t jobs_missed_ = 0;
   std::uint64_t migrations_ = 0;
   ClassCounters cls_[2];

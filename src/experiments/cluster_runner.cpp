@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,24 +88,6 @@ std::vector<int> assign_homes(const ClusterConfig& config,
     homes[i] = static_cast<int>(i) % n;
   }
   return homes;
-}
-
-/// Field-wise GpuSpec equality, for sharing AFET profiles only between
-/// devices that are genuinely identical (same base spec *and* scale — two
-/// same-scale nodes with different base specs must profile separately).
-bool same_spec(const gpusim::GpuSpec& a, const gpusim::GpuSpec& b) {
-  return a.sm_count == b.sm_count && a.mem_bandwidth == b.mem_bandwidth &&
-         a.launch_overhead_us == b.launch_overhead_us &&
-         a.sync_overhead_us == b.sync_overhead_us &&
-         a.alpha_intra == b.alpha_intra &&
-         a.intra_saturation == b.intra_saturation &&
-         a.kappa_oversub == b.kappa_oversub &&
-         a.quant_smoothing == b.quant_smoothing &&
-         a.quota_penalty_a == b.quota_penalty_a &&
-         a.quota_penalty_q0 == b.quota_penalty_q0 &&
-         a.jitter_cv == b.jitter_cv &&
-         a.jitter_load_slope == b.jitter_load_slope &&
-         a.jitter_rho == b.jitter_rho;
 }
 
 const char* fault_kind_name(FaultSpec::Kind k) {
@@ -304,39 +287,6 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   const CompiledModels models =
       compile_models(config.taskset, sched_cfg.batch, config.gpu);
 
-  // Offline phase 1: AFET profiling, once per distinct resolved device
-  // spec (a homogeneous fleet profiles once; heterogeneous nodes each
-  // measure their own full-load execution times, seeding per-device MRET
-  // honestly). The cache stays live for the whole run: kSlow/kAdd fault
-  // callbacks re-seed a changed device through the same lookup, so a
-  // straggler slowed to a scale some other node already runs at reuses that
-  // node's profile verbatim.
-  std::vector<gpusim::GpuSpec> profiled_specs;
-  std::vector<rt::AfetResult> afet_profiles;
-  auto profile_slot = [&](const gpusim::GpuSpec& spec) {
-    std::size_t slot = profiled_specs.size();
-    for (std::size_t i = 0; i < profiled_specs.size(); ++i) {
-      if (same_spec(profiled_specs[i], spec)) {
-        slot = i;
-        break;
-      }
-    }
-    if (slot == profiled_specs.size()) {
-      profiled_specs.push_back(spec);
-      afet_profiles.push_back(rt::profile_afet(spec, sched_cfg,
-                                               models.distinct,
-                                               /*jobs_per_stream=*/16,
-                                               config.seed));
-    }
-    return slot;
-  };
-  std::vector<std::size_t> afet_of_gpu(
-      static_cast<std::size_t>(fleet.size()), 0);
-  for (int g = 0; g < fleet.size(); ++g) {
-    afet_of_gpu[static_cast<std::size_t>(g)] =
-        profile_slot(fleet.node(g).resolved());
-  }
-
   std::vector<double> work_per_job(config.taskset.tasks.size(), 0.0);
   for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
     work_per_job[i] = models.of(config.taskset.tasks[i].model)->total_work();
@@ -345,13 +295,35 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       assign_homes(config, fleet, work_per_job);
   for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
     const auto& t = config.taskset.tasks[i];
-    const int id = fleet.add_task(t, models.of(t.model), homes[i]);
-    for (int g = 0; g < fleet.size(); ++g) {
-      const auto& afet =
-          afet_profiles[afet_of_gpu[static_cast<std::size_t>(g)]];
-      fleet.set_afet(id, g, afet.for_model(models.of(t.model)));
-    }
+    fleet.add_task(t, models.of(t.model), homes[i]);
   }
+
+  // Offline phase 1: AFET profiling, once per distinct resolved device
+  // spec, in device order (a homogeneous fleet profiles once;
+  // heterogeneous nodes each measure their own full-load execution times,
+  // seeding per-device MRET honestly). The cache stays live for the whole
+  // run: kSlow/kAdd fault callbacks re-seed a changed device through the
+  // same lookup, so a straggler slowed to a scale some other node already
+  // runs at reuses that node's profile verbatim. A deque, so a profile
+  // stays put while later specs are added.
+  std::deque<std::pair<gpusim::GpuSpec, rt::AfetResult>> afet_cache;
+  auto seed_afet = [&](int g) {
+    const gpusim::GpuSpec spec = fleet.node(g).resolved();
+    auto it = std::find_if(afet_cache.begin(), afet_cache.end(),
+                           [&](const auto& e) { return e.first == spec; });
+    if (it == afet_cache.end()) {
+      it = afet_cache.emplace(
+          afet_cache.end(), spec,
+          rt::profile_afet(spec, sched_cfg, models.distinct,
+                           /*jobs_per_stream=*/16, config.seed));
+    }
+    for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
+      fleet.set_afet(static_cast<int>(i), g,
+                     it->second.for_model(
+                         models.of(config.taskset.tasks[i].model)));
+    }
+  };
+  for (int g = 0; g < fleet.size(); ++g) seed_afet(g);
 
   // Offline phase 2: Algorithm 1 initial context assignment, per GPU.
   fleet.run_offline_phase();
@@ -402,15 +374,8 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   // the changed device's AFET from the profile cache above (MRET would
   // converge on its own, but only after mispredicted stages — the paper's
   // offline phase exists precisely to spare the admission test that blind
-  // spot). The profiling caches and the model map are function-locals that
+  // spot). The profiling cache and the model map are function-locals that
   // outlive sim.run_until, so capturing them by reference is sound.
-  auto seed_afet = [&](int g) {
-    const auto& afet = afet_profiles[profile_slot(fleet.node(g).resolved())];
-    for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
-      fleet.set_afet(static_cast<int>(i), g,
-                     afet.for_model(models.of(config.taskset.tasks[i].model)));
-    }
-  };
   for (const FaultSpec& f : config.faults) {
     const common::Time when = common::from_sec(f.at_s);
     switch (f.kind) {

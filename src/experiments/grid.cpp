@@ -27,20 +27,22 @@ std::vector<GridPoint> paper_grid(int batch) {
   for (int ns : {2, 3, 4, 6, 8, 10}) {
     grid.push_back(make_point(rt::Policy::kStr, 1, ns, 1.0, batch));
   }
-  // MPS: Nc x 1 with OS in {1, 1.5, 2, Nc}.
+  // MPS: Nc x 1 with OS in {1, 1.5, 2, Nc}. OS = Nc tops each range, so a
+  // list reaching it early (Nc = 2) stops there instead of repeating it.
   for (int nc : {2, 3, 4, 6, 8, 10}) {
     for (double os : {1.0, 1.5, 2.0, static_cast<double>(nc)}) {
       if (os > nc) continue;
       grid.push_back(make_point(rt::Policy::kMps, nc, 1, os, batch));
+      if (os == nc) break;
     }
   }
-  // MPS+STR: Np = Nc * Ns <= 10.
+  // MPS+STR: Np = Nc * Ns <= 10, OS in {1, 2, Nc}.
   const int combos[][2] = {{2, 2}, {2, 3}, {2, 4}, {2, 5},
                            {3, 2}, {3, 3}, {4, 2}, {5, 2}};
   for (const auto& c : combos) {
     for (double os : {1.0, 2.0, static_cast<double>(c[0])}) {
-      if (os > c[0]) continue;
       grid.push_back(make_point(rt::Policy::kMpsStr, c[0], c[1], os, batch));
+      if (os == c[0]) break;
     }
   }
   return grid;

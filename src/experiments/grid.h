@@ -20,7 +20,8 @@ struct GridPoint {
 
 /// The paper's configuration grid (Sec. V): STR with Ns in [2,10]; MPS with
 /// Nc in {2,3,4,6,8,10} x OS in {1, 1.5, 2, Nc}; MPS+STR over Nc x Ns
-/// combinations with Np <= 10 and OS in {1, 2, Nc}.
+/// combinations with Np <= 10 and OS in {1, 2, Nc}: 49 points, each listed
+/// once (OS = Nc = 2 is not repeated).
 std::vector<GridPoint> paper_grid(int batch = 1);
 
 /// Just the MPS OS sweep for one context count.

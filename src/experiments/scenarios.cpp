@@ -246,8 +246,9 @@ ClusterConfig hedging_tail_rescue_off(const std::string& data_dir) {
 }
 
 // Flash crowd at fleet scale: the flash-crowd shape scaled to 64 GPUs and
-// ~43k JPS, with the full self-healing + resilience stack armed (stealing,
-// re-homing, budgeted retries, breakers). The row exists to keep the
+// ~43k JPS, with the self-healing stack and the resilience layer's
+// defaults armed (stealing, re-homing, budgeted retries; breakers stay off,
+// ResilienceConfig::breaker's default). The row exists to keep the
 // engine, the rebalancer's O(fleet) scans, and the conservation invariant
 // honest at an order of magnitude more devices than the rest of the matrix.
 ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {

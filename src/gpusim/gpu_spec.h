@@ -77,6 +77,23 @@ struct GpuSpec {
 
   /// RTX 2080 Ti-like configuration used throughout the reproduction.
   static GpuSpec rtx2080ti() { return GpuSpec{}; }
+
+  /// Field-wise equality: devices share an AFET profile only when they are
+  /// genuinely identical (same base spec *and* scale).
+  bool operator==(const GpuSpec& o) const {
+    return sm_count == o.sm_count && mem_bandwidth == o.mem_bandwidth &&
+           launch_overhead_us == o.launch_overhead_us &&
+           sync_overhead_us == o.sync_overhead_us &&
+           alpha_intra == o.alpha_intra &&
+           intra_saturation == o.intra_saturation &&
+           kappa_oversub == o.kappa_oversub &&
+           quant_smoothing == o.quant_smoothing &&
+           quota_penalty_a == o.quota_penalty_a &&
+           quota_penalty_q0 == o.quota_penalty_q0 &&
+           jitter_cv == o.jitter_cv &&
+           jitter_load_slope == o.jitter_load_slope &&
+           jitter_rho == o.jitter_rho;
+  }
 };
 
 }  // namespace daris::gpusim

@@ -22,35 +22,26 @@ void Collector::record(Time when, EventKind kind, EventCause cause, int gpu,
   }
 }
 
-void Collector::on_release(const JobEvent& ev) {
-  auto& c = classes_[static_cast<std::size_t>(ev.priority)];
-  ++c.released;
+void Collector::on_release(Priority p) {
+  ++classes_[static_cast<std::size_t>(p)].released;
 }
 
-void Collector::on_reject(const JobEvent& ev) {
-  auto& c = classes_[static_cast<std::size_t>(ev.priority)];
-  ++c.rejected;
+void Collector::on_reject(Priority p) {
+  ++classes_[static_cast<std::size_t>(p)].rejected;
 }
 
-void Collector::record_finish(ClassSummary* cls, std::vector<JobEvent>& jobs,
-                              const JobEvent& ev) {
-  auto& c = cls[static_cast<std::size_t>(ev.priority)];
-  ++c.accepted;
-  if (trace_jobs_) jobs.push_back(ev);
-  if (ev.finish < measure_start_) return;  // warm-up
-  ++c.completed;
-  if (ev.missed) ++c.missed;
-  c.response_ms.add(common::to_ms(ev.finish - ev.release));
-}
-
-void Collector::on_finish(const JobEvent& ev) {
-  if (!lanes_.empty() && ev.gpu >= 0 &&
-      ev.gpu < static_cast<int>(lanes_.size())) {
-    auto& lane = lanes_[static_cast<std::size_t>(ev.gpu)];
-    record_finish(lane.cls, lane.jobs, ev);
-    return;
+void Collector::on_finish(int gpu, Priority p, Time release, Time finish,
+                          bool missed) {
+  ClassSummary* cls = classes_;
+  if (gpu >= 0 && gpu < static_cast<int>(lanes_.size())) {
+    cls = lanes_[static_cast<std::size_t>(gpu)].cls;
   }
-  record_finish(classes_, job_trace_, ev);
+  auto& c = cls[static_cast<std::size_t>(p)];
+  ++c.accepted;
+  if (finish < measure_start_) return;  // warm-up
+  ++c.completed;
+  if (missed) ++c.missed;
+  c.response_ms.add(common::to_ms(finish - release));
 }
 
 void Collector::on_stage(const StageEvent& ev) {
@@ -77,13 +68,8 @@ void Collector::grow_lanes(int devices) {
 void Collector::finalize_lanes() {
   if (lanes_.empty()) return;
   std::size_t extra_stages = 0;
-  std::size_t extra_jobs = 0;
-  for (const auto& lane : lanes_) {
-    extra_stages += lane.stages.size();
-    extra_jobs += lane.jobs.size();
-  }
+  for (const auto& lane : lanes_) extra_stages += lane.stages.size();
   stage_trace_.reserve(stage_trace_.size() + extra_stages);
-  job_trace_.reserve(job_trace_.size() + extra_jobs);
   for (auto& lane : lanes_) {
     for (int p = 0; p < 2; ++p) {
       auto& src = lane.cls[p];
@@ -97,7 +83,6 @@ void Collector::finalize_lanes() {
     }
     stage_trace_.insert(stage_trace_.end(), lane.stages.begin(),
                         lane.stages.end());
-    job_trace_.insert(job_trace_.end(), lane.jobs.begin(), lane.jobs.end());
   }
   lanes_.clear();
   // Per-lane streams are time-sorted and appended in device order, so a
@@ -105,10 +90,6 @@ void Collector::finalize_lanes() {
   std::stable_sort(stage_trace_.begin(), stage_trace_.end(),
                    [](const StageEvent& a, const StageEvent& b) {
                      return a.when < b.when;
-                   });
-  std::stable_sort(job_trace_.begin(), job_trace_.end(),
-                   [](const JobEvent& a, const JobEvent& b) {
-                     return a.finish < b.finish;
                    });
 }
 

@@ -22,26 +22,16 @@ using common::Duration;
 using common::Priority;
 using common::Time;
 
-struct JobEvent {
-  int task_id = 0;
-  Priority priority = Priority::kHigh;
-  Time release = 0;
-  Time finish = 0;
-  Duration relative_deadline = 0;
-  bool accepted = true;
-  bool missed = false;
-  int context = -1;
-  int gpu = -1;  // device index in a cluster run (-1: single GPU)
-};
-
 struct StageEvent {
   int task_id = 0;
+  Priority priority = Priority::kHigh;  // the task's class
   std::size_t stage = 0;
   Time when = 0;
   double execution_us = 0.0;  // measured et_{i,j}
   double mret_us = 0.0;       // prediction in force when the stage started
   int context = -1;           // context the stage executed on
   int gpu = -1;               // device index in a cluster run (-1: single GPU)
+  bool missed = false;        // finished past its Eq. 8 virtual deadline
 };
 
 /// Summary over one priority class.
@@ -114,16 +104,17 @@ class Collector {
   /// When true, stage events are stored (memory-heavy; off by default).
   void enable_stage_trace(bool on) { trace_stages_ = on; }
 
-  /// When true, every finished job event is stored (for timeline export).
-  void enable_job_trace(bool on) { trace_jobs_ = on; }
-
   /// Measurement window: jobs finishing before `start` are warm-up and only
   /// counted toward acceptance statistics.
   void set_measure_start(Time start) { measure_start_ = start; }
 
-  void on_release(const JobEvent& ev);
-  void on_reject(const JobEvent& ev);
-  void on_finish(const JobEvent& ev);
+  /// One job of class `p` released, or rejected (shed).
+  void on_release(Priority p);
+  void on_reject(Priority p);
+  /// One admitted job of class `p` left its device (`gpu`, -1 on a single
+  /// GPU): released at `release`, done (or dropped) at `finish`, `missed`
+  /// when late.
+  void on_finish(int gpu, Priority p, Time release, Time finish, bool missed);
   void on_stage(const StageEvent& ev);
 
   // --- sharded-run lanes (sim::ShardedSimulator) -------------------------
@@ -133,24 +124,24 @@ class Collector {
   // router, on_route, record) is control-phase-only and keeps
   // writing the shared state directly. Lanes give each device a private
   // append target so the worker-side hooks never share cache lines, let
-  // alone race: a hook with ev.gpu >= 0 writes lane[ev.gpu], and exactly one
+  // alone race: a hook with gpu >= 0 writes lane[gpu], and exactly one
   // thread executes a given device's events in any window (control-phase
   // writers run while the pool is parked at the barrier).
   //
-  // finalize_lanes() folds the lanes back into the flat summaries/traces
-  // once the run ends: counters sum, response samples concatenate in lane
-  // order (Percentiles queries are sort-insensitive), and stage/job traces
-  // merge into (when, gpu) order — per-lane streams are already
+  // finalize_lanes() folds the lanes back into the flat summaries and stage
+  // trace once the run ends: counters sum, response samples concatenate in
+  // lane order (Percentiles queries are sort-insensitive), and the stage
+  // trace merges into (when, gpu) order — per-lane streams are already
   // time-sorted, so a stable sort restores one canonical timeline whose
   // fold (metrics/trace_report.h tracks per-task consecutive stages, and a
   // task occupies one device at a time) matches the single-heap trace.
 
   /// Switches on per-device lanes for `devices` devices. Call before the
-  /// run; events with ev.gpu in [0, devices) then land in lanes.
+  /// run; events with gpu in [0, devices) then land in lanes.
   void enable_lanes(int devices);
   /// Widens the lane array mid-run (live GPU add); control phase only.
   void grow_lanes(int devices);
-  /// Folds lanes into the flat summaries and traces; idempotent. Until this
+  /// Folds lanes into the flat summaries and trace; idempotent. Until this
   /// runs, summary()/stage_trace()/total_completed() exclude lane contents.
   void finalize_lanes();
 
@@ -208,7 +199,6 @@ class Collector {
     return classes_[static_cast<std::size_t>(p)];
   }
   const std::vector<StageEvent>& stage_trace() const { return stage_trace_; }
-  const std::vector<JobEvent>& job_trace() const { return job_trace_; }
 
   std::uint64_t total_completed() const;
 
@@ -219,20 +209,13 @@ class Collector {
   struct Lane {
     ClassSummary cls[2];
     std::vector<StageEvent> stages;
-    std::vector<JobEvent> jobs;
   };
-
-  /// Shared tail of on_finish: counts into `cls`, traces into `jobs`.
-  void record_finish(ClassSummary* cls, std::vector<JobEvent>& jobs,
-                     const JobEvent& ev);
 
   ClassSummary classes_[2];
   std::vector<RoutingCounters> routing_;
   std::vector<StageEvent> stage_trace_;
-  std::vector<JobEvent> job_trace_;
   std::vector<Lane> lanes_;
   bool trace_stages_ = false;
-  bool trace_jobs_ = false;
   Time measure_start_ = 0;
   std::unique_ptr<EventLog> event_log_;
 };

@@ -24,51 +24,31 @@ std::string escape(const std::string& s) {
   }
   return out;
 }
+
+/// One stage execution on (group, lane): backdated by its measured
+/// execution time, with the task's class and the virtual-deadline miss.
+TraceSpan stage_span(const StageEvent& s, int group, int lane) {
+  TraceSpan span;
+  span.name =
+      "task" + std::to_string(s.task_id) + ".stage" + std::to_string(s.stage);
+  span.group = group;
+  span.lane = lane;
+  const auto dur = static_cast<Duration>(s.execution_us * common::kMicrosecond);
+  span.begin = s.when - dur;
+  span.duration = dur;
+  span.priority = s.priority;
+  span.missed = s.missed;
+  return span;
+}
 }  // namespace
 
-void TraceRecorder::add_job_events(const std::vector<JobEvent>& jobs) {
-  for (const auto& j : jobs) {
-    TraceSpan span;
-    span.name = "job task" + std::to_string(j.task_id);
-    span.group = j.context;
-    span.lane = j.task_id;
-    span.begin = j.release;
-    span.duration = j.finish - j.release;
-    span.priority = j.priority;
-    span.missed = j.missed;
-    add(std::move(span));
-  }
-}
-
 void TraceRecorder::add_stage_events(const std::vector<StageEvent>& stages) {
-  for (const auto& s : stages) {
-    TraceSpan span;
-    span.name = "task" + std::to_string(s.task_id) + ".stage" +
-                std::to_string(s.stage);
-    span.group = -1;
-    span.lane = s.task_id;
-    const auto dur =
-        static_cast<Duration>(s.execution_us * common::kMicrosecond);
-    span.begin = s.when - dur;
-    span.duration = dur;
-    add(std::move(span));
-  }
+  for (const auto& s : stages) add(stage_span(s, -1, s.task_id));
 }
 
 void TraceRecorder::add_stage_events_by_gpu(
     const std::vector<StageEvent>& stages) {
-  for (const auto& s : stages) {
-    TraceSpan span;
-    span.name = "task" + std::to_string(s.task_id) + ".stage" +
-                std::to_string(s.stage);
-    span.group = s.gpu;
-    span.lane = s.context;
-    const auto dur =
-        static_cast<Duration>(s.execution_us * common::kMicrosecond);
-    span.begin = s.when - dur;
-    span.duration = dur;
-    add(std::move(span));
-  }
+  for (const auto& s : stages) add(stage_span(s, s.gpu, s.context));
 }
 
 std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans) {

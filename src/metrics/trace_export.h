@@ -1,9 +1,10 @@
 // Chrome-trace (about://tracing / Perfetto) export of scheduler activity.
 //
-// Produces the JSON array format: one complete event ("ph":"X") per job and
-// per stage execution, grouped by context (pid) and task (tid), so a run
-// can be inspected visually — which queue starved, where migrations landed,
-// how staging interleaves HP and LP stages.
+// Produces the JSON array format: one complete event ("ph":"X") per stage
+// execution, grouped by lane, so a run can be inspected visually — which
+// queue starved, where migrations landed, how staging interleaves HP and LP
+// stages. Each span's args carry the task's class and whether the stage
+// finished past its Eq. 8 virtual deadline.
 #pragma once
 
 #include <cstddef>
@@ -18,13 +19,13 @@
 namespace daris::metrics {
 
 struct TraceSpan {
-  std::string name;      // e.g. "task3.stage1" or "job task3"
-  int group = 0;         // pid lane (context id, or -1 for job lanes)
-  int lane = 0;          // tid lane (task id)
+  std::string name;      // e.g. "task3.stage1"
+  int group = 0;         // pid lane (device id, or -1 on a single GPU)
+  int lane = 0;          // tid lane (task id, or context id per device)
   Time begin = 0;
   Duration duration = 0;
   Priority priority = Priority::kHigh;
-  bool missed = false;
+  bool missed = false;   // the stage finished past its virtual deadline
 };
 
 /// Collects spans during a run; the scheduler-facing side is just a vector.
@@ -35,11 +36,7 @@ class TraceRecorder {
   bool empty() const { return spans_.empty(); }
   std::size_t size() const { return spans_.size(); }
 
-  /// Builds job spans from finished-job events (release -> finish).
-  void add_job_events(const std::vector<JobEvent>& jobs);
-
-  /// Builds stage spans from a stage trace (needs task -> context mapping
-  /// only for lane grouping; pass -1 groups everything together).
+  /// Builds stage spans from a stage trace, one lane per task (pid -1).
   void add_stage_events(const std::vector<StageEvent>& stages);
 
   /// Cluster variant: groups stage spans by the executing *device* (pid =

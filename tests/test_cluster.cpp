@@ -206,6 +206,32 @@ TEST(Fleet, PlacementTableTracksEveryActiveSetChange) {
       << rep.detail;
 }
 
+TEST(Fleet, BestPlaceablePicksTheLowestScoreTiesToTheLowestIndex) {
+  Harness h(4);
+  const int t = h.add_task(Priority::kLow, 3000.0, 0);
+  h.fleet->run_offline_phase();
+  EXPECT_EQ(h.fleet->best_placeable(), 0);  // all idle: lowest index
+  EXPECT_EQ(h.fleet->best_placeable(/*exclude=*/0), 1);
+
+  // Equal load on GPUs 0 and 1 leaves 2 and 3 tied at zero.
+  ASSERT_TRUE(h.fleet->scheduler(0).release_job(t));
+  ASSERT_TRUE(h.fleet->scheduler(1).release_job(t));
+  EXPECT_EQ(h.fleet->best_placeable(), 2);
+
+  // An unplaceable device never wins, nor does the excluded one; between
+  // the equally loaded 0 and 1 the lower index wins.
+  h.fleet->set_breaker_open(2, true);
+  EXPECT_EQ(h.fleet->best_placeable(), 3);
+  EXPECT_EQ(h.fleet->best_placeable(/*exclude=*/3), 0);
+  EXPECT_EQ(h.fleet->best_placeable(-1, [](int g) { return g == 2; }), -1);
+  EXPECT_EQ(h.fleet->best_placeable(1, [](int g) { return g == 1; }), -1);
+
+  // The predicate filters before scores compare.
+  EXPECT_EQ(h.fleet->best_placeable(-1, [](int g) { return g < 2; }), 0);
+  EXPECT_EQ(h.fleet->best_placeable(0, [](int g) { return g < 2; }), 1);
+  EXPECT_EQ(h.fleet->best_placeable(-1, [](int) { return false; }), -1);
+}
+
 TEST(Router, HybridStaysHomeUnderLightLoad) {
   Harness h(2);
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/1);

@@ -206,14 +206,14 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   Harness h(1);
   const int lp = h.add_task(Priority::kLow, 5000.0, 0);
   h.fleet->run_offline_phase();
-  h.collector.enable_job_trace(true);
   Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
+  // Each job's response time (ms), in finish order.
+  const auto& response = h.collector.summary(Priority::kLow).response_ms;
 
   router.release(lp);
   h.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 1u);
-  const auto baseline = h.collector.job_trace()[0].finish -
-                        h.collector.job_trace()[0].release;
+  ASSERT_EQ(response.samples().size(), 1u);
+  const double baseline = response.samples()[0];
 
   h.fleet->slow_gpu_now(0, 0.5);
   EXPECT_DOUBLE_EQ(h.fleet->compute_scale(0), 0.5);
@@ -223,13 +223,10 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
 
   router.release(lp);
   h.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 2u);
-  const auto slowed = h.collector.job_trace()[1].finish -
-                      h.collector.job_trace()[1].release;
+  ASSERT_EQ(response.samples().size(), 2u);
   // Kernel time doubles; launch/sync overheads are host-side constants and
   // stay, so the end-to-end ratio lands between 1 and 2.
-  const double ratio = static_cast<double>(slowed) /
-                       static_cast<double>(baseline);
+  const double ratio = response.samples()[1] / baseline;
   EXPECT_GT(ratio, 1.15);
   EXPECT_LT(ratio, 2.05);
 
@@ -237,10 +234,8 @@ TEST(FleetFaults, StragglerSlowsJobsThroughTheResolvedSpec) {
   h.fleet->slow_gpu_now(0, 2.0);
   router.release(lp);
   h.run();
-  ASSERT_EQ(h.collector.job_trace().size(), 3u);
-  EXPECT_EQ(h.collector.job_trace()[2].finish -
-                h.collector.job_trace()[2].release,
-            baseline);
+  ASSERT_EQ(response.samples().size(), 3u);
+  EXPECT_EQ(response.samples()[2], baseline);
 }
 
 TEST(FleetFaults, RunnerReseedsAfetForTheSlowedDevice) {

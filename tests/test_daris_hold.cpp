@@ -91,7 +91,6 @@ TEST(Backlog, LpShedsWhenPredecessorActive) {
 
 TEST(Backlog, HpToleratesConfiguredBacklog) {
   SchedulerConfig cfg = one_stream();
-  cfg.max_backlog_per_task = 2;
   Harness h(cfg);
   const int hp = h.add_task(Priority::kHigh, 100.0);
   h.sched->run_offline_phase();

@@ -175,7 +175,6 @@ TEST(Scheduler, HpaShedsExcessHpJobs) {
 
 TEST(Scheduler, BacklogGuardShedsBurst) {
   SchedulerConfig cfg = mps_config(1, 1.0);
-  cfg.max_backlog_per_task = 2;
   Harness h(cfg);
   const int id = h.add_task(Priority::kHigh, 100.0);
   h.sched->run_offline_phase();
@@ -194,6 +193,37 @@ TEST(Scheduler, DeadlineMissDetected) {
   h.sched->release_job(id);
   h.sim.run();
   EXPECT_EQ(h.collector.summary(Priority::kHigh).missed, 1u);
+}
+
+TEST(Scheduler, StageEventsCarryTheTaskClass) {
+  Harness h(mps_config(1, 1.0));
+  h.collector.enable_stage_trace(true);
+  const int lp = h.add_task(Priority::kLow, 50.0);
+  h.sched->run_offline_phase();
+  h.sched->release_job(lp);
+  h.sim.run();
+  ASSERT_EQ(h.collector.stage_trace().size(), h.model->stage_count());
+  for (const auto& ev : h.collector.stage_trace()) {
+    EXPECT_EQ(ev.priority, Priority::kLow);
+    EXPECT_FALSE(ev.missed);  // 50 ms of slack for ~1.6 ms of work
+  }
+}
+
+TEST(Scheduler, StageEventsFlagVirtualDeadlineMisses) {
+  Harness h(mps_config(1, 1.0));
+  h.collector.enable_stage_trace(true);
+  // Period/deadline of 1 ms against ~1.6 ms execution: stages run late.
+  const int hp = h.add_task(Priority::kHigh, 1.0);
+  h.sched->run_offline_phase();
+  h.sched->release_job(hp);
+  h.sim.run();
+  bool any_missed = false;
+  for (const auto& ev : h.collector.stage_trace()) {
+    EXPECT_EQ(ev.priority, Priority::kHigh);
+    any_missed = any_missed || ev.missed;
+  }
+  EXPECT_TRUE(any_missed);
+  EXPECT_TRUE(h.collector.stage_trace().back().missed);  // the job is late
 }
 
 TEST(Scheduler, StageEventsRecordedForMret) {

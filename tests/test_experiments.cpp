@@ -3,7 +3,11 @@
 // fast. Exact figures are regenerated by the bench binaries.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "baselines/batching_server.h"
+#include "experiments/grid.h"
 #include "experiments/runner.h"
 
 namespace daris::exp {
@@ -121,6 +125,16 @@ TEST(Experiments, SeedChangesOutcomeSlightly) {
   const RunResult b = run_daris(cfg);
   EXPECT_NE(a.total_jps, b.total_jps);
   EXPECT_NEAR(a.total_jps, b.total_jps, 0.1 * a.total_jps);
+}
+
+TEST(Experiments, PaperGridListsEachPointOnce) {
+  for (const int batch : {1, 4}) {
+    const auto grid = paper_grid(batch);
+    EXPECT_EQ(grid.size(), 49u) << "batch " << batch;
+    std::set<std::string> labels;
+    for (const auto& p : grid) labels.insert(p.label);
+    EXPECT_EQ(labels.size(), grid.size()) << "batch " << batch;
+  }
 }
 
 TEST(Experiments, RelativeErrorFormatting) {

@@ -10,32 +10,31 @@ using common::from_ms;
 using common::from_sec;
 using common::Priority;
 
-JobEvent finished_job(Priority p, double release_ms, double finish_ms,
-                      double deadline_ms) {
-  JobEvent ev;
-  ev.priority = p;
-  ev.release = from_ms(release_ms);
-  ev.finish = from_ms(finish_ms);
-  ev.relative_deadline = from_ms(deadline_ms);
-  ev.missed = ev.finish > ev.release + ev.relative_deadline;
-  return ev;
+/// Reports one finished single-GPU job, missed when it finished past its
+/// release plus the relative deadline.
+void finish_job(Collector& c, Priority p, double release_ms, double finish_ms,
+                double deadline_ms) {
+  const auto release = from_ms(release_ms);
+  const auto finish = from_ms(finish_ms);
+  c.on_finish(/*gpu=*/-1, p, release, finish,
+              finish > release + from_ms(deadline_ms));
 }
 
 TEST(Collector, CountsPerPriorityClass) {
   Collector c;
-  c.on_release(finished_job(Priority::kHigh, 0, 0, 10));
-  c.on_release(finished_job(Priority::kLow, 0, 0, 10));
-  c.on_release(finished_job(Priority::kLow, 0, 0, 10));
+  c.on_release(Priority::kHigh);
+  c.on_release(Priority::kLow);
+  c.on_release(Priority::kLow);
   EXPECT_EQ(c.summary(Priority::kHigh).released, 1u);
   EXPECT_EQ(c.summary(Priority::kLow).released, 2u);
 }
 
 TEST(Collector, DmrMissedOverCompleted) {
   Collector c;
-  c.on_finish(finished_job(Priority::kLow, 0, 5, 10));    // hit
-  c.on_finish(finished_job(Priority::kLow, 0, 15, 10));   // miss
-  c.on_finish(finished_job(Priority::kLow, 0, 8, 10));    // hit
-  c.on_finish(finished_job(Priority::kLow, 0, 20, 10));   // miss
+  finish_job(c, Priority::kLow, 0, 5, 10);    // hit
+  finish_job(c, Priority::kLow, 0, 15, 10);   // miss
+  finish_job(c, Priority::kLow, 0, 8, 10);    // hit
+  finish_job(c, Priority::kLow, 0, 20, 10);   // miss
   EXPECT_DOUBLE_EQ(c.summary(Priority::kLow).dmr(), 0.5);
   EXPECT_DOUBLE_EQ(c.summary(Priority::kHigh).dmr(), 0.0);
 }
@@ -43,8 +42,8 @@ TEST(Collector, DmrMissedOverCompleted) {
 TEST(Collector, WarmupJobsExcludedFromWindow) {
   Collector c;
   c.set_measure_start(from_ms(100.0));
-  c.on_finish(finished_job(Priority::kHigh, 0, 50, 10));   // warm-up miss
-  c.on_finish(finished_job(Priority::kHigh, 100, 105, 10));  // counted hit
+  finish_job(c, Priority::kHigh, 0, 50, 10);   // warm-up miss
+  finish_job(c, Priority::kHigh, 100, 105, 10);  // counted hit
   const auto& s = c.summary(Priority::kHigh);
   EXPECT_EQ(s.completed, 1u);
   EXPECT_EQ(s.missed, 0u);
@@ -53,8 +52,8 @@ TEST(Collector, WarmupJobsExcludedFromWindow) {
 
 TEST(Collector, ResponseTimesInMilliseconds) {
   Collector c;
-  c.on_finish(finished_job(Priority::kHigh, 10, 14, 100));
-  c.on_finish(finished_job(Priority::kHigh, 20, 32, 100));
+  finish_job(c, Priority::kHigh, 10, 14, 100);
+  finish_job(c, Priority::kHigh, 20, 32, 100);
   const auto& r = c.summary(Priority::kHigh).response_ms;
   EXPECT_DOUBLE_EQ(r.min(), 4.0);
   EXPECT_DOUBLE_EQ(r.max(), 12.0);
@@ -62,8 +61,8 @@ TEST(Collector, ResponseTimesInMilliseconds) {
 
 TEST(Collector, RejectionRate) {
   Collector c;
-  for (int i = 0; i < 4; ++i) c.on_release(finished_job(Priority::kLow, 0, 0, 1));
-  c.on_reject(finished_job(Priority::kLow, 0, 0, 1));
+  for (int i = 0; i < 4; ++i) c.on_release(Priority::kLow);
+  c.on_reject(Priority::kLow);
   EXPECT_DOUBLE_EQ(c.summary(Priority::kLow).rejection_rate(), 0.25);
 }
 
@@ -71,7 +70,7 @@ TEST(Collector, ThroughputOverMeasureWindow) {
   Collector c;
   c.set_measure_start(from_sec(1.0));
   for (int i = 0; i < 30; ++i) {
-    c.on_finish(finished_job(Priority::kLow, 1000 + i, 1100 + i, 1000));
+    finish_job(c, Priority::kLow, 1000 + i, 1100 + i, 1000);
   }
   // 30 jobs over [1s, 4s] = 10 JPS.
   EXPECT_NEAR(c.throughput_jps(from_sec(4.0)), 10.0, 1e-9);

@@ -290,22 +290,6 @@ TEST(TraceExport, UnifiedExportParsesAsJson) {
   EXPECT_FALSE(JsonChecker(std::string("[\"a\nb\"]")).valid());
 }
 
-TEST(TraceRecorder, BuildsJobSpans) {
-  JobEvent j;
-  j.task_id = 3;
-  j.priority = common::Priority::kHigh;
-  j.release = from_ms(10.0);
-  j.finish = from_ms(14.0);
-  j.context = 1;
-  j.missed = false;
-  TraceRecorder rec;
-  rec.add_job_events({j});
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.spans()[0].name, "job task3");
-  EXPECT_EQ(rec.spans()[0].group, 1);
-  EXPECT_EQ(rec.spans()[0].duration, from_ms(4.0));
-}
-
 TEST(TraceRecorder, BuildsStageSpansBackdatedByExecution) {
   StageEvent s;
   s.task_id = 2;
@@ -318,6 +302,28 @@ TEST(TraceRecorder, BuildsStageSpansBackdatedByExecution) {
   EXPECT_EQ(rec.spans()[0].name, "task2.stage1");
   EXPECT_EQ(rec.spans()[0].begin, from_ms(4.0));
   EXPECT_EQ(rec.spans()[0].duration, from_ms(1.0));
+}
+
+TEST(TraceRecorder, StageSpansCarryClassAndVirtualDeadlineMiss) {
+  StageEvent late_lp;
+  late_lp.task_id = 4;
+  late_lp.priority = common::Priority::kLow;
+  late_lp.missed = true;
+  late_lp.context = 2;
+  late_lp.gpu = 1;
+  StageEvent on_time_hp = late_lp;
+  on_time_hp.priority = common::Priority::kHigh;
+  on_time_hp.missed = false;
+  TraceRecorder rec;
+  rec.add_stage_events({late_lp, on_time_hp});
+  rec.add_stage_events_by_gpu({late_lp, on_time_hp});
+  ASSERT_EQ(rec.size(), 4u);
+  for (std::size_t i = 0; i < 4; i += 2) {
+    EXPECT_EQ(rec.spans()[i].priority, common::Priority::kLow);
+    EXPECT_TRUE(rec.spans()[i].missed);
+    EXPECT_EQ(rec.spans()[i + 1].priority, common::Priority::kHigh);
+    EXPECT_FALSE(rec.spans()[i + 1].missed);
+  }
 }
 
 TEST(TraceRecorder, MultipleSpansCommaSeparated) {
@@ -426,17 +432,6 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(fleet.infeasible, 1u);
   EXPECT_EQ(fleet.transfers_in, 2u);
   EXPECT_DOUBLE_EQ(fleet.transferred_mb, 45.0);
-}
-
-TEST(CollectorJobTrace, GatedByFlag) {
-  Collector c;
-  JobEvent ev;
-  ev.priority = common::Priority::kHigh;
-  c.on_finish(ev);
-  EXPECT_TRUE(c.job_trace().empty());
-  c.enable_job_trace(true);
-  c.on_finish(ev);
-  EXPECT_EQ(c.job_trace().size(), 1u);
 }
 
 }  // namespace
