@@ -195,8 +195,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--log") {
-      // Fleet fault/rehome paths narrate at info (docs/OBSERVABILITY.md);
-      // the default warn threshold keeps the table output clean.
+      // Fleet decisions narrate at info, per-job routing at debug
+      // (docs/OBSERVABILITY.md); the default warn threshold keeps the table
+      // output clean.
       common::LogLevel level = common::LogLevel::kWarn;
       if (!parse_log_level(value(), &level)) {
         std::fprintf(stderr,

@@ -88,7 +88,8 @@ void BM_FleetRegistration(benchmark::State& state) {
                        /*jobs_per_stream=*/16, cfg.seed);
   for (auto _ : state) {
     sim::ShardedSimulator sim(num_gpus, 1);
-    cluster::Fleet fleet(sim, cfg, nullptr);
+    metrics::Collector collector;
+    cluster::Fleet fleet(sim, cfg, &collector);
     for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
       const rt::TaskSpec& t = taskset.tasks[i];
       const dnn::CompiledModel* m = models.of(t.model);

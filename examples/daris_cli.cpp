@@ -200,15 +200,13 @@ int main(int argc, char** argv) {
   }
 
   if (!trace_file.empty()) {
-    metrics::TraceRecorder recorder;
-    recorder.add_stage_events(r.stage_trace);
     std::ofstream out(trace_file);
     if (!out) {
       std::fprintf(stderr, "cannot write %s\n", trace_file.c_str());
       return 1;
     }
-    out << metrics::to_chrome_trace_json(recorder.spans());
-    std::fprintf(stderr, "wrote %zu spans to %s\n", recorder.size(),
+    out << metrics::to_chrome_trace_json(r.stage_trace);
+    std::fprintf(stderr, "wrote %zu spans to %s\n", r.stage_trace.size(),
                  trace_file.c_str());
   }
   return 0;

@@ -19,7 +19,12 @@ Validates, for every scenario in the bench_fig_scenarios JSON report:
     array and contains all three phase types: "X" (spans), "C" (counters),
     and "i" (instants), and its spans carry both task classes ("HP" and
     "LP") — every scenario runs both, so a one-class trace means the span
-    args lost the task's class.
+    args lost the task's class;
+  - every "ts" and "dur" in the trace is a plain decimal (exact simulated
+    nanoseconds), never exponent form, and no two "X" spans on one
+    (pid, tid) lane overlap by more than OVERLAP_TOLERANCE_US. Every scenario
+    runs MPS with one stream per context and staging on, so a context lane
+    holds one stage at a time; an overlap means rounded timestamps.
 
 The gate is strict: the simulator is deterministic, so any mismatch is a
 real regression, not machine noise.
@@ -45,6 +50,18 @@ EVENT_KEYS = {"ts_us", "kind", "cause", "gpu", "peer", "task", "value"}
 KNOWN_EVENT_KINDS = {"admit", "reject", "migrate", "transfer", "fault",
                      "rehome", "drain", "steal", "coalesce", "retry",
                      "hedge", "breaker"}
+# Timestamps are printed with three decimals (nanoseconds); anything above
+# half a nanosecond is a real overlap, not print rounding.
+OVERLAP_TOLERANCE_US = 0.0005
+
+
+class Number(float):
+    """A JSON float that remembers how it was written."""
+
+    def __new__(cls, literal):
+        number = super().__new__(cls, literal)
+        number.literal = literal
+        return number
 
 
 def check_telemetry_file(path, name, report_digest, failures):
@@ -106,7 +123,7 @@ def check_telemetry_file(path, name, report_digest, failures):
 def check_trace_file(path, name, failures):
     try:
         with open(path) as f:
-            trace = json.load(f)
+            trace = json.load(f, parse_float=Number)
     except (OSError, json.JSONDecodeError) as e:
         failures.append(f"{name}: Perfetto trace unreadable: {e}")
         return
@@ -123,6 +140,31 @@ def check_trace_file(path, name, failures):
     for cls in ("HP", "LP"):
         if cls not in classes:
             failures.append(f"{name}: Perfetto trace has no {cls} spans")
+
+    rounded = [ev[key] for ev in trace for key in ("ts", "dur")
+               if "e" in getattr(ev.get(key), "literal", "").lower()]
+    if rounded:
+        failures.append(
+            f"{name}: {len(rounded)} ts/dur values in exponent form (first "
+            f"{rounded[0].literal}) — timestamps lost their nanoseconds")
+
+    lanes = {}
+    for ev in trace:
+        if ev.get("ph") == "X":
+            lanes.setdefault((ev.get("pid"), ev.get("tid")), []).append(ev)
+    overlaps = 0
+    worst = 0.0
+    for spans in lanes.values():
+        spans.sort(key=lambda ev: ev["ts"])
+        for prev, cur in zip(spans, spans[1:]):
+            overlap = prev["ts"] + prev["dur"] - cur["ts"]
+            if overlap > OVERLAP_TOLERANCE_US:
+                overlaps += 1
+                worst = max(worst, overlap)
+    if overlaps:
+        failures.append(
+            f"{name}: {overlaps} adjacent spans overlap on their (pid, tid) "
+            f"lane (worst {worst:.3f} us)")
 
 
 def main():

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstring>
 
-#include "common/log.h"
 #include "common/rng.h"
 #include "metrics/eventlog.h"
 #include "sim/sharded.h"
@@ -37,6 +36,7 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
       collector_(collector),
       seed_rng_(config.seed),
       transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
+  assert(collector_ != nullptr);
   if (config.nodes.empty()) {
     nodes_.assign(static_cast<std::size_t>(std::max(1, config.num_gpus)),
                   GpuNodeSpec{config.gpu});
@@ -292,13 +292,8 @@ void Fleet::rehome_task(int task_id, int to, metrics::EventCause cause) {
   scheduler(to).set_task_resident(task_id, true);
   home_[static_cast<std::size_t>(task_id)] = to;
   warm_model(to, task_id);
-  DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now())
-                 << "us rehome task " << task_id << " gpu " << from << " -> "
-                 << to;
-  if (collector_) {
-    collector_->record(sim_.now(), metrics::EventKind::kRehome, cause, from,
-                       to, task_id);
-  }
+  collector_->record(sim_.now(), metrics::EventKind::kRehome, cause, from, to,
+                     task_id);
 }
 
 std::size_t Fleet::fail_gpu_now(int g) {
@@ -310,15 +305,10 @@ std::size_t Fleet::fail_gpu_now(int g) {
   // correctness — dropped stage callbacks no-op through the jobs_ guard —
   // but shedding first reports the losses before the device goes dark.
   const std::size_t lost = scheduler(g).fail_all_jobs();
-  jobs_lost_ += lost;
   gpu(g).halt();
-  DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
-                 << " fail-stop, " << lost << " in-flight jobs lost";
-  if (collector_) {
-    collector_->record(sim_.now(), metrics::EventKind::kFault,
-                       metrics::EventCause::kFailStop, g, -1, -1,
-                       static_cast<double>(lost));
-  }
+  collector_->record(sim_.now(), metrics::EventKind::kFault,
+                     metrics::EventCause::kFailStop, g, -1, -1,
+                     static_cast<double>(lost));
   // Let the router cancel/retarget transfers still headed here before the
   // homes move (the retarget re-migration reads placement scores, which
   // rehoming does not change, but the hook must see the device already
@@ -334,25 +324,16 @@ void Fleet::slow_gpu_now(int g, double factor) {
   gpu(g).set_spec(nodes_[static_cast<std::size_t>(g)].resolved());
   scheduler(g).publish_load(&placement_[static_cast<std::size_t>(g)],
                             compute_scale(g));
-  DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
-                 << " compute scale x" << factor << " -> "
-                 << nodes_[static_cast<std::size_t>(g)].compute_scale;
-  if (collector_) {
-    collector_->record(sim_.now(), metrics::EventKind::kFault,
-                       metrics::EventCause::kStraggler, g, -1, -1, factor);
-  }
+  collector_->record(sim_.now(), metrics::EventKind::kFault,
+                     metrics::EventCause::kStraggler, g, -1, -1, factor);
 }
 
 void Fleet::drain_gpu_now(int g) {
   auto& h = health_[static_cast<std::size_t>(g)];
   if (h != GpuHealth::kHealthy) return;  // failed stays failed
   h = GpuHealth::kDraining;
-  DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
-                 << " draining (finishes in-flight work, no new placements)";
-  if (collector_) {
-    collector_->record(sim_.now(), metrics::EventKind::kDrain,
-                       metrics::EventCause::kScaleDown, g);
-  }
+  collector_->record(sim_.now(), metrics::EventKind::kDrain,
+                     metrics::EventCause::kScaleDown, g);
   if (on_unplaceable_) on_unplaceable_(g);
   rehome_tasks_from(g);
 }
@@ -372,10 +353,8 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   (void)s;
   assert(s == g);
   add_device(node);
-  if (collector_ && collector_->gpu_count() > 0) {
-    collector_->grow_gpu_count(g + 1);
-  }
-  if (collector_) collector_->grow_lanes(g + 1);
+  if (collector_->gpu_count() > 0) collector_->grow_gpu_count(g + 1);
+  collector_->grow_lanes(g + 1);
   // Register every logical task on the new device, non-resident (homes do
   // not move on scale-up; load reaches the device through routing), so its
   // contexts reserve no HP utilisation in Eq. 11. Task ids line up with
@@ -388,14 +367,9 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
     assert(id == t);
     added.set_task_resident(id, false);
   }
-  DARIS_LOG_INFO << "fleet: t=" << common::to_us(sim_.now()) << "us gpu " << g
-                 << " added (scale-up), compute scale "
-                 << node.compute_scale;
-  if (collector_) {
-    collector_->record(sim_.now(), metrics::EventKind::kFault,
-                       metrics::EventCause::kScaleUp, g, -1, -1,
-                       node.compute_scale);
-  }
+  collector_->record(sim_.now(), metrics::EventKind::kFault,
+                     metrics::EventCause::kScaleUp, g, -1, -1,
+                     node.compute_scale);
   return g;
 }
 

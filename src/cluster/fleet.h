@@ -103,9 +103,10 @@ class Fleet {
   /// while everything fleet-scoped (fault timers, rehoming, the router and
   /// rebalancer via simulator()) stays on the control shard. The simulator
   /// must be sized to the fleet: device_shards() == the configured device
-  /// count. All job and stage events flow into `collector` (may be null),
-  /// stamped with the device index; runs with more than one lane need its
-  /// per-device lanes enabled (metrics::Collector::enable_lanes).
+  /// count. All job and stage events and every fleet decision flow into
+  /// `collector` (required), stamped with the device index; runs with more
+  /// than one lane need its per-device lanes enabled
+  /// (metrics::Collector::enable_lanes).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
         metrics::Collector* collector);
 
@@ -361,7 +362,9 @@ class Fleet {
   void run_offline_phase(int g) { scheduler(g).run_offline_phase(); }
 
   /// Jobs shed by fail_gpu_now across the fleet (missed finishes).
-  std::uint64_t jobs_lost() const { return jobs_lost_; }
+  std::uint64_t jobs_lost() const {
+    return collector_->fleet_counters().jobs_lost;
+  }
 
   /// Registers a callback invoked the instant a device stops being
   /// placeable (fail_gpu_now / drain_gpu_now), before the fleet rehomes the
@@ -406,7 +409,6 @@ class Fleet {
   metrics::Collector* collector_ = nullptr;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
-  std::uint64_t jobs_lost_ = 0;
   std::vector<const dnn::CompiledModel*> model_of_task_;
   /// Per GPU: distinct models pinned hot, and the MB they occupy.
   std::vector<std::vector<const dnn::CompiledModel*>> hot_models_;

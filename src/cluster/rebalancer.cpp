@@ -1,10 +1,10 @@
 #include "cluster/rebalancer.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <map>
 
-#include "common/log.h"
 #include "daris/scheduler.h"
 #include "metrics/eventlog.h"
 
@@ -82,7 +82,9 @@ Rebalancer::Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
       fleet_(fleet),
       router_(router),
       config_(config),
-      collector_(collector) {}
+      collector_(collector) {
+  assert(collector_ != nullptr);
+}
 
 void Rebalancer::start(common::Time horizon) {
   if (!config_.enabled) return;
@@ -159,16 +161,10 @@ void Rebalancer::steal_scan(int victim) {
       continue;
     }
     fleet_.scheduler(victim).revoke_job(j.job_id);
-    ++steals_;
     ++taken;
-    DARIS_LOG_INFO << "rebalance: t=" << common::to_us(now) << "us steal task "
-                   << j.task_id << " job " << j.job_id << " gpu " << victim
-                   << " -> " << thief;
-    if (collector_) {
-      collector_->record(now, metrics::EventKind::kSteal,
-                         metrics::EventCause::kBacklogSteal, victim, thief,
-                         j.task_id);
-    }
+    collector_->record(now, metrics::EventKind::kSteal,
+                       metrics::EventCause::kBacklogSteal, victim, thief,
+                       j.task_id);
   }
 }
 
@@ -268,7 +264,6 @@ void Rebalancer::rehome_round(common::Time now) {
     fleet_.rehome_task(t, target[static_cast<std::size_t>(t)],
                        metrics::EventCause::kDemandShift);
     last_move_round_[static_cast<std::size_t>(t)] = round_;
-    ++rehomes_;
     ++moved;
   }
   if (moved > 0) ++rehome_rounds_;

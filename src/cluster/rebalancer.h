@@ -100,6 +100,8 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
 
 class Rebalancer {
  public:
+  /// `collector` (required, the fleet's) receives the steal records and
+  /// holds the counts steals() and rehomes() read.
   Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
              const RebalanceConfig& config, metrics::Collector* collector);
 
@@ -113,11 +115,13 @@ class Rebalancer {
   void start(common::Time horizon);
 
   /// Queued LP jobs claimed off a backlogged GPU by a peer.
-  std::uint64_t steals() const { return steals_; }
+  std::uint64_t steals() const { return collector_->fleet_counters().steals; }
   /// Steal scans executed (one per backlog trip, deduped while pending).
   std::uint64_t steal_scans() const { return steal_scans_; }
   /// Homes moved by demand-aware rounds.
-  std::uint64_t rehomes() const { return rehomes_; }
+  std::uint64_t rehomes() const {
+    return collector_->fleet_counters().rehomes;
+  }
   /// Rounds that executed at least one move.
   std::uint64_t rehome_rounds() const { return rehome_rounds_; }
 
@@ -135,9 +139,7 @@ class Rebalancer {
   metrics::Collector* collector_;
   common::Time horizon_ = 0;
   int round_ = 0;
-  std::uint64_t steals_ = 0;
   std::uint64_t steal_scans_ = 0;
-  std::uint64_t rehomes_ = 0;
   std::uint64_t rehome_rounds_ = 0;
   /// Cumulative releases per task (the demand probes read these).
   std::vector<std::uint64_t> release_count_;

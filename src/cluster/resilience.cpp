@@ -1,8 +1,8 @@
 #include "cluster/resilience.h"
 
 #include <algorithm>
+#include <cassert>
 
-#include "common/log.h"
 #include "metrics/eventlog.h"
 
 namespace daris::cluster {
@@ -19,7 +19,9 @@ ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
       router_(router),
       config_(config),
       collector_(collector),
-      rng_(config.seed) {}
+      rng_(config.seed) {
+  assert(collector_ != nullptr);
+}
 
 void ResiliencePolicy::start(common::Time horizon) {
   if (!config_.enabled) return;
@@ -80,11 +82,8 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
   const RetryPolicy& pol = policy_for(task_id);
   if (pol.backoff == RetryPolicy::Backoff::kNone) return;
   if (attempt >= pol.max_attempts) {
-    ++abandoned_attempts_;
-    if (collector_) {
-      collector_->record(sim_.now(), EventKind::kRetry,
-                         EventCause::kMaxAttempts, -1, -1, task_id, attempt);
-    }
+    collector_->record(sim_.now(), EventKind::kRetry, EventCause::kMaxAttempts,
+                       -1, -1, task_id, attempt);
     return;
   }
   schedule_retry(task_id, released, attempt);
@@ -121,26 +120,17 @@ void ResiliencePolicy::fire_retry(int task_id, common::Time released,
   // the remaining slack is real. A retry whose deadline already passed is
   // abandoned — releasing it would only burn GPU time on a guaranteed miss.
   if (now >= released + spec.relative_deadline) {
-    ++abandoned_expired_;
-    if (collector_) {
-      collector_->record(now, EventKind::kRetry, EventCause::kExpired, -1, -1,
-                         task_id, attempt);
-    }
+    collector_->record(now, EventKind::kRetry, EventCause::kExpired, -1, -1,
+                       task_id, attempt);
     return;
   }
   if (!spend_token()) {
-    ++abandoned_budget_;
-    if (collector_) {
-      collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
-                         -1, -1, task_id, attempt);
-    }
+    collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
+                       -1, -1, task_id, attempt);
     return;
   }
-  ++retries_;
-  if (collector_) {
-    collector_->record(now, EventKind::kRetry, EventCause::kBackoff, -1, -1,
-                       task_id, attempt);
-  }
+  collector_->record(now, EventKind::kRetry, EventCause::kBackoff, -1, -1,
+                     task_id, attempt);
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, attempt, r);
 }
@@ -192,22 +182,14 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
   if (now >= released + spec.relative_deadline) return;  // no slack to rescue
   if (!spend_token()) {
-    ++abandoned_budget_;
-    if (collector_) {
-      collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
-                         primary_gpu, -1, task_id, 1);
-    }
+    collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
+                       primary_gpu, -1, task_id, 1);
     return;
   }
   const RouteResult h = router_.route_hedge(task_id, primary_gpu, released);
   if (h.status != RouteResult::Status::kAdmitted) return;
-  ++hedges_;
-  DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us hedge task "
-                 << task_id << " gpu " << primary_gpu << " -> " << h.gpu;
-  if (collector_) {
-    collector_->record(now, EventKind::kHedge, EventCause::kHedgeLaunch,
-                       primary_gpu, h.gpu, task_id);
-  }
+  collector_->record(now, EventKind::kHedge, EventCause::kHedgeLaunch,
+                     primary_gpu, h.gpu, task_id);
   const std::uint64_t id = next_pair_id_++;
   HedgePair p;
   p.task = task_id;
@@ -249,18 +231,12 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const int loser_gpu = primary_live ? p.primary_gpu : p.hedge_gpu;
   const std::uint64_t loser_job = primary_live ? p.primary_job : p.hedge_job;
   if (primary_live) {
-    ++hedge_wins_;
-    if (collector_) {
-      collector_->record(now, EventKind::kHedge, EventCause::kHedgeWin,
-                         p.primary_gpu, p.hedge_gpu, p.task);
-    }
+    collector_->record(now, EventKind::kHedge, EventCause::kHedgeWin,
+                       p.primary_gpu, p.hedge_gpu, p.task);
   }
   if (fleet_.scheduler(loser_gpu).revoke_job(loser_job)) {
-    ++hedge_cancels_;
-    if (collector_) {
-      collector_->record(now, EventKind::kHedge, EventCause::kHedgeCancel,
-                         p.primary_gpu, p.hedge_gpu, p.task);
-    }
+    collector_->record(now, EventKind::kHedge, EventCause::kHedgeCancel,
+                       p.primary_gpu, p.hedge_gpu, p.task);
   } else {
     ++hedge_waste_;
     if (primary_live) {
@@ -337,13 +313,8 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
     b.state = BreakerState::kOpen;
     b.opened_at = now;
     fleet_.set_breaker_open(g, true);
-    ++breaker_opens_;
-    DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu " << g
-                   << " breaker OPEN (rate " << rate << ")";
-    if (collector_) {
-      collector_->record(now, EventKind::kBreaker, EventCause::kBreakerOpen,
-                         g, -1, -1, rate);
-    }
+    collector_->record(now, EventKind::kBreaker, EventCause::kBreakerOpen, g,
+                       -1, -1, rate);
   };
   switch (b.state) {
     case BreakerState::kClosed:
@@ -357,23 +328,16 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
       if (now - b.opened_at >= kBreakerCooldown) {
         b.state = BreakerState::kHalfOpen;
         fleet_.set_breaker_open(g, false);
-        if (collector_) {
-          collector_->record(now, EventKind::kBreaker,
-                             EventCause::kBreakerHalfOpen, g, -1, -1, rate);
-        }
+        collector_->record(now, EventKind::kBreaker,
+                           EventCause::kBreakerHalfOpen, g, -1, -1, rate);
       }
       break;
     case BreakerState::kHalfOpen:
       if (volume == 0) break;  // no probe traffic yet; keep waiting
       if (rate <= kBreakerCloseThreshold) {
         b.state = BreakerState::kClosed;
-        ++breaker_closes_;
-        DARIS_LOG_INFO << "resilience: t=" << common::to_us(now) << "us gpu "
-                       << g << " breaker CLOSED (rate " << rate << ")";
-        if (collector_) {
-          collector_->record(now, EventKind::kBreaker,
-                             EventCause::kBreakerClose, g, -1, -1, rate);
-        }
+        collector_->record(now, EventKind::kBreaker, EventCause::kBreakerClose,
+                           g, -1, -1, rate);
       } else if (may_open) {
         open();
       }

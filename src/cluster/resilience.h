@@ -134,6 +134,8 @@ struct ResilienceConfig {
 class ResiliencePolicy {
  public:
   /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
+  /// `collector` (required, the fleet's) receives the retry, hedge and
+  /// breaker records and holds the counts their accessors read.
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
                    metrics::Collector* collector);
@@ -156,19 +158,25 @@ class ResiliencePolicy {
 
   std::uint64_t first_attempts() const { return first_attempts_; }
   /// Retries actually re-released (budget already spent).
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return counters().retries; }
   /// Retries that ended in an admission.
   std::uint64_t retry_admits() const { return retry_admits_; }
-  std::uint64_t abandoned_budget() const { return abandoned_budget_; }
-  std::uint64_t abandoned_expired() const { return abandoned_expired_; }
-  std::uint64_t abandoned_attempts() const { return abandoned_attempts_; }
+  std::uint64_t abandoned_budget() const {
+    return counters().retry_abandoned_budget;
+  }
+  std::uint64_t abandoned_expired() const {
+    return counters().retry_abandoned_expired;
+  }
+  std::uint64_t abandoned_attempts() const {
+    return counters().retry_abandoned_attempts;
+  }
   /// Hedges launched (second copy admitted on a peer).
-  std::uint64_t hedges() const { return hedges_; }
+  std::uint64_t hedges() const { return counters().hedges; }
   /// Pairs where the hedge copy finished first.
-  std::uint64_t hedge_wins() const { return hedge_wins_; }
+  std::uint64_t hedge_wins() const { return counters().hedge_wins; }
   /// Losing copies revoked before starting (the bounded-duplicate-work
   /// guarantee: waste = hedges - cancels).
-  std::uint64_t hedge_cancels() const { return hedge_cancels_; }
+  std::uint64_t hedge_cancels() const { return counters().hedge_cancels; }
   /// Pairs whose loser had already started — both copies ran to completion.
   std::uint64_t hedge_waste() const { return hedge_waste_; }
   /// Recorded deadline misses the client never saw: pairs where the hedge
@@ -177,8 +185,8 @@ class ResiliencePolicy {
   /// full poll period — a deliberately conservative lower bound, since
   /// revoked-before-start primaries are not counted at all).
   std::uint64_t hedge_rescued_misses() const { return hedge_rescued_misses_; }
-  std::uint64_t breaker_opens() const { return breaker_opens_; }
-  std::uint64_t breaker_closes() const { return breaker_closes_; }
+  std::uint64_t breaker_opens() const { return counters().breaker_opens; }
+  std::uint64_t breaker_closes() const { return counters().breaker_closes; }
   /// Current budget balance (telemetry gauge).
   double budget_tokens() const { return tokens_; }
   /// q-th percentile of the CLIENT-perceived response over hedged pairs —
@@ -207,6 +215,9 @@ class ResiliencePolicy {
     common::Time released = 0;
   };
 
+  const metrics::FleetCounters& counters() const {
+    return collector_->fleet_counters();
+  }
   const RetryPolicy& policy_for(int task_id) const;
   bool spend_token();
   /// Reacts to a route attempt's synchronous outcome: arms a hedge trigger
@@ -236,18 +247,9 @@ class ResiliencePolicy {
   double tokens_ = 0.0;
 
   std::uint64_t first_attempts_ = 0;
-  std::uint64_t retries_ = 0;
   std::uint64_t retry_admits_ = 0;
-  std::uint64_t abandoned_budget_ = 0;
-  std::uint64_t abandoned_expired_ = 0;
-  std::uint64_t abandoned_attempts_ = 0;
-  std::uint64_t hedges_ = 0;
-  std::uint64_t hedge_wins_ = 0;
-  std::uint64_t hedge_cancels_ = 0;
   std::uint64_t hedge_waste_ = 0;
   std::uint64_t hedge_rescued_misses_ = 0;
-  std::uint64_t breaker_opens_ = 0;
-  std::uint64_t breaker_closes_ = 0;
 
   /// Unsettled hedge pairs by ascending pair id (the poll events reference
   /// pairs by id, so settlement order is a pure function of event order).

@@ -1,5 +1,6 @@
 #include "cluster/router.h"
 
+#include <cassert>
 #include <limits>
 
 #include "metrics/eventlog.h"
@@ -28,6 +29,7 @@ Router::Router(Fleet& fleet, const RouterConfig& config,
       config_(config),
       rng_(config.seed),
       collector_(collector) {
+  assert(collector_ != nullptr);
   // Transfers headed to a device that fails or drains must be cancelled the
   // instant it stops being placeable — before the fleet rehomes its tasks —
   // so no delivery ever lands on a halted GPU. With no transfers in flight
@@ -125,10 +127,8 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   }
   if (home < 0) home = 0;  // whole fleet unplaceable: nominal accounting slot
 
-  if (collector_) {
-    collector_->on_release(spec.priority);
-    collector_->on_route(home);
-  }
+  collector_->on_release(spec.priority);
+  collector_->on_route(home);
 
   // Fleet admission controller: a job no device can feasibly host (model
   // fits no GPU's memory, or one job's utilisation exceeds every idle
@@ -151,10 +151,8 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(home).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    if (collector_) {
-      collector_->record(released, metrics::EventKind::kAdmit,
-                         metrics::EventCause::kHomeAdmit, home, -1, task_id);
-    }
+    collector_->record(released, metrics::EventKind::kAdmit,
+                       metrics::EventCause::kHomeAdmit, home, -1, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = home;
@@ -183,10 +181,8 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   const auto cls = static_cast<std::size_t>(spec.priority);
   ++released_cls_[cls];
 
-  if (collector_) {
-    collector_->on_release(spec.priority);
-    collector_->on_route(best);
-  }
+  collector_->on_release(spec.priority);
+  collector_->on_route(best);
 
   // The fleet-wide backlog guard is skipped by design (the primary copy
   // holds the task's backlog slot); the peer scheduler's own admission test
@@ -194,10 +190,8 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(best).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    if (collector_) {
-      collector_->record(released, metrics::EventKind::kAdmit,
-                         metrics::EventCause::kHomeAdmit, best, -1, task_id);
-    }
+    collector_->record(released, metrics::EventKind::kAdmit,
+                       metrics::EventCause::kHomeAdmit, best, -1, task_id);
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = best;
     r.job_id = job_id;
@@ -224,14 +218,10 @@ RouteResult Router::migrate(int task_id, int from, int peer,
           CoalesceKey{peer, fleet_.model_of(task_id)});
       if (lead != inflight_copy_.end()) {
         const common::Time arrive = inflight_.at(lead->second).arrive;
-        ++coalesced_;
-        coalesced_mb_saved_ += mb;
-        if (collector_) {
-          collector_->record(fleet_.simulator().now(),
-                             metrics::EventKind::kCoalesce,
-                             metrics::EventCause::kCoalesced, peer, -1,
-                             task_id, mb);
-        }
+        collector_->record(fleet_.simulator().now(),
+                           metrics::EventKind::kCoalesce,
+                           metrics::EventCause::kCoalesced, peer, -1, task_id,
+                           mb);
         // The attacher's delivery event is scheduled after the leader's, so
         // at equal arrival times it runs second — the leader's delivery has
         // already warmed the model when this job is offered.
@@ -240,14 +230,8 @@ RouteResult Router::migrate(int task_id, int from, int peer,
         return pending;
       }
     }
-    ++transfers_;
-    transferred_mb_ += mb;
-    if (collector_) {
-      collector_->record(fleet_.simulator().now(),
-                         metrics::EventKind::kTransfer,
-                         metrics::EventCause::kColdModel, peer, -1, task_id,
-                         mb);
-    }
+    collector_->record(fleet_.simulator().now(), metrics::EventKind::kTransfer,
+                       metrics::EventCause::kColdModel, peer, -1, task_id, mb);
     if (delay > 0) {
       queue_delivery(task_id, from, peer, released,
                      fleet_.simulator().now() + delay, mb,
@@ -354,12 +338,8 @@ RouteResult Router::deliver(int task_id, int from, int peer,
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(peer).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    ++migrations_;
-    if (collector_) {
-      collector_->record(fleet_.simulator().now(),
-                         metrics::EventKind::kMigrate,
-                         metrics::EventCause::kSpill, from, peer, task_id);
-    }
+    collector_->record(fleet_.simulator().now(), metrics::EventKind::kMigrate,
+                       metrics::EventCause::kSpill, from, peer, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = peer;
@@ -371,17 +351,13 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
-  ++drops_;
-  if (cause == metrics::EventCause::kInfeasible) ++infeasible_;
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
   ++shed_cls_[static_cast<std::size_t>(spec.priority)];
-  note_shed_at(gpu);
-  RouteResult r;
-  r.cause = cause;
-  if (collector_ == nullptr) return r;
   collector_->on_reject(spec.priority);
   collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
                      task_id);
+  RouteResult r;
+  r.cause = cause;
   return r;
 }
 
@@ -401,12 +377,6 @@ void Router::add_pending_job(int task_id, int delta) {
   } else if (delta < 0) {
     --pending_cls_[cls];
   }
-}
-
-void Router::note_shed_at(int gpu) {
-  const auto i = static_cast<std::size_t>(gpu);
-  if (i >= shed_at_.size()) shed_at_.resize(i + 1, 0);
-  ++shed_at_[i];
 }
 
 }  // namespace daris::cluster

@@ -13,7 +13,7 @@
 // the best-scoring *peer* — cross-GPU migration. A migration to a device
 // where the job's model is cold first ships the weights: the delivery is
 // delayed by `weight_mb * transfer_us_per_mb` (FleetConfig), the transfer
-// is recorded in RoutingCounters, and a successful transfer warms the model
+// is reported to the collector, and a successful transfer warms the model
 // on the target so repeat migrations are free. The job is dropped only when
 // the peer rejects it too (for delayed deliveries, at arrival time).
 //
@@ -33,9 +33,10 @@
 //    registers this through Fleet::set_on_unplaceable.
 //
 // The router owns the fleet-level release/reject accounting (the schedulers
-// run in silent mode so a retried job is not double-counted) and feeds
-// per-GPU RoutingCounters in metrics. In-flight transfer deliveries are
-// simulator events that reference the router: keep it alive while the
+// run in silent mode so a retried job is not double-counted) and reports
+// every routing decision once, through metrics::Collector::record, which
+// keeps the per-GPU and fleet-wide counts. In-flight transfer deliveries
+// are simulator events that reference the router: keep it alive while the
 // simulator runs, as with the release drivers.
 //
 // docs/CLUSTER.md is the policy guide (when each policy wins, the
@@ -101,6 +102,8 @@ struct RouterConfig {
 
 class Router {
  public:
+  /// `collector` (required) receives every routing decision and holds the
+  /// counts the accessors below read.
   Router(Fleet& fleet, const RouterConfig& config,
          metrics::Collector* collector);
   /// Convenience: default spill threshold.
@@ -134,23 +137,27 @@ class Router {
                           common::Time released);
 
   /// Jobs admitted by a peer after their routed GPU rejected them.
-  std::uint64_t cross_gpu_migrations() const { return migrations_; }
+  std::uint64_t cross_gpu_migrations() const {
+    return counters().migrations;
+  }
 
   /// Jobs rejected by both the routed GPU and the offered peer, plus
   /// infeasible ones.
-  std::uint64_t drops() const { return drops_; }
+  std::uint64_t drops() const { return counters().drops; }
 
   /// Jobs shed by the fleet admission controller (subset of drops()).
-  std::uint64_t infeasible_rejects() const { return infeasible_; }
+  std::uint64_t infeasible_rejects() const {
+    return counters().infeasible;
+  }
 
   /// Cross-GPU weight transfers performed (cold-model migrations).
-  std::uint64_t transfers() const { return transfers_; }
-  double transferred_mb() const { return transferred_mb_; }
+  std::uint64_t transfers() const { return counters().transfers; }
+  double transferred_mb() const { return counters().transferred_mb; }
 
   /// Migrations that attached to an in-flight copy of their model instead
   /// of shipping it again, and the MB those attachments did not re-ship.
-  std::uint64_t coalesced_transfers() const { return coalesced_; }
-  double coalesced_mb_saved() const { return coalesced_mb_saved_; }
+  std::uint64_t coalesced_transfers() const { return counters().coalesced; }
+  double coalesced_mb_saved() const { return counters().coalesced_mb_saved; }
 
   /// In-flight transfers cancelled because their target failed or drained
   /// (each job was retargeted to a placeable peer or dropped).
@@ -181,10 +188,12 @@ class Router {
   }
 
   /// Jobs shed after being routed to GPU g (any cause) — the circuit
-  /// breaker's shed signal for the device.
+  /// breaker's shed signal for the device, read off the collector's
+  /// per-GPU counters (0 when the collector does not size them).
   std::uint64_t shed_at(int g) const {
-    const auto i = static_cast<std::size_t>(g);
-    return i < shed_at_.size() ? shed_at_[i] : 0;
+    if (g >= collector_->gpu_count()) return 0;
+    const metrics::RoutingCounters& r = collector_->routing(g);
+    return r.dropped + r.infeasible;
   }
 
   /// In-flight weight transfers headed for GPU g (telemetry gauge).
@@ -237,8 +246,8 @@ class Router {
   /// Transfer-completion half of migrate(): admit-or-drop on the target.
   RouteResult deliver(int task_id, int from, int peer, common::Time released);
   /// Sheds one job routed to `gpu`: the one shed path (infeasible, backlog,
-  /// peer and post-transfer rejections, retarget drops). Counts the drop,
-  /// the class shed and the breaker signal, and reports the rejection.
+  /// peer and post-transfer rejections, retarget drops). Counts the class
+  /// shed and reports the rejection.
   RouteResult drop(int task_id, int gpu, common::Time released,
                    metrics::EventCause cause = metrics::EventCause::kPeerReject);
   /// Registers a delayed delivery arriving at `arrive` and bumps the
@@ -259,27 +268,20 @@ class Router {
   /// in no scheduler yet, so the backlog guards must count them here).
   int pending_jobs(int task_id) const;
   void add_pending_job(int task_id, int delta);
-  /// Charges one shed to the routed GPU's breaker signal (shed_at()).
-  void note_shed_at(int gpu);
+  const metrics::FleetCounters& counters() const {
+    return collector_->fleet_counters();
+  }
 
   Fleet& fleet_;
   RouterConfig config_;
   common::Rng rng_;
   metrics::Collector* collector_;
   int rr_next_ = 0;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t drops_ = 0;
-  std::uint64_t infeasible_ = 0;
-  std::uint64_t transfers_ = 0;
   std::uint64_t pending_transfers_ = 0;
-  std::uint64_t coalesced_ = 0;
   std::uint64_t transfer_cancels_ = 0;
-  double transferred_mb_ = 0.0;
-  double coalesced_mb_saved_ = 0.0;
   std::uint64_t released_cls_[2] = {0, 0};
   std::uint64_t shed_cls_[2] = {0, 0};
   std::uint64_t pending_cls_[2] = {0, 0};
-  std::vector<std::uint64_t> shed_at_;  // sheds charged to the routed GPU
   std::vector<int> pending_jobs_;  // per task id
   std::vector<int> pending_to_;    // in-flight transfers per target GPU
   /// In-flight transfers by ascending id — the only iteration order any

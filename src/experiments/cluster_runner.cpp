@@ -511,40 +511,41 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   result.total_jps = collector.throughput_jps(horizon);
   result.hp = collector.summary(common::Priority::kHigh);
   result.lp = collector.summary(common::Priority::kLow);
-  result.cross_gpu_migrations = router.cross_gpu_migrations();
-  result.drops = router.drops();
-  result.infeasible_rejects = router.infeasible_rejects();
-  result.transfers = router.transfers();
-  result.transferred_mb = router.transferred_mb();
+  const metrics::FleetCounters& fc = collector.fleet_counters();
+  result.cross_gpu_migrations = fc.migrations;
+  result.drops = fc.drops;
+  result.infeasible_rejects = fc.infeasible;
+  result.transfers = fc.transfers;
+  result.transferred_mb = fc.transferred_mb;
   result.rebalancing = config.rebalance.enabled;
-  result.steals = rebalancer.steals();
+  result.steals = fc.steals;
   result.steal_scans = rebalancer.steal_scans();
-  result.rehomes = rebalancer.rehomes();
+  result.rehomes = fc.rehomes;
   result.rehome_rounds = rebalancer.rehome_rounds();
-  result.coalesced_transfers = router.coalesced_transfers();
-  result.coalesced_mb_saved = router.coalesced_mb_saved();
+  result.coalesced_transfers = fc.coalesced;
+  result.coalesced_mb_saved = fc.coalesced_mb_saved;
   result.transfer_cancels = router.transfer_cancels();
   result.intra_gpu_migrations = fleet.intra_gpu_migrations();
   result.arrivals = open_loop      ? open_loop->arrivals()
                     : trace_driver ? trace_driver->arrivals()
                                    : 0;
-  result.jobs_lost = fleet.jobs_lost();
+  result.jobs_lost = fc.jobs_lost;
   result.unmatched_rows = trace_driver ? trace_driver->unmatched() : 0;
   result.resilience = config.resilience.enabled;
   result.first_attempts = resilience.first_attempts();
-  result.retries = resilience.retries();
+  result.retries = fc.retries;
   result.retry_admits = resilience.retry_admits();
-  result.retry_abandoned_budget = resilience.abandoned_budget();
-  result.retry_abandoned_expired = resilience.abandoned_expired();
-  result.retry_abandoned_attempts = resilience.abandoned_attempts();
-  result.hedges = resilience.hedges();
-  result.hedge_wins = resilience.hedge_wins();
-  result.hedge_cancels = resilience.hedge_cancels();
+  result.retry_abandoned_budget = fc.retry_abandoned_budget;
+  result.retry_abandoned_expired = fc.retry_abandoned_expired;
+  result.retry_abandoned_attempts = fc.retry_abandoned_attempts;
+  result.hedges = fc.hedges;
+  result.hedge_wins = fc.hedge_wins;
+  result.hedge_cancels = fc.hedge_cancels;
   result.hedge_waste = resilience.hedge_waste();
   result.hedge_rescued_misses = resilience.hedge_rescued_misses();
   result.hedge_client_p99_ms = resilience.hedge_client_percentile_ms(99.0);
-  result.breaker_opens = resilience.breaker_opens();
-  result.breaker_closes = resilience.breaker_closes();
+  result.breaker_opens = fc.breaker_opens;
+  result.breaker_closes = fc.breaker_closes;
   // Job conservation, checked after EVERY run — faults, rebalancing, and
   // resilience all conserve jobs, so a violation is a fleet bug regardless
   // of configuration.
@@ -556,7 +557,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       cons.shed[c] = router.shed_of(p);
       cons.pending[c] = router.pending_of(p);
     }
-    cons.steals = rebalancer.steals();
+    cons.steals = fc.steals;
     const cluster::Fleet::ConservationReport rep =
         fleet.check_conservation(cons);
     result.conservation_ok = rep.ok;

@@ -156,14 +156,6 @@ ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
   return cfg;
 }
 
-// Drain recovery by re-homing: GPU 0 of 3 drains with NO replacement. The
-// fault-instant rehoming moves every task homed there onto the single
-// least-loaded survivor — correct at that instant, but it leaves one GPU
-// carrying two GPUs' worth of homes (HP jobs are pinned to their home, so
-// spillover cannot help them). The periodic demand-aware rounds then
-// redistribute homes across both survivors. Stealing is off so recovery is
-// attributable to re-homing alone; the counterfactual run shows the
-// off-run's pile-up.
 // Retry-storm meltdown: the canonical metastable failure, and the reason
 // the resilience layer ships a retry budget and circuit breakers next to
 // the retry policy. A 4x flash crowd for 1.5s drives the 3-GPU fleet into
@@ -260,6 +252,14 @@ ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {
   return cfg;
 }
 
+// Drain recovery by re-homing: GPU 0 of 3 drains with NO replacement. The
+// fault-instant rehoming moves every task homed there onto the single
+// least-loaded survivor — correct at that instant, but it leaves one GPU
+// carrying two GPUs' worth of homes (HP jobs are pinned to their home, so
+// spillover cannot help them). The periodic demand-aware rounds then
+// redistribute homes across both survivors. Stealing is off so recovery is
+// attributable to re-homing alone; the counterfactual run shows the
+// off-run's pile-up.
 ClusterConfig drain_recovery(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(3);
   // Poisson at 0.7x nominal: the two survivors can host the whole demand
@@ -474,10 +474,8 @@ ScenarioResult run_scenario(const std::string& name,
   if (telemetry) {
     // Unified Perfetto trace: stage spans on per-GPU lanes + counter tracks
     // + event-log instants, built before the stage trace is folded away.
-    metrics::TraceRecorder rec;
-    rec.add_stage_events_by_gpu(out.cluster.stage_trace);
     out.perfetto_json = metrics::to_chrome_trace_json(
-        rec.spans(), &out.cluster.timeseries, &out.cluster.events);
+        out.cluster.stage_trace, &out.cluster.timeseries, &out.cluster.events);
 
     // Telemetry JSON. The digest covers the deterministic sections only
     // (series, events, fingerprint) — the profile carries host wall-clock.

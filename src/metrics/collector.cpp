@@ -1,10 +1,28 @@
 #include "metrics/collector.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 
+#include "common/log.h"
 #include "metrics/eventlog.h"
 
 namespace daris::metrics {
+
+namespace {
+
+/// The record's log line; times to the nanosecond, never in exponent form.
+std::string narration(Time when, EventKind kind, EventCause cause, int gpu,
+                      int peer, int task, double value) {
+  char line[192];
+  std::snprintf(line, sizeof line,
+                "t=%.3fus %s:%s gpu %d peer %d task %d value %g",
+                common::to_us(when), event_kind_name(kind),
+                event_cause_name(cause), gpu, peer, task, value);
+  return line;
+}
+
+}  // namespace
 
 Collector::Collector() = default;
 Collector::~Collector() = default;
@@ -16,7 +34,15 @@ void Collector::enable_event_log(std::size_t capacity) {
 
 void Collector::record(Time when, EventKind kind, EventCause cause, int gpu,
                        int peer, int task, double value) {
-  add_routing(routing_, kind, cause, gpu, peer, value);
+  add_counts(routing_, fleet_, kind, cause, gpu, peer, value);
+  // Per-job routing and retry records narrate at debug; device lifecycle,
+  // rebalancing, hedge and breaker transitions at info.
+  const bool per_job =
+      kind == EventKind::kAdmit || kind == EventKind::kReject ||
+      kind == EventKind::kMigrate || kind == EventKind::kTransfer ||
+      kind == EventKind::kCoalesce || kind == EventKind::kRetry;
+  DARIS_LOG(per_job ? common::LogLevel::kDebug : common::LogLevel::kInfo)
+      << narration(when, kind, cause, gpu, peer, task, value);
   if (event_log_) {
     event_log_->append(when, kind, cause, gpu, peer, task, value);
   }

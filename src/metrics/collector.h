@@ -59,7 +59,7 @@ struct ClassSummary {
 };
 
 /// Cluster-level routing outcomes for one GPU (also summed fleet-wide).
-/// Filled by Collector::on_route and, through add_routing
+/// Filled by Collector::on_route and, through add_counts
 /// (metrics/eventlog.h), Collector::record; zero in single-GPU runs.
 struct RoutingCounters {
   std::uint64_t routed = 0;        // arrivals first offered to this GPU
@@ -92,6 +92,32 @@ struct RoutingCounters {
     coalesced_mb += o.coalesced_mb;
     return *this;
   }
+};
+
+/// Fleet-wide totals of the decisions Collector::record reports. Each field
+/// is implied by one record kind (and cause) through add_counts
+/// (metrics/eventlog.h); the two MB totals add the records' values in
+/// report order.
+struct FleetCounters {
+  std::uint64_t migrations = 0;                // kMigrate
+  std::uint64_t drops = 0;                     // kReject, any cause
+  std::uint64_t infeasible = 0;                // kReject / kInfeasible
+  std::uint64_t transfers = 0;                 // kTransfer
+  double transferred_mb = 0.0;                 //   + value
+  std::uint64_t coalesced = 0;                 // kCoalesce
+  double coalesced_mb_saved = 0.0;             //   + value
+  std::uint64_t steals = 0;                    // kSteal
+  std::uint64_t rehomes = 0;                   // kRehome / kDemandShift
+  std::uint64_t jobs_lost = 0;                 // kFault / kFailStop, + value
+  std::uint64_t retries = 0;                   // kRetry / kBackoff
+  std::uint64_t retry_abandoned_budget = 0;    // kRetry / kBudgetExhausted
+  std::uint64_t retry_abandoned_expired = 0;   // kRetry / kExpired
+  std::uint64_t retry_abandoned_attempts = 0;  // kRetry / kMaxAttempts
+  std::uint64_t hedges = 0;                    // kHedge / kHedgeLaunch
+  std::uint64_t hedge_wins = 0;                // kHedge / kHedgeWin
+  std::uint64_t hedge_cancels = 0;             // kHedge / kHedgeCancel
+  std::uint64_t breaker_opens = 0;             // kBreaker / kBreakerOpen
+  std::uint64_t breaker_closes = 0;            // kBreaker / kBreakerClose
 };
 
 class Collector {
@@ -169,13 +195,16 @@ class Collector {
   // --- fleet decisions and the structured event log (metrics/eventlog.h) --
   //
   // The router, the rebalancer, the fleet and the resilience layer report
-  // every decision once, through record(): it adds the routing counts the
-  // decision implies (add_routing, the one record-to-counter map) and, when
+  // every decision once, through record(): it adds the per-GPU and
+  // fleet-wide counts the decision implies (add_counts, the one
+  // record-to-count map), narrates it to the log (common/log.h: per-job
+  // routing and retry records at debug, every other kind at info) and, when
   // the event log is on, appends the typed, timestamped record. The log is
   // off by default; until enable_event_log reserves its storage, a decision
-  // costs only its counter update. EventLog::fold_routing replays the same
-  // map over the records and reproduces the RoutingCounters (tested),
-  // making the log the queryable source of truth.
+  // costs only its counter update. EventLog::fold_counts replays the same
+  // map over the records and reproduces both kinds of counters (tested),
+  // making the log the queryable source of truth. record() runs in the
+  // control phase only, so the counters need no lanes.
 
   /// Creates (or resets) the log with room for `capacity` records.
   void enable_event_log(std::size_t capacity);
@@ -194,6 +223,8 @@ class Collector {
   }
   /// Sum of the per-GPU routing counters.
   RoutingCounters fleet_routing() const;
+  /// Fleet-wide decision totals (every record, whatever its device).
+  const FleetCounters& fleet_counters() const { return fleet_; }
 
   const ClassSummary& summary(Priority p) const {
     return classes_[static_cast<std::size_t>(p)];
@@ -213,6 +244,7 @@ class Collector {
 
   ClassSummary classes_[2];
   std::vector<RoutingCounters> routing_;
+  FleetCounters fleet_;
   std::vector<StageEvent> stage_trace_;
   std::vector<Lane> lanes_;
   bool trace_stages_ = false;

@@ -90,8 +90,9 @@ const char* event_cause_name(EventCause c) {
   return "?";
 }
 
-void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
-                 EventCause cause, int gpu, int peer, double value) {
+void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
+                EventKind kind, EventCause cause, int gpu, int peer,
+                double value) {
   auto at = [&per_gpu](int g) -> RoutingCounters* {
     if (g < 0 || static_cast<std::size_t>(g) >= per_gpu.size()) return nullptr;
     return &per_gpu[static_cast<std::size_t>(g)];
@@ -102,7 +103,9 @@ void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
       break;
     case EventKind::kReject:
       // Infeasible sheds have their own column; guard, peer and retarget
-      // rejections count as drops.
+      // rejections count as drops. Fleet-wide, every shed is a drop.
+      ++fleet.drops;
+      if (cause == EventCause::kInfeasible) ++fleet.infeasible;
       if (auto* c = at(gpu)) {
         if (cause == EventCause::kInfeasible) {
           ++c->infeasible;
@@ -113,10 +116,13 @@ void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
       break;
     case EventKind::kMigrate:
       // Routed to `gpu`, admitted on `peer`.
+      ++fleet.migrations;
       if (auto* c = at(gpu)) ++c->migrated_out;
       if (auto* c = at(peer)) ++c->migrated_in;
       break;
     case EventKind::kTransfer:
+      ++fleet.transfers;
+      fleet.transferred_mb += value;
       if (auto* c = at(gpu)) {
         ++c->transfers_in;
         c->transferred_mb += value;
@@ -124,42 +130,66 @@ void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
       break;
     case EventKind::kSteal:
       // Claimed off `gpu` (the victim) by `peer` (the thief).
+      ++fleet.steals;
       if (auto* c = at(gpu)) ++c->steals_out;
       if (auto* c = at(peer)) ++c->steals_in;
       break;
     case EventKind::kCoalesce:
       // A duplicate copy to `gpu` attached to the in-flight one; value is
       // the MB it did not re-ship.
+      ++fleet.coalesced;
+      fleet.coalesced_mb_saved += value;
       if (auto* c = at(gpu)) {
         ++c->coalesced;
         c->coalesced_mb += value;
       }
       break;
     case EventKind::kFault:
+      if (cause == EventCause::kFailStop) {
+        fleet.jobs_lost += static_cast<std::uint64_t>(value);
+      }
+      break;
     case EventKind::kRehome:
-    case EventKind::kDrain:
+      // Fault-driven rehomes (kNone) are the fault's consequence, not a
+      // rebalancing move.
+      if (cause == EventCause::kDemandShift) ++fleet.rehomes;
+      break;
     case EventKind::kRetry:
+      // Resilience records carry no routing counts: a retry or hedge that
+      // was actually released shows up as its own admit/reject/migrate
+      // record.
+      if (cause == EventCause::kBackoff) ++fleet.retries;
+      if (cause == EventCause::kBudgetExhausted) ++fleet.retry_abandoned_budget;
+      if (cause == EventCause::kExpired) ++fleet.retry_abandoned_expired;
+      if (cause == EventCause::kMaxAttempts) ++fleet.retry_abandoned_attempts;
+      break;
     case EventKind::kHedge:
+      if (cause == EventCause::kHedgeLaunch) ++fleet.hedges;
+      if (cause == EventCause::kHedgeWin) ++fleet.hedge_wins;
+      if (cause == EventCause::kHedgeCancel) ++fleet.hedge_cancels;
+      break;
     case EventKind::kBreaker:
-      // Lifecycle and resilience records carry no routing counts: a retry
-      // or hedge that was actually released shows up as its own
-      // admit/reject/migrate record.
+      if (cause == EventCause::kBreakerOpen) ++fleet.breaker_opens;
+      if (cause == EventCause::kBreakerClose) ++fleet.breaker_closes;
+      break;
+    case EventKind::kDrain:
       break;
   }
 }
 
-std::vector<RoutingCounters> EventLog::fold_routing(int gpu_count) const {
-  std::vector<RoutingCounters> out(
-      static_cast<std::size_t>(gpu_count < 0 ? 0 : gpu_count));
+EventLog::Counts EventLog::fold_counts(int gpu_count) const {
+  Counts out;
+  out.per_gpu.resize(static_cast<std::size_t>(gpu_count < 0 ? 0 : gpu_count));
   for (const FleetEvent& ev : events_) {
     const bool outcome = ev.kind == EventKind::kAdmit ||
                          ev.kind == EventKind::kReject ||
                          ev.kind == EventKind::kMigrate;
     if (outcome && ev.gpu >= 0 &&
-        static_cast<std::size_t>(ev.gpu) < out.size()) {
-      ++out[static_cast<std::size_t>(ev.gpu)].routed;
+        static_cast<std::size_t>(ev.gpu) < out.per_gpu.size()) {
+      ++out.per_gpu[static_cast<std::size_t>(ev.gpu)].routed;
     }
-    add_routing(out, ev.kind, ev.cause, ev.gpu, ev.peer, ev.value);
+    add_counts(out.per_gpu, out.fleet, ev.kind, ev.cause, ev.gpu, ev.peer,
+               ev.value);
   }
   return out;
 }

@@ -4,16 +4,16 @@
 // time, and a cause code.
 //
 // Decisions reach the log through metrics::Collector::record, which also
-// adds the routing counts each one implies (`add_routing`). The log is the
-// queryable source of truth for the fleet's routing outcomes:
-// `fold_routing()` replays `add_routing` over the records alone and
-// reconstructs the per-GPU `RoutingCounters` (a unit test pins the fold
-// against the live counters), and the Perfetto export renders the records
-// as instant events on the per-GPU lanes. Records are PODs appended into a
-// pre-reserved vector, so steady-state logging performs no allocation
-// (pinned in tests/test_sim_alloc.cpp) and — because nothing ever reads the
-// log during the run — enabling it cannot perturb a single scheduling
-// decision.
+// adds the counts each one implies (`add_counts`). The log is the queryable
+// source of truth for the fleet's decisions: `fold_counts()` replays
+// `add_counts` over the records alone and reconstructs the per-GPU
+// `RoutingCounters` and the fleet-wide `FleetCounters` (unit tests pin the
+// fold against the live counters), and the Perfetto export renders the
+// records as instant events on the per-GPU lanes. Records are PODs appended
+// into a pre-reserved vector, so steady-state logging performs no
+// allocation (pinned in tests/test_sim_alloc.cpp) and — because nothing
+// ever reads the log during the run — enabling it cannot perturb a single
+// scheduling decision.
 //
 // Export formats: a JSON array (`append_json_array`, the telemetry
 // artifact's "events") and the unified Perfetto trace via
@@ -83,13 +83,15 @@ enum class EventCause : std::uint8_t {
 const char* event_kind_name(EventKind k);
 const char* event_cause_name(EventCause c);
 
-/// Adds the routing counts one record implies to the per-GPU counters: the
-/// only map from records to RoutingCounters (Collector::record and
-/// EventLog::fold_routing both run it). Devices outside `per_gpu` are
-/// skipped; lifecycle and resilience kinds add nothing. `routed` is left
-/// alone: the live count comes from Collector::on_route.
-void add_routing(std::vector<RoutingCounters>& per_gpu, EventKind kind,
-                 EventCause cause, int gpu, int peer, double value);
+/// Adds the counts one record implies to the per-GPU counters of `gpu` and
+/// `peer` and to the fleet-wide totals: the only map from a record to a
+/// count (Collector::record and EventLog::fold_counts both run it). Devices
+/// outside `per_gpu` get no per-GPU count; the fleet totals count every
+/// record. `routed` is left alone: the live count comes from
+/// Collector::on_route.
+void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
+                EventKind kind, EventCause cause, int gpu, int peer,
+                double value);
 
 /// One fixed-size record. `gpu` is the primary device, `peer` the secondary
 /// (migration/rehome target; -1 otherwise), `task` the logical task id (-1
@@ -129,12 +131,18 @@ class EventLog {
   bool empty() const { return events_.empty(); }
   void clear() { events_.clear(); }
 
-  /// Reconstructs the per-GPU routing counters from the records alone by
-  /// replaying add_routing. With no transfers still in flight at the end of
-  /// a run this equals the live `Collector` counters field for field.
-  /// `routed` is derived as the sum of per-GPU outcomes (every routed job
-  /// ends in exactly one admit/migrate/reject record).
-  std::vector<RoutingCounters> fold_routing(int gpu_count) const;
+  /// The counters the records imply, per GPU and fleet-wide.
+  struct Counts {
+    std::vector<RoutingCounters> per_gpu;
+    FleetCounters fleet;
+  };
+
+  /// Reconstructs the counters from the records alone by replaying
+  /// add_counts. With no transfers still in flight at the end of a run this
+  /// equals the live `Collector` counters field for field. `routed` is
+  /// derived as the sum of per-GPU outcomes (every routed job ends in
+  /// exactly one admit/migrate/reject record).
+  Counts fold_counts(int gpu_count) const;
 
   /// Appends the records as one JSON array, in append order (fields ts_us,
   /// kind, cause, gpu, peer, task, value; deterministic %.17g numbers).

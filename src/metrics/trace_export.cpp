@@ -25,51 +25,37 @@ std::string escape(const std::string& s) {
   return out;
 }
 
-/// One stage execution on (group, lane): backdated by its measured
-/// execution time, with the task's class and the virtual-deadline miss.
-TraceSpan stage_span(const StageEvent& s, int group, int lane) {
-  TraceSpan span;
-  span.name =
-      "task" + std::to_string(s.task_id) + ".stage" + std::to_string(s.stage);
-  span.group = group;
-  span.lane = lane;
-  const auto dur = static_cast<Duration>(s.execution_us * common::kMicrosecond);
-  span.begin = s.when - dur;
-  span.duration = dur;
-  span.priority = s.priority;
-  span.missed = s.missed;
-  return span;
+/// A simulated time as microseconds with three decimals: the exact
+/// nanosecond, never in exponent form (the ostream default rounds to six
+/// significant digits, 10-100 us past one second).
+struct Us {
+  Time t;
+};
+std::ostream& operator<<(std::ostream& out, Us us) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", common::to_us(us.t));
+  return out << buf;
 }
 }  // namespace
 
-void TraceRecorder::add_stage_events(const std::vector<StageEvent>& stages) {
-  for (const auto& s : stages) add(stage_span(s, -1, s.task_id));
-}
-
-void TraceRecorder::add_stage_events_by_gpu(
-    const std::vector<StageEvent>& stages) {
-  for (const auto& s : stages) add(stage_span(s, s.gpu, s.context));
-}
-
-std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans) {
-  return to_chrome_trace_json(spans, nullptr, nullptr);
-}
-
-std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans,
+std::string to_chrome_trace_json(const std::vector<StageEvent>& stages,
                                  const TimeSeries* series,
                                  const EventLog* log) {
   std::ostringstream out;
   out << "[";
   bool first = true;
-  for (const auto& s : spans) {
+  for (const StageEvent& s : stages) {
     if (!first) out << ",";
     first = false;
-    out << "\n  {\"name\": \"" << escape(s.name) << "\","
+    const auto dur =
+        static_cast<Duration>(s.execution_us * common::kMicrosecond);
+    out << "\n  {\"name\": \"task" << s.task_id << ".stage" << s.stage
+        << "\","
         << " \"ph\": \"X\","
-        << " \"pid\": " << s.group << ","
-        << " \"tid\": " << s.lane << ","
-        << " \"ts\": " << common::to_us(s.begin) << ","
-        << " \"dur\": " << common::to_us(s.duration) << ","
+        << " \"pid\": " << s.gpu << ","
+        << " \"tid\": " << (s.gpu < 0 ? s.task_id : s.context) << ","
+        << " \"ts\": " << Us{s.when - dur} << ","
+        << " \"dur\": " << Us{dur} << ","
         << " \"args\": {\"priority\": \""
         << common::priority_name(s.priority) << "\", \"missed\": "
         << (s.missed ? "true" : "false") << "}}";
@@ -85,7 +71,7 @@ std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans,
         out << "\n  {\"name\": \"" << name << "\","
             << " \"ph\": \"C\","
             << " \"pid\": " << series->track_device(t) << ","
-            << " \"ts\": " << common::to_us(series->stamp(i)) << ","
+            << " \"ts\": " << Us{series->stamp(i)} << ","
             << " \"args\": {\"value\": " << series->value(t, i) << "}}";
       }
     }
@@ -105,7 +91,7 @@ std::string to_chrome_trace_json(const std::vector<TraceSpan>& spans,
           << " \"s\": \"" << (device_wide ? 'p' : 't') << "\","
           << " \"pid\": " << ev.gpu << ","
           << " \"tid\": " << ev.task << ","
-          << " \"ts\": " << common::to_us(ev.when) << ","
+          << " \"ts\": " << Us{ev.when} << ","
           << " \"args\": {\"peer\": " << ev.peer << ", \"value\": "
           << ev.value << "}}";
     }

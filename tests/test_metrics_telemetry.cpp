@@ -1,12 +1,15 @@
 // Telemetry layer (docs/OBSERVABILITY.md): the time-series sampler's
 // cadence, ring, and JSON shape; the structured event log's fold back to
-// RoutingCounters — pinned against the live collector counters over a real
-// overloaded cluster run, the property that makes the log the source of
-// truth; and the end-to-end capture run_cluster wires up.
+// RoutingCounters and FleetCounters — pinned against the live collector
+// counters over real cluster runs, the property that makes the log the
+// source of truth; and the end-to-end capture run_cluster wires up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "experiments/cluster_runner.h"
 #include "metrics/eventlog.h"
@@ -85,7 +88,7 @@ TEST(EventLogFold, MirrorsLiveCounterSemantics) {
   log.append(6, EventKind::kFault, EventCause::kFailStop, 1, -1, -1, 3.0);
   log.append(7, EventKind::kRehome, EventCause::kNone, 1, 0, 5);
   log.append(8, EventKind::kDrain, EventCause::kScaleDown, 0);
-  const auto fold = log.fold_routing(2);
+  const auto fold = log.fold_counts(2).per_gpu;
   ASSERT_EQ(fold.size(), 2u);
   EXPECT_EQ(fold[0].routed, 4u);  // admit + infeasible + backlog + migrate
   EXPECT_EQ(fold[0].home_admits, 1u);
@@ -98,17 +101,25 @@ TEST(EventLogFold, MirrorsLiveCounterSemantics) {
   EXPECT_EQ(fold[1].migrated_in, 1u);
   EXPECT_EQ(fold[1].transfers_in, 1u);
   EXPECT_DOUBLE_EQ(fold[1].transferred_mb, 44.5);
+  const FleetCounters fleet = log.fold_counts(2).fleet;
+  EXPECT_EQ(fleet.drops, 3u);
+  EXPECT_EQ(fleet.infeasible, 1u);
+  EXPECT_EQ(fleet.migrations, 1u);
+  EXPECT_EQ(fleet.transfers, 1u);
+  EXPECT_EQ(fleet.jobs_lost, 3u);
+  EXPECT_EQ(fleet.rehomes, 0u);  // a fault's rehome is not a demand shift
 }
 
 TEST(EventLogFold, OutOfRangeDevicesAreIgnored) {
   EventLog log;
   log.append(0, EventKind::kAdmit, EventCause::kHomeAdmit, 5);
   log.append(1, EventKind::kMigrate, EventCause::kSpill, 0, 9, 2);
-  const auto fold = log.fold_routing(1);
+  const auto fold = log.fold_counts(1).per_gpu;
   ASSERT_EQ(fold.size(), 1u);
   EXPECT_EQ(fold[0].routed, 1u);
   EXPECT_EQ(fold[0].migrated_out, 1u);  // the in-range half still counts
-  EXPECT_TRUE(log.fold_routing(0).empty());
+  EXPECT_TRUE(log.fold_counts(0).per_gpu.empty());
+  EXPECT_EQ(log.fold_counts(0).fleet.migrations, 1u);  // fleet counts all
 }
 
 /// An overloaded heterogeneous-arrival fleet with telemetry on. Zero-delay
@@ -134,7 +145,8 @@ exp::ClusterResult telemetry_run() {
 TEST(TelemetryCluster, FoldedEventLogMatchesLiveRoutingCounters) {
   const exp::ClusterResult r = telemetry_run();
   ASSERT_FALSE(r.events.empty());
-  const auto fold = r.events.fold_routing(static_cast<int>(r.per_gpu.size()));
+  const auto fold =
+      r.events.fold_counts(static_cast<int>(r.per_gpu.size())).per_gpu;
   ASSERT_EQ(fold.size(), r.per_gpu.size());
   std::uint64_t migrations = 0;
   for (std::size_t g = 0; g < fold.size(); ++g) {
@@ -152,6 +164,145 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveRoutingCounters) {
   }
   EXPECT_GT(migrations, 0u)
       << "the overload config must actually exercise the migration records";
+}
+
+/// The fleet-wide counters a run reports (run_cluster copies them from
+/// Collector::fleet_counters), gathered back into one FleetCounters.
+FleetCounters live_fleet_counters(const exp::ClusterResult& r) {
+  FleetCounters f;
+  f.migrations = r.cross_gpu_migrations;
+  f.drops = r.drops;
+  f.infeasible = r.infeasible_rejects;
+  f.transfers = r.transfers;
+  f.transferred_mb = r.transferred_mb;
+  f.coalesced = r.coalesced_transfers;
+  f.coalesced_mb_saved = r.coalesced_mb_saved;
+  f.steals = r.steals;
+  f.rehomes = r.rehomes;
+  f.jobs_lost = r.jobs_lost;
+  f.retries = r.retries;
+  f.retry_abandoned_budget = r.retry_abandoned_budget;
+  f.retry_abandoned_expired = r.retry_abandoned_expired;
+  f.retry_abandoned_attempts = r.retry_abandoned_attempts;
+  f.hedges = r.hedges;
+  f.hedge_wins = r.hedge_wins;
+  f.hedge_cancels = r.hedge_cancels;
+  f.breaker_opens = r.breaker_opens;
+  f.breaker_closes = r.breaker_closes;
+  return f;
+}
+
+/// Every FleetCounters field as (name, value), in declaration order.
+std::vector<std::pair<const char*, double>> fields_of(const FleetCounters& f) {
+  return {{"migrations", f.migrations},
+          {"drops", f.drops},
+          {"infeasible", f.infeasible},
+          {"transfers", f.transfers},
+          {"transferred_mb", f.transferred_mb},
+          {"coalesced", f.coalesced},
+          {"coalesced_mb_saved", f.coalesced_mb_saved},
+          {"steals", f.steals},
+          {"rehomes", f.rehomes},
+          {"jobs_lost", f.jobs_lost},
+          {"retries", f.retries},
+          {"retry_abandoned_budget", f.retry_abandoned_budget},
+          {"retry_abandoned_expired", f.retry_abandoned_expired},
+          {"retry_abandoned_attempts", f.retry_abandoned_attempts},
+          {"hedges", f.hedges},
+          {"hedge_wins", f.hedge_wins},
+          {"hedge_cancels", f.hedge_cancels},
+          {"breaker_opens", f.breaker_opens},
+          {"breaker_closes", f.breaker_closes}};
+}
+
+/// A bursty 1.5 s run with the event log on (the resilience suite's
+/// overloaded fleet).
+exp::ClusterConfig logged_config(int num_gpus, double rate_scale) {
+  exp::ClusterConfig cfg;
+  cfg.taskset =
+      workload::replicated_taskset(workload::mixed_taskset(), num_gpus);
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 4;
+  cfg.sched.oversubscription = 4.0;
+  cfg.num_gpus = num_gpus;
+  cfg.routing = cluster::RoutingPolicy::kHybrid;
+  cfg.arrivals = exp::ArrivalMode::kBursty;
+  cfg.rate_scale = rate_scale;
+  cfg.duration_s = 1.5;
+  cfg.warmup_s = 0.3;
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.sample_period_s = 0.05;
+  return cfg;
+}
+
+exp::FaultSpec fault_at(exp::FaultSpec::Kind kind, int gpu, double at_s,
+                        double factor = 1.0) {
+  exp::FaultSpec f;
+  f.kind = kind;
+  f.gpu = gpu;
+  f.at_s = at_s;
+  f.factor = factor;
+  return f;
+}
+
+TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
+  std::vector<exp::ClusterConfig> configs;
+  // Retry storm with the self-healing stack and a drain: retries abandoned
+  // for budget and attempts, steals, demand re-homes, coalesced transfers.
+  exp::ClusterConfig storm = logged_config(3, 1.4);
+  storm.resilience.enabled = true;
+  storm.resilience.retry_budget_burst = 4.0;
+  storm.rebalance.enabled = true;
+  storm.faults = {fault_at(exp::FaultSpec::Kind::kDrain, 0, 0.5)};
+  configs.push_back(storm);
+  // Retries whose backoff outlives every deadline: all abandoned expired.
+  exp::ClusterConfig late = logged_config(3, 1.4);
+  late.resilience.enabled = true;
+  late.resilience.hp = {cluster::RetryPolicy::Backoff::kFixed, 3, 500000.0,
+                        500000.0, 0.0};
+  late.resilience.lp = late.resilience.hp;
+  configs.push_back(late);
+  // A straggler that recovers under hedging and breakers: hedge launches,
+  // wins and cancels, and a breaker that opens and later closes.
+  exp::ClusterConfig sick = logged_config(4, 0.5);
+  sick.arrivals = exp::ArrivalMode::kPoisson;
+  sick.duration_s = 2.5;
+  sick.faults = {fault_at(exp::FaultSpec::Kind::kSlow, 0, 0.5, 0.1),
+                 fault_at(exp::FaultSpec::Kind::kSlow, 0, 1.0, 10.0)};
+  sick.resilience.enabled = true;
+  sick.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
+  sick.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
+  sick.resilience.hedge = true;
+  sick.resilience.hedge_percentile = 70.0;
+  sick.resilience.breaker = true;
+  sick.resilience.breaker_open_threshold = 0.4;
+  configs.push_back(sick);
+  // Fail-stop, then the last healthy device drains: lost jobs, and every
+  // later release is infeasible.
+  exp::ClusterConfig dying = logged_config(2, 1.0);
+  dying.faults = {fault_at(exp::FaultSpec::Kind::kFail, 1, 0.6),
+                  fault_at(exp::FaultSpec::Kind::kDrain, 0, 1.0)};
+  configs.push_back(dying);
+
+  // Per field: the largest value any run reached.
+  auto max_seen = fields_of(FleetCounters{});
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    const exp::ClusterResult r = exp::run_cluster(configs[i]);
+    ASSERT_TRUE(r.error.empty()) << r.error;
+    ASSERT_FALSE(r.events.empty());
+    const auto fold =
+        fields_of(r.events.fold_counts(static_cast<int>(r.per_gpu.size()))
+                      .fleet);
+    const auto live = fields_of(live_fleet_counters(r));
+    for (std::size_t k = 0; k < fold.size(); ++k) {
+      EXPECT_EQ(fold[k].second, live[k].second)
+          << "run " << i << " field " << fold[k].first;
+      max_seen[k].second = std::max(max_seen[k].second, live[k].second);
+    }
+  }
+  for (const auto& [name, value] : max_seen) {
+    EXPECT_GT(value, 0.0) << name << " stayed zero in every run";
+  }
 }
 
 TEST(TelemetryCluster, CaptureCarriesDocumentedTracksAndProfile) {

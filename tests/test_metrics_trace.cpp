@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <string>
 
+#include "common/log.h"
 #include "metrics/eventlog.h"
 #include "metrics/timeseries.h"
 #include "metrics/trace_export.h"
@@ -17,13 +19,22 @@ TEST(TraceExport, EmptyIsValidJsonArray) {
   EXPECT_EQ(to_chrome_trace_json({}), "[\n]\n");
 }
 
+/// One stage of `task` ending at `end_ms` after `exec_us` of execution.
+StageEvent span_stage(int task, std::size_t stage, double end_ms,
+                      double exec_us, int context, int gpu) {
+  StageEvent s;
+  s.task_id = task;
+  s.stage = stage;
+  s.when = from_ms(end_ms);
+  s.execution_us = exec_us;
+  s.context = context;
+  s.gpu = gpu;
+  return s;
+}
+
 TEST(TraceExport, SpanFieldsSerialised) {
-  TraceSpan s;
-  s.name = "task1.stage0";
-  s.group = 2;
-  s.lane = 1;
-  s.begin = from_ms(1.0);
-  s.duration = from_ms(0.5);
+  StageEvent s = span_stage(1, 0, /*end_ms=*/1.5, /*exec_us=*/500.0,
+                            /*context=*/1, /*gpu=*/2);
   s.priority = common::Priority::kLow;
   s.missed = true;
   const std::string json = to_chrome_trace_json({s});
@@ -31,42 +42,47 @@ TEST(TraceExport, SpanFieldsSerialised) {
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"pid\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"tid\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"ts\": 1000"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 500"), std::string::npos);
+  EXPECT_NE(json.find("\"ts\": 1000.000"), std::string::npos);
+  EXPECT_NE(json.find("\"dur\": 500.000"), std::string::npos);
   EXPECT_NE(json.find("\"priority\": \"LP\""), std::string::npos);
   EXPECT_NE(json.find("\"missed\": true"), std::string::npos);
 }
 
-TEST(TraceExport, EscapesQuotesInNames) {
-  TraceSpan s;
-  s.name = "we\"ird\\name";
+TEST(TraceExport, TimestampsKeepNanosecondResolution) {
+  // Past one second the ostream default (six significant digits) printed
+  // "ts": 2.9964e+07 here, 123 ns early; later stamps rounded by up to
+  // 50 us, enough to overlap neighbouring spans on one lane.
+  StageEvent s;
+  s.when = 29'965'000'123;  // 29.965000123 s
+  s.execution_us = 1000.0;
   const std::string json = to_chrome_trace_json({s});
+  EXPECT_NE(json.find("\"ts\": 29964000.123,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"dur\": 1000.000,"), std::string::npos) << json;
+  EXPECT_EQ(json.find("e+"), std::string::npos) << json;
+}
+
+TEST(TraceExport, EscapesQuotesInNames) {
+  TimeSeries series;
+  series.add_track("we\"ird\\name", 0, [] { return 0.0; });
+  series.sample_now(0);
+  const std::string json = to_chrome_trace_json({}, &series, nullptr);
   EXPECT_NE(json.find("we\\\"ird\\\\name"), std::string::npos);
 }
 
 TEST(TraceExport, EscapesControlCharacters) {
-  TraceSpan s;
-  s.name = std::string("line\nbreak\ttab\x01raw", 18);
-  const std::string json = to_chrome_trace_json({s});
+  TimeSeries series;
+  series.add_track(std::string("line\nbreak\ttab\x01raw", 18), 0,
+                   [] { return 0.0; });
+  series.sample_now(0);
+  const std::string json = to_chrome_trace_json({}, &series, nullptr);
   EXPECT_NE(json.find("line\\u000abreak\\u0009tab\\u0001raw"),
             std::string::npos);
   EXPECT_EQ(json.find("line\nbreak"), std::string::npos)
       << "no raw control characters may survive inside the name string";
 }
 
-TEST(TraceExport, NullSectionsMatchSpanOnlyOverload) {
-  TraceSpan s;
-  s.name = "task0.stage0";
-  s.begin = from_ms(1.0);
-  s.duration = from_ms(2.0);
-  const std::vector<TraceSpan> spans = {s};
-  EXPECT_EQ(to_chrome_trace_json(spans),
-            to_chrome_trace_json(spans, nullptr, nullptr));
-}
-
 TEST(TraceExport, UnifiedGoldenOutput) {
-  TraceSpan s;
-  s.name = "a";
+  const StageEvent s = span_stage(0, 0, 0.0, 0.0, /*context=*/0, /*gpu=*/0);
   TimeSeries series;
   series.add_track("gpu/util", 0, [] { return 1.5; });
   series.sample_now(common::from_us(5.0));
@@ -76,13 +92,13 @@ TEST(TraceExport, UnifiedGoldenOutput) {
   const std::string json = to_chrome_trace_json({s}, &series, &log);
   EXPECT_EQ(json,
             "[\n"
-            "  {\"name\": \"a\", \"ph\": \"X\", \"pid\": 0, \"tid\": 0,"
-            " \"ts\": 0, \"dur\": 0,"
+            "  {\"name\": \"task0.stage0\", \"ph\": \"X\", \"pid\": 0,"
+            " \"tid\": 0, \"ts\": 0.000, \"dur\": 0.000,"
             " \"args\": {\"priority\": \"HP\", \"missed\": false}},\n"
             "  {\"name\": \"gpu/util\", \"ph\": \"C\", \"pid\": 0,"
-            " \"ts\": 5, \"args\": {\"value\": 1.5}},\n"
+            " \"ts\": 5.000, \"args\": {\"value\": 1.5}},\n"
             "  {\"name\": \"fault:fail-stop\", \"ph\": \"i\", \"s\": \"p\","
-            " \"pid\": 1, \"tid\": -1, \"ts\": 7,"
+            " \"pid\": 1, \"tid\": -1, \"ts\": 7.000,"
             " \"args\": {\"peer\": -1, \"value\": 2}}\n"
             "]\n");
 }
@@ -106,8 +122,7 @@ TEST(TraceExport, OrderingIsStable) {
   // Spans first, then counter samples grouped by track in registration
   // order, then instants in append order — and the whole export is a pure
   // function of its inputs (two calls are byte-identical).
-  TraceSpan s;
-  s.name = "span";
+  const StageEvent s = span_stage(5, 0, 1.0, 10.0, 0, 0);
   TimeSeries series;
   series.add_track("first", 0, [] { return 1.0; });
   series.add_track("second", 1, [] { return 2.0; });
@@ -118,7 +133,7 @@ TEST(TraceExport, OrderingIsStable) {
              0, -1, 7);
   const std::string json = to_chrome_trace_json({s}, &series, &log);
   EXPECT_EQ(json, to_chrome_trace_json({s}, &series, &log));
-  const std::size_t span_pos = json.find("\"span\"");
+  const std::size_t span_pos = json.find("\"task5.stage0\"");
   const std::size_t first_pos = json.find("\"first\"");
   const std::size_t second_pos = json.find("\"second\"");
   const std::size_t instant_pos = json.find("\"reject:backlog\"");
@@ -262,15 +277,11 @@ class JsonChecker {
 };
 
 TEST(TraceExport, UnifiedExportParsesAsJson) {
-  TraceSpan hostile;
-  hostile.name = "we\"ird\\na\nme\x02";
-  hostile.group = -1;
-  hostile.lane = 3;
-  hostile.begin = from_ms(0.25);
-  hostile.duration = from_ms(1.75);
-  hostile.missed = true;
+  StageEvent late = span_stage(3, 1, 2.0, 1750.0, 0, -1);
+  late.missed = true;
+  const StageEvent on_gpu = span_stage(4, 0, 3.0, 250.0, 2, 1);
   TimeSeries series;
-  series.add_track("gpu/util", 0, [] { return 0.125; });
+  series.add_track("we\"ird\\na\nme\x02", 0, [] { return 0.125; });
   series.add_track("fleet/backlog", -1, [] { return 42.0; });
   for (int i = 0; i < 5; ++i) {
     series.sample_now(common::from_us(100.0 * i));
@@ -282,7 +293,8 @@ TEST(TraceExport, UnifiedExportParsesAsJson) {
              EventCause::kColdModel, 1, -1, 9, 44.5);
   log.append(common::from_us(70.0), EventKind::kFault, EventCause::kStraggler,
              2, -1, -1, 0.5);
-  const std::string json = to_chrome_trace_json({hostile}, &series, &log);
+  const std::string json =
+      to_chrome_trace_json({late, on_gpu}, &series, &log);
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   // And the sanity check that the checker rejects broken input.
   EXPECT_FALSE(JsonChecker("[{\"a\": }]").valid());
@@ -290,47 +302,38 @@ TEST(TraceExport, UnifiedExportParsesAsJson) {
   EXPECT_FALSE(JsonChecker(std::string("[\"a\nb\"]")).valid());
 }
 
-TEST(TraceRecorder, BuildsStageSpansBackdatedByExecution) {
-  StageEvent s;
-  s.task_id = 2;
-  s.stage = 1;
-  s.when = from_ms(5.0);
-  s.execution_us = 1000.0;
-  TraceRecorder rec;
-  rec.add_stage_events({s});
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec.spans()[0].name, "task2.stage1");
-  EXPECT_EQ(rec.spans()[0].begin, from_ms(4.0));
-  EXPECT_EQ(rec.spans()[0].duration, from_ms(1.0));
+TEST(TraceExport, StageSpansBackdatedByExecution) {
+  const StageEvent s = span_stage(2, 1, /*end_ms=*/5.0, /*exec_us=*/1000.0,
+                                  /*context=*/0, /*gpu=*/-1);
+  const std::string json = to_chrome_trace_json({s});
+  EXPECT_NE(json.find("\"name\": \"task2.stage1\""), std::string::npos);
+  EXPECT_NE(json.find("\"ts\": 4000.000, \"dur\": 1000.000"),
+            std::string::npos)
+      << json;
 }
 
-TEST(TraceRecorder, StageSpansCarryClassAndVirtualDeadlineMiss) {
-  StageEvent late_lp;
-  late_lp.task_id = 4;
+TEST(TraceExport, StageSpansCarryClassMissAndLane) {
+  // A single-GPU stage (gpu -1) sits on its task's lane; a fleet stage on
+  // its device's context lane.
+  StageEvent late_lp = span_stage(4, 0, 1.0, 10.0, /*context=*/2, -1);
   late_lp.priority = common::Priority::kLow;
   late_lp.missed = true;
-  late_lp.context = 2;
-  late_lp.gpu = 1;
   StageEvent on_time_hp = late_lp;
   on_time_hp.priority = common::Priority::kHigh;
   on_time_hp.missed = false;
-  TraceRecorder rec;
-  rec.add_stage_events({late_lp, on_time_hp});
-  rec.add_stage_events_by_gpu({late_lp, on_time_hp});
-  ASSERT_EQ(rec.size(), 4u);
-  for (std::size_t i = 0; i < 4; i += 2) {
-    EXPECT_EQ(rec.spans()[i].priority, common::Priority::kLow);
-    EXPECT_TRUE(rec.spans()[i].missed);
-    EXPECT_EQ(rec.spans()[i + 1].priority, common::Priority::kHigh);
-    EXPECT_FALSE(rec.spans()[i + 1].missed);
-  }
+  on_time_hp.gpu = 1;
+  const std::string json = to_chrome_trace_json({late_lp, on_time_hp});
+  EXPECT_NE(json.find("\"pid\": -1, \"tid\": 4,"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"pid\": 1, \"tid\": 2,"), std::string::npos)
+      << json;
+  const std::size_t second = json.find("\"pid\": 1");
+  EXPECT_LT(json.find("\"priority\": \"LP\", \"missed\": true"), second);
+  EXPECT_GT(json.find("\"priority\": \"HP\", \"missed\": false"), second);
 }
 
-TEST(TraceRecorder, MultipleSpansCommaSeparated) {
-  TraceRecorder rec;
-  rec.add(TraceSpan{});
-  rec.add(TraceSpan{});
-  const std::string json = to_chrome_trace_json(rec.spans());
+TEST(TraceExport, MultipleSpansCommaSeparated) {
+  const std::string json = to_chrome_trace_json({StageEvent{}, StageEvent{}});
   // Two objects, one comma between them.
   std::size_t count = 0, pos = 0;
   while ((pos = json.find("\"ph\"", pos)) != std::string::npos) {
@@ -338,6 +341,7 @@ TEST(TraceRecorder, MultipleSpansCommaSeparated) {
     ++pos;
   }
   EXPECT_EQ(count, 2u);
+  EXPECT_TRUE(JsonChecker(json).valid()) << json;
 }
 
 StageEvent stage_ev(int task, std::size_t stage, double exec_us,
@@ -416,14 +420,40 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
            /*mb=*/44.5);
   c.record(0, EventKind::kTransfer, EventCause::kColdModel, 1, -1, -1,
            /*mb=*/0.5);
+  c.record(0, EventKind::kCoalesce, EventCause::kCoalesced, 1, -1, 3,
+           /*mb=*/12.25);
+  c.record(0, EventKind::kSteal, EventCause::kBacklogSteal, /*gpu=*/0,
+           /*peer=*/1, 3);
+  c.record(0, EventKind::kRehome, EventCause::kDemandShift, 0, 1, 3);
+  c.record(0, EventKind::kRehome, EventCause::kNone, 1, 0, 4);  // fault's
+  c.record(0, EventKind::kDrain, EventCause::kScaleDown, 1);
+  c.record(0, EventKind::kFault, EventCause::kFailStop, 1, -1, -1,
+           /*lost=*/3.0);
+  c.record(0, EventKind::kFault, EventCause::kStraggler, 0, -1, -1, 0.5);
+  c.record(0, EventKind::kFault, EventCause::kScaleUp, 2, -1, -1, 1.0);
+  c.record(0, EventKind::kRetry, EventCause::kBackoff, -1, -1, 3, 2.0);
+  c.record(0, EventKind::kRetry, EventCause::kBackoff, -1, -1, 3, 3.0);
+  c.record(0, EventKind::kRetry, EventCause::kBudgetExhausted, 0, -1, 3, 1.0);
+  c.record(0, EventKind::kRetry, EventCause::kExpired, -1, -1, 3, 2.0);
+  c.record(0, EventKind::kRetry, EventCause::kMaxAttempts, -1, -1, 3, 3.0);
+  c.record(0, EventKind::kHedge, EventCause::kHedgeLaunch, 0, 1, 3);
+  c.record(0, EventKind::kHedge, EventCause::kHedgeWin, 0, 1, 3);
+  c.record(0, EventKind::kHedge, EventCause::kHedgeCancel, 0, 1, 3);
+  c.record(0, EventKind::kBreaker, EventCause::kBreakerOpen, 0, -1, -1, 0.6);
+  c.record(0, EventKind::kBreaker, EventCause::kBreakerHalfOpen, 0, -1, -1);
+  c.record(0, EventKind::kBreaker, EventCause::kBreakerClose, 0, -1, -1, 0.1);
   EXPECT_EQ(c.routing(0).routed, 2u);
   EXPECT_EQ(c.routing(0).home_admits, 1u);
   EXPECT_EQ(c.routing(0).migrated_out, 1u);
   EXPECT_EQ(c.routing(0).infeasible, 1u);
+  EXPECT_EQ(c.routing(0).steals_out, 1u);
   EXPECT_EQ(c.routing(1).migrated_in, 1u);
   EXPECT_EQ(c.routing(1).dropped, 1u);
   EXPECT_EQ(c.routing(1).transfers_in, 2u);
   EXPECT_DOUBLE_EQ(c.routing(1).transferred_mb, 45.0);
+  EXPECT_EQ(c.routing(1).steals_in, 1u);
+  EXPECT_EQ(c.routing(1).coalesced, 1u);
+  EXPECT_DOUBLE_EQ(c.routing(1).coalesced_mb, 12.25);
   const RoutingCounters fleet = c.fleet_routing();
   EXPECT_EQ(fleet.routed, 3u);
   EXPECT_EQ(fleet.migrated_in, 1u);
@@ -432,6 +462,59 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(fleet.infeasible, 1u);
   EXPECT_EQ(fleet.transfers_in, 2u);
   EXPECT_DOUBLE_EQ(fleet.transferred_mb, 45.0);
+
+  const FleetCounters& f = c.fleet_counters();
+  EXPECT_EQ(f.migrations, 1u);
+  EXPECT_EQ(f.drops, 2u);  // every shed, infeasible included
+  EXPECT_EQ(f.infeasible, 1u);
+  EXPECT_EQ(f.transfers, 2u);
+  EXPECT_DOUBLE_EQ(f.transferred_mb, 45.0);
+  EXPECT_EQ(f.coalesced, 1u);
+  EXPECT_DOUBLE_EQ(f.coalesced_mb_saved, 12.25);
+  EXPECT_EQ(f.steals, 1u);
+  EXPECT_EQ(f.rehomes, 1u);    // demand shifts only, not a fault's rehome
+  EXPECT_EQ(f.jobs_lost, 3u);  // fail-stop value; stragglers lose nothing
+  EXPECT_EQ(f.retries, 2u);
+  EXPECT_EQ(f.retry_abandoned_budget, 1u);
+  EXPECT_EQ(f.retry_abandoned_expired, 1u);
+  EXPECT_EQ(f.retry_abandoned_attempts, 1u);
+  EXPECT_EQ(f.hedges, 1u);
+  EXPECT_EQ(f.hedge_wins, 1u);
+  EXPECT_EQ(f.hedge_cancels, 1u);
+  EXPECT_EQ(f.breaker_opens, 1u);
+  EXPECT_EQ(f.breaker_closes, 1u);
+}
+
+/// Restores the global log threshold on scope exit.
+class LogLevelGuard {
+ public:
+  LogLevelGuard() : saved_(common::log_level()) {}
+  ~LogLevelGuard() { common::set_log_level(saved_); }
+
+ private:
+  common::LogLevel saved_;
+};
+
+TEST(CollectorNarration, RecordWritesOneLinePerLifecycleRecordAtInfo) {
+  LogLevelGuard guard;
+  common::set_log_level(common::LogLevel::kInfo);
+  Collector c;
+  testing::internal::CaptureStderr();
+  c.record(common::from_sec(1.5) + 7, EventKind::kFault, EventCause::kFailStop,
+           1, -1, -1, 3.0);
+  const std::string fault = testing::internal::GetCapturedStderr();
+  EXPECT_NE(fault.find("fault:fail-stop"), std::string::npos) << fault;
+  EXPECT_NE(fault.find("t=1500000.007us"), std::string::npos) << fault;
+  EXPECT_EQ(std::count(fault.begin(), fault.end(), '\n'), 1) << fault;
+
+  // Per-job routing and retry records narrate at debug only.
+  testing::internal::CaptureStderr();
+  for (const EventKind kind :
+       {EventKind::kAdmit, EventKind::kReject, EventKind::kMigrate,
+        EventKind::kTransfer, EventKind::kCoalesce, EventKind::kRetry}) {
+    c.record(0, kind, EventCause::kNone, 0, -1, 2);
+  }
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 }
 
 }  // namespace

@@ -314,7 +314,8 @@ TEST(SimulatorAlloc, FleetRegistrationCostsUnderATenthOfAnAllocationPerPair) {
   ShardedSimulator sharded(kDevices, 1);
   cluster::FleetConfig cfg;
   cfg.num_gpus = kDevices;
-  cluster::Fleet fleet(sharded, cfg, nullptr);
+  metrics::Collector collector;
+  cluster::Fleet fleet(sharded, cfg, &collector);
   const exp::CompiledModels models =
       exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
   // Synthetic AFET, one profile per model, built outside the measured
