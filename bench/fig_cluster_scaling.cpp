@@ -21,6 +21,8 @@
 //     transfer coalescing shipping strictly fewer weight MB than the same
 //     rebalanced run with coalescing off.
 //
+// Exit status: 0 when all 15 checks print PASS, 1 when any prints FAIL.
+//
 // docs/CLUSTER.md is the routing-policy guide behind these tables.
 #include <cstdio>
 #include <utility>
@@ -76,6 +78,12 @@ void add_policy_row(common::Table& table, const char* label,
 }  // namespace
 
 int main() {
+  int failed = 0;
+  const auto verdict = [&failed](bool pass) {
+    if (!pass) ++failed;
+    return pass ? "PASS" : "FAIL";
+  };
+
   std::printf("== Cluster scaling: fleet size x routing policy ==\n\n");
   const cluster::RoutingPolicy policies[] = {
       cluster::RoutingPolicy::kRoundRobin,
@@ -123,10 +131,10 @@ int main() {
                              : 0.0;
   std::printf(
       "4-GPU least-util scaling: %.2fx over 1 GPU (target >= 3.5x): %s\n",
-      scaling, scaling >= 3.5 ? "PASS" : "FAIL");
+      scaling, verdict(scaling >= 3.5));
   std::printf("4-GPU least-util HP deadline misses: %llu (target 0): %s\n",
               static_cast<unsigned long long>(four_gpu_hp_missed),
-              four_gpu_hp_missed == 0 ? "PASS" : "FAIL");
+              verdict(four_gpu_hp_missed == 0));
 
   // Determinism: the same seed and config must be bit-identical on repeat.
   {
@@ -135,7 +143,7 @@ int main() {
     const exp::ClusterResult a = exp::run_cluster(cfg);
     const exp::ClusterResult b = exp::run_cluster(cfg);
     std::printf("repeat run bit-identical: %s\n\n",
-                identical(a, b) ? "PASS" : "FAIL");
+                verdict(identical(a, b)));
   }
 
   // -------------------------------------------------------------------------
@@ -178,17 +186,16 @@ int main() {
         "hybrid vs least-util JPS: %.0f vs %.0f (match within 1%% or beat): "
         "%s\n",
         skew_hybrid_jps, skew_least_util_jps,
-        skew_hybrid_jps >= 0.99 * skew_least_util_jps ? "PASS" : "FAIL");
+        verdict(skew_hybrid_jps >= 0.99 * skew_least_util_jps));
     std::printf("hybrid vs least-util LP DMR: %.2f%% vs %.2f%% (<=): %s\n",
                 100.0 * skew_hybrid_lp_dmr, 100.0 * skew_least_util_lp_dmr,
-                skew_hybrid_lp_dmr <= skew_least_util_lp_dmr ? "PASS"
-                                                             : "FAIL");
+                verdict(skew_hybrid_lp_dmr <= skew_least_util_lp_dmr));
     std::printf("hybrid HP deadline misses: %llu (target 0): %s\n",
                 static_cast<unsigned long long>(skew_hybrid_hp_missed),
-                skew_hybrid_hp_missed == 0 ? "PASS" : "FAIL");
+                verdict(skew_hybrid_hp_missed == 0));
     std::printf("model-affinity collapse visible (HP misses %llu > 0): %s\n",
                 static_cast<unsigned long long>(skew_affinity_hp_missed),
-                skew_affinity_hp_missed > 0 ? "PASS" : "FAIL");
+                verdict(skew_affinity_hp_missed > 0));
 
     exp::ClusterConfig cfg =
         base_config(8, cluster::RoutingPolicy::kHybrid);
@@ -196,7 +203,7 @@ int main() {
     const exp::ClusterResult a = exp::run_cluster(cfg);
     const exp::ClusterResult b = exp::run_cluster(cfg);
     std::printf("skewed repeat run bit-identical: %s\n\n",
-                identical(a, b) ? "PASS" : "FAIL");
+                verdict(identical(a, b)));
   }
 
   // -------------------------------------------------------------------------
@@ -242,7 +249,7 @@ int main() {
     const exp::ClusterResult a = exp::run_cluster(cfg);
     const exp::ClusterResult b = exp::run_cluster(cfg);
     std::printf("heterogeneous repeat run bit-identical: %s\n\n",
-                identical(a, b) ? "PASS" : "FAIL");
+                verdict(identical(a, b)));
   }
 
   std::printf("== Open-loop overload on 4 GPUs (least-util routing) ==\n\n");
@@ -330,26 +337,26 @@ int main() {
 
     std::printf("rebalancer stole queued work (steals %llu >= 1): %s\n",
                 static_cast<unsigned long long>(on.steals),
-                on.steals >= 1 ? "PASS" : "FAIL");
+                verdict(on.steals >= 1));
     std::printf("rebalancing cut drops: %llu vs %llu static: %s\n",
                 static_cast<unsigned long long>(on.drops),
                 static_cast<unsigned long long>(off.drops),
-                on.drops < off.drops ? "PASS" : "FAIL");
+                verdict(on.drops < off.drops));
     std::printf("HP DMR no worse than static: %.2f%% vs %.2f%%: %s\n",
                 100.0 * on.hp.dmr(), 100.0 * off.hp.dmr(),
-                on.hp.dmr() <= off.hp.dmr() ? "PASS" : "FAIL");
+                verdict(on.hp.dmr() <= off.hp.dmr()));
     std::printf("coalescing engaged (coalesced %llu >= 1): %s\n",
                 static_cast<unsigned long long>(on.coalesced_transfers),
-                on.coalesced_transfers >= 1 ? "PASS" : "FAIL");
+                verdict(on.coalesced_transfers >= 1));
     std::printf(
         "coalescing ships strictly fewer MB: %.0f vs %.0f without: %s\n",
         on.transferred_mb, no_coal.transferred_mb,
-        on.transferred_mb < no_coal.transferred_mb ? "PASS" : "FAIL");
+        verdict(on.transferred_mb < no_coal.transferred_mb));
 
     const exp::ClusterResult again =
         exp::run_cluster(flash_config(true, true));
     std::printf("self-healing repeat run bit-identical: %s\n\n",
-                identical(on, again) ? "PASS" : "FAIL");
+                verdict(identical(on, again)));
   }
 
   // Migration/starvation summary folded from the stage trace (trace
@@ -366,5 +373,5 @@ int main() {
     std::printf("%s",
                 metrics::trace_report(r.stage_trace).to_string().c_str());
   }
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

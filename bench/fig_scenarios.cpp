@@ -24,11 +24,9 @@
 // Exit status: 0 when every check passes and every contract holds, 1
 // otherwise, 2 on a bad flag or a scenario config the runner refuses
 // (exp::validate_faults).
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -36,6 +34,7 @@
 #include <vector>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "experiments/scenarios.h"
 
@@ -140,13 +139,6 @@ bool parse_log_level(const std::string& name, common::LogLevel* out) {
   return true;
 }
 
-/// Parses a whole-string integer; false on anything else ("abc", "2x", "").
-bool parse_int(const char* text, int* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc() && ptr == end && ptr != text;
-}
-
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream os(path);
   if (!os) {
@@ -189,7 +181,7 @@ int main(int argc, char** argv) {
       // Replays every scenario on N worker lanes and requires the behaviour
       // fingerprint AND telemetry digest to match the 1-lane run.
       const char* text = value();
-      if (!parse_int(text, &threads) || threads < 1) {
+      if (!common::parse_whole(text, &threads) || threads < 1) {
         std::fprintf(stderr, "--threads wants a lane count >= 1, got '%s'\n",
                      text);
         return 2;

@@ -8,15 +8,14 @@
 //
 // A malformed or out-of-range flag value exits 2 with a message naming the
 // flag (ctest: cli_rejects_bad_flags).
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <system_error>
 
+#include "common/parse.h"
 #include "experiments/runner.h"
 #include "metrics/trace_export.h"
 
@@ -45,15 +44,9 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool arg_is(const char* a, const char* name) { return !std::strcmp(a, name); }
+using common::parse_whole;
 
-/// Parses a whole-string number; false on anything else ("abc", "2x", "").
-template <typename T>
-bool parse_whole(const char* text, T* out) {
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, *out);
-  return ec == std::errc() && ptr == end && ptr != text;
-}
+bool arg_is(const char* a, const char* name) { return !std::strcmp(a, name); }
 
 /// Exits 2 naming the flag unless `ok`.
 void require(bool ok, const char* flag, const char* want, const char* text) {

@@ -9,13 +9,17 @@
 //
 // The default mix is the mixed Table II task set's demand shares; override
 // per class with repeated --mix model:slo:weight flags.
+//
+// A malformed or out-of-range flag value exits 2 with a message naming the
+// flag (ctest: trace_gen_rejects_bad_flags).
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "workload/taskset.h"
 #include "workload/trace.h"
 
@@ -36,18 +40,49 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_triple(const std::string& arg, double* a, double* b, double* c) {
+using common::parse_whole;
+
+/// Exits 2 naming the flag unless `ok`.
+void require(bool ok, const std::string& flag, const char* want,
+             const char* text) {
+  if (ok) return;
+  std::fprintf(stderr, "%s wants %s, got '%s'\n", flag.c_str(), want, text);
+  std::exit(2);
+}
+
+/// A finite number that `in_range` accepts, parsed from all of `text`.
+bool parse_real(const std::string& text, bool (*in_range)(double),
+                double* out) {
+  return parse_whole(text.c_str(), out) && std::isfinite(*out) &&
+         in_range(*out);
+}
+
+/// A real flag: a finite number that `in_range` accepts.
+double real_arg(const std::string& flag, const char* text, const char* want,
+                bool (*in_range)(double)) {
+  double v = 0.0;
+  require(parse_real(text, in_range, &v), flag, want, text);
+  return v;
+}
+
+bool unbounded(double) { return true; }
+bool positive(double v) { return v > 0.0; }
+bool unit_interval(double v) { return v >= 0.0 && v < 1.0; }
+/// Every arrival of the trace stays within workload::kMaxArrivalUs.
+bool trace_duration(double s) {
+  return s > 0.0 && s * 1e6 <= static_cast<double>(workload::kMaxArrivalUs);
+}
+
+/// START:DURATION:FACTOR, all finite, FACTOR > 0.
+bool parse_flash(const std::string& arg, workload::FlashCrowd* out) {
   const std::size_t p1 = arg.find(':');
   const std::size_t p2 = p1 == std::string::npos ? p1 : arg.find(':', p1 + 1);
   if (p2 == std::string::npos) return false;
-  try {
-    *a = std::stod(arg.substr(0, p1));
-    *b = std::stod(arg.substr(p1 + 1, p2 - p1 - 1));
-    *c = std::stod(arg.substr(p2 + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return true;
+  const std::string start = arg.substr(0, p1);
+  const std::string duration = arg.substr(p1 + 1, p2 - p1 - 1);
+  return parse_real(start, unbounded, &out->start_s) &&
+         parse_real(duration, unbounded, &out->duration_s) &&
+         parse_real(arg.substr(p2 + 1), positive, &out->factor);
 }
 
 bool parse_mix(const std::string& arg, workload::TraceMixEntry* out) {
@@ -74,12 +109,7 @@ bool parse_mix(const std::string& arg, workload::TraceMixEntry* out) {
   } else {
     return false;
   }
-  try {
-    out->weight = std::stod(arg.substr(p2 + 1));
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out->weight > 0.0;
+  return parse_real(arg.substr(p2 + 1), positive, &out->weight);
 }
 
 }  // namespace
@@ -104,31 +134,34 @@ int main(int argc, char** argv) {
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--duration-s") {
-      config.duration_s = std::atof(value());
+      config.duration_s = real_arg(arg, value(), "seconds > 0, at most 2^53 us",
+                                   trace_duration);
     } else if (arg == "--rate") {
-      config.mean_rate_jps = std::atof(value());
+      config.mean_rate_jps = real_arg(arg, value(), "a rate > 0", positive);
     } else if (arg == "--diurnal-amp") {
-      config.diurnal_amplitude = std::atof(value());
+      config.diurnal_amplitude =
+          real_arg(arg, value(), "an amplitude in [0, 1)", unit_interval);
     } else if (arg == "--diurnal-period-s") {
-      config.diurnal_period_s = std::atof(value());
+      config.diurnal_period_s =
+          real_arg(arg, value(), "a period > 0", positive);
     } else if (arg == "--diurnal-phase") {
-      config.diurnal_phase = std::atof(value());
+      config.diurnal_phase =
+          real_arg(arg, value(), "a finite number", unbounded);
     } else if (arg == "--seed") {
-      config.seed = static_cast<std::uint64_t>(std::strtoull(
-          value(), nullptr, 10));
+      const char* text = value();
+      require(parse_whole(text, &config.seed), arg, "an unsigned integer",
+              text);
     } else if (arg == "--flash") {
+      const char* text = value();
       workload::FlashCrowd f;
-      if (!parse_triple(value(), &f.start_s, &f.duration_s, &f.factor)) {
-        std::fprintf(stderr, "bad --flash (want START:DURATION:FACTOR)\n");
-        return 2;
-      }
+      require(parse_flash(text, &f), arg,
+              "START:DURATION:FACTOR (finite, FACTOR > 0)", text);
       config.flashes.push_back(f);
     } else if (arg == "--mix") {
+      const char* text = value();
       workload::TraceMixEntry e;
-      if (!parse_mix(value(), &e)) {
-        std::fprintf(stderr, "bad --mix (want MODEL:SLO:WEIGHT)\n");
-        return 2;
-      }
+      require(parse_mix(text, &e), arg, "MODEL:SLO:WEIGHT (WEIGHT > 0)",
+              text);
       mix.push_back(e);
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());

@@ -38,7 +38,7 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
       transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
   assert(collector_ != nullptr);
   if (config.nodes.empty()) {
-    nodes_.assign(static_cast<std::size_t>(std::max(1, config.num_gpus)),
+    nodes_.assign(static_cast<std::size_t>(config.device_count()),
                   GpuNodeSpec{config.gpu});
   } else {
     nodes_ = config.nodes;

@@ -29,6 +29,7 @@
 // daemons would.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -79,7 +80,7 @@ enum class GpuHealth { kHealthy, kDraining, kFailed };
 struct FleetConfig {
   /// Homogeneous fleet: `num_gpus` copies of `gpu`. Ignored when `nodes` is
   /// non-empty.
-  int num_gpus = 2;
+  int num_gpus = 4;
   gpusim::GpuSpec gpu = gpusim::GpuSpec::rtx2080ti();
 
   /// Heterogeneous fleet: one entry per device (overrides num_gpus/gpu).
@@ -94,6 +95,12 @@ struct FleetConfig {
   double transfer_us_per_mb = 80.0;
 
   std::uint64_t seed = 42;
+
+  /// Devices the fleet starts with: one per node, else max(1, num_gpus).
+  int device_count() const {
+    return nodes.empty() ? std::max(1, num_gpus)
+                         : static_cast<int>(nodes.size());
+  }
 };
 
 class Fleet {

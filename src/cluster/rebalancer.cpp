@@ -135,7 +135,7 @@ void Rebalancer::on_pressure(int gpu) {
 }
 
 void Rebalancer::steal_scan(int victim) {
-  ++steal_scans_;
+  collector_->count(&metrics::FleetCounters::steal_scans);
   const auto jobs = fleet_.scheduler(victim).donatable_lp_jobs();
   if (jobs.empty()) return;
   const common::Time now = sim_.now();
@@ -266,7 +266,7 @@ void Rebalancer::rehome_round(common::Time now) {
     last_move_round_[static_cast<std::size_t>(t)] = round_;
     ++moved;
   }
-  if (moved > 0) ++rehome_rounds_;
+  if (moved > 0) collector_->count(&metrics::FleetCounters::rehome_rounds);
 }
 
 }  // namespace daris::cluster

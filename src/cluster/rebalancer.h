@@ -101,7 +101,7 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
 class Rebalancer {
  public:
   /// `collector` (required, the fleet's) receives the steal records and
-  /// holds the counts steals() and rehomes() read.
+  /// the scan and round counts, and holds every count the accessors read.
   Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
              const RebalanceConfig& config, metrics::Collector* collector);
 
@@ -115,15 +115,13 @@ class Rebalancer {
   void start(common::Time horizon);
 
   /// Queued LP jobs claimed off a backlogged GPU by a peer.
-  std::uint64_t steals() const { return collector_->fleet_counters().steals; }
+  std::uint64_t steals() const { return counters().steals; }
   /// Steal scans executed (one per backlog trip, deduped while pending).
-  std::uint64_t steal_scans() const { return steal_scans_; }
+  std::uint64_t steal_scans() const { return counters().steal_scans; }
   /// Homes moved by demand-aware rounds.
-  std::uint64_t rehomes() const {
-    return collector_->fleet_counters().rehomes;
-  }
+  std::uint64_t rehomes() const { return counters().rehomes; }
   /// Rounds that executed at least one move.
-  std::uint64_t rehome_rounds() const { return rehome_rounds_; }
+  std::uint64_t rehome_rounds() const { return counters().rehome_rounds; }
 
  private:
   void note_release(int task_id);
@@ -131,6 +129,9 @@ class Rebalancer {
   void steal_scan(int victim);
   void rehome_tick();
   void rehome_round(common::Time now);
+  const metrics::FleetCounters& counters() const {
+    return collector_->fleet_counters();
+  }
 
   sim::Simulator& sim_;
   Fleet& fleet_;
@@ -139,8 +140,6 @@ class Rebalancer {
   metrics::Collector* collector_;
   common::Time horizon_ = 0;
   int round_ = 0;
-  std::uint64_t steal_scans_ = 0;
-  std::uint64_t rehome_rounds_ = 0;
   /// Cumulative releases per task (the demand probes read these).
   std::vector<std::uint64_t> release_count_;
   /// Round a task last moved in (dwell enforcement).

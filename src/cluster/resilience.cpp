@@ -9,6 +9,7 @@ namespace daris::cluster {
 
 using metrics::EventCause;
 using metrics::EventKind;
+using metrics::FleetCounters;
 
 ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
                                    Router& router,
@@ -37,7 +38,7 @@ void ResiliencePolicy::release(int task_id) {
     router_.release(task_id);
     return;
   }
-  ++first_attempts_;
+  collector_->count(&FleetCounters::first_attempts);
   // First attempts fund the bucket; retries and hedges drain it. The cap
   // bounds how large a burst of sheds can be retried back-to-back.
   if (config_.budget_enabled) {
@@ -66,7 +67,7 @@ bool ResiliencePolicy::spend_token() {
 void ResiliencePolicy::after_attempt(int task_id, common::Time released,
                                      int attempt, const RouteResult& r) {
   if (r.status == RouteResult::Status::kAdmitted) {
-    if (attempt > 1) ++retry_admits_;
+    if (attempt > 1) collector_->count(&FleetCounters::retry_admits);
     arm_hedge(task_id, released, r);
     return;
   }
@@ -222,7 +223,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   if (!primary_live && !hedge_live) {
     // Both settled within one poll period: the copies raced to completion
     // and the duplicate work was spent either way.
-    ++hedge_waste_;
+    collector_->count(&FleetCounters::hedge_waste);
     return;
   }
   // First-finish-wins: revoke the losing copy while it is still unstarted
@@ -238,7 +239,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
     collector_->record(now, EventKind::kHedge, EventCause::kHedgeCancel,
                        p.primary_gpu, p.hedge_gpu, p.task);
   } else {
-    ++hedge_waste_;
+    collector_->count(&FleetCounters::hedge_waste);
     if (primary_live) {
       // The hedge won inside the deadline but the started primary could not
       // be revoked: follow it to completion to learn whether the histogram
@@ -261,7 +262,9 @@ void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
   }
   // Settlement is observed up to one poll period late, so only count the
   // miss once it clears a full period — a lower bound on rescued misses.
-  if (sim_.now() > deadline + kHedgePoll) ++hedge_rescued_misses_;
+  if (sim_.now() > deadline + kHedgePoll) {
+    collector_->count(&FleetCounters::hedge_rescued_misses);
+  }
 }
 
 void ResiliencePolicy::breaker_tick() {

@@ -135,7 +135,8 @@ class ResiliencePolicy {
  public:
   /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
   /// `collector` (required, the fleet's) receives the retry, hedge and
-  /// breaker records and holds the counts their accessors read.
+  /// breaker records and the layer's measured counts, and holds every count
+  /// the accessors read.
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
                    metrics::Collector* collector);
@@ -154,22 +155,13 @@ class ResiliencePolicy {
   /// forwards to Router::release untouched.
   void release(int task_id);
 
-  // --- counters (ClusterResult / scenario metrics) ------------------------
+  // --- counters (read off the collector's metrics::FleetCounters) ---------
 
-  std::uint64_t first_attempts() const { return first_attempts_; }
+  std::uint64_t first_attempts() const { return counters().first_attempts; }
   /// Retries actually re-released (budget already spent).
   std::uint64_t retries() const { return counters().retries; }
   /// Retries that ended in an admission.
-  std::uint64_t retry_admits() const { return retry_admits_; }
-  std::uint64_t abandoned_budget() const {
-    return counters().retry_abandoned_budget;
-  }
-  std::uint64_t abandoned_expired() const {
-    return counters().retry_abandoned_expired;
-  }
-  std::uint64_t abandoned_attempts() const {
-    return counters().retry_abandoned_attempts;
-  }
+  std::uint64_t retry_admits() const { return counters().retry_admits; }
   /// Hedges launched (second copy admitted on a peer).
   std::uint64_t hedges() const { return counters().hedges; }
   /// Pairs where the hedge copy finished first.
@@ -178,13 +170,7 @@ class ResiliencePolicy {
   /// guarantee: waste = hedges - cancels).
   std::uint64_t hedge_cancels() const { return counters().hedge_cancels; }
   /// Pairs whose loser had already started — both copies ran to completion.
-  std::uint64_t hedge_waste() const { return hedge_waste_; }
-  /// Recorded deadline misses the client never saw: pairs where the hedge
-  /// won within the deadline and the losing primary ran to completion past
-  /// it (observed at poll granularity, counted only when the miss clears a
-  /// full poll period — a deliberately conservative lower bound, since
-  /// revoked-before-start primaries are not counted at all).
-  std::uint64_t hedge_rescued_misses() const { return hedge_rescued_misses_; }
+  std::uint64_t hedge_waste() const { return counters().hedge_waste; }
   std::uint64_t breaker_opens() const { return counters().breaker_opens; }
   std::uint64_t breaker_closes() const { return counters().breaker_closes; }
   /// Current budget balance (telemetry gauge).
@@ -245,11 +231,6 @@ class ResiliencePolicy {
   common::Rng rng_;
   common::Time horizon_ = 0;
   double tokens_ = 0.0;
-
-  std::uint64_t first_attempts_ = 0;
-  std::uint64_t retry_admits_ = 0;
-  std::uint64_t hedge_waste_ = 0;
-  std::uint64_t hedge_rescued_misses_ = 0;
 
   /// Unsettled hedge pairs by ascending pair id (the poll events reference
   /// pairs by id, so settlement order is a pure function of event order).

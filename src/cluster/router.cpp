@@ -255,7 +255,6 @@ std::uint64_t Router::queue_delivery(int task_id, int from, int peer,
   rec.arrive = arrive;
   rec.mb = mb;
   rec.leader = leader;
-  ++pending_transfers_;
   if (static_cast<std::size_t>(peer) >= pending_to_.size()) {
     pending_to_.resize(static_cast<std::size_t>(peer) + 1, 0);
   }
@@ -282,7 +281,6 @@ void Router::complete_transfer(std::uint64_t id) {
 }
 
 void Router::finish_pending(const PendingRec& rec) {
-  --pending_transfers_;
   --pending_to_[static_cast<std::size_t>(rec.peer)];
   add_pending_job(rec.task, -1);
   if (rec.leader) {
@@ -307,7 +305,7 @@ void Router::cancel_transfers_to(int g) {
     fleet_.simulator().cancel(rec.handle);
     inflight_.erase(it);
     finish_pending(rec);
-    ++transfer_cancels_;
+    collector_->count(&metrics::FleetCounters::transfer_cancels);
     // The bytes already shipped toward g are sunk; the job is not. Retarget
     // it to the best surviving device (a cancelled leader's followers
     // retarget right after it and coalesce onto its new copy) or drop it

@@ -138,7 +138,7 @@ class Router {
 
   /// Jobs admitted by a peer after their routed GPU rejected them.
   std::uint64_t cross_gpu_migrations() const {
-    return counters().migrations;
+    return counters().cross_gpu_migrations;
   }
 
   /// Jobs rejected by both the routed GPU and the offered peer, plus
@@ -147,7 +147,7 @@ class Router {
 
   /// Jobs shed by the fleet admission controller (subset of drops()).
   std::uint64_t infeasible_rejects() const {
-    return counters().infeasible;
+    return counters().infeasible_rejects;
   }
 
   /// Cross-GPU weight transfers performed (cold-model migrations).
@@ -156,15 +156,19 @@ class Router {
 
   /// Migrations that attached to an in-flight copy of their model instead
   /// of shipping it again, and the MB those attachments did not re-ship.
-  std::uint64_t coalesced_transfers() const { return counters().coalesced; }
+  std::uint64_t coalesced_transfers() const {
+    return counters().coalesced_transfers;
+  }
   double coalesced_mb_saved() const { return counters().coalesced_mb_saved; }
 
   /// In-flight transfers cancelled because their target failed or drained
   /// (each job was retargeted to a placeable peer or dropped).
-  std::uint64_t transfer_cancels() const { return transfer_cancels_; }
+  std::uint64_t transfer_cancels() const {
+    return counters().transfer_cancels;
+  }
 
   /// Migrations whose weight transfer is still in flight.
-  std::uint64_t pending_transfers() const { return pending_transfers_; }
+  std::uint64_t pending_transfers() const { return inflight_.size(); }
 
   // --- conservation accounting (Fleet::check_conservation) ----------------
   //
@@ -277,8 +281,6 @@ class Router {
   common::Rng rng_;
   metrics::Collector* collector_;
   int rr_next_ = 0;
-  std::uint64_t pending_transfers_ = 0;
-  std::uint64_t transfer_cancels_ = 0;
   std::uint64_t released_cls_[2] = {0, 0};
   std::uint64_t shed_cls_[2] = {0, 0};
   std::uint64_t pending_cls_[2] = {0, 0};

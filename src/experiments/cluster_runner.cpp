@@ -112,6 +112,11 @@ common::Time fault_time(const FaultSpec& f) {
 
 }  // namespace
 
+// Every metrics::FleetCounters field is 8 bytes and has one line below.
+static_assert(sizeof(metrics::FleetCounters) == 26 * 8,
+              "a new metrics::FleetCounters field needs its line in "
+              "counters_of (its report name): add it, then count it here");
+
 std::vector<NamedCounter> counters_of(const ClusterResult& r) {
   std::vector<NamedCounter> out;
   out.reserve(42 + 15 * r.per_gpu.size());
@@ -215,9 +220,7 @@ std::string validate_faults(const ClusterConfig& config) {
              std::to_string(f.node.compute_scale) + " is not finite and > 0";
     }
   }
-  const int initial = config.nodes.empty()
-                          ? std::max(1, config.num_gpus)
-                          : static_cast<int>(config.nodes.size());
+  const int initial = config.device_count();
   for (std::size_t i = 0; i < faults.size(); ++i) {
     if (faults[i].kind == FaultSpec::Kind::kAdd) continue;
     const common::Time when = fault_time(faults[i]);
@@ -243,9 +246,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     return refused;
   }
   const auto wall_start = std::chrono::steady_clock::now();
-  const int devices = config.nodes.empty()
-                          ? std::max(1, config.num_gpus)
-                          : static_cast<int>(config.nodes.size());
+  const int devices = config.device_count();
   sim::ShardedSimulator sharded_sim(devices, config.sim_threads);
   sim::Simulator& sim = sharded_sim.control();
 
@@ -263,14 +264,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   rt::SchedulerConfig sched_cfg = config.sched;
   sched_cfg.canonicalize();
 
-  cluster::FleetConfig fleet_cfg;
-  fleet_cfg.num_gpus = config.num_gpus;
-  fleet_cfg.gpu = config.gpu;
-  fleet_cfg.nodes = config.nodes;
-  fleet_cfg.sched = sched_cfg;
-  fleet_cfg.transfer_us_per_mb = config.transfer_us_per_mb;
-  fleet_cfg.seed = config.seed;
-  cluster::Fleet fleet(sharded_sim, fleet_cfg, &collector);
+  cluster::Fleet fleet(sharded_sim, config, &collector);
   collector.set_gpu_count(devices);
 
   // Pre-size the control pool from the task-set cardinality (one pending
@@ -508,44 +502,18 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   collector.finalize_lanes();
 
   ClusterResult result;
+  static_cast<metrics::FleetCounters&>(result) = collector.fleet_counters();
   result.total_jps = collector.throughput_jps(horizon);
   result.hp = collector.summary(common::Priority::kHigh);
   result.lp = collector.summary(common::Priority::kLow);
-  const metrics::FleetCounters& fc = collector.fleet_counters();
-  result.cross_gpu_migrations = fc.migrations;
-  result.drops = fc.drops;
-  result.infeasible_rejects = fc.infeasible;
-  result.transfers = fc.transfers;
-  result.transferred_mb = fc.transferred_mb;
-  result.rebalancing = config.rebalance.enabled;
-  result.steals = fc.steals;
-  result.steal_scans = rebalancer.steal_scans();
-  result.rehomes = fc.rehomes;
-  result.rehome_rounds = rebalancer.rehome_rounds();
-  result.coalesced_transfers = fc.coalesced;
-  result.coalesced_mb_saved = fc.coalesced_mb_saved;
-  result.transfer_cancels = router.transfer_cancels();
   result.intra_gpu_migrations = fleet.intra_gpu_migrations();
   result.arrivals = open_loop      ? open_loop->arrivals()
                     : trace_driver ? trace_driver->arrivals()
                                    : 0;
-  result.jobs_lost = fc.jobs_lost;
-  result.unmatched_rows = trace_driver ? trace_driver->unmatched() : 0;
+  result.rebalancing = config.rebalance.enabled;
   result.resilience = config.resilience.enabled;
-  result.first_attempts = resilience.first_attempts();
-  result.retries = fc.retries;
-  result.retry_admits = resilience.retry_admits();
-  result.retry_abandoned_budget = fc.retry_abandoned_budget;
-  result.retry_abandoned_expired = fc.retry_abandoned_expired;
-  result.retry_abandoned_attempts = fc.retry_abandoned_attempts;
-  result.hedges = fc.hedges;
-  result.hedge_wins = fc.hedge_wins;
-  result.hedge_cancels = fc.hedge_cancels;
-  result.hedge_waste = resilience.hedge_waste();
-  result.hedge_rescued_misses = resilience.hedge_rescued_misses();
+  result.unmatched_rows = trace_driver ? trace_driver->unmatched() : 0;
   result.hedge_client_p99_ms = resilience.hedge_client_percentile_ms(99.0);
-  result.breaker_opens = fc.breaker_opens;
-  result.breaker_closes = fc.breaker_closes;
   // Job conservation, checked after EVERY run — faults, rebalancing, and
   // resilience all conserve jobs, so a violation is a fleet bug regardless
   // of configuration.
@@ -557,7 +525,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
       cons.shed[c] = router.shed_of(p);
       cons.pending[c] = router.pending_of(p);
     }
-    cons.steals = fc.steals;
+    cons.steals = result.steals;
     const cluster::Fleet::ConservationReport rep =
         fleet.check_conservation(cons);
     result.conservation_ok = rep.ok;

@@ -47,22 +47,16 @@ struct FaultSpec {
   cluster::GpuNodeSpec node;  // kAdd only: the device brought online
 };
 
-struct ClusterConfig {
+/// A fleet run: the fleet itself (cluster::FleetConfig: devices, scheduler
+/// config, transfer cost, seed) plus its workload, routing and run options.
+/// With heterogeneous `nodes`, AFET is profiled per distinct device spec,
+/// and the kernels stay calibrated against `gpu`: a scaled device simply
+/// runs them faster or slower.
+struct ClusterConfig : cluster::FleetConfig {
   workload::TaskSetSpec taskset;
-  rt::SchedulerConfig sched;
-  gpusim::GpuSpec gpu = gpusim::GpuSpec::rtx2080ti();
-  int num_gpus = 4;
-  /// Heterogeneous fleet: one node spec per device (overrides num_gpus/gpu
-  /// when non-empty). AFET is profiled per distinct compute scale, and the
-  /// kernels stay calibrated against `gpu` — the scaled device simply runs
-  /// them faster or slower.
-  std::vector<cluster::GpuNodeSpec> nodes;
   cluster::RoutingPolicy routing = cluster::RoutingPolicy::kLeastUtilization;
   /// Hybrid policy: home-GPU relative load at which LP jobs spill.
   double spill_threshold = 0.75;
-  /// Cross-GPU weight-transfer cost for cold-model migrations (us per MB of
-  /// model footprint); 0 restores the zero-delay premise.
-  double transfer_us_per_mb = 80.0;
   ArrivalMode arrivals = ArrivalMode::kPeriodic;
   /// Rate multiplier for the open-loop modes (>1 drives overload).
   double rate_scale = 1.0;
@@ -75,7 +69,6 @@ struct ClusterConfig {
   std::vector<FaultSpec> faults;
   double duration_s = 6.0;
   double warmup_s = 1.0;
-  std::uint64_t seed = 42;
   bool stage_trace = false;
 
   /// Worker lanes of the sharded engine (sim/sharded.h) every fleet runs
@@ -129,7 +122,10 @@ struct GpuSummary {
   metrics::RoutingCounters routing;     // router outcomes for this GPU
 };
 
-struct ClusterResult {
+/// A fleet run's outcome: every fleet counter (metrics::FleetCounters,
+/// filled from the run's collector) plus the class summaries, the per-device
+/// slices and the run's artifacts.
+struct ClusterResult : metrics::FleetCounters {
   /// Non-empty when run_cluster refused the config (validate_faults); no
   /// other field is filled then.
   std::string error;
@@ -137,57 +133,20 @@ struct ClusterResult {
   metrics::ClassSummary hp;
   metrics::ClassSummary lp;
   std::vector<GpuSummary> per_gpu;
-  std::uint64_t cross_gpu_migrations = 0;
-  std::uint64_t drops = 0;
-  std::uint64_t infeasible_rejects = 0;  // fleet admission controller sheds
-  std::uint64_t transfers = 0;           // cold-model weight transfers
-  double transferred_mb = 0.0;           // total weight MB shipped
   std::uint64_t intra_gpu_migrations = 0;
   std::uint64_t arrivals = 0;  // open-loop + trace modes; 0 for periodic
-  /// Rebalancing outcomes (all zero unless ClusterConfig::rebalance.enabled).
-  /// `rebalancing` records the switch. Nothing branches on it; it stays
-  /// declared only because perfbench/src/traced.cpp assigns it — delete both
-  /// the next time the benchmark harness changes.
+  /// `rebalancing` and `resilience` record ClusterConfig's switches. Nothing
+  /// branches on them; they stay declared only because
+  /// perfbench/src/traced.cpp assigns them — delete them the next time the
+  /// benchmark harness changes.
   bool rebalancing = false;
-  std::uint64_t steals = 0;         // queued LP jobs claimed by peers
-  std::uint64_t steal_scans = 0;    // backlog-triggered scans executed
-  std::uint64_t rehomes = 0;        // demand-driven home moves
-  std::uint64_t rehome_rounds = 0;  // rounds that moved at least one home
-  std::uint64_t coalesced_transfers = 0;  // migrations that attached to an
-                                          // in-flight weight copy
-  double coalesced_mb_saved = 0.0;        // MB those attachments did not ship
-  /// In-flight transfers cancelled at a fault and retargeted or dropped
-  /// (counted regardless of rebalance.enabled — cancellation is a
-  /// correctness fix, not an opt-in policy).
-  std::uint64_t transfer_cancels = 0;
-  /// In-flight jobs shed by fail-stop faults (each also a missed finish).
-  std::uint64_t jobs_lost = 0;
+  bool resilience = false;
   /// Trace rows skipped because no task serves their (model, SLO) class.
   std::uint64_t unmatched_rows = 0;
-  /// Resilience-layer outcomes (all zero unless
-  /// ClusterConfig::resilience.enabled). `resilience` records the switch and
-  /// stays declared for perfbench only, like `rebalancing`.
-  bool resilience = false;
-  std::uint64_t first_attempts = 0; // releases entering the layer
-  std::uint64_t retries = 0;        // re-releases actually attempted
-  std::uint64_t retry_admits = 0;   // retries that ended in an admission
-  std::uint64_t retry_abandoned_budget = 0;    // token bucket empty
-  std::uint64_t retry_abandoned_expired = 0;   // original deadline passed
-  std::uint64_t retry_abandoned_attempts = 0;  // max-attempts reached
-  std::uint64_t hedges = 0;         // second copies admitted on a peer
-  std::uint64_t hedge_wins = 0;     // pairs the hedge copy finished first
-  std::uint64_t hedge_cancels = 0;  // losing copies revoked before starting
-  std::uint64_t hedge_waste = 0;    // pairs where both copies ran
-  /// Recorded misses the client never saw: the hedge made the deadline and
-  /// the unrevocable primary completed past it (conservative lower bound —
-  /// revoked-before-start primaries are not counted).
-  std::uint64_t hedge_rescued_misses = 0;
   /// p99 of the client-perceived (first-finish) response over hedged pairs,
   /// ms; 0 when nothing was hedged. The per-job histograms keep recording
   /// losing copies, so this is the number hedging actually moves.
   double hedge_client_p99_ms = 0.0;
-  std::uint64_t breaker_opens = 0;
-  std::uint64_t breaker_closes = 0;
   /// Job-conservation invariant (Fleet::check_conservation), verified at
   /// the end of EVERY run: released == shed + pending + completed + failed
   /// + in-flight + cancelled, per class. A false here means the fleet
@@ -213,15 +172,16 @@ struct NamedCounter {
 };
 
 /// Every scalar a fleet run reports, as (name, value) pairs in one fixed
-/// order: the fleet-wide counters in ClusterResult declaration order, then
-/// each device's GpuSummary as `gpu<g>_<field>` (RoutingCounters fields
-/// included). A counter that run_scenario gates on is named as its metric
-/// (`infeasible`, `coalesced`, `hedge_rescued`, `conservation`, ...), every
-/// other one after its field (`hp_released`, `steal_scans`, ...). Counts
-/// travel as doubles: all stay below 2^53, where %.17g prints them as %llu
-/// does. Fingerprints, scenario metrics, goldens and repeat checks iterate
-/// this list, so adding a counter takes three lines: the ClusterResult
-/// field, its copy in run_cluster, and its entry here. Computed on demand
+/// order: the fleet-wide counters, then each device's GpuSummary as
+/// `gpu<g>_<field>` (RoutingCounters fields included). A counter that
+/// run_scenario gates on is named as its metric (`infeasible`, `coalesced`,
+/// `hedge_rescued`, `conservation`, ...), every other one after its field
+/// (`hp_released`, `steal_scans`, ...); names are unique. Counts travel as
+/// doubles: all stay below 2^53, where %.17g prints them as %llu does.
+/// Fingerprints, scenario metrics, goldens and repeat checks iterate this
+/// list, so a new fleet counter is its metrics::FleetCounters field (plus
+/// its add_counts case or Collector::count call) and its entry here;
+/// run_cluster copies every FleetCounters field at once. Computed on demand
 /// from one result; run_cluster never calls it.
 std::vector<NamedCounter> counters_of(const ClusterResult& r);
 

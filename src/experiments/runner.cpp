@@ -30,11 +30,7 @@ CompiledModels compile_models(const workload::TaskSetSpec& taskset, int batch,
 void fill_profile(const sim::Simulator::Stats& stats,
                   const std::vector<const gpusim::Gpu*>& gpus,
                   metrics::RunProfile* profile) {
-  profile->events_executed = stats.events_executed;
-  profile->callbacks_inline = stats.callbacks_inline;
-  profile->callbacks_heap = stats.callbacks_heap;
-  profile->heap_high_water = stats.heap_high_water;
-  profile->pool_slots = stats.pool_slots;
+  static_cast<sim::Simulator::Stats&>(*profile) = stats;
   for (const gpusim::Gpu* gpu : gpus) {
     const gpusim::Gpu::SolverStats& ss = gpu->solver_stats();
     profile->solver_flushes += ss.flushes;

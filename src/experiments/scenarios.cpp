@@ -551,9 +551,7 @@ ScenarioResult run_scenario(const std::string& name,
   out.metrics.emplace("lp_p99_ms", r.lp.response_ms.percentile(99.0));
   // Jobs completed by devices that joined mid-run (kAdd faults): the
   // "scale-up serves live" check.
-  const std::size_t initial_gpus =
-      cfg.nodes.empty() ? static_cast<std::size_t>(std::max(1, cfg.num_gpus))
-                        : cfg.nodes.size();
+  const auto initial_gpus = static_cast<std::size_t>(cfg.device_count());
   std::uint64_t added_completed = 0;
   for (std::size_t g = initial_gpus; g < r.per_gpu.size(); ++g) {
     added_completed += r.per_gpu[g].completed;

@@ -100,11 +100,7 @@ void Collector::finalize_lanes() {
     for (int p = 0; p < 2; ++p) {
       auto& src = lane.cls[p];
       auto& dst = classes_[p];
-      dst.released += src.released;
-      dst.accepted += src.accepted;
-      dst.rejected += src.rejected;
-      dst.completed += src.completed;
-      dst.missed += src.missed;
+      dst += src;
       for (const double x : src.response_ms.samples()) dst.response_ms.add(x);
     }
     stage_trace_.insert(stage_trace_.end(), lane.stages.begin(),
@@ -119,18 +115,9 @@ void Collector::finalize_lanes() {
                    });
 }
 
-Collector::ClassCounts Collector::class_counts(Priority p) const {
-  const auto& base = classes_[static_cast<std::size_t>(p)];
-  ClassCounts c{base.released, base.accepted, base.rejected, base.completed,
-                base.missed};
-  for (const auto& lane : lanes_) {
-    const auto& l = lane.cls[static_cast<std::size_t>(p)];
-    c.released += l.released;
-    c.accepted += l.accepted;
-    c.rejected += l.rejected;
-    c.completed += l.completed;
-    c.missed += l.missed;
-  }
+ClassCounts Collector::class_counts(Priority p) const {
+  ClassCounts c = classes_[static_cast<std::size_t>(p)];
+  for (const auto& lane : lanes_) c += lane.cls[static_cast<std::size_t>(p)];
   return c;
 }
 

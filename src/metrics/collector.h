@@ -34,14 +34,26 @@ struct StageEvent {
   bool missed = false;        // finished past its Eq. 8 virtual deadline
 };
 
-/// Summary over one priority class.
-struct ClassSummary {
+/// Job counts of one priority class.
+struct ClassCounts {
   std::uint64_t released = 0;
   std::uint64_t accepted = 0;
   std::uint64_t rejected = 0;
   std::uint64_t completed = 0;
   std::uint64_t missed = 0;
 
+  ClassCounts& operator+=(const ClassCounts& o) {
+    released += o.released;
+    accepted += o.accepted;
+    rejected += o.rejected;
+    completed += o.completed;
+    missed += o.missed;
+    return *this;
+  }
+};
+
+/// Summary over one priority class: its counts plus the response times.
+struct ClassSummary : ClassCounts {
   common::Percentiles response_ms;
 
   /// Deadline-miss rate: misses over accepted jobs (paper Sec. VI),
@@ -94,17 +106,17 @@ struct RoutingCounters {
   }
 };
 
-/// Fleet-wide totals of the decisions Collector::record reports. Each field
-/// is implied by one record kind (and cause) through add_counts
-/// (metrics/eventlog.h); the two MB totals add the records' values in
-/// report order.
+/// Fleet-wide counters of a cluster run. The first group is implied by the
+/// decisions Collector::record reports: each field by one record kind (and
+/// cause) through add_counts (metrics/eventlog.h), the two MB totals adding
+/// the records' values in report order.
 struct FleetCounters {
-  std::uint64_t migrations = 0;                // kMigrate
+  std::uint64_t cross_gpu_migrations = 0;      // kMigrate
   std::uint64_t drops = 0;                     // kReject, any cause
-  std::uint64_t infeasible = 0;                // kReject / kInfeasible
+  std::uint64_t infeasible_rejects = 0;        // kReject / kInfeasible
   std::uint64_t transfers = 0;                 // kTransfer
   double transferred_mb = 0.0;                 //   + value
-  std::uint64_t coalesced = 0;                 // kCoalesce
+  std::uint64_t coalesced_transfers = 0;       // kCoalesce
   double coalesced_mb_saved = 0.0;             //   + value
   std::uint64_t steals = 0;                    // kSteal
   std::uint64_t rehomes = 0;                   // kRehome / kDemandShift
@@ -118,6 +130,19 @@ struct FleetCounters {
   std::uint64_t hedge_cancels = 0;             // kHedge / kHedgeCancel
   std::uint64_t breaker_opens = 0;             // kBreaker / kBreakerOpen
   std::uint64_t breaker_closes = 0;            // kBreaker / kBreakerClose
+
+  // Measured: no record implies these; the component named counts each at
+  // its one site through Collector::count.
+  std::uint64_t steal_scans = 0;       // Rebalancer: backlog-triggered scans
+  std::uint64_t rehome_rounds = 0;     // Rebalancer: rounds moving a home
+  std::uint64_t transfer_cancels = 0;  // Router: copies cancelled at a fault
+  std::uint64_t first_attempts = 0;    // ResiliencePolicy: releases entering
+  std::uint64_t retry_admits = 0;      // ResiliencePolicy: retries admitted
+  std::uint64_t hedge_waste = 0;       // ResiliencePolicy: both copies ran
+  /// ResiliencePolicy: recorded misses the client never saw (the hedge made
+  /// the deadline, the unrevocable primary finished past it). A lower
+  /// bound: revoked-before-start primaries are not counted.
+  std::uint64_t hedge_rescued_misses = 0;
 };
 
 class Collector {
@@ -174,13 +199,7 @@ class Collector {
   /// Counter-only class summary including un-finalized lane contents. Safe
   /// and cheap to call mid-run from the control phase (telemetry probes);
   /// identical to summary()'s counters when lanes are off or finalized.
-  struct ClassCounts {
-    std::uint64_t released = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t missed = 0;
-  };
+  using ClassCounts = metrics::ClassCounts;
   ClassCounts class_counts(Priority p) const;
 
   /// Sizes the per-GPU routing counters (cluster runs only).
@@ -216,6 +235,10 @@ class Collector {
   /// logical task id, `value` the kind's payload (metrics/eventlog.h).
   void record(Time when, EventKind kind, EventCause cause, int gpu,
               int peer = -1, int task = -1, double value = 0.0);
+  /// Counts one occurrence of a measured fleet counter (FleetCounters'
+  /// second group), e.g. count(&FleetCounters::steal_scans). Control phase
+  /// only, like record().
+  void count(std::uint64_t FleetCounters::*field) { ++(fleet_.*field); }
 
   int gpu_count() const { return static_cast<int>(routing_.size()); }
   const RoutingCounters& routing(int gpu) const {

@@ -105,7 +105,7 @@ void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
       // Infeasible sheds have their own column; guard, peer and retarget
       // rejections count as drops. Fleet-wide, every shed is a drop.
       ++fleet.drops;
-      if (cause == EventCause::kInfeasible) ++fleet.infeasible;
+      if (cause == EventCause::kInfeasible) ++fleet.infeasible_rejects;
       if (auto* c = at(gpu)) {
         if (cause == EventCause::kInfeasible) {
           ++c->infeasible;
@@ -116,7 +116,7 @@ void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
       break;
     case EventKind::kMigrate:
       // Routed to `gpu`, admitted on `peer`.
-      ++fleet.migrations;
+      ++fleet.cross_gpu_migrations;
       if (auto* c = at(gpu)) ++c->migrated_out;
       if (auto* c = at(peer)) ++c->migrated_in;
       break;
@@ -137,7 +137,7 @@ void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
     case EventKind::kCoalesce:
       // A duplicate copy to `gpu` attached to the in-flight one; value is
       // the MB it did not re-ship.
-      ++fleet.coalesced;
+      ++fleet.coalesced_transfers;
       fleet.coalesced_mb_saved += value;
       if (auto* c = at(gpu)) {
         ++c->coalesced;

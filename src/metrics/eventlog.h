@@ -7,8 +7,9 @@
 // adds the counts each one implies (`add_counts`). The log is the queryable
 // source of truth for the fleet's decisions: `fold_counts()` replays
 // `add_counts` over the records alone and reconstructs the per-GPU
-// `RoutingCounters` and the fleet-wide `FleetCounters` (unit tests pin the
-// fold against the live counters), and the Perfetto export renders the
+// `RoutingCounters` and every record-implied `FleetCounters` field (unit
+// tests pin the fold against the live counters; the measured fields have no
+// record and fold to zero), and the Perfetto export renders the
 // records as instant events on the per-GPU lanes. Records are PODs appended
 // into a pre-reserved vector, so steady-state logging performs no
 // allocation (pinned in tests/test_sim_alloc.cpp) and — because nothing
@@ -139,7 +140,8 @@ class EventLog {
 
   /// Reconstructs the counters from the records alone by replaying
   /// add_counts. With no transfers still in flight at the end of a run this
-  /// equals the live `Collector` counters field for field. `routed` is
+  /// equals the live `Collector` counters field for field, except the
+  /// measured FleetCounters, which no record implies (zero here). `routed` is
   /// derived as the sum of per-GPU outcomes (every routed job ends in
   /// exactly one admit/migrate/reject record).
   Counts fold_counts(int gpu_count) const;

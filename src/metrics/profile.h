@@ -1,27 +1,25 @@
 // Run self-profiler: counters describing how the *simulator* spent a run —
 // events dispatched, event-heap high-water mark, callbacks stored inline vs
-// spilled to the heap, fluid-solver flushes and the dirty-context hit rate,
+// spilled to the heap (the event engine's own sim::Simulator::Stats, which
+// RunProfile extends), fluid-solver flushes and the dirty-context hit rate,
 // the sharded barrier's window and shard-run counts (fleet runs), and host
 // wall-clock per phase. Filled by the experiment runners from
 // sim::Simulator::stats() and gpusim::Gpu::solver_stats(); printed by the
 // figure/scenario benches under --profile and embedded in the minibench
-// JSON context. Plain counters only, so this header depends on nothing
-// above common/.
+// JSON context. Plain counters only: the header depends on sim/simulator.h
+// and nothing else above common/.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
+#include "sim/simulator.h"
+
 namespace daris::metrics {
 
-struct RunProfile {
-  // Event engine (sim::Simulator::stats()).
-  std::uint64_t events_executed = 0;
-  std::uint64_t callbacks_inline = 0;  // stored in the pooled node
-  std::uint64_t callbacks_heap = 0;    // captures > 48B: spilled
-  std::uint64_t heap_high_water = 0;   // max concurrently-pending events
-  std::uint64_t pool_slots = 0;        // event-node slots ever handed out
-
+/// The event engine's counters (events_executed, callbacks_inline,
+/// callbacks_heap, heap_high_water, pool_slots) plus the layers above it.
+struct RunProfile : sim::Simulator::Stats {
   // Sharded barrier (sim::ShardedSimulator::stats(); zero outside fleets).
   std::uint64_t windows_dispatched = 0;  // parallel phases with work due
   std::uint64_t windows_skipped = 0;     // windows no device shard needed

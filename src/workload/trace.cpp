@@ -97,6 +97,11 @@ bool parse_trace_csv(std::istream& in, Trace* out, std::string* error) {
       fail(error, line, "bad arrival_us `" + f0 + "` (unsigned microseconds)");
       return false;
     }
+    if (row.arrival_us > kMaxArrivalUs) {
+      fail(error, line,
+           "arrival_us `" + f0 + "` is past the largest trace time, 2^53 us");
+      return false;
+    }
     if (!parse_model(f1, &row.model)) {
       fail(error, line,
            "unknown model `" + f1 +

@@ -29,6 +29,12 @@
 
 namespace daris::workload {
 
+/// Largest arrival time a trace row may carry, in microseconds (2^53, about
+/// 285 years). Up to it the value converts to a double exactly and its
+/// nanosecond time (common::from_us) fits common::Time, which overflows at
+/// about 9.22e15 us.
+inline constexpr std::uint64_t kMaxArrivalUs = std::uint64_t{1} << 53;
+
 /// One inference request of a trace.
 struct TraceRow {
   std::uint64_t arrival_us = 0;  // microseconds since trace start
@@ -46,9 +52,10 @@ struct Trace {
   }
 };
 
-/// Parses `arrival_us,model,slo` CSV. Returns false on the first malformed
-/// or time-regressing row with "line N: why" in *error (untouched on
-/// success). The optional header row `arrival_us,model,slo` is skipped.
+/// Parses `arrival_us,model,slo` CSV. Returns false on the first malformed,
+/// time-regressing or out-of-range (arrival_us > kMaxArrivalUs) row with
+/// "line N: why" in *error (untouched on success). The optional header row
+/// `arrival_us,model,slo` is skipped.
 bool parse_trace_csv(std::istream& in, Trace* out, std::string* error);
 bool load_trace_csv(const std::string& path, Trace* out, std::string* error);
 

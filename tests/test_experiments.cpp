@@ -7,6 +7,7 @@
 #include <string>
 
 #include "baselines/batching_server.h"
+#include "experiments/cluster_runner.h"
 #include "experiments/grid.h"
 #include "experiments/runner.h"
 
@@ -134,6 +135,20 @@ TEST(Experiments, PaperGridListsEachPointOnce) {
     std::set<std::string> labels;
     for (const auto& p : grid) labels.insert(p.label);
     EXPECT_EQ(labels.size(), grid.size()) << "batch " << batch;
+  }
+}
+
+TEST(Experiments, CountersOfNamesAreUnique) {
+  // check_scenarios.py diffs fingerprints by counter name, so a repeated
+  // name would hide one of the counters that share it.
+  ClusterResult r;
+  r.per_gpu.resize(3);
+  const std::vector<NamedCounter> counters = counters_of(r);
+  EXPECT_EQ(counters.size(), 42u + 15u * r.per_gpu.size());
+  std::set<std::string> names;
+  for (const NamedCounter& c : counters) {
+    EXPECT_FALSE(c.name.empty());
+    EXPECT_TRUE(names.insert(c.name).second) << "repeated name " << c.name;
   }
 }
 

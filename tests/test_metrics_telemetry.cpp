@@ -103,8 +103,8 @@ TEST(EventLogFold, MirrorsLiveCounterSemantics) {
   EXPECT_DOUBLE_EQ(fold[1].transferred_mb, 44.5);
   const FleetCounters fleet = log.fold_counts(2).fleet;
   EXPECT_EQ(fleet.drops, 3u);
-  EXPECT_EQ(fleet.infeasible, 1u);
-  EXPECT_EQ(fleet.migrations, 1u);
+  EXPECT_EQ(fleet.infeasible_rejects, 1u);
+  EXPECT_EQ(fleet.cross_gpu_migrations, 1u);
   EXPECT_EQ(fleet.transfers, 1u);
   EXPECT_EQ(fleet.jobs_lost, 3u);
   EXPECT_EQ(fleet.rehomes, 0u);  // a fault's rehome is not a demand shift
@@ -119,7 +119,7 @@ TEST(EventLogFold, OutOfRangeDevicesAreIgnored) {
   EXPECT_EQ(fold[0].routed, 1u);
   EXPECT_EQ(fold[0].migrated_out, 1u);  // the in-range half still counts
   EXPECT_TRUE(log.fold_counts(0).per_gpu.empty());
-  EXPECT_EQ(log.fold_counts(0).fleet.migrations, 1u);  // fleet counts all
+  EXPECT_EQ(log.fold_counts(0).fleet.cross_gpu_migrations, 1u);  // all
 }
 
 /// An overloaded heterogeneous-arrival fleet with telemetry on. Zero-delay
@@ -166,40 +166,15 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveRoutingCounters) {
       << "the overload config must actually exercise the migration records";
 }
 
-/// The fleet-wide counters a run reports (run_cluster copies them from
-/// Collector::fleet_counters), gathered back into one FleetCounters.
-FleetCounters live_fleet_counters(const exp::ClusterResult& r) {
-  FleetCounters f;
-  f.migrations = r.cross_gpu_migrations;
-  f.drops = r.drops;
-  f.infeasible = r.infeasible_rejects;
-  f.transfers = r.transfers;
-  f.transferred_mb = r.transferred_mb;
-  f.coalesced = r.coalesced_transfers;
-  f.coalesced_mb_saved = r.coalesced_mb_saved;
-  f.steals = r.steals;
-  f.rehomes = r.rehomes;
-  f.jobs_lost = r.jobs_lost;
-  f.retries = r.retries;
-  f.retry_abandoned_budget = r.retry_abandoned_budget;
-  f.retry_abandoned_expired = r.retry_abandoned_expired;
-  f.retry_abandoned_attempts = r.retry_abandoned_attempts;
-  f.hedges = r.hedges;
-  f.hedge_wins = r.hedge_wins;
-  f.hedge_cancels = r.hedge_cancels;
-  f.breaker_opens = r.breaker_opens;
-  f.breaker_closes = r.breaker_closes;
-  return f;
-}
-
-/// Every FleetCounters field as (name, value), in declaration order.
+/// Every record-implied FleetCounters field as (name, value), in
+/// declaration order (the measured ones have no record to fold).
 std::vector<std::pair<const char*, double>> fields_of(const FleetCounters& f) {
-  return {{"migrations", f.migrations},
+  return {{"cross_gpu_migrations", f.cross_gpu_migrations},
           {"drops", f.drops},
-          {"infeasible", f.infeasible},
+          {"infeasible_rejects", f.infeasible_rejects},
           {"transfers", f.transfers},
           {"transferred_mb", f.transferred_mb},
-          {"coalesced", f.coalesced},
+          {"coalesced_transfers", f.coalesced_transfers},
           {"coalesced_mb_saved", f.coalesced_mb_saved},
           {"steals", f.steals},
           {"rehomes", f.rehomes},
@@ -293,7 +268,7 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
     const auto fold =
         fields_of(r.events.fold_counts(static_cast<int>(r.per_gpu.size()))
                       .fleet);
-    const auto live = fields_of(live_fleet_counters(r));
+    const auto live = fields_of(r);
     for (std::size_t k = 0; k < fold.size(); ++k) {
       EXPECT_EQ(fold[k].second, live[k].second)
           << "run " << i << " field " << fold[k].first;

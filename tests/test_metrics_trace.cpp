@@ -409,6 +409,7 @@ TEST(TraceReport, StarvationFactorConfigurable) {
 TEST(CollectorRouting, PerGpuAndFleetCounters) {
   Collector c;
   c.set_gpu_count(2);
+  c.enable_event_log(64);
   c.on_route(0);
   c.on_route(0);
   c.on_route(1);
@@ -442,6 +443,15 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   c.record(0, EventKind::kBreaker, EventCause::kBreakerOpen, 0, -1, -1, 0.6);
   c.record(0, EventKind::kBreaker, EventCause::kBreakerHalfOpen, 0, -1, -1);
   c.record(0, EventKind::kBreaker, EventCause::kBreakerClose, 0, -1, -1, 0.1);
+  // The measured group: one count() each (hedge waste twice).
+  c.count(&FleetCounters::steal_scans);
+  c.count(&FleetCounters::rehome_rounds);
+  c.count(&FleetCounters::transfer_cancels);
+  c.count(&FleetCounters::first_attempts);
+  c.count(&FleetCounters::retry_admits);
+  c.count(&FleetCounters::hedge_waste);
+  c.count(&FleetCounters::hedge_waste);
+  c.count(&FleetCounters::hedge_rescued_misses);
   EXPECT_EQ(c.routing(0).routed, 2u);
   EXPECT_EQ(c.routing(0).home_admits, 1u);
   EXPECT_EQ(c.routing(0).migrated_out, 1u);
@@ -464,12 +474,12 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_DOUBLE_EQ(fleet.transferred_mb, 45.0);
 
   const FleetCounters& f = c.fleet_counters();
-  EXPECT_EQ(f.migrations, 1u);
+  EXPECT_EQ(f.cross_gpu_migrations, 1u);
   EXPECT_EQ(f.drops, 2u);  // every shed, infeasible included
-  EXPECT_EQ(f.infeasible, 1u);
+  EXPECT_EQ(f.infeasible_rejects, 1u);
   EXPECT_EQ(f.transfers, 2u);
   EXPECT_DOUBLE_EQ(f.transferred_mb, 45.0);
-  EXPECT_EQ(f.coalesced, 1u);
+  EXPECT_EQ(f.coalesced_transfers, 1u);
   EXPECT_DOUBLE_EQ(f.coalesced_mb_saved, 12.25);
   EXPECT_EQ(f.steals, 1u);
   EXPECT_EQ(f.rehomes, 1u);    // demand shifts only, not a fault's rehome
@@ -483,6 +493,26 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(f.hedge_cancels, 1u);
   EXPECT_EQ(f.breaker_opens, 1u);
   EXPECT_EQ(f.breaker_closes, 1u);
+  EXPECT_EQ(f.steal_scans, 1u);
+  EXPECT_EQ(f.rehome_rounds, 1u);
+  EXPECT_EQ(f.transfer_cancels, 1u);
+  EXPECT_EQ(f.first_attempts, 1u);
+  EXPECT_EQ(f.retry_admits, 1u);
+  EXPECT_EQ(f.hedge_waste, 2u);
+  EXPECT_EQ(f.hedge_rescued_misses, 1u);
+
+  // No record implies a measured count: folding the log leaves them zero.
+  ASSERT_NE(c.event_log(), nullptr);
+  const FleetCounters folded = c.event_log()->fold_counts(2).fleet;
+  EXPECT_EQ(folded.cross_gpu_migrations, f.cross_gpu_migrations);
+  EXPECT_EQ(folded.breaker_closes, f.breaker_closes);
+  EXPECT_EQ(folded.steal_scans, 0u);
+  EXPECT_EQ(folded.rehome_rounds, 0u);
+  EXPECT_EQ(folded.transfer_cancels, 0u);
+  EXPECT_EQ(folded.first_attempts, 0u);
+  EXPECT_EQ(folded.retry_admits, 0u);
+  EXPECT_EQ(folded.hedge_waste, 0u);
+  EXPECT_EQ(folded.hedge_rescued_misses, 0u);
 }
 
 /// Restores the global log threshold on scope exit.

@@ -76,6 +76,24 @@ TEST(TraceCsv, RejectsMalformedRowsWithLineNumbers) {
   }
 }
 
+TEST(TraceCsv, ArrivalTimesStopAtTheLargestExactTime) {
+  // 2^53 us is the bound: it parses and keeps a positive duration; one
+  // microsecond more would reach the simulator's clock rounded (and, a
+  // little further on, overflowed to a time in the past).
+  const Trace at_bound =
+      parse_ok("100,resnet18,hp\n9007199254740992,resnet18,hp\n");
+  ASSERT_EQ(at_bound.rows.size(), 2u);
+  EXPECT_EQ(at_bound.rows[1].arrival_us, kMaxArrivalUs);
+  EXPECT_GT(at_bound.duration(), 0);
+  for (const char* csv : {"100,resnet18,hp\n9007199254740993,resnet18,hp\n",
+                          "100,resnet18,hp\n10000000000000000,resnet18,hp\n",
+                          "100,resnet18,hp\n18446744073709551615,unet,lp\n"}) {
+    const std::string error = parse_error(csv);
+    EXPECT_NE(error.find("line 2: arrival_us"), std::string::npos)
+        << "csv:\n" << csv << "error: " << error;
+  }
+}
+
 TEST(TraceCsv, RoundTripsThroughWriter) {
   TraceGenConfig cfg;
   cfg.duration_s = 0.5;
