@@ -1,43 +1,19 @@
 #include "baselines/batching_server.h"
 
-#include <functional>
-
-#include "gpusim/gpu.h"
-#include "sim/simulator.h"
+#include "baselines/gslice_server.h"
 
 namespace daris::baselines {
 
 BatchingResult measure_batched_jps(dnn::ModelKind kind, int batch,
                                    const gpusim::GpuSpec& spec,
-                                   double duration_s, std::uint64_t seed) {
-  sim::Simulator sim;
-  gpusim::Gpu gpu(sim, spec, seed);
-  const auto ctx = gpu.create_context(static_cast<double>(spec.sm_count));
-  const auto stream = gpu.create_stream(ctx);
-  const dnn::CompiledModel model = dnn::compiled_model(kind, batch, spec);
-
-  const common::Time horizon = common::from_sec(duration_s);
-  std::uint64_t batches = 0;
-
-  std::function<void()> launch = [&] {
-    if (sim.now() >= horizon) return;
-    for (const auto& stage : model.stages) {
-      for (const auto& k : stage.kernels) gpu.launch_kernel(stream, k);
-    }
-    gpu.enqueue_callback(stream, [&] {
-      ++batches;
-      launch();
-    });
-  };
-  launch();
-  sim.run_until(horizon);
-
+                                   double duration_s) {
+  const GSliceResult g =
+      measure_gslice_jps(kind, 1, batch, spec, duration_s, 0xBA7C4);
   BatchingResult r;
-  r.batches = batches;
-  const double secs = common::to_sec(sim.now() < horizon ? horizon : sim.now());
-  r.jps = static_cast<double>(batches) * batch / secs;
+  r.jps = g.jps;
+  r.batches = g.batches;
   r.batch_latency_ms =
-      batches > 0 ? 1e3 * secs / static_cast<double>(batches) : 0.0;
+      g.batches > 0 ? 1e3 * duration_s / static_cast<double>(g.batches) : 0.0;
   return r;
 }
 

@@ -16,11 +16,11 @@ struct BatchingResult {
   std::uint64_t batches = 0;
 };
 
-/// Saturated closed-loop throughput of `model` at the given batch size.
+/// Saturated closed-loop throughput of `model` at the given batch size: the
+/// one-slice GSlice loop (baselines::measure_gslice_jps).
 BatchingResult measure_batched_jps(dnn::ModelKind kind, int batch,
                                    const gpusim::GpuSpec& spec,
-                                   double duration_s = 4.0,
-                                   std::uint64_t seed = 0xBA7C4);
+                                   double duration_s = 4.0);
 
 /// Sweeps batch sizes and returns the best throughput (Table I max JPS).
 BatchingResult best_batched_jps(dnn::ModelKind kind,

@@ -99,10 +99,10 @@ struct Server {
 }  // namespace
 
 ClockworkResult run_clockwork(const workload::TaskSetSpec& taskset,
-                              const gpusim::GpuSpec& spec, double duration_s,
-                              std::uint64_t seed) {
+                              const gpusim::GpuSpec& spec,
+                              double duration_s) {
   sim::Simulator sim;
-  gpusim::Gpu gpu(sim, spec, seed);
+  gpusim::Gpu gpu(sim, spec, /*seed=*/0xC10C4);
   const auto ctx = gpu.create_context(static_cast<double>(spec.sm_count));
   const auto stream = gpu.create_stream(ctx);
 

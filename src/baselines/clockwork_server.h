@@ -4,8 +4,6 @@
 // completion would exceed their deadline are dropped up front.
 #pragma once
 
-#include <cstdint>
-
 #include "dnn/zoo.h"
 #include "gpusim/gpu_spec.h"
 #include "workload/taskset.h"
@@ -23,7 +21,6 @@ struct ClockworkResult {
 /// predicted completion time.
 ClockworkResult run_clockwork(const workload::TaskSetSpec& taskset,
                               const gpusim::GpuSpec& spec,
-                              double duration_s = 4.0,
-                              std::uint64_t seed = 0xC10C4);
+                              double duration_s = 4.0);
 
 }  // namespace daris::baselines

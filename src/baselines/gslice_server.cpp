@@ -43,6 +43,7 @@ GSliceResult measure_gslice_jps(dnn::ModelKind kind, int slices, int batch,
   GSliceResult r;
   r.slices = slices;
   r.batch = batch;
+  r.batches = batches;
   r.jps = static_cast<double>(batches) * batch / duration_s;
   return r;
 }

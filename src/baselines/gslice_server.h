@@ -16,6 +16,7 @@ struct GSliceResult {
   double jps = 0.0;
   int slices = 0;
   int batch = 0;
+  std::uint64_t batches = 0;  // completed, over all slices
 };
 
 /// Saturated throughput of `slices` equal MPS partitions (summing to 100%,

@@ -34,6 +34,7 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
     : sharded_(sharded),
       sim_(sharded.control()),
       collector_(collector),
+      seed_(config.seed),
       seed_rng_(config.seed),
       transfer_us_per_mb_(std::max(0.0, config.transfer_us_per_mb)) {
   assert(collector_ != nullptr);

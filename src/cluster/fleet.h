@@ -126,6 +126,11 @@ class Fleet {
 
   int size() const { return static_cast<int>(gpus_.size()); }
 
+  /// The run seed (FleetConfig::seed): every device's jitter seed is a draw
+  /// of Rng(seed()), and the resilience layer seeds its backoff jitter with
+  /// it.
+  std::uint64_t seed() const { return seed_; }
+
   gpusim::Gpu& gpu(int g) { return *gpus_[static_cast<std::size_t>(g)]; }
   rt::Scheduler& scheduler(int g) {
     return *schedulers_[static_cast<std::size_t>(g)];
@@ -408,12 +413,13 @@ class Fleet {
   /// Per logical task: fleet-wide active jobs (active_jobs). A deque, so
   /// the addresses every device's Task holds survive later add_task calls.
   std::deque<std::atomic<int>> active_;
-  // Construction state kept for add_gpu_now: the canonicalized scheduler
-  // config every device shares, the collector new schedulers report to, and
-  // the seed sequence the constructor drew per-GPU seeds from (a member so
-  // a device added mid-run continues the same deterministic sequence).
+  // Construction state: the canonicalized scheduler config every device
+  // shares, the collector new schedulers report to, the run seed, and the
+  // seed sequence the constructor drew per-GPU seeds from (a member so a
+  // device added mid-run continues the same deterministic sequence).
   rt::SchedulerConfig sched_cfg_;
   metrics::Collector* collector_ = nullptr;
+  std::uint64_t seed_ = 0;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
   std::vector<const dnn::CompiledModel*> model_of_task_;

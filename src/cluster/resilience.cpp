@@ -20,7 +20,9 @@ ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
       router_(router),
       config_(config),
       collector_(collector),
-      rng_(config.seed) {
+      // Rng(run seed) also draws the fleet's per-device jitter seeds; the
+      // two sequences are equal but feed unrelated decisions.
+      rng_(fleet.seed()) {
   assert(collector_ != nullptr);
 }
 
@@ -42,8 +44,7 @@ void ResiliencePolicy::release(int task_id) {
   // First attempts fund the bucket; retries and hedges drain it. The cap
   // bounds how large a burst of sheds can be retried back-to-back.
   if (config_.budget_enabled) {
-    tokens_ = std::min(config_.retry_budget_burst,
-                       tokens_ + config_.retry_budget_ratio);
+    tokens_ = std::min(kRetryBudgetBurst, tokens_ + kRetryBudgetRatio);
   }
   const common::Time released = sim_.now();
   const RouteResult r = router_.route_job(task_id, released);
@@ -93,15 +94,9 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
 common::Duration ResiliencePolicy::backoff_delay(const RetryPolicy& pol,
                                                  int attempt) {
   double us = pol.base_delay_us;
-  if (pol.backoff == RetryPolicy::Backoff::kExponential) {
-    for (int i = 1; i < attempt; ++i) {
-      us = std::min(us * 2.0, pol.max_delay_us);
-    }
-  }
+  for (int i = 1; i < attempt; ++i) us = std::min(us * 2.0, pol.max_delay_us);
   us = std::min(us, pol.max_delay_us);
-  if (pol.jitter > 0.0) {
-    us *= rng_.uniform(1.0 - pol.jitter, 1.0 + pol.jitter);
-  }
+  us *= rng_.uniform(1.0 - kRetryJitter, 1.0 + kRetryJitter);
   return common::from_us(std::max(0.0, us));
 }
 
@@ -157,13 +152,12 @@ void ResiliencePolicy::arm_hedge(int task_id, common::Time released,
     if (sch.response_samples(common::Priority::kLow) < kHedgeMinSamples) {
       continue;
     }
-    const double p = sch.response_percentile_us(common::Priority::kLow,
-                                                config_.hedge_percentile);
+    const double p =
+        sch.response_percentile_us(common::Priority::kLow, kHedgePercentile);
     if (delay_us == 0.0 || p < delay_us) delay_us = p;
   }
   if (delay_us == 0.0) {
-    delay_us =
-        common::to_us(spec.relative_deadline) * config_.hedge_fallback_frac;
+    delay_us = common::to_us(spec.relative_deadline) * kHedgeFallbackFrac;
   }
   const int gpu = r.gpu;
   const std::uint64_t job = r.job_id;
@@ -321,9 +315,8 @@ void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
   };
   switch (b.state) {
     case BreakerState::kClosed:
-      if (volume >= static_cast<std::uint64_t>(
-                        std::max(1, config_.breaker_min_volume)) &&
-          rate >= config_.breaker_open_threshold && may_open) {
+      if (volume >= static_cast<std::uint64_t>(kBreakerMinVolume) &&
+          rate >= kBreakerOpenThreshold && may_open) {
         open();
       }
       break;

@@ -13,16 +13,16 @@
 // goodput collapses while utilisation stays pinned. The layer therefore
 // ships the two standard countermeasures next to the retry policy itself:
 //
-//  - Retry budget (token bucket). First attempts earn `retry_budget_ratio`
+//  - Retry budget (token bucket). First attempts earn kRetryBudgetRatio
 //    tokens each; a retry or hedge spends one. The fleet-wide retry rate is
 //    thus capped at ~ratio x the first-attempt rate no matter how hard the
-//    retry policy pushes — the knob that separates the meltdown run from
+//    retry policy pushes — the switch that separates the meltdown run from
 //    the recovering run in the retry-storm-meltdown scenario.
 //
 //  - Per-GPU circuit breaker. A periodic control-shard tick folds each
 //    device's completed/missed deltas (scheduler counters) with the sheds
 //    charged to it (Router::shed_at) into a rolling miss+shed rate;
-//    crossing `breaker_open_threshold` with enough volume opens the
+//    crossing kBreakerOpenThreshold with enough volume opens the
 //    breaker, which masks the device from routing exactly like a draining
 //    one (Fleet::set_breaker_open folds into placeable()) — without
 //    rehoming anything, because the state is temporary: after
@@ -40,9 +40,10 @@
 //
 // Determinism: all timers (backoff, hedge triggers, pair polls, breaker
 // ticks) are ordinary control-shard sim::Callback events; backoff jitter
-// comes from a dedicated seeded Rng. Sharded runs stay bit-identical
-// because control events run while the device shards are parked at the
-// window barrier — the same contract the rebalancer relies on. A default
+// comes from the layer's own Rng, seeded with the run seed
+// (Fleet::seed()). Sharded runs stay bit-identical because control events
+// run while the device shards are parked at the window barrier — the same
+// contract the rebalancer relies on, so they never race a device. A default
 // ResilienceConfig{} (enabled=false) schedules nothing and leaves every
 // run byte-identical to a build without this file; cluster_runner then
 // wires the drivers straight to the router.
@@ -64,33 +65,46 @@
 
 namespace daris::cluster {
 
+/// Retry budget: each first attempt earns kRetryBudgetRatio tokens, and the
+/// bucket holds at most kRetryBudgetBurst.
+inline constexpr double kRetryBudgetRatio = 0.1;
+inline constexpr double kRetryBudgetBurst = 32.0;
+/// Each backoff delay is scaled by a uniform draw from
+/// [1 - kRetryJitter, 1 + kRetryJitter].
+inline constexpr double kRetryJitter = 0.2;
+/// The LP response percentile that triggers a hedge.
+inline constexpr double kHedgePercentile = 95.0;
 /// Ring samples a device needs before its LP response percentile drives the
-/// hedge trigger; below this the trigger falls back to hedge_fallback_frac x
-/// relative deadline.
+/// hedge trigger; while every ring is colder, the trigger is
+/// kHedgeFallbackFrac x the relative deadline.
 inline constexpr int kHedgeMinSamples = 16;
+inline constexpr double kHedgeFallbackFrac = 0.35;
 /// Hedge-pair settlement poll period (first-finish-wins detection).
 inline constexpr common::Duration kHedgePoll = common::from_sec(0.0005);
 /// Breaker rolling window, also the breaker tick period.
 inline constexpr common::Duration kBreakerWindow = common::from_sec(0.1);
+/// A closed breaker opens when its window's (missed + shed) /
+/// (completed + shed) reaches kBreakerOpenThreshold over at least
+/// kBreakerMinVolume outcomes.
+inline constexpr double kBreakerOpenThreshold = 0.5;
+inline constexpr int kBreakerMinVolume = 16;
 /// An open breaker half-opens after this cooldown.
 inline constexpr common::Duration kBreakerCooldown = common::from_sec(0.3);
 /// A half-open breaker closes when its probe window's miss+shed rate falls
 /// to this or below; otherwise it re-opens.
 inline constexpr double kBreakerCloseThreshold = 0.2;
 
-/// Per-class retry policy. kNone disables retries for the class; kFixed
-/// waits base_delay_us (jittered) between attempts; kExponential doubles
-/// the delay per attempt up to max_delay_us.
+/// Per-class retry policy. kNone disables retries for the class;
+/// kExponential waits base_delay_us before the first retry and doubles the
+/// delay per attempt up to max_delay_us, each delay jittered by
+/// kRetryJitter.
 struct RetryPolicy {
-  enum class Backoff { kNone, kFixed, kExponential };
+  enum class Backoff { kNone, kExponential };
   Backoff backoff = Backoff::kNone;
   /// Total attempts including the first release.
   int max_attempts = 3;
   double base_delay_us = 500.0;
   double max_delay_us = 20000.0;
-  /// Uniform jitter factor: each delay is scaled by [1-jitter, 1+jitter]
-  /// drawn from the layer's seeded Rng. 0 = deterministic spacing.
-  double jitter = 0.2;
 };
 
 struct ResilienceConfig {
@@ -100,35 +114,23 @@ struct ResilienceConfig {
 
   /// Retry policies per class. Defaults retry both classes with exponential
   /// backoff; set backoff = kNone to disable a class.
-  RetryPolicy hp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0, 0.2};
-  RetryPolicy lp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0, 0.2};
+  RetryPolicy hp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0};
+  RetryPolicy lp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0};
 
-  /// Token-bucket retry budget. Each first attempt earns `ratio` tokens
-  /// (capped at `burst`); each retry or hedge launch spends one. Disabled
-  /// (naive mode): retries are never budget-limited.
+  /// Token-bucket retry budget. Each first attempt earns kRetryBudgetRatio
+  /// tokens (capped at kRetryBudgetBurst); each retry or hedge launch spends
+  /// one. Disabled (naive mode): retries are never budget-limited.
   bool budget_enabled = true;
-  double retry_budget_ratio = 0.1;
-  double retry_budget_burst = 32.0;
 
-  /// Hedged requests for LP classes.
+  /// Hedged requests for LP classes: launch the hedge when the primary is
+  /// still in flight after the FLEET's best recent kHedgePercentile LP
+  /// response (minimum over placeable devices with warm rings) — a
+  /// straggler's own inflated percentile must not get to postpone its own
+  /// rescue.
   bool hedge = false;
-  /// Launch the hedge when the primary is still in flight after the FLEET's
-  /// best recent q-th percentile LP response (minimum over placeable
-  /// devices with warm rings) — a straggler's own inflated percentile must
-  /// not get to postpone its own rescue.
-  double hedge_percentile = 95.0;
-  /// Trigger fallback while rings are cold (kHedgeMinSamples): this
-  /// fraction of the relative deadline.
-  double hedge_fallback_frac = 0.5;
 
   /// Per-GPU circuit breaker, evaluated every kBreakerWindow.
   bool breaker = false;
-  /// Open when (missed + shed) / (completed + shed) over the window reaches
-  /// this, with at least breaker_min_volume outcomes observed.
-  double breaker_open_threshold = 0.5;
-  int breaker_min_volume = 16;
-
-  std::uint64_t seed = 42;
 };
 
 class ResiliencePolicy {
@@ -136,7 +138,7 @@ class ResiliencePolicy {
   /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
   /// `collector` (required, the fleet's) receives the retry, hedge and
   /// breaker records and the layer's measured counts, and holds every count
-  /// the accessors read.
+  /// the accessors read. Backoff jitter draws from Rng(fleet.seed()).
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
                    metrics::Collector* collector);

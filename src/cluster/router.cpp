@@ -105,8 +105,6 @@ void Router::release(int task_id) {
 
 RouteResult Router::route_job(int task_id, common::Time released) {
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  const auto cls = static_cast<std::size_t>(spec.priority);
-  ++released_cls_[cls];
   if (release_observer_) release_observer_(task_id);
   // HP jobs go to their home GPU — the device carrying their static Eq. 11
   // reservation — mirroring the paper's fixed HP context assignment one
@@ -178,9 +176,6 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   if (best < 0) return r;  // no eligible peer: hedge not launched, no counts
 
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  const auto cls = static_cast<std::size_t>(spec.priority);
-  ++released_cls_[cls];
-
   collector_->on_release(spec.priority);
   collector_->on_route(best);
 
@@ -350,7 +345,6 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
   const auto& spec = fleet_.scheduler(0).task(task_id).spec();
-  ++shed_cls_[static_cast<std::size_t>(spec.priority)];
   collector_->on_reject(spec.priority);
   collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
                      task_id);

@@ -175,16 +175,18 @@ class Router {
   // Always-on per-class tallies of every route attempt's fate: released ==
   // shed + pending + admitted holds router-internally at any instant, and
   // feeding them into the fleet check closes the loop against the
-  // schedulers' own counters.
+  // schedulers' own counters. In a fleet only the router reports releases
+  // and rejections to the collector (the schedulers run with report=false),
+  // so the collector's class counts are the router's.
 
   /// Route attempts (releases + retries + hedges) of the class.
   std::uint64_t released_of(common::Priority p) const {
-    return released_cls_[static_cast<std::size_t>(p)];
+    return collector_->class_counts(p).released;
   }
   /// Synchronous + asynchronous sheds (infeasible, backlog, peer-reject,
   /// post-transfer drops) of the class.
   std::uint64_t shed_of(common::Priority p) const {
-    return shed_cls_[static_cast<std::size_t>(p)];
+    return collector_->class_counts(p).rejected;
   }
   /// Jobs of the class still riding an in-flight weight transfer.
   std::uint64_t pending_of(common::Priority p) const {
@@ -281,8 +283,6 @@ class Router {
   common::Rng rng_;
   metrics::Collector* collector_;
   int rr_next_ = 0;
-  std::uint64_t released_cls_[2] = {0, 0};
-  std::uint64_t shed_cls_[2] = {0, 0};
   std::uint64_t pending_cls_[2] = {0, 0};
   std::vector<int> pending_jobs_;  // per task id
   std::vector<int> pending_to_;    // in-flight transfers per target GPU

@@ -58,11 +58,11 @@ LoweringParams calibrate(const NetworkDef& net, const gpusim::GpuSpec& spec,
 
   const double t1_target = targets.single_stream_latency_us;
   const double tB_target =
-      static_cast<double>(targets.batch) * 1.0e6 / targets.batched_jps;
+      static_cast<double>(kCalibrationBatch) * 1.0e6 / targets.batched_jps;
 
   for (int iter = 0; iter < 60; ++iter) {
     // Fit total work against the batched (saturated) throughput target.
-    const CompiledModel mb = lower(net, targets.batch, p);
+    const CompiledModel mb = lower(net, kCalibrationBatch, p);
     const double tb = analytic_sequential_latency_us(mb, spec);
     const double work_ratio =
         std::max(0.05, (tB_target - launch_total) / (tb - launch_total));
@@ -83,11 +83,11 @@ LoweringParams calibrate(const NetworkDef& net, const gpusim::GpuSpec& spec,
   }
 
   const CompiledModel m1 = lower(net, 1, p);
-  const CompiledModel mb = lower(net, targets.batch, p);
+  const CompiledModel mb = lower(net, kCalibrationBatch, p);
   DARIS_LOG_INFO << net.name << " calibrated: t1="
                  << analytic_sequential_latency_us(m1, spec) << "us (target "
                  << t1_target << "), batched_jps="
-                 << targets.batch * 1e6 /
+                 << kCalibrationBatch * 1e6 /
                         analytic_sequential_latency_us(mb, spec)
                  << " (target " << targets.batched_jps << "), work_scale="
                  << p.work_scale << ", par_scale=" << p.par_scale;

@@ -30,10 +30,12 @@ double analytic_sequential_latency_us(const CompiledModel& model,
 double analytic_kernel_rate(const gpusim::KernelDesc& kernel,
                             const gpusim::GpuSpec& spec);
 
+/// Batch size calibration treats as the batched-throughput asymptote.
+inline constexpr int kCalibrationBatch = 32;
+
 struct CalibrationTargets {
   double single_stream_latency_us;  // 1e6 / Table I min JPS
-  double batched_jps;               // Table I max JPS
-  int batch = 32;                   // batch size treated as the asymptote
+  double batched_jps;               // Table I max JPS at kCalibrationBatch
 };
 
 /// Fixed-point fit of work_scale / par_scale (see file comment). `base`

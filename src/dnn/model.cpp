@@ -48,16 +48,15 @@ CompiledModel lower(const NetworkDef& net, int batch,
       gpusim::KernelDesc k;
       k.tag = tag++;
       k.work = params.work_scale * b * batch_inflation * layer.flops /
-               params.flops_per_smus;
-      const double par =
-          params.par_scale * b * layer.out_elems / params.elems_per_sm;
-      k.parallelism = std::clamp(par, 1.0, params.max_parallelism_sms);
+               kFlopsPerSmUs;
+      const double par = params.par_scale * b * layer.out_elems / kElemsPerSm;
+      k.parallelism = std::clamp(par, 1.0, kMaxParallelismSms);
       // Activations scale with batch; weights are fetched once per kernel.
       // work_scale stretches compute without adding traffic, so the per-SM
       // bandwidth demand shrinks by the same factor.
       const double bytes = b * layer.act_bytes + layer.weight_bytes;
       const double flops = std::max(1.0, b * layer.flops);
-      k.mem_intensity = (bytes / flops) / params.balance_bytes_per_flop /
+      k.mem_intensity = (bytes / flops) / kBalanceBytesPerFlop /
                         std::max(1e-9, params.work_scale * batch_inflation);
       cs.kernels.push_back(k);
     }

@@ -10,19 +10,22 @@
 
 namespace daris::dnn {
 
-/// Tunables of the layer -> kernel lowering. `work_scale` and `par_scale`
-/// are set by calibration against the paper's measured Table I numbers; the
-/// remaining constants encode RTX 2080 Ti-like ratios.
+// Fixed ratios of the layer -> kernel lowering, RTX 2080 Ti-like. The
+// calibrated values are LoweringParams.
+
+/// Deliverable FLOPs per SM-microsecond (before calibration scale).
+inline constexpr double kFlopsPerSmUs = 2.0e5;
+/// Output elements one SM's worth of blocks covers (parallelism proxy).
+inline constexpr double kElemsPerSm = 8192.0;
+/// Bytes per FLOP at which compute and bandwidth are balanced.
+inline constexpr double kBalanceBytesPerFlop = 0.046;
+/// Cap on a single kernel's parallelism, in SMs.
+inline constexpr double kMaxParallelismSms = 1024.0;
+
+/// The calibrated values of the layer -> kernel lowering: `work_scale` and
+/// `par_scale` are fit to the paper's measured Table I numbers, and
+/// `batch_work_overhead` is set per model (dnn::calibrated_params).
 struct LoweringParams {
-  /// Deliverable FLOPs per SM-microsecond (before calibration scale).
-  double flops_per_smus = 2.0e5;
-
-  /// Output elements one SM's worth of blocks covers (parallelism proxy).
-  double elems_per_sm = 8192.0;
-
-  /// Bytes per FLOP at which compute and bandwidth are balanced.
-  double balance_bytes_per_flop = 0.046;
-
   /// Calibration multipliers (fit to Table I min/max JPS).
   double work_scale = 1.0;
   double par_scale = 1.0;
@@ -32,9 +35,6 @@ struct LoweringParams {
   /// sample. This is why the paper's colocated single-sample kernels exceed
   /// the best batched throughput (Sec. VI: +13% ResNet18, +8% UNet).
   double batch_work_overhead = 0.17;
-
-  /// Cap on a single kernel's parallelism, in SMs.
-  double max_parallelism_sms = 1024.0;
 };
 
 struct CompiledStage {

@@ -56,10 +56,9 @@ std::vector<GridPoint> os_sweep_grid(int num_contexts) {
   return grid;
 }
 
-std::vector<GridResult> run_grid(
-    const workload::TaskSetSpec& taskset, const std::vector<GridPoint>& grid,
-    double duration_s, double warmup_s,
-    const std::function<void(const GridResult&)>& progress) {
+std::vector<GridResult> run_grid(const workload::TaskSetSpec& taskset,
+                                 const std::vector<GridPoint>& grid,
+                                 double duration_s) {
   std::vector<GridResult> out;
   out.reserve(grid.size());
   for (const auto& point : grid) {
@@ -67,10 +66,7 @@ std::vector<GridResult> run_grid(
     cfg.taskset = taskset;
     cfg.sched = point.sched;
     cfg.duration_s = duration_s;
-    cfg.warmup_s = warmup_s;
-    GridResult gr{point, run_daris(cfg)};
-    if (progress) progress(gr);
-    out.push_back(std::move(gr));
+    out.push_back(GridResult{point, run_daris(cfg)});
   }
   return out;
 }

@@ -1,7 +1,6 @@
 // Policy/configuration grids shared by the Fig. 4-7 bench binaries.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,11 +31,10 @@ struct GridResult {
   RunResult result;
 };
 
-/// Runs every grid point on the task set; calls `progress` per point if set.
-std::vector<GridResult> run_grid(
-    const workload::TaskSetSpec& taskset, const std::vector<GridPoint>& grid,
-    double duration_s = 4.0, double warmup_s = 1.0,
-    const std::function<void(const GridResult&)>& progress = {});
+/// Runs every grid point on the task set, with RunConfig's warm-up.
+std::vector<GridResult> run_grid(const workload::TaskSetSpec& taskset,
+                                 const std::vector<GridPoint>& grid,
+                                 double duration_s = 4.0);
 
 /// Renders the standard throughput + DMR table for a figure, annotated with
 /// the batching lower/upper baselines.

@@ -179,10 +179,9 @@ ClusterConfig retry_storm(const std::string& /*data_dir*/) {
   // policy a front-end team tunes for transient blips, and exactly what
   // melts the fleet down when the blip is a capacity shortfall.
   cfg.resilience.hp = {cluster::RetryPolicy::Backoff::kExponential, 5, 300.0,
-                       5000.0, 0.2};
+                       5000.0};
   cfg.resilience.lp = cfg.resilience.hp;
   cfg.resilience.budget_enabled = true;
-  cfg.resilience.retry_budget_ratio = 0.1;
   return cfg;
 }
 
@@ -220,14 +219,13 @@ ClusterConfig hedging_tail_rescue(const std::string& /*data_dir*/) {
   cfg.resilience.enabled = true;
   cfg.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
   cfg.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
+  // The trigger percentile (cluster::kHedgePercentile, p95) is read off the
+  // FLEET's fastest device (see ResiliencePolicy::arm_hedge), so it means
+  // "slower than a healthy peer's p95" — which nearly every straggler-stuck
+  // job is, and almost no healthy-device job is. That both fires the hedge
+  // while the primary is still queued (revocable) and keeps the
+  // duplicate-work fraction small.
   cfg.resilience.hedge = true;
-  // The trigger percentile is read off the FLEET's fastest device (see
-  // ResiliencePolicy::arm_hedge), so p95 here means "slower than a healthy
-  // peer's p95" — which nearly every straggler-stuck job is, and almost no
-  // healthy-device job is. That both fires the hedge while the primary is
-  // still queued (revocable) and keeps the duplicate-work fraction small.
-  cfg.resilience.hedge_percentile = 95.0;
-  cfg.resilience.hedge_fallback_frac = 0.35;
   return cfg;
 }
 

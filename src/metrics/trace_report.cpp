@@ -6,8 +6,7 @@
 
 namespace daris::metrics {
 
-TraceReport trace_report(const std::vector<StageEvent>& stages,
-                         double starvation_factor) {
+TraceReport trace_report(const std::vector<StageEvent>& stages) {
   TraceReport report;
   report.stages = stages.size();
 
@@ -31,7 +30,7 @@ TraceReport trace_report(const std::vector<StageEvent>& stages,
 
     const double stall_us = ev.execution_us - ev.mret_us;
     if (ev.mret_us > 0.0 &&
-        ev.execution_us >= starvation_factor * ev.mret_us) {
+        ev.execution_us >= kStarvationFactor * ev.mret_us) {
       ++report.starved_stages;
     }
     if (ev.task_id >= 0) {

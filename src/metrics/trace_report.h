@@ -22,7 +22,7 @@ struct TraceReport {
   std::uint64_t tasks = 0;             // distinct tasks seen
   std::uint64_t context_switches = 0;  // same GPU, different context
   std::uint64_t gpu_migrations = 0;    // different GPU (cluster runs)
-  std::uint64_t starved_stages = 0;    // execution >= factor x MRET
+  std::uint64_t starved_stages = 0;    // execution >= kStarvationFactor x MRET
 
   double worst_stall_us = 0.0;  // max over all stages of (execution - MRET)
   int worst_stall_task = -1;
@@ -35,10 +35,12 @@ struct TraceReport {
   std::string to_string() const;
 };
 
+/// A stage counts as starved when its measured execution time is at least
+/// this many times its MRET prediction.
+inline constexpr double kStarvationFactor = 2.0;
+
 /// Folds a stage-event stream (as recorded by Collector::stage_trace) into a
-/// TraceReport. A stage counts as starved when its measured execution time is
-/// at least `starvation_factor` times its MRET prediction.
-TraceReport trace_report(const std::vector<StageEvent>& stages,
-                         double starvation_factor = 2.0);
+/// TraceReport.
+TraceReport trace_report(const std::vector<StageEvent>& stages);
 
 }  // namespace daris::metrics

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -81,6 +82,37 @@ TEST(Resilience, RetriesFireAndRunsAreDeterministic) {
   EXPECT_TRUE(a.conservation_ok) << a.conservation_detail;
 }
 
+TEST(Resilience, RetryJitterFollowsTheRunSeed) {
+  // One model kind on jitter-free devices with periodic arrivals and
+  // least-utilisation routing: nothing in this run draws randomness but the
+  // retry backoff jitter. Two run seeds must therefore differ through the
+  // retry stream alone.
+  auto run = [](std::uint64_t seed) {
+    exp::ClusterConfig cfg;
+    cfg.taskset = workload::replicated_taskset(
+        workload::table2_taskset(dnn::ModelKind::kResNet18), 3);
+    cfg.sched.policy = rt::Policy::kMps;
+    cfg.sched.num_contexts = 6;
+    cfg.sched.oversubscription = 6.0;
+    cfg.num_gpus = 3;
+    cfg.gpu.jitter_cv = 0.0;
+    cfg.routing = RoutingPolicy::kLeastUtilization;
+    cfg.arrivals = exp::ArrivalMode::kPeriodic;
+    cfg.duration_s = 1.0;
+    cfg.warmup_s = 0.2;
+    cfg.seed = seed;
+    cfg.resilience.enabled = true;
+    return exp::run_cluster(cfg);
+  };
+  const exp::ClusterResult a = run(1);
+  const exp::ClusterResult b = run(2);
+  EXPECT_GT(a.retries, 0u);
+  EXPECT_GT(b.retries, 0u);
+  EXPECT_NE(counters_text(a), counters_text(b));
+  EXPECT_TRUE(a.conservation_ok) << a.conservation_detail;
+  EXPECT_TRUE(b.conservation_ok) << b.conservation_detail;
+}
+
 TEST(Resilience, BudgetCapsRetryAmplification) {
   exp::ClusterConfig naive = overloaded_config(3, 1.4);
   naive.resilience.enabled = true;
@@ -89,8 +121,6 @@ TEST(Resilience, BudgetCapsRetryAmplification) {
 
   exp::ClusterConfig budgeted = overloaded_config(3, 1.4);
   budgeted.resilience.enabled = true;
-  budgeted.resilience.retry_budget_ratio = 0.1;
-  budgeted.resilience.retry_budget_burst = 16.0;
   const exp::ClusterResult b = exp::run_cluster(budgeted);
 
   ASSERT_GT(n.retries, 0u);
@@ -98,7 +128,9 @@ TEST(Resilience, BudgetCapsRetryAmplification) {
   EXPECT_GT(b.retry_abandoned_budget, 0u);
   // The bucket earns ratio per first attempt plus the burst headroom; the
   // realized retry rate must respect that bound.
-  const double cap = 0.1 * static_cast<double>(b.first_attempts) + 16.0;
+  const double cap =
+      kRetryBudgetRatio * static_cast<double>(b.first_attempts) +
+      kRetryBudgetBurst;
   EXPECT_LE(static_cast<double>(b.retries), cap);
   EXPECT_TRUE(n.conservation_ok) << n.conservation_detail;
   EXPECT_TRUE(b.conservation_ok) << b.conservation_detail;
@@ -110,8 +142,8 @@ TEST(Resilience, RetriesRespectTheOriginalDeadline) {
   // slack it does not have.
   exp::ClusterConfig cfg = overloaded_config(3, 1.4);
   cfg.resilience.enabled = true;
-  cfg.resilience.hp = {RetryPolicy::Backoff::kFixed, 3, 500000.0, 500000.0,
-                       0.0};
+  cfg.resilience.hp = {RetryPolicy::Backoff::kExponential, 3, 500000.0,
+                       500000.0};
   cfg.resilience.lp = cfg.resilience.hp;
   const exp::ClusterResult r = exp::run_cluster(cfg);
   EXPECT_EQ(r.retries, 0u);
@@ -135,7 +167,6 @@ TEST(Resilience, HedgesRescueLpTailOnStraggler) {
   cfg.resilience.hp.backoff = RetryPolicy::Backoff::kNone;
   cfg.resilience.lp.backoff = RetryPolicy::Backoff::kNone;
   cfg.resilience.hedge = true;
-  cfg.resilience.hedge_percentile = 70.0;
   const exp::ClusterResult r = exp::run_cluster(cfg);
 
   EXPECT_GT(r.hedges, 0u);
@@ -165,7 +196,6 @@ TEST(Resilience, BreakerOpensOnSickDeviceAndRecovers) {
   cfg.faults.push_back(slow);
   cfg.resilience.enabled = true;
   cfg.resilience.breaker = true;
-  cfg.resilience.breaker_open_threshold = 0.4;
   const exp::ClusterResult r = exp::run_cluster(cfg);
 
   EXPECT_GT(r.breaker_opens, 0u);
@@ -182,8 +212,6 @@ TEST(Resilience, BreakerExitGuardRefusesToMaskTheWholeFleet) {
   exp::ClusterConfig cfg = overloaded_config(2, 2.0);
   cfg.resilience.enabled = true;
   cfg.resilience.breaker = true;
-  cfg.resilience.breaker_open_threshold = 0.2;
-  cfg.resilience.breaker_min_volume = 4;
   const exp::ClusterResult r = exp::run_cluster(cfg);
   EXPECT_EQ(r.breaker_opens, 0u);
   EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;

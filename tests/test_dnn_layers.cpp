@@ -74,7 +74,7 @@ TEST(Lowering, WorkProportionalToFlops) {
   ASSERT_EQ(m.kernel_count(), 2u);
   EXPECT_DOUBLE_EQ(m.stages[0].kernels[0].work, m.stages[0].kernels[1].work);
   EXPECT_NEAR(m.stages[0].kernels[0].work,
-              net.stages[0].layers[0].flops / p.flops_per_smus, 1e-9);
+              net.stages[0].layers[0].flops / kFlopsPerSmUs, 1e-9);
 }
 
 TEST(Lowering, BatchScalesWorkAndParallelism) {
@@ -89,7 +89,7 @@ TEST(Lowering, BatchScalesWorkAndParallelism) {
               8.0 * m1.stages[0].kernels[0].work, 1e-9);
   EXPECT_NEAR(m8.stages[0].kernels[0].parallelism,
               std::min(8.0 * m1.stages[0].kernels[0].parallelism,
-                       p.max_parallelism_sms),
+                       kMaxParallelismSms),
               1e-9);
 }
 
@@ -124,11 +124,9 @@ TEST(Lowering, ParallelismClampedToBounds) {
   net.name = "t";
   net.stages.push_back(StageDef{"s", {fc("tiny", 8, 4)}});
   net.stages.push_back(StageDef{"s2", {conv2d("huge", 224, 64, 64, 3)}});
-  LoweringParams p;
-  p.max_parallelism_sms = 100.0;
-  const CompiledModel m = lower(net, 64, p);
+  const CompiledModel m = lower(net, 64, LoweringParams{});
   EXPECT_GE(m.stages[0].kernels[0].parallelism, 1.0);
-  EXPECT_LE(m.stages[1].kernels[0].parallelism, 100.0);
+  EXPECT_DOUBLE_EQ(m.stages[1].kernels[0].parallelism, kMaxParallelismSms);
 }
 
 TEST(Lowering, StageStructurePreserved) {

@@ -226,15 +226,14 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   // for budget and attempts, steals, demand re-homes, coalesced transfers.
   exp::ClusterConfig storm = logged_config(3, 1.4);
   storm.resilience.enabled = true;
-  storm.resilience.retry_budget_burst = 4.0;
   storm.rebalance.enabled = true;
   storm.faults = {fault_at(exp::FaultSpec::Kind::kDrain, 0, 0.5)};
   configs.push_back(storm);
   // Retries whose backoff outlives every deadline: all abandoned expired.
   exp::ClusterConfig late = logged_config(3, 1.4);
   late.resilience.enabled = true;
-  late.resilience.hp = {cluster::RetryPolicy::Backoff::kFixed, 3, 500000.0,
-                        500000.0, 0.0};
+  late.resilience.hp = {cluster::RetryPolicy::Backoff::kExponential, 3,
+                        500000.0, 500000.0};
   late.resilience.lp = late.resilience.hp;
   configs.push_back(late);
   // A straggler that recovers under hedging and breakers: hedge launches,
@@ -248,9 +247,7 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   sick.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
   sick.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
   sick.resilience.hedge = true;
-  sick.resilience.hedge_percentile = 70.0;
   sick.resilience.breaker = true;
-  sick.resilience.breaker_open_threshold = 0.4;
   configs.push_back(sick);
   // Fail-stop, then the last healthy device drains: lost jobs, and every
   // later release is infeasible.

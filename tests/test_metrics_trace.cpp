@@ -385,7 +385,7 @@ TEST(TraceReport, StarvationAndWorstStall) {
   const std::vector<StageEvent> stream = {
       stage_ev(0, 0, 150, 100, 0, 0),   // stalled 50us but not starved
       stage_ev(3, 1, 900, 300, 0, 0),   // starved (3x) and worst stall
-      stage_ev(3, 2, 400, 250, 0, 0),   // below the 2x default factor
+      stage_ev(3, 2, 400, 250, 0, 0),   // below kStarvationFactor (2x)
   };
   const TraceReport r = trace_report(stream);
   EXPECT_EQ(r.starved_stages, 1u);
@@ -398,12 +398,14 @@ TEST(TraceReport, StarvationAndWorstStall) {
   EXPECT_NE(r.to_string().find("worst stall"), std::string::npos);
 }
 
-TEST(TraceReport, StarvationFactorConfigurable) {
+TEST(TraceReport, StarvedAtStarvationFactor) {
+  // MRET 100 us: starved from kStarvationFactor x 100 us of execution on.
+  const double at = kStarvationFactor * 100.0;
   const std::vector<StageEvent> stream = {
-      stage_ev(0, 0, 150, 100, 0, 0),
+      stage_ev(0, 0, at - 1.0, 100, 0, 0),
+      stage_ev(1, 0, at, 100, 0, 0),
   };
-  EXPECT_EQ(trace_report(stream, 1.4).starved_stages, 1u);
-  EXPECT_EQ(trace_report(stream, 2.0).starved_stages, 0u);
+  EXPECT_EQ(trace_report(stream).starved_stages, 1u);
 }
 
 TEST(CollectorRouting, PerGpuAndFleetCounters) {

@@ -415,8 +415,9 @@ TEST(ShardedDifferential, ClusterRunMatchesGoldenAtEveryLaneCount) {
 
 /// A randomized-but-seeded adversarial config: fuzzed fault schedule (kind,
 /// target, time, severity all drawn from `seed`), rebalancing coin-flipped,
-/// and the resilience layer armed with fuzzed retry/hedge/breaker knobs.
-/// Everything the fleet ships, colliding on one run.
+/// and the resilience layer armed with fuzzed retries and coin-flipped
+/// budget, hedging and breakers. Everything the fleet ships, colliding on
+/// one run.
 exp::ClusterConfig chaos_cluster_config(std::uint64_t seed) {
   common::Rng rng(seed);
   exp::ClusterConfig cfg;
@@ -445,142 +446,135 @@ exp::ClusterConfig chaos_cluster_config(std::uint64_t seed) {
 
   cfg.rebalance.enabled = rng.uniform(0.0, 1.0) < 0.5;
 
+  // Two draws are discarded so that each seed's budget, hedge and breaker
+  // coin flips stay the ones the goldens below were captured with.
   cfg.resilience.enabled = true;
-  cfg.resilience.seed = seed ^ 0x5EEDull;
-  cfg.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kExponential;
-  cfg.resilience.lp.backoff = rng.uniform(0.0, 1.0) < 0.5
-                                  ? cluster::RetryPolicy::Backoff::kFixed
-                                  : cluster::RetryPolicy::Backoff::kExponential;
+  (void)rng.uniform(0.0, 1.0);  // discarded
   cfg.resilience.hp.max_attempts = static_cast<int>(rng.uniform_int(2, 5));
   cfg.resilience.lp.max_attempts = static_cast<int>(rng.uniform_int(2, 5));
   cfg.resilience.hp.base_delay_us = rng.uniform(100.0, 800.0);
   cfg.resilience.lp.base_delay_us = rng.uniform(100.0, 800.0);
   cfg.resilience.budget_enabled = rng.uniform(0.0, 1.0) < 0.7;
-  cfg.resilience.retry_budget_ratio = rng.uniform(0.05, 0.5);
+  (void)rng.uniform(0.05, 0.5);  // discarded
   cfg.resilience.hedge = rng.uniform(0.0, 1.0) < 0.5;
   cfg.resilience.breaker = rng.uniform(0.0, 1.0) < 0.5;
-  cfg.resilience.breaker_open_threshold = rng.uniform(0.2, 0.6);
   return cfg;
 }
 
 TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
   // Fault schedule x rebalancing x retries/hedging/breakers, fuzzed per
   // seed: however the chaos lands, (a) every job must be conserved, and
-  // (b) every lane count must reproduce the golden counters captured from
-  // the single-heap engine exactly.
+  // (b) every lane count must reproduce the golden counters exactly. Seed 3
+  // exercises retries and budget abandons, seed 11 retries and hedges, and
+  // 0xABCD retries, hedges and a breaker opening.
   struct Golden {
     std::uint64_t seed;
     const char* counters;
   };
   const Golden golden[] = {
       {3ull,
-       "total_jps=1651.1111111111111;hp_released=1451;hp_accepted=1145;"
-       "hp_rejected=275;hp_completed=861;hp_missed=80;lp_released=2999;"
-       "lp_accepted=866;lp_rejected=2127;lp_completed=625;lp_missed=131;"
-       "cross_gpu_migrations=267;drops=2402;infeasible=0;transfers=7;"
-       "transferred_mb=579.4935302734375;intra_gpu_migrations=430;"
+       "total_jps=1638.8888888888889;hp_released=1453;hp_accepted=1158;"
+       "hp_rejected=265;hp_completed=874;hp_missed=84;lp_released=2989;"
+       "lp_accepted=848;lp_rejected=2134;lp_completed=601;lp_missed=120;"
+       "cross_gpu_migrations=271;drops=2399;infeasible=0;transfers=6;"
+       "transferred_mb=534.9420166015625;intra_gpu_migrations=427;"
        "arrivals=4039;steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;"
        "coalesced=0;coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;"
-       "unmatched_rows=0;first_attempts=4039;retries=411;retry_admits=8;"
-       "retry_abandoned_budget=1626;retry_abandoned_expired=0;"
-       "retry_abandoned_attempts=364;hedges=0;hedge_wins=0;"
-       "hedge_cancels=0;hedge_waste=0;hedge_rescued=0;"
-       "hedge_client_p99_ms=0;breaker_opens=0;breaker_closes=0;"
-       "conservation=1;gpu0_utilization=0.76852467504133704;"
-       "gpu0_completed=641;gpu0_intra_migrations=191;gpu0_routed=1361;"
-       "gpu0_home_admits=454;gpu0_migrated_in=207;gpu0_migrated_out=9;"
-       "gpu0_dropped=898;gpu0_infeasible=0;gpu0_transfers_in=4;"
-       "gpu0_transferred_mb=325.8046875;gpu0_steals_in=0;"
+       "unmatched_rows=0;first_attempts=4039;retries=403;retry_admits=8;"
+       "retry_abandoned_budget=1638;retry_abandoned_expired=0;"
+       "retry_abandoned_attempts=356;hedges=0;hedge_wins=0;hedge_cancels=0;"
+       "hedge_waste=0;hedge_rescued=0;hedge_client_p99_ms=0;breaker_opens=0;"
+       "breaker_closes=0;conservation=1;gpu0_utilization=0.76992998099626775;"
+       "gpu0_completed=638;gpu0_intra_migrations=185;gpu0_routed=1392;"
+       "gpu0_home_admits=447;gpu0_migrated_in=210;gpu0_migrated_out=9;"
+       "gpu0_dropped=936;gpu0_infeasible=0;gpu0_transfers_in=3;"
+       "gpu0_transferred_mb=281.253173828125;gpu0_steals_in=0;"
        "gpu0_steals_out=0;gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=1.2344657755957238;gpu1_completed=316;"
-       "gpu1_intra_migrations=49;gpu1_routed=660;gpu1_home_admits=285;"
-       "gpu1_migrated_in=48;gpu1_migrated_out=51;gpu1_dropped=324;"
+       "gpu1_utilization=1.2332222977473342;gpu1_completed=317;"
+       "gpu1_intra_migrations=51;gpu1_routed=683;gpu1_home_admits=286;"
+       "gpu1_migrated_in=49;gpu1_migrated_out=54;gpu1_dropped=343;"
        "gpu1_infeasible=0;gpu1_transfers_in=1;"
-       "gpu1_transferred_mb=44.551513671875;gpu1_steals_in=0;"
-       "gpu1_steals_out=0;gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.66823268592647833;gpu2_completed=1054;"
-       "gpu2_intra_migrations=190;gpu2_routed=2429;gpu2_home_admits=1042;"
-       "gpu2_migrated_in=12;gpu2_migrated_out=207;gpu2_dropped=1180;"
+       "gpu1_transferred_mb=44.551513671875;gpu1_steals_in=0;gpu1_steals_out=0;"
+       "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
+       "gpu2_utilization=0.66554623911588739;gpu2_completed=1051;"
+       "gpu2_intra_migrations=191;gpu2_routed=2367;gpu2_home_admits=1039;"
+       "gpu2_migrated_in=12;gpu2_migrated_out=208;gpu2_dropped=1120;"
        "gpu2_infeasible=0;gpu2_transfers_in=2;"
        "gpu2_transferred_mb=209.1373291015625;gpu2_steals_in=0;"
        "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"},
       {11ull,
-       "total_jps=1680;hp_released=1394;hp_accepted=997;hp_rejected=391;"
-       "hp_completed=750;hp_missed=13;lp_released=6662;lp_accepted=1017;"
-       "lp_rejected=5622;lp_completed=762;lp_missed=104;"
-       "cross_gpu_migrations=294;drops=6013;infeasible=0;transfers=10;"
-       "transferred_mb=759.383056640625;intra_gpu_migrations=489;"
-       "arrivals=3085;steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;"
-       "coalesced=0;coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;"
-       "unmatched_rows=0;first_attempts=3085;retries=4898;"
-       "retry_admits=328;retry_abandoned_budget=0;"
-       "retry_abandoned_expired=0;retry_abandoned_attempts=1058;hedges=21;"
-       "hedge_wins=13;hedge_cancels=5;hedge_waste=16;hedge_rescued=1;"
-       "hedge_client_p99_ms=46.950659999999999;breaker_opens=0;"
-       "breaker_closes=0;conservation=1;"
-       "gpu0_utilization=1.0858584573829448;gpu0_completed=294;"
-       "gpu0_intra_migrations=73;gpu0_routed=1001;gpu0_home_admits=218;"
-       "gpu0_migrated_in=81;gpu0_migrated_out=4;gpu0_dropped=779;"
-       "gpu0_infeasible=0;gpu0_transfers_in=6;"
-       "gpu0_transferred_mb=414.90771484375;gpu0_steals_in=0;"
+       "total_jps=1666.6666666666665;hp_released=1408;hp_accepted=997;"
+       "hp_rejected=408;hp_completed=750;hp_missed=17;lp_released=6725;"
+       "lp_accepted=1002;lp_rejected=5699;lp_completed=750;lp_missed=104;"
+       "cross_gpu_migrations=276;drops=6107;infeasible=0;transfers=9;"
+       "transferred_mb=788.630859375;intra_gpu_migrations=439;arrivals=3085;"
+       "steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;coalesced=0;"
+       "coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;unmatched_rows=0;"
+       "first_attempts=3085;retries=4993;retry_admits=334;"
+       "retry_abandoned_budget=0;retry_abandoned_expired=0;"
+       "retry_abandoned_attempts=1072;hedges=16;hedge_wins=8;hedge_cancels=9;"
+       "hedge_waste=7;hedge_rescued=0;hedge_client_p99_ms=73.015844999999999;"
+       "breaker_opens=0;breaker_closes=0;conservation=1;"
+       "gpu0_utilization=1.0854649652627237;gpu0_completed=292;"
+       "gpu0_intra_migrations=65;gpu0_routed=1035;gpu0_home_admits=214;"
+       "gpu0_migrated_in=84;gpu0_migrated_out=3;gpu0_dropped=818;"
+       "gpu0_infeasible=0;gpu0_transfers_in=3;"
+       "gpu0_transferred_mb=281.253173828125;gpu0_steals_in=0;"
        "gpu0_steals_out=0;gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=0.78036933239861728;gpu1_completed=483;"
-       "gpu1_intra_migrations=117;gpu1_routed=2168;gpu1_home_admits=324;"
-       "gpu1_migrated_in=166;gpu1_migrated_out=85;gpu1_dropped=1759;"
-       "gpu1_infeasible=0;gpu1_transfers_in=1;"
-       "gpu1_transferred_mb=44.551513671875;gpu1_steals_in=0;"
-       "gpu1_steals_out=0;gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.81465102894245534;gpu2_completed=1237;"
-       "gpu2_intra_migrations=299;gpu2_routed=4887;gpu2_home_admits=1207;"
-       "gpu2_migrated_in=47;gpu2_migrated_out=205;gpu2_dropped=3475;"
-       "gpu2_infeasible=0;gpu2_transfers_in=3;"
-       "gpu2_transferred_mb=299.923828125;gpu2_steals_in=0;"
+       "gpu1_utilization=0.7678453360645433;gpu1_completed=467;"
+       "gpu1_intra_migrations=101;gpu1_routed=2164;gpu1_home_admits=319;"
+       "gpu1_migrated_in=152;gpu1_migrated_out=84;gpu1_dropped=1761;"
+       "gpu1_infeasible=0;gpu1_transfers_in=2;"
+       "gpu1_transferred_mb=89.10302734375;gpu1_steals_in=0;gpu1_steals_out=0;"
+       "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
+       "gpu2_utilization=0.81531228415568946;gpu2_completed=1240;"
+       "gpu2_intra_migrations=273;gpu2_routed=4934;gpu2_home_admits=1217;"
+       "gpu2_migrated_in=40;gpu2_migrated_out=189;gpu2_dropped=3528;"
+       "gpu2_infeasible=0;gpu2_transfers_in=4;"
+       "gpu2_transferred_mb=418.274658203125;gpu2_steals_in=0;"
        "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"},
-      // Re-captured with the added device's tasks non-resident (the
-      // schedule includes a kAdd; see ClusterRunMatchesGoldenAtEveryLaneCount).
       {0xABCDull,
-       "total_jps=1490;hp_released=1042;hp_accepted=872;hp_rejected=157;"
-       "hp_completed=701;hp_missed=26;lp_released=3093;lp_accepted=864;"
-       "lp_rejected=2207;lp_completed=640;lp_missed=188;"
-       "cross_gpu_migrations=188;drops=2364;infeasible=0;transfers=15;"
-       "transferred_mb=1222.209228515625;intra_gpu_migrations=374;"
+       "total_jps=1952.2222222222222;hp_released=1008;hp_accepted=901;"
+       "hp_rejected=97;hp_completed=716;hp_missed=13;lp_released=2478;"
+       "lp_accepted=1343;lp_rejected=1102;lp_completed=1041;lp_missed=63;"
+       "cross_gpu_migrations=316;drops=1199;infeasible=0;transfers=14;"
+       "transferred_mb=1057.6234130859375;intra_gpu_migrations=404;"
        "arrivals=3172;steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;"
        "coalesced=0;coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;"
-       "unmatched_rows=0;first_attempts=3172;retries=936;retry_admits=14;"
-       "retry_abandoned_budget=1295;retry_abandoned_expired=0;"
-       "retry_abandoned_attempts=222;hedges=17;hedge_wins=10;"
-       "hedge_cancels=7;hedge_waste=10;hedge_rescued=2;"
-       "hedge_client_p99_ms=89.535150999999999;breaker_opens=7;"
-       "breaker_closes=0;conservation=1;"
-       "gpu0_utilization=0.6403899754069865;gpu0_completed=544;"
-       "gpu0_intra_migrations=158;gpu0_routed=1067;gpu0_home_admits=435;"
-       "gpu0_migrated_in=110;gpu0_migrated_out=30;gpu0_dropped=602;"
-       "gpu0_infeasible=0;gpu0_transfers_in=3;"
-       "gpu0_transferred_mb=207.453857421875;gpu0_steals_in=0;"
-       "gpu0_steals_out=0;gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=0.42145661810116197;gpu1_completed=294;"
-       "gpu1_intra_migrations=67;gpu1_routed=855;gpu1_home_admits=283;"
-       "gpu1_migrated_in=26;gpu1_migrated_out=73;gpu1_dropped=499;"
-       "gpu1_infeasible=0;gpu1_transfers_in=1;"
-       "gpu1_transferred_mb=44.551513671875;gpu1_steals_in=0;"
-       "gpu1_steals_out=0;gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.40763620489831803;gpu2_completed=544;"
-       "gpu2_intra_migrations=103;gpu2_routed=1305;gpu2_home_admits=540;"
-       "gpu2_migrated_in=21;gpu2_migrated_out=75;gpu2_dropped=690;"
-       "gpu2_infeasible=0;gpu2_transfers_in=3;"
-       "gpu2_transferred_mb=327.4881591796875;gpu2_steals_in=0;"
+       "unmatched_rows=0;first_attempts=3172;retries=276;retry_admits=4;"
+       "retry_abandoned_budget=1079;retry_abandoned_expired=0;"
+       "retry_abandoned_attempts=26;hedges=33;hedge_wins=19;hedge_cancels=6;"
+       "hedge_waste=27;hedge_rescued=7;hedge_client_p99_ms=41.738377999999997;"
+       "breaker_opens=1;breaker_closes=0;conservation=1;"
+       "gpu0_utilization=0.64100365953257743;gpu0_completed=386;"
+       "gpu0_intra_migrations=65;gpu0_routed=427;gpu0_home_admits=284;"
+       "gpu0_migrated_in=107;gpu0_migrated_out=2;gpu0_dropped=141;"
+       "gpu0_infeasible=0;gpu0_transfers_in=4;"
+       "gpu0_transferred_mb=252.00537109375;gpu0_steals_in=0;gpu0_steals_out=0;"
+       "gpu0_coalesced=0;gpu0_coalesced_mb=0;"
+       "gpu1_utilization=0.7748674414268325;gpu1_completed=394;"
+       "gpu1_intra_migrations=73;gpu1_routed=761;gpu1_home_admits=353;"
+       "gpu1_migrated_in=50;gpu1_migrated_out=162;gpu1_dropped=246;"
+       "gpu1_infeasible=0;gpu1_transfers_in=2;"
+       "gpu1_transferred_mb=89.10302734375;gpu1_steals_in=0;gpu1_steals_out=0;"
+       "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
+       "gpu2_utilization=0.81341284572623174;gpu2_completed=1280;"
+       "gpu2_intra_migrations=266;gpu2_routed=2221;gpu2_home_admits=1274;"
+       "gpu2_migrated_in=26;gpu2_migrated_out=152;gpu2_dropped=795;"
+       "gpu2_infeasible=0;gpu2_transfers_in=2;"
+       "gpu2_transferred_mb=209.1373291015625;gpu2_steals_in=0;"
        "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"
-       "gpu3_utilization=0.2578111247358601;gpu3_completed=242;"
-       "gpu3_intra_migrations=31;gpu3_routed=568;gpu3_home_admits=214;"
-       "gpu3_migrated_in=30;gpu3_migrated_out=6;gpu3_dropped=348;"
-       "gpu3_infeasible=0;gpu3_transfers_in=6;"
-       "gpu3_transferred_mb=507.377685546875;gpu3_steals_in=0;"
+       "gpu3_utilization=0.18424762426101959;gpu3_completed=130;"
+       "gpu3_intra_migrations=0;gpu3_routed=51;gpu3_home_admits=38;"
+       "gpu3_migrated_in=95;gpu3_migrated_out=0;gpu3_dropped=13;"
+       "gpu3_infeasible=0;gpu3_transfers_in=3;"
+       "gpu3_transferred_mb=253.6888427734375;gpu3_steals_in=0;"
        "gpu3_steals_out=0;gpu3_coalesced=0;gpu3_coalesced_mb=0;"
-       "gpu4_utilization=0.13385295453030716;gpu4_completed=112;"
-       "gpu4_intra_migrations=15;gpu4_routed=340;gpu4_home_admits=111;"
-       "gpu4_migrated_in=1;gpu4_migrated_out=4;gpu4_dropped=225;"
-       "gpu4_infeasible=0;gpu4_transfers_in=2;"
-       "gpu4_transferred_mb=135.3380126953125;gpu4_steals_in=0;"
+       "gpu4_utilization=0.089975253160521601;gpu4_completed=54;"
+       "gpu4_intra_migrations=0;gpu4_routed=26;gpu4_home_admits=22;"
+       "gpu4_migrated_in=38;gpu4_migrated_out=0;gpu4_dropped=4;"
+       "gpu4_infeasible=0;gpu4_transfers_in=3;"
+       "gpu4_transferred_mb=253.6888427734375;gpu4_steals_in=0;"
        "gpu4_steals_out=0;gpu4_coalesced=0;gpu4_coalesced_mb=0;"},
   };
   for (const Golden& g : golden) {
