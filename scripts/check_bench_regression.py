@@ -17,14 +17,17 @@ records `library_build_type` in its context, and this script refuses to
 compare debug-harness numbers (see README "Benchmarking methodology").
 
 The multi-lane fleet shapes (`BM_ClusterFleetOpenLoop/N/T`: N GPUs, T worker
-lanes on the sharded engine) additionally get a within-run speedup report
+lanes on the sharded engine) additionally get a within-run speedup check
 against their 1-lane sibling `BM_ClusterFleetOpenLoop/N` — the
 one comparison that is machine-independent, since both shapes ran on the
-same box seconds apart. Advisory, not gated: the expected ratio depends on
-the runner's core count (a single-core runner can only show barrier
-overhead; the >= 2x target applies when hardware cores >= T). The fleet
-shapes time in wall clock (UseRealTime), so their names carry the
-harness's `/real_time` suffix, which the pairing ignores.
+same box seconds apart. It is gated when the current run had a core per
+lane (T <= the `num_cpus` its JSON context records): a T-lane shape more
+than --threshold slower than its 1-lane sibling fails, since extra lanes on
+idle cores must never make a fleet slower. With fewer cores than lanes (or
+no recorded core count) it stays an advisory report: an oversubscribed
+barrier can only show its overhead. The fleet shapes time in wall clock
+(UseRealTime), so their names carry the harness's `/real_time` suffix,
+which the pairing ignores.
 """
 
 import argparse
@@ -90,7 +93,9 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"{name:<{width}} {'(new)':>14} {current[name]:>14.4g}")
 
-    # Within-run multi-lane vs 1-lane speedup (advisory; see module docstring).
+    # Within-run multi-lane vs 1-lane speedup: gated when the runner has a
+    # core per lane, advisory otherwise (see module docstring).
+    num_cpus = current_doc.get("context", {}).get("num_cpus")
     suffix = "/real_time"
     shapes = {n[:-len(suffix)] if n.endswith(suffix) else n: n
               for n in current if n.startswith("BM_ClusterFleetOpenLoop/")}
@@ -98,9 +103,19 @@ def main():
         single = shape.rsplit("/", 1)[0]
         if single in shapes and current[shapes[single]] > 0:
             ratio = current[shapes[shape]] / current[shapes[single]]
-            threads = shape.rsplit("/", 1)[1]
+            threads = int(shape.rsplit("/", 1)[1])
+            gated = isinstance(num_cpus, int) and threads <= num_cpus
+            flag = ""
+            if gated and ratio < 1.0 - args.threshold:
+                failures.append(
+                    f"{shape}: {ratio:.2f}x its 1-lane sibling {single} "
+                    f"with {threads} lanes on {num_cpus} cpus "
+                    f"({(1.0 - ratio) * 100.0:.1f}% slower, "
+                    f"threshold {args.threshold * 100.0:.0f}%)")
+                flag = "  << SLOWER THAN 1 LANE"
             print(f"sharded speedup {shape} vs {single}: {ratio:.2f}x "
-                  f"({threads} worker threads on this runner)")
+                  f"({threads} lanes, {num_cpus} cpus: "
+                  f"{'gated' if gated else 'advisory'}){flag}")
 
     if failures:
         print("\nperf gate FAILED:")

@@ -39,7 +39,8 @@ TELEMETRY_KEYS = {"scenario", "sample_period_us", "digest", "fingerprint",
                   "timeseries", "events", "profile"}
 PROFILE_KEYS = {"events_executed", "callbacks_inline", "callbacks_heap",
                 "heap_high_water", "pool_slots", "windows_dispatched",
-                "windows_skipped", "shard_runs", "solver_flushes",
+                "windows_skipped", "shard_runs", "wall_ms_control",
+                "wall_ms_parallel", "wall_ms_lane_wait", "solver_flushes",
                 "solver_contexts_solved", "solver_contexts_reused",
                 "dirty_hit_rate", "wall_ms_offline", "wall_ms_run",
                 "wall_ms_total"}

@@ -201,14 +201,18 @@ class Fleet {
   /// with the lowest placement score, ties to the lowest index; -1 when
   /// none qualifies. Every placement scan (routing, hedging, rehoming, work
   /// stealing) goes through here. Read it in the control phase.
+  ///
+  /// `eligible` must be pure: it is asked only about a device that would
+  /// win, one whose score is below the best accepted so far, so a scan
+  /// costs one predicate call per improvement rather than one per device.
   template <typename Eligible>
   int best_placeable(int exclude, Eligible eligible) const {
     int best = -1;
     double best_score = std::numeric_limits<double>::infinity();
     for (int g = 0; g < size(); ++g) {
-      if (g == exclude || !placeable(g) || !eligible(g)) continue;
+      if (g == exclude || !placeable(g)) continue;
       const double score = placement_score(g);
-      if (score < best_score) {
+      if (score < best_score && eligible(g)) {
         best_score = score;
         best = g;
       }

@@ -78,8 +78,7 @@ double Percentiles::max() const {
 }
 
 SlidingWindowMax::SlidingWindowMax(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      ring_(std::min<std::size_t>(capacity_ + 1, 8)) {}
+    : capacity_(capacity == 0 ? 1 : capacity) {}
 
 void SlidingWindowMax::push(double value) {
   const std::uint64_t index = next_index_++;
@@ -104,7 +103,8 @@ void SlidingWindowMax::push(double value) {
 void SlidingWindowMax::grow() {
   // Only a full ring grows, and the count_ maxima it holds all lie inside the
   // previous window, so count_ <= capacity_ and the ring is below its bound.
-  std::vector<Entry> bigger(std::min(capacity_ + 1, 2 * ring_.size()));
+  const std::size_t want = ring_.empty() ? 8 : 2 * ring_.size();
+  std::vector<Entry> bigger(std::min(capacity_ + 1, want));
   for (std::size_t i = 0; i < count_; ++i) bigger[i] = at(i);
   ring_ = std::move(bigger);
   head_ = 0;

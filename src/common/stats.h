@@ -62,13 +62,14 @@ class Percentiles {
 /// decreasing maxima gives O(1) amortised push and O(1) max query. The queue
 /// lives in a ring that never needs more than capacity + 1 entries: a push
 /// can briefly hold the previous window's `capacity` maxima plus the new
-/// sample before the oldest expires. The ring starts at up to 8 entries (one
-/// allocation covers the paper's ws = 5) and doubles when full, up to that
-/// bound, so memory follows the maxima a window has held rather than its
-/// capacity, which comes from user input.
+/// sample before the oldest expires. The ring is allocated by the first push,
+/// at up to 8 entries (one allocation covers the paper's ws = 5), and doubles
+/// when full, up to that bound, so memory follows the maxima a window has
+/// held rather than its capacity, which comes from user input; an unpushed
+/// window owns no memory.
 class SlidingWindowMax {
  public:
-  explicit SlidingWindowMax(std::size_t capacity);
+  explicit SlidingWindowMax(std::size_t capacity = 1);
 
   void push(double value);
   /// Maximum over the stored window; `fallback` when no samples yet.
@@ -89,8 +90,8 @@ class SlidingWindowMax {
     const std::size_t i = head_ + offset;
     return ring_[i < ring_.size() ? i : i - ring_.size()];
   }
-  /// Doubles the full ring, capped at capacity_ + 1, and moves the live
-  /// entries to its front.
+  /// Allocates the first ring, or doubles the full one, capped at
+  /// capacity_ + 1, and moves the live entries to its front.
   void grow();
 
   std::size_t capacity_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 
@@ -67,6 +68,23 @@ bool Scheduler::AfetLess::operator()(const std::vector<double>& a,
     if (x != y) return x < y;
   }
   return false;
+}
+
+std::vector<std::string> Scheduler::audit() const {
+  std::vector<std::string> findings;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const MretEstimator& m = tasks_[i].mret();
+    const double cached = m.total_mret_us();
+    const double sum = m.stage_sum_us();
+    if (bits_of(cached) == bits_of(sum)) continue;
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  "device %d task %zu: cached Eq. 2 total %.17g us, stage "
+                  "sum %.17g us",
+                  device_id_, i, cached, sum);
+    findings.emplace_back(buf);
+  }
+  return findings;
 }
 
 void Scheduler::set_afet(int task_id, const std::vector<double>& per_stage_us) {

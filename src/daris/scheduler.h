@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -174,6 +175,14 @@ class Scheduler {
 
   /// Migration counter (LP jobs admitted to a context other than ctx_i).
   std::uint64_t migrations() const { return migrations_; }
+
+  /// Test-facing audit of the cached aggregates, so far the Eq. 2 MRET
+  /// totals: recomputes every task's total from its windows and AFET seed
+  /// (MretEstimator::stage_sum_us) and returns one line per task whose
+  /// cached total_mret_us() differs from it in any bit; empty when every
+  /// cache holds. O(tasks x stages), so no run path calls it: a 256-GPU
+  /// fleet holds 2M tasks across its schedulers.
+  std::vector<std::string> audit() const;
 
   /// Fail-stop injection (cluster::Fleet::fail_gpu): drops every in-flight
   /// job — each is reported to the collector as a *missed* finish at the

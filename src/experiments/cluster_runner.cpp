@@ -239,7 +239,9 @@ std::string validate_faults(const ClusterConfig& config) {
   return {};
 }
 
-ClusterResult run_cluster(const ClusterConfig& config) {
+ClusterResult run_cluster(
+    const ClusterConfig& config,
+    const std::function<void(const cluster::Fleet&)>& inspect) {
   if (std::string error = validate_faults(config); !error.empty()) {
     ClusterResult refused;
     refused.error = std::move(error);
@@ -540,6 +542,7 @@ ClusterResult run_cluster(const ClusterConfig& config) {
     s.routing = collector.routing(g);
   }
   result.stage_trace = collector.stage_trace();
+  if (inspect) inspect(fleet);
 
   if (config.telemetry.enabled) {
     result.timeseries = std::move(series);
@@ -551,11 +554,9 @@ ClusterResult run_cluster(const ClusterConfig& config) {
   std::vector<const gpusim::Gpu*> gpus;
   gpus.reserve(static_cast<std::size_t>(fleet.size()));
   for (int g = 0; g < fleet.size(); ++g) gpus.push_back(&fleet.gpu(g));
-  const sim::ShardedSimulator::Stats stats = sharded_sim.stats();
-  fill_profile(stats, gpus, &result.profile);
-  result.profile.windows_dispatched = stats.windows_dispatched;
-  result.profile.windows_skipped = stats.windows_skipped;
-  result.profile.shard_runs = stats.shard_runs;
+  static_cast<sim::ShardedSimulator::Stats&>(result.profile) =
+      sharded_sim.stats();
+  add_solver_stats(gpus, &result.profile);
   result.profile.wall_ms_offline = wall_ms_offline;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);

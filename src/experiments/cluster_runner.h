@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -200,7 +201,11 @@ std::string validate_faults(const ClusterConfig& config);
 
 /// Runs the fleet on the configured task set and returns the fleet summary.
 /// A config validate_faults rejects is not simulated: the result carries
-/// only the error.
-ClusterResult run_cluster(const ClusterConfig& config);
+/// only the error. `inspect`, when set, sees the fleet after the run and
+/// before its teardown: the test suites audit every scheduler there
+/// (rt::Scheduler::audit), which a run does not do itself.
+ClusterResult run_cluster(
+    const ClusterConfig& config,
+    const std::function<void(const cluster::Fleet&)>& inspect = {});
 
 }  // namespace daris::exp

@@ -27,10 +27,8 @@ CompiledModels compile_models(const workload::TaskSetSpec& taskset, int batch,
   return models;
 }
 
-void fill_profile(const sim::Simulator::Stats& stats,
-                  const std::vector<const gpusim::Gpu*>& gpus,
-                  metrics::RunProfile* profile) {
-  static_cast<sim::Simulator::Stats&>(*profile) = stats;
+void add_solver_stats(const std::vector<const gpusim::Gpu*>& gpus,
+                      metrics::RunProfile* profile) {
   for (const gpusim::Gpu* gpu : gpus) {
     const gpusim::Gpu::SolverStats& ss = gpu->solver_stats();
     profile->solver_flushes += ss.flushes;
@@ -97,7 +95,8 @@ RunResult run_daris(const RunConfig& config) {
   result.migrations = scheduler.migrations();
   result.stage_trace = collector.stage_trace();
 
-  fill_profile(sim.stats(), {&gpu}, &result.profile);
+  static_cast<sim::Simulator::Stats&>(result.profile) = sim.stats();
+  add_solver_stats({&gpu}, &result.profile);
   result.profile.wall_ms_offline = wall_ms_offline;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);

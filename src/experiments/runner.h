@@ -68,11 +68,11 @@ struct CompiledModels {
 CompiledModels compile_models(const workload::TaskSetSpec& taskset, int batch,
                               const gpusim::GpuSpec& gpu);
 
-/// Fills `profile`'s engine counters from `stats` and sums the fluid-solver
-/// counters of `gpus` into it.
-void fill_profile(const sim::Simulator::Stats& stats,
-                  const std::vector<const gpusim::Gpu*>& gpus,
-                  metrics::RunProfile* profile);
+/// Sums the fluid-solver counters of `gpus` into `profile`. The engine's
+/// counters are the runner's one assignment of its simulator's stats() to
+/// the RunProfile base they fill.
+void add_solver_stats(const std::vector<const gpusim::Gpu*>& gpus,
+                      metrics::RunProfile* profile);
 
 /// Host wall-clock milliseconds since `t0` (RunProfile phase timings).
 double wall_ms_since(std::chrono::steady_clock::time_point t0);

@@ -15,6 +15,9 @@ RunProfile& RunProfile::operator+=(const RunProfile& o) {
   windows_dispatched += o.windows_dispatched;
   windows_skipped += o.windows_skipped;
   shard_runs += o.shard_runs;
+  wall_ms_control += o.wall_ms_control;
+  wall_ms_parallel += o.wall_ms_parallel;
+  wall_ms_lane_wait += o.wall_ms_lane_wait;
   solver_flushes += o.solver_flushes;
   solver_contexts_solved += o.solver_contexts_solved;
   solver_contexts_reused += o.solver_contexts_reused;
@@ -41,10 +44,13 @@ std::string RunProfile::to_string() const {
   if (windows_dispatched + windows_skipped > 0) {
     std::snprintf(buf, sizeof buf,
                   "   barrier windows      %llu dispatched, %llu skipped"
-                  " (%llu device-shard runs)\n",
+                  " (%llu device-shard runs)\n"
+                  "   barrier phases       control %.1f ms, parallel %.1f ms"
+                  " (%.1f ms waiting on other lanes)\n",
                   static_cast<unsigned long long>(windows_dispatched),
                   static_cast<unsigned long long>(windows_skipped),
-                  static_cast<unsigned long long>(shard_runs));
+                  static_cast<unsigned long long>(shard_runs),
+                  wall_ms_control, wall_ms_parallel, wall_ms_lane_wait);
     out += buf;
   }
   std::snprintf(buf, sizeof buf,
@@ -62,13 +68,15 @@ std::string RunProfile::to_string() const {
 }
 
 void RunProfile::append_json(std::string* out) const {
-  char buf[800];
+  char buf[1000];
   std::snprintf(
       buf, sizeof buf,
       "{\"events_executed\": %llu, \"heap_high_water\": %llu, "
       "\"pool_slots\": %llu, \"callbacks_inline\": %llu, "
       "\"callbacks_heap\": %llu, \"windows_dispatched\": %llu, "
       "\"windows_skipped\": %llu, \"shard_runs\": %llu, "
+      "\"wall_ms_control\": %.3f, \"wall_ms_parallel\": %.3f, "
+      "\"wall_ms_lane_wait\": %.3f, "
       "\"solver_flushes\": %llu, "
       "\"solver_contexts_solved\": %llu, \"solver_contexts_reused\": %llu, "
       "\"dirty_hit_rate\": %.17g, \"wall_ms_offline\": %.3f, "
@@ -80,7 +88,8 @@ void RunProfile::append_json(std::string* out) const {
       static_cast<unsigned long long>(callbacks_heap),
       static_cast<unsigned long long>(windows_dispatched),
       static_cast<unsigned long long>(windows_skipped),
-      static_cast<unsigned long long>(shard_runs),
+      static_cast<unsigned long long>(shard_runs), wall_ms_control,
+      wall_ms_parallel, wall_ms_lane_wait,
       static_cast<unsigned long long>(solver_flushes),
       static_cast<unsigned long long>(solver_contexts_solved),
       static_cast<unsigned long long>(solver_contexts_reused),

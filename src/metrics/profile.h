@@ -1,30 +1,29 @@
 // Run self-profiler: counters describing how the *simulator* spent a run —
 // events dispatched, event-heap high-water mark, callbacks stored inline vs
-// spilled to the heap (the event engine's own sim::Simulator::Stats, which
-// RunProfile extends), fluid-solver flushes and the dirty-context hit rate,
-// the sharded barrier's window and shard-run counts (fleet runs), and host
-// wall-clock per phase. Filled by the experiment runners from
-// sim::Simulator::stats() and gpusim::Gpu::solver_stats(); printed by the
-// figure/scenario benches under --profile and embedded in the minibench
-// JSON context. Plain counters only: the header depends on sim/simulator.h
-// and nothing else above common/.
+// spilled to the heap, the sharded barrier's window and shard-run counts and
+// its phase clocks (the engine's own sim::ShardedSimulator::Stats, which
+// RunProfile extends; the barrier's part stays zero outside fleets),
+// fluid-solver flushes and the dirty-context hit rate, and host wall-clock
+// per phase. Filled by the experiment runners from the simulator's stats()
+// and gpusim::Gpu::solver_stats(); printed by the figure/scenario benches
+// under --profile and embedded in the minibench JSON context. Plain
+// counters only: the header depends on the sim layer and nothing else above
+// common/.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
-#include "sim/simulator.h"
+#include "sim/sharded.h"
 
 namespace daris::metrics {
 
 /// The event engine's counters (events_executed, callbacks_inline,
-/// callbacks_heap, heap_high_water, pool_slots) plus the layers above it.
-struct RunProfile : sim::Simulator::Stats {
-  // Sharded barrier (sim::ShardedSimulator::stats(); zero outside fleets).
-  std::uint64_t windows_dispatched = 0;  // parallel phases with work due
-  std::uint64_t windows_skipped = 0;     // windows no device shard needed
-  std::uint64_t shard_runs = 0;          // device-shard drains, all lanes
-
+/// callbacks_heap, heap_high_water, pool_slots), the sharded barrier's
+/// (windows_dispatched, windows_skipped, shard_runs and the wall_ms_control,
+/// wall_ms_parallel and wall_ms_lane_wait phase clocks), plus the layers
+/// above them.
+struct RunProfile : sim::ShardedSimulator::Stats {
   // Fluid rate solver (gpusim::Gpu::solver_stats(), summed over devices).
   std::uint64_t solver_flushes = 0;          // flush_rates() invocations
   std::uint64_t solver_contexts_solved = 0;  // dirty: water-fill recomputed

@@ -119,7 +119,12 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     return 0;
   }
   ++windows_dispatched_;
-  if (workers_.empty()) return run_lane(0, bound, n);
+  const Clock::time_point start = Clock::now();
+  if (workers_.empty()) {
+    const std::size_t executed = run_lane(0, bound, n);
+    parallel_wall_ += Clock::now() - start;
+    return executed;
+  }
   bound_ = bound;
   active_shards_ = n;
   drained_.store(0, std::memory_order_relaxed);
@@ -132,7 +137,8 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     std::lock_guard<std::mutex> lk(mu_);
     cv_work_.notify_all();
   }
-  std::size_t executed = run_lane(threads_ - 1, bound, n);
+  const std::size_t executed = run_lane(threads_ - 1, bound, n);
+  const Clock::time_point lane_done = Clock::now();
   for (int spin = oversubscribed_ ? kSpinIterations : 0;
        pending_workers_.load(std::memory_order_acquire) > 0; ++spin) {
     if (spin < kSpinIterations) {
@@ -148,6 +154,9 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     }
     caller_waiting_.store(false, std::memory_order_relaxed);
   }
+  const Clock::time_point end = Clock::now();
+  parallel_wall_ += end - start;
+  lane_wait_wall_ += end - lane_done;
   return executed + drained_.load(std::memory_order_relaxed);
 }
 
@@ -202,6 +211,7 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
   if (!workers_.empty() && !oversubscribed_) {
     hot_.store(true, std::memory_order_relaxed);
   }
+  const Clock::time_point run_start = Clock::now();
   std::size_t executed = 0;
   for (;;) {
     const common::Time tc = control_.next_event_time();
@@ -212,6 +222,7 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
       executed += control_.run_until(deadline);
       for (auto& s : shards_) s->advance_to(deadline);
       hot_.store(false, std::memory_order_relaxed);
+      run_wall_ += Clock::now() - run_start;
       return executed;
     }
     // Parallel phase: device-local events strictly before Tc.
@@ -259,6 +270,10 @@ ShardedSimulator::Stats ShardedSimulator::stats() const {
   for (const LaneCounter& lane : lane_runs_) {
     total.shard_runs += lane.shard_runs;
   }
+  using Ms = std::chrono::duration<double, std::milli>;
+  total.wall_ms_control = Ms(run_wall_ - parallel_wall_).count();
+  total.wall_ms_parallel = Ms(parallel_wall_).count();
+  total.wall_ms_lane_wait = Ms(lane_wait_wall_).count();
   return total;
 }
 

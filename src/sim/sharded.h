@@ -52,6 +52,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -127,6 +128,15 @@ class ShardedSimulator {
     std::uint64_t windows_dispatched = 0;  // parallel phases with work due
     std::uint64_t windows_skipped = 0;     // windows no device shard needed
     std::uint64_t shard_runs = 0;          // device-shard drains, all lanes
+    // Phase clocks: the calling thread's wall clock inside run_until, in ms.
+    // Parallel is every dispatched parallel phase, its own lane plus the
+    // wait for the others; lane wait is the part of it spent waiting after
+    // its own lane finished; control is the rest — the serial control
+    // phases and the any-work checks of skipped windows. Host timing: it
+    // varies run to run, unlike every other field.
+    double wall_ms_control = 0.0;
+    double wall_ms_parallel = 0.0;
+    double wall_ms_lane_wait = 0.0;
   };
   Stats stats() const;
 
@@ -171,6 +181,12 @@ class ShardedSimulator {
   std::vector<LaneCounter> lane_runs_;
   std::uint64_t windows_dispatched_ = 0;
   std::uint64_t windows_skipped_ = 0;
+  // Phase clocks (Stats), caller thread only: two clock reads per
+  // dispatched window, three when other lanes run, none for a skipped one.
+  using Clock = std::chrono::steady_clock;
+  Clock::duration run_wall_{};
+  Clock::duration parallel_wall_{};
+  Clock::duration lane_wait_wall_{};
   // True when worker lanes exceed hardware cores; disables every spin path
   // (hot mode included) so oversubscribed runs cost futex waits, not quanta.
   bool oversubscribed_ = false;

@@ -73,4 +73,16 @@ inline std::string counters_text(const exp::ClusterResult& r) {
   return exp::format_counters(exp::counters_of(r));
 }
 
+/// Every device's rt::Scheduler::audit findings, one per line; empty when
+/// every cached aggregate holds.
+inline std::string audit_text(const Fleet& fleet) {
+  std::string out;
+  for (int g = 0; g < fleet.size(); ++g) {
+    for (const std::string& finding : fleet.scheduler(g).audit()) {
+      out += finding + "\n";
+    }
+  }
+  return out;
+}
+
 }  // namespace daris::cluster

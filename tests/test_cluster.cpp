@@ -2,10 +2,13 @@
 // failure, fleet-wide backlog shedding, and fleet determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "cluster/router.h"
+#include "common/rng.h"
 #include "fleet_harness.h"
 
 namespace daris::cluster {
@@ -226,10 +229,72 @@ TEST(Fleet, BestPlaceablePicksTheLowestScoreTiesToTheLowestIndex) {
   EXPECT_EQ(h.fleet->best_placeable(-1, [](int g) { return g == 2; }), -1);
   EXPECT_EQ(h.fleet->best_placeable(1, [](int g) { return g == 1; }), -1);
 
-  // The predicate filters before scores compare.
+  // A device the predicate rejects never wins, whatever its score.
   EXPECT_EQ(h.fleet->best_placeable(-1, [](int g) { return g < 2; }), 0);
   EXPECT_EQ(h.fleet->best_placeable(0, [](int g) { return g < 2; }), 1);
   EXPECT_EQ(h.fleet->best_placeable(-1, [](int) { return false; }), -1);
+}
+
+TEST(Fleet, BestPlaceableMatchesTheFullScan) {
+  // Random placement tables with ties (equal job counts at equal compute
+  // scales, and every idle device at 0), random unplaceable devices and
+  // exclusions, and random pure predicates: best_placeable must pick what
+  // the predicate-first scan over every device picks, and must ask the
+  // predicate only about a device whose score is below the best accepted
+  // so far.
+  common::Rng rng(2024);
+  const int n = 8;
+  for (int table = 0; table < 12; ++table) {
+    Harness h(n);
+    for (int t = 0; t < 3; ++t) h.add_task(Priority::kLow, 1000.0, 0);
+    h.fleet->run_offline_phase();
+    const double scales[] = {0.5, 1.0, 2.0};
+    for (int g = 0; g < n; ++g) {
+      // One job each of the first k equal-utilisation tasks.
+      for (int t = static_cast<int>(rng.uniform_int(0, 3)) - 1; t >= 0; --t) {
+        ASSERT_TRUE(h.fleet->scheduler(g).release_job(t));
+      }
+      h.fleet->slow_gpu_now(g, scales[rng.uniform_int(0, 2)]);
+      h.fleet->set_breaker_open(g, rng.uniform(0.0, 1.0) < 0.2);
+    }
+    for (int trial = 0; trial < 40; ++trial) {
+      std::vector<bool> accept(static_cast<std::size_t>(n));
+      for (int g = 0; g < n; ++g) {
+        accept[static_cast<std::size_t>(g)] = rng.uniform(0.0, 1.0) < 0.6;
+      }
+      const int exclude = static_cast<int>(rng.uniform_int(-1, n - 1));
+
+      int expect = -1;
+      double best = std::numeric_limits<double>::infinity();
+      std::vector<double> best_before(static_cast<std::size_t>(n));
+      for (int g = 0; g < n; ++g) {
+        best_before[static_cast<std::size_t>(g)] = best;
+        if (g == exclude || !h.fleet->placeable(g) ||
+            !accept[static_cast<std::size_t>(g)]) {
+          continue;
+        }
+        if (h.fleet->placement_score(g) < best) {
+          best = h.fleet->placement_score(g);
+          expect = g;
+        }
+      }
+
+      std::vector<int> asked;
+      const int got = h.fleet->best_placeable(exclude, [&](int g) {
+        asked.push_back(g);
+        return static_cast<bool>(accept[static_cast<std::size_t>(g)]);
+      });
+      EXPECT_EQ(got, expect) << "table " << table << ", trial " << trial;
+      for (const int g : asked) {
+        EXPECT_NE(g, exclude);
+        EXPECT_TRUE(h.fleet->placeable(g));
+        EXPECT_LT(h.fleet->placement_score(g),
+                  best_before[static_cast<std::size_t>(g)])
+            << "asked about device " << g << ", table " << table
+            << ", trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(Router, HybridStaysHomeUnderLightLoad) {

@@ -259,7 +259,10 @@ TEST(FleetFaults, RunnerReseedsAfetForTheSlowedDevice) {
   f.factor = 0.5;
   cfg.faults.push_back(f);
 
-  const exp::ClusterResult r = exp::run_cluster(cfg);
+  std::string audit = "not run";
+  const exp::ClusterResult r = exp::run_cluster(
+      cfg, [&audit](const Fleet& fleet) { audit = audit_text(fleet); });
+  EXPECT_EQ(audit, "");  // the re-seeded Eq. 2 totals held
   EXPECT_GT(r.hp.completed, 0u);
   EXPECT_EQ(r.hp.missed, 0u);
   EXPECT_EQ(r.jobs_lost, 0u);
@@ -380,10 +383,20 @@ TEST(FleetFaults, FaultScheduleRunsBitIdentically) {
   drain.at_s = 1.0;
   cfg.faults = {slow, add, fail, drain};
 
-  const exp::ClusterResult a = exp::run_cluster(cfg);
+  // The kSlow and kAdd re-seed AFET mid-run; every cached Eq. 2 total
+  // must still equal its stage sum at the end, on either lane count.
+  std::string audit = "not run";
+  std::string audit_two_lanes = "not run";
+  const exp::ClusterResult a = exp::run_cluster(
+      cfg, [&audit](const Fleet& fleet) { audit = audit_text(fleet); });
   const exp::ClusterResult b = exp::run_cluster(cfg);
   cfg.sim_threads = 2;
-  const exp::ClusterResult two_lanes = exp::run_cluster(cfg);
+  const exp::ClusterResult two_lanes =
+      exp::run_cluster(cfg, [&audit_two_lanes](const Fleet& fleet) {
+        audit_two_lanes = audit_text(fleet);
+      });
+  EXPECT_EQ(audit, "");
+  EXPECT_EQ(audit_two_lanes, "");
   EXPECT_EQ(counters_text(a), counters_text(b));
   EXPECT_EQ(counters_text(a), counters_text(two_lanes));
   EXPECT_GT(a.jobs_lost, 0u);        // the fail-stop shed something
@@ -556,6 +569,8 @@ std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
   }
   const Fleet::ConservationReport rep = h.fleet->check_conservation(cons);
   EXPECT_TRUE(rep.ok) << lanes << " lanes: " << rep.detail;
+  // The added device's MRET estimators were re-seeded mid-run.
+  EXPECT_EQ(audit_text(*h.fleet), "") << lanes << " lanes";
 
   std::vector<std::uint64_t> out = {
       h.fleet->jobs_lost(), router.drops(), router.cross_gpu_migrations(),

@@ -4,7 +4,11 @@
 
 #include "common/time.h"
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
+#include "common/rng.h"
 #include "daris/mret.h"
 
 namespace daris::rt {
@@ -114,6 +118,57 @@ TEST(Mret, UnobservedEstimatorReadsAfetUntilTheFirstRecord) {
   EXPECT_EQ(m.stage_mret_us(0), 60.0);  // unrecorded stages keep the AFET
   EXPECT_EQ(m.stage_mret_us(1), 50.0);
   EXPECT_EQ(m.stage_mret_us(2), 150.0);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(Mret, CachedTotalMatchesFromScratchSum) {
+  // total_mret_us() is kept by record() and set_afet(); after every call it
+  // must equal the stage-order sum of stage_mret_us() bit for bit, at every
+  // window size, through AFET re-seeds that land when only some stages have
+  // been observed (those still read the seed) and re-seeds to nullptr.
+  for (int ws = 1; ws <= 16; ++ws) {
+    common::Rng rng(7000 + static_cast<std::uint64_t>(ws));
+    const auto stages = static_cast<std::size_t>(rng.uniform_int(2, 8));
+    std::vector<std::vector<double>> seeds(3, std::vector<double>(stages));
+    for (auto& seed : seeds) {
+      for (double& v : seed) v = rng.uniform(1.0, 5000.0);
+    }
+    MretEstimator m(stages, static_cast<std::size_t>(ws));
+    auto cache_holds = [&]() -> ::testing::AssertionResult {
+      double sum = 0.0;
+      for (std::size_t j = 0; j < stages; ++j) sum += m.stage_mret_us(j);
+      if (bits_of(m.total_mret_us()) == bits_of(sum)) {
+        return ::testing::AssertionSuccess();
+      }
+      return ::testing::AssertionFailure()
+             << "ws " << ws << ": cached " << m.total_mret_us()
+             << " vs stage sum " << sum;
+    };
+    m.set_afet(seeds[0].data());
+    ASSERT_TRUE(cache_holds());
+    // Observe stage 0 only, then re-seed: stages 1.. switch to the new seed.
+    m.record(0, rng.uniform(1.0, 5000.0));
+    ASSERT_TRUE(cache_holds());
+    m.set_afet(seeds[1].data());
+    ASSERT_TRUE(cache_holds());
+    for (int i = 0; i < 400; ++i) {
+      if (rng.uniform(0.0, 1.0) < 0.1) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(0, 3));
+        m.set_afet(k < seeds.size() ? seeds[k].data() : nullptr);
+      } else {
+        // The first half leaves the last stage unobserved.
+        const auto last = static_cast<std::int64_t>(stages) - (i < 200 ? 2 : 1);
+        m.record(static_cast<std::size_t>(rng.uniform_int(0, last)),
+                 rng.uniform(1.0, 5000.0));
+      }
+      ASSERT_TRUE(cache_holds()) << "after call " << i;
+    }
+  }
 }
 
 /// Property: MRET is always >= the most recent observation and >= every

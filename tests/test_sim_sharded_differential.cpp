@@ -463,10 +463,12 @@ exp::ClusterConfig chaos_cluster_config(std::uint64_t seed) {
 
 TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
   // Fault schedule x rebalancing x retries/hedging/breakers, fuzzed per
-  // seed: however the chaos lands, (a) every job must be conserved, and
-  // (b) every lane count must reproduce the golden counters exactly. Seed 3
-  // exercises retries and budget abandons, seed 11 retries and hedges, and
-  // 0xABCD retries, hedges and a breaker opening.
+  // seed: however the chaos lands, (a) every job must be conserved, (b)
+  // every lane count must reproduce the golden counters exactly, and (c)
+  // every scheduler's cached Eq. 2 totals must equal their stage sums at
+  // end of run (rt::Scheduler::audit), kSlow and kAdd re-seeds included.
+  // Seed 3 exercises retries and budget abandons, seed 11 retries and
+  // hedges, and 0xABCD retries, hedges and a breaker opening.
   struct Golden {
     std::uint64_t seed;
     const char* counters;
@@ -581,10 +583,16 @@ TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
     for (const int threads : {1, 2, 4}) {
       exp::ClusterConfig cfg = chaos_cluster_config(g.seed);
       cfg.sim_threads = threads;
-      const exp::ClusterResult r = exp::run_cluster(cfg);
+      std::string audit = "not run";
+      const exp::ClusterResult r = exp::run_cluster(
+          cfg, [&audit](const cluster::Fleet& fleet) {
+            audit = cluster::audit_text(fleet);
+          });
       EXPECT_TRUE(r.conservation_ok)
           << "seed " << g.seed << ", " << threads << " lanes: "
           << r.conservation_detail;
+      EXPECT_EQ(audit, "") << "seed " << g.seed << ", " << threads
+                           << " lanes";
       EXPECT_EQ(cluster::counters_text(r), g.counters)
           << "seed " << g.seed << ", " << threads << " lanes";
       EXPECT_TRUE(r.stage_trace.empty());  // stage tracing is off
