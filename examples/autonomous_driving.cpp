@@ -72,11 +72,11 @@ int main() {
   const rt::AfetResult afet =
       rt::profile_afet(spec, config, {&detector, &segmenter, &analyzer});
   for (int i = 0; i < daris.task_count(); ++i) {
-    const auto& t = daris.task(i);
+    const dnn::ModelKind kind = daris.spec(i).model;
     const dnn::CompiledModel* m =
-        t.spec().model == dnn::ModelKind::kResNet18  ? &detector
-        : t.spec().model == dnn::ModelKind::kUNet    ? &segmenter
-                                                     : &analyzer;
+        kind == dnn::ModelKind::kResNet18  ? &detector
+        : kind == dnn::ModelKind::kUNet    ? &segmenter
+                                           : &analyzer;
     daris.set_afet(i, afet.for_model(m));
   }
   daris.run_offline_phase();

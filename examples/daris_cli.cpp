@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/parse.h"
+#include "daris/scheduler.h"
 #include "experiments/runner.h"
 #include "metrics/trace_export.h"
 
@@ -62,6 +63,14 @@ int count_arg(const char* flag, const char* text) {
   return v;
 }
 
+/// The context-count flag: at most rt::Scheduler::kMaxContexts.
+int contexts_arg(const char* flag, const char* text) {
+  const int v = count_arg(flag, text);
+  require(v <= rt::Scheduler::kMaxContexts, flag, "an integer in [1, 32767]",
+          text);
+  return v;
+}
+
 /// The seed flag: an unsigned 64-bit integer.
 std::uint64_t seed_arg(const char* flag, const char* text) {
   std::uint64_t v = 0;
@@ -102,7 +111,7 @@ int main(int argc, char** argv) {
     };
     if (arg_is(a, "--model")) model = next();
     else if (arg_is(a, "--policy")) policy = next();
-    else if (arg_is(a, "--contexts")) contexts = count_arg(a, next());
+    else if (arg_is(a, "--contexts")) contexts = contexts_arg(a, next());
     else if (arg_is(a, "--streams")) streams = count_arg(a, next());
     else if (arg_is(a, "--os"))
       os = real_arg(a, next(), "a finite number >= 1",

@@ -72,18 +72,18 @@ int main() {
               "p50/max %.1f/%.1f ms (deadline %.1f ms)\n",
               (unsigned long long)hp.completed, (unsigned long long)hp.missed,
               hp.response_ms.percentile(50), hp.response_ms.max(),
-              common::to_ms(daris.task(live_feed).spec().relative_deadline));
+              common::to_ms(daris.spec(live_feed).relative_deadline));
   std::printf("  batch studies:     %llu frames, %.2f%% DMR, %llu deferred\n",
               (unsigned long long)lp.completed, 100.0 * lp.dmr(),
               (unsigned long long)lp.rejected);
 
   // The MRET estimate the admission test is using right now (adapted from
   // the AFET seed by real measurements).
-  const auto& live = daris.task(live_feed);
   std::printf("  MRET of the live feed now: %.1f ms across %zu stages "
               "(utilisation u = %.2f)\n",
-              live.mret().total_mret_us() / 1e3, live.num_stages(),
-              live.utilization());
+              daris.mret_total_us(live_feed) / 1e3,
+              daris.model(live_feed).stage_count(),
+              daris.utilization(live_feed));
   std::printf("  => STR: lowest possible DMR at reduced peak throughput — "
               "the paper's recommendation for MPS-less GPUs.\n");
   return 0;

@@ -42,8 +42,8 @@ PROFILE_KEYS = {"events_executed", "callbacks_inline", "callbacks_heap",
                 "windows_skipped", "shard_runs", "wall_ms_control",
                 "wall_ms_parallel", "wall_ms_lane_wait", "solver_flushes",
                 "solver_contexts_solved", "solver_contexts_reused",
-                "dirty_hit_rate", "wall_ms_offline", "wall_ms_run",
-                "wall_ms_total"}
+                "dirty_hit_rate", "task_records", "wall_ms_offline",
+                "wall_ms_alg1", "wall_ms_run", "wall_ms_total"}
 EVENT_KEYS = {"ts_us", "kind", "cause", "gpu", "peer", "task", "value"}
 # Event-kind vocabulary (metrics/eventlog.cpp event_kind_name). A record
 # outside this set means the exporter and the gate disagree about the log's

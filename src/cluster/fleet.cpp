@@ -67,7 +67,7 @@ void Fleet::add_device(const GpuNodeSpec& node) {
   gpus_.push_back(std::make_unique<gpusim::Gpu>(dev_sim, node.resolved(),
                                                 seed_rng_.next_u64()));
   schedulers_.push_back(std::make_unique<rt::Scheduler>(
-      dev_sim, *gpus_.back(), sched_cfg_, collector_));
+      dev_sim, *gpus_.back(), sched_cfg_, collector_, &tasks_));
   schedulers_.back()->set_device_id(g);
   const double* table = placement_.data();
   placement_.push_back(0.0);
@@ -88,14 +88,10 @@ void Fleet::bind_placement() {
 int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
                     int home_gpu) {
   assert(home_gpu >= 0 && home_gpu < size());
-  std::atomic<int>* active = &active_.emplace_back(0);
-  int id = -1;
-  for (int g = 0; g < size(); ++g) {
-    id = scheduler(g).add_task(spec, model, active);
-    scheduler(g).set_task_resident(id, g == home_gpu);
-  }
+  // The home registers the task in the shared table, resident there; every
+  // other scheduler reads it as non-resident.
+  const int id = scheduler(home_gpu).add_task(spec, model);
   home_.push_back(home_gpu);
-  model_of_task_.push_back(model);
   assert(id + 1 == task_count());
   // Pin the model hot on the home device while capacity allows; a model too
   // large (or arriving once the device is full) stays cold and its migrated
@@ -121,26 +117,30 @@ void Fleet::run_offline_phase() {
   }
 }
 
+std::uint64_t Fleet::task_records() const {
+  std::uint64_t n = 0;
+  for (int g = 0; g < size(); ++g) n += scheduler(g).records();
+  return n;
+}
+
 double Fleet::relative_load(int g) const {
   const int streams = scheduler(g).config().parallelism();
   return load(g) / static_cast<double>(std::max(1, streams));
 }
 
 double Fleet::transfer_mb(int task_id) const {
-  return model_of_task_[static_cast<std::size_t>(task_id)]->weight_mb;
+  return model_of(task_id)->weight_mb;
 }
 
 bool Fleet::model_hot(int g, int task_id) const {
-  const dnn::CompiledModel* model =
-      model_of_task_[static_cast<std::size_t>(task_id)];
+  const dnn::CompiledModel* model = model_of(task_id);
   const auto& hot = hot_models_[static_cast<std::size_t>(g)];
   return std::find(hot.begin(), hot.end(), model) != hot.end();
 }
 
 bool Fleet::warm_model(int g, int task_id) {
   if (model_hot(g, task_id)) return true;
-  const dnn::CompiledModel* model =
-      model_of_task_[static_cast<std::size_t>(task_id)];
+  const dnn::CompiledModel* model = model_of(task_id);
   auto& used = memory_used_mb_[static_cast<std::size_t>(g)];
   if (used + model->weight_mb > node(g).memory_mb) return false;
   hot_models_[static_cast<std::size_t>(g)].push_back(model);
@@ -149,13 +149,10 @@ bool Fleet::warm_model(int g, int task_id) {
 }
 
 bool Fleet::feasible(int task_id) const {
-  const rt::Scheduler& home_sched = scheduler(0);
-  const rt::Task& t0 = home_sched.task(task_id);
-  const bool tested = t0.spec().priority == common::Priority::kLow
-                          ? home_sched.config().lp_admission
-                          : home_sched.config().hp_admission;
-  const dnn::CompiledModel* model =
-      model_of_task_[static_cast<std::size_t>(task_id)];
+  const bool tested = spec(task_id).priority == common::Priority::kLow
+                          ? sched_cfg_.lp_admission
+                          : sched_cfg_.hp_admission;
+  const dnn::CompiledModel* model = model_of(task_id);
   for (int g = 0; g < size(); ++g) {
     if (!placeable(g)) continue;  // failed/draining devices host nothing new
     // Memory: hot already, or the device could still pin it.
@@ -166,7 +163,7 @@ bool Fleet::feasible(int task_id) const {
     if (!tested) return true;
     // Utilisation: one job must fit an idle context of this device (the
     // best case of Eq. 12, with no HP reservation and no active LP load).
-    const double util = scheduler(g).task(task_id).utilization();
+    const double util = scheduler(g).utilization(task_id);
     const int streams = scheduler(g).config().streams_per_context;
     if (util < static_cast<double>(streams)) return true;
   }
@@ -246,13 +243,14 @@ Fleet::ConservationReport Fleet::check_conservation(
            " + cancelled-hedges " + std::to_string(revoked - steals));
     }
   }
-  // The shared count behind active_jobs must equal the per-device counts.
-  // Device-major so each scheduler's task storage is walked in order.
+  // The shared count behind active_jobs must equal the per-device counts,
+  // which only records hold.
   std::vector<long long> device_sum(static_cast<std::size_t>(task_count()), 0);
   for (int g = 0; g < size(); ++g) {
-    for (int t = 0; t < task_count(); ++t) {
-      device_sum[static_cast<std::size_t>(t)] +=
-          scheduler(g).task(t).active_jobs;
+    const rt::Scheduler& sched = scheduler(g);
+    for (std::size_t r = 0; r < sched.records(); ++r) {
+      const rt::Task& t = sched.record(r);
+      device_sum[static_cast<std::size_t>(t.id())] += t.active_jobs;
     }
   }
   for (int t = 0; t < task_count(); ++t) {
@@ -356,18 +354,9 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   add_device(node);
   if (collector_->gpu_count() > 0) collector_->grow_gpu_count(g + 1);
   collector_->grow_lanes(g + 1);
-  // Register every logical task on the new device, non-resident (homes do
-  // not move on scale-up; load reaches the device through routing), so its
-  // contexts reserve no HP utilisation in Eq. 11. Task ids line up with
-  // every other scheduler by construction.
-  rt::Scheduler& added = *schedulers_.back();
-  for (int t = 0; t < task_count(); ++t) {
-    const int id = added.add_task(scheduler(0).task(t).spec(),
-                                  model_of_task_[static_cast<std::size_t>(t)],
-                                  &active_[static_cast<std::size_t>(t)]);
-    assert(id == t);
-    added.set_task_resident(id, false);
-  }
+  // The new scheduler shares the task table, so it sees every logical task
+  // non-resident (homes do not move on scale-up; load reaches the device
+  // through routing) and its contexts reserve no HP utilisation in Eq. 11.
   collector_->record(sim_.now(), metrics::EventKind::kFault,
                      metrics::EventCause::kScaleUp, g, -1, -1,
                      node.compute_scale);

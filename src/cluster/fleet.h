@@ -2,11 +2,15 @@
 // on a sharded discrete-event simulator (one event heap per device plus a
 // control heap for everything fleet-scoped; sim/sharded.h).
 //
-// Every task is registered on every GPU (the router can place any job
-// anywhere), but the static HP reservation of Eq. 11 (U^{h,t}_k) is charged
-// only on the task's *home* GPU (Task::resident); otherwise registering the
-// fleet-wide task list on each device would reserve N times the real HP
-// demand and starve LP admission everywhere.
+// Every task is registered once, in the fleet's task table, which every
+// device's scheduler shares: any GPU can run any task's jobs (the router can
+// place any job anywhere), but a scheduler keeps per-device state for a
+// task only as it needs it (rt::Scheduler: an 8-byte slot per task, and a
+// full record once it has admitted one of the task's jobs). The static HP
+// reservation of Eq. 11 (U^{h,t}_k) is charged only on the task's *home*
+// GPU (rt::Scheduler::resident); otherwise every device would reserve the
+// fleet-wide task list's HP demand, N times the real one, and starve LP
+// admission everywhere.
 //
 // Model weights are a per-device resource: each GPU pins ("keeps hot") the
 // models of the tasks homed on it, up to its memory capacity. A job may
@@ -32,7 +36,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -146,18 +149,20 @@ class Fleet {
   }
   double compute_scale(int g) const { return node(g).compute_scale; }
 
-  /// Registers the task on every GPU (same id on each scheduler) with
-  /// `home_gpu` carrying its static HP reservation, and pins the task's
-  /// model hot on the home GPU when its memory capacity allows. Returns the
-  /// task id.
+  /// Registers the task once for the whole fleet (every scheduler sees it
+  /// under the same id) with `home_gpu` carrying its static HP reservation,
+  /// and pins the task's model hot on the home GPU when its memory capacity
+  /// allows. O(1): no device but the home writes anything. Returns the task
+  /// id.
   int add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
                int home_gpu);
 
-  /// Seeds the task's MRET estimator on every GPU (Eq. 10).
+  /// Seeds the task's MRET estimate on every GPU (Eq. 10).
   void set_afet(int task_id, const std::vector<double>& per_stage_us);
 
-  /// Seeds one device's MRET estimator (heterogeneous fleets profile AFET
-  /// per node spec).
+  /// Seeds one device's MRET estimate (heterogeneous fleets profile AFET
+  /// per node spec). Seeding one task on every device with the same vector
+  /// searches the table's seed pool once (rt::TaskTable::intern).
   void set_afet(int task_id, int g, const std::vector<double>& per_stage_us);
 
   /// Algorithm 1 initial context assignment, on every GPU.
@@ -167,9 +172,18 @@ class Fleet {
   int home_gpu(int task_id) const {
     return home_[static_cast<std::size_t>(task_id)];
   }
-  const dnn::CompiledModel* model_of(int task_id) const {
-    return model_of_task_[static_cast<std::size_t>(task_id)];
+  /// The fleet's task table: every registered task's spec, model and
+  /// fleet-wide active count, and the interned AFET seeds.
+  const rt::TaskTable& tasks() const { return tasks_; }
+  const rt::TaskSpec& spec(int task_id) const {
+    return tasks_[task_id].spec;
   }
+  const dnn::CompiledModel* model_of(int task_id) const {
+    return tasks_[task_id].model;
+  }
+  /// Per-device task records created so far, summed over the fleet: the
+  /// (task, device) pairs that have admitted a job (rt::Scheduler::task).
+  std::uint64_t task_records() const;
 
   /// Moves one task's home (and its Eq. 11 HP reservation) to `to`, warming
   /// its model there when capacity allows. The rebalancer's demand-aware
@@ -258,15 +272,14 @@ class Fleet {
   bool feasible(int task_id) const;
 
   /// Fleet-wide admitted-but-unfinished jobs of one logical task. The
-  /// schedulers' per-device backlog guard only sees local Task instances;
-  /// the router applies the same guard against this sum so an overloaded
-  /// task cannot hold one job per device (jobs the paper's single-GPU
-  /// admission would shed must be shed here too, not queued into lateness).
-  /// O(1): every device's scheduler keeps the one shared count (see
-  /// rt::Scheduler::add_task). Read it in the serial control phase only.
+  /// schedulers' per-device backlog guard only sees local jobs; the router
+  /// applies the same guard against this sum so an overloaded task cannot
+  /// hold one job per device (jobs the paper's single-GPU admission would
+  /// shed must be shed here too, not queued into lateness). O(1): every
+  /// device's scheduler keeps the one shared count (rt::TaskTable::active).
+  /// Read it in the serial control phase only.
   int active_jobs(int task_id) const {
-    return active_[static_cast<std::size_t>(task_id)].load(
-        std::memory_order_relaxed);
+    return tasks_.active(task_id).load(std::memory_order_relaxed);
   }
 
   /// Jobs completed by GPU g (all priorities, includes warm-up).
@@ -339,11 +352,12 @@ class Fleet {
   /// verifying each scheduler's internal identity
   ///   admitted == completed + failed + revoked + in_flight,
   /// per logical task, that the shared count behind active_jobs equals
-  ///   sum_g scheduler(g).task(t).active_jobs,
+  ///   sum_g scheduler(g).active_jobs(t)
+  /// (summed over the records that exist: a pair without one has none),
   /// and, per device, that the placement table holds exactly (bit for bit)
   ///   scheduler(g).active_utilization() / compute_scale(g).
-  /// Runs at end of run over live counters — O(tasks x devices + in-flight
-  /// jobs).
+  /// Runs at end of run over live counters — O(tasks + devices + records +
+  /// in-flight jobs).
   ConservationReport check_conservation(const ConservationInput& in) const;
 
   /// Fail-stop: sheds every in-flight job on g (reported as missed
@@ -367,11 +381,12 @@ class Fleet {
 
   /// Scale-up: appends a healthy device mid-run. Its jitter seed is the
   /// next draw of the fleet's seed sequence (so a run with an add at time T
-  /// is a pure function of (config, seed, T)), every registered task is
-  /// added to its scheduler non-resident, and the collector's routing
-  /// counters grow in place. The caller owns AFET seeding and the offline
-  /// phase on the new device (see run_offline_phase(g)); until then its
-  /// tasks fall back to late context assignment. Returns the new index.
+  /// is a pure function of (config, seed, T)), its scheduler shares the
+  /// task table and so sees every registered task non-resident (homes do
+  /// not move on scale-up), and the collector's routing counters grow in
+  /// place. The caller owns AFET seeding and the offline phase on the new
+  /// device (see run_offline_phase(g)); until then its tasks fall back to
+  /// late context assignment. Returns the new index.
   int add_gpu_now(const GpuNodeSpec& node);
 
   /// Algorithm 1 on one device (after add_gpu_now + AFET seeding).
@@ -405,6 +420,9 @@ class Fleet {
   void bind_placement();
   sim::ShardedSimulator& sharded_;
   sim::Simulator& sim_;  // sharded_.control()
+  /// Every scheduler's task table; declared before them, so it outlives
+  /// their records.
+  rt::TaskTable tasks_;
   std::vector<GpuNodeSpec> nodes_;
   std::vector<std::unique_ptr<gpusim::Gpu>> gpus_;
   std::vector<std::unique_ptr<rt::Scheduler>> schedulers_;
@@ -414,9 +432,6 @@ class Fleet {
   /// scheduler (on its shard) and by slow_gpu_now.
   std::vector<double> placement_;
   std::vector<int> home_;
-  /// Per logical task: fleet-wide active jobs (active_jobs). A deque, so
-  /// the addresses every device's Task holds survive later add_task calls.
-  std::deque<std::atomic<int>> active_;
   // Construction state: the canonicalized scheduler config every device
   // shares, the collector new schedulers report to, the run seed, and the
   // seed sequence the constructor drew per-GPU seeds from (a member so a
@@ -426,7 +441,6 @@ class Fleet {
   std::uint64_t seed_ = 0;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
-  std::vector<const dnn::CompiledModel*> model_of_task_;
   /// Per GPU: distinct models pinned hot, and the MB they occupy.
   std::vector<std::vector<const dnn::CompiledModel*>> hot_models_;
   std::vector<double> memory_used_mb_;

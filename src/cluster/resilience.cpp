@@ -52,7 +52,7 @@ void ResiliencePolicy::release(int task_id) {
 }
 
 const RetryPolicy& ResiliencePolicy::policy_for(int task_id) const {
-  return fleet_.scheduler(0).task(task_id).spec().priority ==
+  return fleet_.spec(task_id).priority ==
                  common::Priority::kHigh
              ? config_.hp
              : config_.lp;
@@ -111,7 +111,7 @@ void ResiliencePolicy::schedule_retry(int task_id, common::Time released,
 void ResiliencePolicy::fire_retry(int task_id, common::Time released,
                                   int attempt) {
   const common::Time now = sim_.now();
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   // Deadline re-derivation: the retry keeps the ORIGINAL release time, so
   // the remaining slack is real. A retry whose deadline already passed is
   // abandoned — releasing it would only burn GPU time on a guaranteed miss.
@@ -134,7 +134,7 @@ void ResiliencePolicy::fire_retry(int task_id, common::Time released,
 void ResiliencePolicy::arm_hedge(int task_id, common::Time released,
                                  const RouteResult& r) {
   if (!config_.hedge) return;
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   if (spec.priority != common::Priority::kLow) return;
   // Trigger delay: the FLEET's best recent q-th percentile LP response — the
   // minimum over placeable devices with warm rings. Using the routed
@@ -174,7 +174,7 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   // Primary already settled (finished, or shed with its failed device):
   // nothing left to beat.
   if (!fleet_.scheduler(primary_gpu).job_in_flight(primary_job)) return;
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   if (now >= released + spec.relative_deadline) return;  // no slack to rescue
   if (!spend_token()) {
     collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
@@ -238,7 +238,7 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
       // The hedge won inside the deadline but the started primary could not
       // be revoked: follow it to completion to learn whether the histogram
       // is about to record a miss the client never saw.
-      const auto& spec = fleet_.scheduler(0).task(p.task).spec();
+      const auto& spec = fleet_.spec(p.task);
       const common::Time deadline = p.released + spec.relative_deadline;
       if (now <= deadline) watch_loser(loser_gpu, loser_job, deadline);
     }

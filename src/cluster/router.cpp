@@ -104,7 +104,7 @@ void Router::release(int task_id) {
 }
 
 RouteResult Router::route_job(int task_id, common::Time released) {
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   if (release_observer_) release_observer_(task_id);
   // HP jobs go to their home GPU — the device carrying their static Eq. 11
   // reservation — mirroring the paper's fixed HP context assignment one
@@ -175,7 +175,7 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   RouteResult r;
   if (best < 0) return r;  // no eligible peer: hedge not launched, no counts
 
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   collector_->on_release(spec.priority);
   collector_->on_route(best);
 
@@ -344,7 +344,7 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
-  const auto& spec = fleet_.scheduler(0).task(task_id).spec();
+  const auto& spec = fleet_.spec(task_id);
   collector_->on_reject(spec.priority);
   collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
                      task_id);
@@ -363,7 +363,7 @@ void Router::add_pending_job(int task_id, int delta) {
   if (i >= pending_jobs_.size()) pending_jobs_.resize(i + 1, 0);
   pending_jobs_[i] += delta;
   const auto cls = static_cast<std::size_t>(
-      fleet_.scheduler(0).task(task_id).spec().priority);
+      fleet_.spec(task_id).priority);
   if (delta > 0) {
     ++pending_cls_[cls];
   } else if (delta < 0) {

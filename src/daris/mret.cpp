@@ -31,8 +31,16 @@ double MretEstimator::stage_mret_us(std::size_t stage) const {
 }
 
 double MretEstimator::stage_sum_us() const {
+  if (!windows_) return afet_sum_us(afet_us_, num_stages());
   double total = 0.0;
   for (std::size_t i = 0; i < num_stages(); ++i) total += stage_mret_us(i);
+  return total;
+}
+
+double MretEstimator::afet_sum_us(const double* per_stage_us, std::size_t n) {
+  double total = 0.0;
+  if (per_stage_us == nullptr) return total;
+  for (std::size_t i = 0; i < n; ++i) total += per_stage_us[i];
   return total;
 }
 

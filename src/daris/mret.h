@@ -10,9 +10,8 @@
 //
 // The per-stage windows are created on the first record(), and the AFET
 // seed is read from an immutable per-stage array the estimator does not own
-// (rt::Scheduler keeps one copy per distinct AFET vector): a fleet keeps
-// one estimator per (task, device) pair, and most pairs never run a stage,
-// so an unobserved estimator allocates nothing.
+// (rt::TaskTable keeps one copy per distinct AFET vector), so an estimator
+// that has recorded nothing allocates nothing.
 //
 // Every admission test (Eqs. 10-12) and the fleet's placement and steal
 // tests read the Eq. 2 total, while only record() and set_afet() change it,
@@ -58,6 +57,11 @@ class MretEstimator {
   /// rt::Scheduler::audit() checks total_mret_us() against.
   double stage_sum_us() const;
 
+  /// The Eq. 2 sum of an estimator seeded with `per_stage_us[0 .. n)` that
+  /// has recorded nothing, in stage order: stage_sum_us() of such an
+  /// estimator, bit for bit (it runs this very loop).
+  static double afet_sum_us(const double* per_stage_us, std::size_t n);
+
   /// Virtual relative deadline of each stage for a task-relative deadline D
   /// (Eq. 8): D_{i,j} = mret_{i,j} / mret_i * D.
   std::vector<common::Duration> virtual_deadlines(common::Duration d) const;
@@ -73,9 +77,7 @@ class MretEstimator {
   }
 
   /// num_stages() windows, one allocation, once any stage has been
-  /// recorded; null before. An owning pointer (8 bytes, against a vector's
-  /// 24) pays for total_us_ and more: a fleet holds one estimator per
-  /// (task, device) pair (see the size pin beside rt::Task).
+  /// recorded; null before.
   std::unique_ptr<common::SlidingWindowMax[]> windows_;
   const double* afet_us_ = nullptr;
   double total_us_ = 0.0;

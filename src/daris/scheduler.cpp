@@ -5,16 +5,35 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "common/log.h"
 #include "gpusim/partition.h"
 
 namespace daris::rt {
 
+namespace {
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+}  // namespace
+
+const Scheduler::TaskSlot Scheduler::kFreshSlot{};
+
 Scheduler::Scheduler(sim::Simulator& sim, gpusim::Gpu& gpu,
-                     SchedulerConfig config, metrics::Collector* collector)
+                     SchedulerConfig config, metrics::Collector* collector,
+                     TaskTable* tasks)
     : sim_(sim), gpu_(gpu), config_(config.canonicalize()),
-      collector_(collector) {
+      collector_(collector),
+      own_table_(tasks == nullptr ? std::make_unique<TaskTable>() : nullptr),
+      table_(tasks == nullptr ? own_table_.get() : tasks) {
+  if (config_.num_contexts > kMaxContexts) {
+    throw std::length_error("rt::Scheduler: more than 32767 contexts");
+  }
   const auto quotas =
       config_.policy == Policy::kStr
           ? std::vector<int>{gpu_.spec().sm_count}
@@ -32,67 +51,114 @@ Scheduler::Scheduler(sim::Simulator& sim, gpusim::Gpu& gpu,
   }
 }
 
-int Scheduler::add_task(const TaskSpec& spec, const dnn::CompiledModel* model,
-                        std::atomic<int>* fleet_active) {
+int Scheduler::add_task(const TaskSpec& spec, const dnn::CompiledModel* model) {
   assert(model != nullptr && model->stage_count() > 0);
-  const int id = static_cast<int>(tasks_.size());
-  tasks_.emplace_back(id, spec, model,
-                      static_cast<std::size_t>(config_.mret_window),
-                      fleet_active);
+  const int id = table_->add(spec, model);
+  set_task_resident(id, true);
   return id;
+}
+
+Task& Scheduler::task(int id) {
+  TaskSlot& s = slot_mut(id);
+  if (s.record == kNoRecord) {
+    s.record = static_cast<std::uint32_t>(records_.size());
+    Task& t = records_.emplace_back(
+        id, (*table_)[id], static_cast<std::size_t>(config_.mret_window),
+        &table_->active(id));
+    if (s.seed != TaskTable::kNoSeed) {
+      t.mret().set_afet(table_->seed(s.seed).per_stage_us.data());
+    }
+    return t;
+  }
+  return records_[s.record];
 }
 
 void Scheduler::count_active(Task& t, int delta) {
   t.active_jobs += delta;
-  if (t.fleet_active_ != nullptr) {
-    t.fleet_active_->fetch_add(delta, std::memory_order_relaxed);
-  }
-}
-
-namespace {
-
-std::uint64_t bits_of(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  return bits;
-}
-
-}  // namespace
-
-bool Scheduler::AfetLess::operator()(const std::vector<double>& a,
-                                     const std::vector<double>& b) const {
-  if (a.size() != b.size()) return a.size() < b.size();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::uint64_t x = bits_of(a[i]);
-    const std::uint64_t y = bits_of(b[i]);
-    if (x != y) return x < y;
-  }
-  return false;
+  t.fleet_active_->fetch_add(delta, std::memory_order_relaxed);
 }
 
 std::vector<std::string> Scheduler::audit() const {
   std::vector<std::string> findings;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const MretEstimator& m = tasks_[i].mret();
-    const double cached = m.total_mret_us();
-    const double sum = m.stage_sum_us();
-    if (bits_of(cached) == bits_of(sum)) continue;
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  "device %d task %zu: cached Eq. 2 total %.17g us, stage "
-                  "sum %.17g us",
-                  device_id_, i, cached, sum);
-    findings.emplace_back(buf);
+  char buf[200];
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    const Task& t = records_[r];
+    if (slot(t.id()).record != r) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d task %d: record %zu is not the one its slot "
+                    "names",
+                    device_id_, t.id(), r);
+      findings.emplace_back(buf);
+    }
+    const double cached = t.mret().total_mret_us();
+    const double sum = t.mret().stage_sum_us();
+    if (bits_of(cached) != bits_of(sum)) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d task %d: cached Eq. 2 total %.17g us, stage "
+                    "sum %.17g us",
+                    device_id_, t.id(), cached, sum);
+      findings.emplace_back(buf);
+    }
+  }
+  std::vector<std::vector<int>> members(contexts_.size());
+  for (int id = 0; id < task_count(); ++id) {
+    const TaskSlot& s = slot(id);
+    if (s.context < -1 || s.context >= num_contexts()) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d task %d: context %d outside [-1, %d)",
+                    device_id_, id, static_cast<int>(s.context),
+                    num_contexts());
+      findings.emplace_back(buf);
+    } else if (s.context >= 0 && resident(id) &&
+               spec(id).priority == Priority::kHigh) {
+      members[static_cast<std::size_t>(s.context)].push_back(id);
+    }
+    if (s.record != kNoRecord) continue;
+    // A pair without a record reads its seed's cached total.
+    if (s.seed >= table_->seed_count()) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d task %d: AFET seed %d outside the table",
+                    device_id_, id, static_cast<int>(s.seed));
+      findings.emplace_back(buf);
+      continue;
+    }
+    const AfetSeed& seed = table_->seed(s.seed);
+    const double sum = MretEstimator::afet_sum_us(seed.per_stage_us.data(),
+                                                  seed.per_stage_us.size());
+    if (bits_of(seed.total_us) != bits_of(sum)) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d task %d: seed %d total %.17g us, stage sum "
+                    "%.17g us",
+                    device_id_, id, static_cast<int>(s.seed), seed.total_us,
+                    sum);
+      findings.emplace_back(buf);
+    }
+  }
+  for (std::size_t c = 0; c < contexts_.size(); ++c) {
+    if (members[c] != contexts_[c].resident_hp) {
+      std::snprintf(buf, sizeof buf,
+                    "device %d context %zu: resident-HP membership lists "
+                    "%zu tasks, the slots %zu",
+                    device_id_, c, contexts_[c].resident_hp.size(),
+                    members[c].size());
+      findings.emplace_back(buf);
+    }
   }
   return findings;
 }
 
 void Scheduler::set_afet(int task_id, const std::vector<double>& per_stage_us) {
-  Task& t = task(task_id);
-  assert(per_stage_us.size() == t.num_stages());
-  auto it = afet_pool_.find(per_stage_us);
-  if (it == afet_pool_.end()) it = afet_pool_.insert(per_stage_us).first;
-  t.mret().set_afet(it->data());
+  assert(per_stage_us.size() == model(task_id).stage_count());
+  // Execution times: every MRET total stays >= 0 (cluster::Rebalancer
+  // relies on it).
+  assert(std::all_of(per_stage_us.begin(), per_stage_us.end(),
+                     [](double us) { return us >= 0.0; }));
+  TaskSlot& s = slot_mut(task_id);
+  s.seed = table_->intern(task_id, per_stage_us);
+  if (s.record != kNoRecord) {
+    records_[s.record].mret().set_afet(
+        table_->seed(s.seed).per_stage_us.data());
+  }
 }
 
 void Scheduler::publish_load(double* slot, double divisor) {
@@ -108,60 +174,93 @@ void Scheduler::run_offline_phase() {
   // residents whose jobs only reach this device through routing or
   // migration) are spread over the resulting balance afterwards, so phantom
   // fleet-wide load cannot bunch the resident HP tasks onto few contexts.
+  // Every task is visited once per device, so the loops below read the
+  // table and the slots in id order and pick the context without branches.
+  const int n = task_count();
+  if (slots_.size() < static_cast<std::size_t>(n)) {
+    slots_.resize(static_cast<std::size_t>(n));
+  }
   std::vector<double> ctx_util(contexts_.size(), 0.0);
-  auto assign_all = [&](Priority p, bool resident) {
-    for (std::size_t i = 0; i < tasks_.size(); ++i) {
-      const Task& t = tasks_[i];
-      if (t.spec().priority != p || t.resident() != resident) continue;
-      const auto it = std::min_element(ctx_util.begin(), ctx_util.end());
-      const int ctx = static_cast<int>(it - ctx_util.begin());
-      set_task_context(t.id(), ctx);
-      ctx_util[static_cast<std::size_t>(ctx)] += t.utilization();
+  auto least_utilised = [&ctx_util] {
+    // The first minimum, as std::min_element picks it; the running minimum
+    // stays in a register.
+    std::size_t best = 0;
+    double least = ctx_util[0];
+    for (std::size_t c = 1; c < ctx_util.size(); ++c) {
+      const double u = ctx_util[c];
+      const bool lower = u < least;
+      best = lower ? c : best;
+      least = lower ? u : least;
     }
+    return best;
   };
-  assign_all(Priority::kHigh, /*resident=*/true);
-  assign_all(Priority::kLow, /*resident=*/true);
-  assign_all(Priority::kHigh, /*resident=*/false);
-  assign_all(Priority::kLow, /*resident=*/false);
+  for (const Priority p : {Priority::kHigh, Priority::kLow}) {
+    for (const int id : resident_) {
+      if (spec(id).priority != p) continue;
+      const std::size_t ctx = least_utilised();
+      set_task_context(id, static_cast<int>(ctx));
+      ctx_util[ctx] += utilization(id);
+    }
+  }
+  // A non-resident task is in no context's resident-HP membership, so its
+  // slot takes the context directly.
+  for (const Priority p : {Priority::kHigh, Priority::kLow}) {
+    auto home = resident_.begin();
+    for (int id = 0; id < n; ++id) {
+      if (home != resident_.end() && *home == id) {
+        ++home;
+        continue;
+      }
+      if ((*table_)[id].spec.priority != p) continue;
+      const std::size_t ctx = least_utilised();
+      slots_[static_cast<std::size_t>(id)].context =
+          static_cast<std::int16_t>(ctx);
+      ctx_util[ctx] += utilization(id);
+    }
+  }
 }
 
-void Scheduler::hp_member_remove(const Task& t) {
-  if (t.context() < 0 || !t.resident() ||
-      t.spec().priority != Priority::kHigh) {
+void Scheduler::hp_member_remove(int task_id) {
+  const int ctx = context(task_id);
+  if (ctx < 0 || !resident(task_id) ||
+      spec(task_id).priority != Priority::kHigh) {
     return;
   }
-  auto& members =
-      contexts_[static_cast<std::size_t>(t.context())].resident_hp;
-  const auto it = std::lower_bound(members.begin(), members.end(), t.id());
-  assert(it != members.end() && *it == t.id());
+  auto& members = contexts_[static_cast<std::size_t>(ctx)].resident_hp;
+  const auto it = std::lower_bound(members.begin(), members.end(), task_id);
+  assert(it != members.end() && *it == task_id);
   members.erase(it);
 }
 
-void Scheduler::hp_member_add(const Task& t) {
-  if (t.context() < 0 || !t.resident() ||
-      t.spec().priority != Priority::kHigh) {
+void Scheduler::hp_member_add(int task_id) {
+  const int ctx = context(task_id);
+  if (ctx < 0 || !resident(task_id) ||
+      spec(task_id).priority != Priority::kHigh) {
     return;
   }
-  auto& members =
-      contexts_[static_cast<std::size_t>(t.context())].resident_hp;
-  members.insert(std::lower_bound(members.begin(), members.end(), t.id()),
-                 t.id());
+  auto& members = contexts_[static_cast<std::size_t>(ctx)].resident_hp;
+  members.insert(std::lower_bound(members.begin(), members.end(), task_id),
+                 task_id);
 }
 
 void Scheduler::set_task_context(int task_id, int ctx) {
-  Task& t = task(task_id);
-  if (t.context_ == ctx) return;
-  hp_member_remove(t);
-  t.context_ = ctx;
-  hp_member_add(t);
+  if (context(task_id) == ctx) return;
+  hp_member_remove(task_id);
+  slot_mut(task_id).context = static_cast<std::int16_t>(ctx);
+  hp_member_add(task_id);
 }
 
 void Scheduler::set_task_resident(int task_id, bool resident) {
-  Task& t = task(task_id);
-  if (t.resident_ == resident) return;
-  hp_member_remove(t);
-  t.resident_ = resident;
-  hp_member_add(t);
+  if (this->resident(task_id) == resident) return;
+  hp_member_remove(task_id);
+  const auto it =
+      std::lower_bound(resident_.begin(), resident_.end(), task_id);
+  if (resident) {
+    resident_.insert(it, task_id);
+  } else {
+    resident_.erase(it);
+  }
+  hp_member_add(task_id);
 }
 
 double Scheduler::hp_utilization(int ctx) const {
@@ -170,7 +269,7 @@ double Scheduler::hp_utilization(int ctx) const {
   // scan over every task, at O(members) per call.
   double u = 0.0;
   for (const int id : contexts_[static_cast<std::size_t>(ctx)].resident_hp) {
-    u += task(id).utilization();
+    u += utilization(id);
   }
   return u;
 }
@@ -192,13 +291,12 @@ double Scheduler::remaining_utilization(int ctx) const {
          hp_utilization(ctx);
 }
 
-bool Scheduler::passes_admission(const Task& task, int ctx,
-                                 double util) const {
+bool Scheduler::passes_admission(Priority p, int ctx, double util) const {
   // Eq. 12: U^{l,a}_k(t) + u_j(t) < U^r_k(t). For HP jobs under
   // Overload+HPA the job's own class utilisation already sits inside
   // U^{h,t}_k, so charge the active-LP side with zero and test headroom.
   const auto& rec = contexts_[static_cast<std::size_t>(ctx)];
-  if (task.spec().priority == Priority::kLow) {
+  if (p == Priority::kLow) {
     // Migrated-in HP work consumes capacity the resident-only U^{h,t}_k
     // term cannot see; charge it alongside the active LP utilisation.
     return rec.active_lp_util + rec.migrated_hp_util + util <
@@ -218,12 +316,12 @@ double Scheduler::predicted_backlog_us(int ctx) const {
 
 bool Scheduler::release_job(int task_id, bool report, Time released_at,
                             std::uint64_t* job_id_out) {
-  Task& t = task(task_id);
+  const TaskSpec& spec = this->spec(task_id);
   // Backdated release (cluster migration after a weight transfer): deadlines
   // and response times anchor at the original release, not the delivery.
   const Time release = released_at >= 0 ? released_at : sim_.now();
 
-  const Priority cls = t.spec().priority;
+  const Priority cls = spec.priority;
   if (report && collector_) collector_->on_release(cls);
 
   // A failed device admits nothing: releases that race the failure (e.g. a
@@ -235,29 +333,28 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
   }
 
   // Late assignment for tasks added after the offline phase.
-  if (t.context() < 0) set_task_context(task_id, 0);
+  if (context(task_id) < 0) set_task_context(task_id, 0);
 
   // Backlog guard (rt::backlog_cap).
-  if (t.active_jobs >= backlog_cap(cls)) {
+  if (active_jobs(task_id) >= backlog_cap(cls)) {
     if (report && collector_) collector_->on_reject(cls);
     return false;
   }
 
-  const double util = t.utilization();
-  const bool needs_test = t.spec().priority == Priority::kLow
-                              ? config_.lp_admission
-                              : config_.hp_admission;
-  int target_ctx = t.context();
+  const double util = utilization(task_id);
+  const bool needs_test =
+      cls == Priority::kLow ? config_.lp_admission : config_.hp_admission;
+  int target_ctx = context(task_id);
 
-  if (needs_test && !passes_admission(t, target_ctx, util)) {
-    if (t.spec().priority == Priority::kLow) {
+  if (needs_test && !passes_admission(cls, target_ctx, util)) {
+    if (cls == Priority::kLow) {
       // Migration candidates: every other context that passes Eq. 12,
       // earliest predicted finish first.
       int best = -1;
       double best_backlog = std::numeric_limits<double>::infinity();
       for (int c = 0; c < num_contexts(); ++c) {
         if (c == target_ctx) continue;
-        if (!passes_admission(t, c, util)) continue;
+        if (!passes_admission(cls, c, util)) continue;
         const double backlog = predicted_backlog_us(c);
         if (backlog < best_backlog) {
           best_backlog = backlog;
@@ -277,11 +374,13 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
     }
   }
 
+  // The first job admitted here creates the task's record on this device.
+  Task& t = task(task_id);
   auto jr = std::make_unique<JobRuntime>();
   jr->job.task = &t;
   jr->job.job_id = next_job_id_++;
   jr->job.release = release;
-  jr->job.absolute_deadline = release + t.spec().relative_deadline;
+  jr->job.absolute_deadline = release + spec.relative_deadline;
   jr->job.context = target_ctx;
   jr->job.admitted_utilization = util;
 
@@ -290,8 +389,7 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
   // backdated job's early virtual deadlines may already lie in the past —
   // its stages then enter the queues miss-boosted, which is exactly the
   // behind-schedule treatment the transfer delay earned it.
-  const auto shares =
-      t.mret().virtual_deadlines(t.spec().relative_deadline);
+  const auto shares = t.mret().virtual_deadlines(spec.relative_deadline);
   jr->job.stage_deadlines.resize(shares.size());
   Time acc = release;
   for (std::size_t j = 0; j + 1 < shares.size(); ++j) {
@@ -311,7 +409,7 @@ void Scheduler::admit(Task& t, int ctx, std::unique_ptr<JobRuntime> jr) {
     rec.active_lp_util += jr->job.admitted_utilization;
   } else {
     rec.active_hp_util += jr->job.admitted_utilization;
-    if (!t.resident()) {
+    if (!resident(t.id())) {
       rec.migrated_hp_util += jr->job.admitted_utilization;
     }
   }
@@ -527,7 +625,7 @@ void Scheduler::leave_active(const Job& job) {
   } else {
     rec.active_hp_util =
         std::max(0.0, rec.active_hp_util - job.admitted_utilization);
-    if (!t.resident()) {
+    if (!resident(t.id())) {
       rec.migrated_hp_util =
           std::max(0.0, rec.migrated_hp_util - job.admitted_utilization);
     }

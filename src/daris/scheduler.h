@@ -11,12 +11,19 @@
 // stage enters its context's 8-level EDF queue and is dispatched to the
 // first idle stream; the synchronisation point at each stage boundary is the
 // paper's coarse-grained preemption mechanism ("staging").
+//
+// Task state is pay-as-you-go. The task itself (spec, model) sits in a
+// TaskTable, shared by every scheduler of a fleet. Per task, a scheduler
+// keeps an 8-byte slot (its Algorithm 1 context and which interned AFET
+// seed it reads) and, from the first job of the task it admits on, a full
+// rt::Task record (MRET windows, cached Eq. 2 total, active-job count);
+// besides, the ids of the tasks homed here. Reads that need only a spec, a
+// utilisation or an MRET total go through queries that create nothing.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -33,30 +40,31 @@ namespace daris::rt {
 
 class Scheduler {
  public:
-  /// Creates contexts/streams on `gpu` according to `config` (Eq. 9 quotas).
+  /// Most contexts a scheduler holds: a task's context is an int16_t.
+  static constexpr int kMaxContexts = 32767;
+
+  /// Creates contexts/streams on `gpu` according to `config` (Eq. 9 quotas);
+  /// throws std::length_error for more than kMaxContexts contexts. `tasks`
+  /// (cluster mode, may be null) is the fleet's shared task table, which
+  /// must outlive the scheduler; a scheduler without one keeps its own.
   Scheduler(sim::Simulator& sim, gpusim::Gpu& gpu, SchedulerConfig config,
-            metrics::Collector* collector);
+            metrics::Collector* collector, TaskTable* tasks = nullptr);
 
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
   const SchedulerConfig& config() const { return config_; }
 
-  /// Registers a task; the compiled model must outlive the scheduler.
-  /// Returns the task id. `fleet_active` (cluster mode, may be null) is the
-  /// logical task's fleet-wide active-job count, which must outlive the
-  /// scheduler: every admit here adds one and every finish, revoke and
-  /// failure subtracts one, alongside Task::active_jobs. Finishes run on
-  /// this device's shard, concurrently with other devices', so the count is
-  /// a relaxed atomic; readers use it in the serial control phase.
-  int add_task(const TaskSpec& spec, const dnn::CompiledModel* model,
-               std::atomic<int>* fleet_active = nullptr);
+  /// Registers a task in the task table, resident here (this is its home
+  /// device); the compiled model must outlive the scheduler. Returns the
+  /// task id. Every other scheduler sharing the table sees the task too,
+  /// non-resident.
+  int add_task(const TaskSpec& spec, const dnn::CompiledModel* model);
 
-  /// Seeds the task's MRET estimator with offline AFET values (Eq. 10), one
-  /// per stage of the task's model. The scheduler keeps one copy of each
-  /// distinct vector it is handed and points the estimator at it, so the
-  /// caller's vector need not outlive the call and tasks sharing a profile
-  /// share its storage.
+  /// Seeds the task's MRET estimate on this device with offline AFET values
+  /// (Eq. 10), one per stage of the task's model. The task table keeps one
+  /// copy of each distinct vector (TaskTable::intern), so the caller's
+  /// vector need not outlive the call.
   void set_afet(int task_id, const std::vector<double>& per_stage_us);
 
   /// Algorithm 1: initial context assignment balancing utilisation.
@@ -76,11 +84,54 @@ class Scheduler {
   bool release_job(int task_id, bool report = true, Time released_at = -1,
                    std::uint64_t* job_id_out = nullptr);
 
-  Task& task(int id) { return tasks_[static_cast<std::size_t>(id)]; }
-  const Task& task(int id) const {
-    return tasks_[static_cast<std::size_t>(id)];
+  // --- per-task queries: none of them creates a record -------------------
+
+  int task_count() const { return table_->size(); }
+  const TaskSpec& spec(int id) const { return (*table_)[id].spec; }
+  const dnn::CompiledModel& model(int id) const {
+    return *(*table_)[id].model;
   }
-  int task_count() const { return static_cast<int>(tasks_.size()); }
+  /// mret_i(t) on this device (Eq. 2): the record's cached total, or the
+  /// AFET seed's sum while the device has admitted no job of the task.
+  double mret_total_us(int id) const {
+    const TaskSlot& s = slot(id);
+    return s.record != kNoRecord ? records_[s.record].mret().total_mret_us()
+                                 : table_->seed(s.seed).total_us;
+  }
+  /// u_i(t) = mret_i(t) / T_i on this device (Eq. 3 / Eq. 10).
+  double utilization(int id) const {
+    return utilization_of(spec(id), mret_total_us(id));
+  }
+  /// ctx_i(t) on this device; -1 before Algorithm 1 or late assignment.
+  int context(int id) const { return slot(id).context; }
+  /// Whether this scheduler is the task's home device. In a cluster every
+  /// device can run any task (so migrated jobs can run anywhere), but the
+  /// task's static HP reservation (Eq. 4 term of Eq. 11) is charged only on
+  /// its home GPU; add_task makes the registering scheduler the home.
+  bool resident(int id) const {
+    return std::binary_search(resident_.begin(), resident_.end(), id);
+  }
+  /// This device's admitted-but-unfinished jobs of the task.
+  int active_jobs(int id) const {
+    const TaskSlot& s = slot(id);
+    return s.record != kNoRecord ? records_[s.record].active_jobs : 0;
+  }
+  /// The task's record here, or null while this device has admitted no job
+  /// of it.
+  const Task* find_task(int id) const {
+    const TaskSlot& s = slot(id);
+    return s.record != kNoRecord ? &records_[s.record] : nullptr;
+  }
+  /// Records created so far, in creation order (record(i), i < records()).
+  std::size_t records() const { return records_.size(); }
+  const Task& record(std::size_t i) const { return records_[i]; }
+
+  /// The task's record here, created on first use exactly as registration
+  /// and seeding would have left it (MRET seeded from the pair's AFET seed,
+  /// no samples, no active jobs). release_job creates it for the first job
+  /// it admits; tests call it to inspect or drive a task's MRET.
+  Task& task(int id);
+
   int num_contexts() const { return static_cast<int>(contexts_.size()); }
 
   /// Moves a task to a context, keeping the per-context resident-HP
@@ -94,7 +145,7 @@ class Scheduler {
   void set_task_resident(int task_id, bool resident);
 
   /// Total HP utilisation U^{h,t}_k(t) of a context (Eq. 4), counting only
-  /// resident tasks (see Task::resident).
+  /// resident tasks (see resident()).
   double hp_utilization(int ctx) const;
 
   /// Active LP utilisation U^{l,a}_k(t) (Sec. III-B3).
@@ -176,12 +227,17 @@ class Scheduler {
   /// Migration counter (LP jobs admitted to a context other than ctx_i).
   std::uint64_t migrations() const { return migrations_; }
 
-  /// Test-facing audit of the cached aggregates, so far the Eq. 2 MRET
-  /// totals: recomputes every task's total from its windows and AFET seed
-  /// (MretEstimator::stage_sum_us) and returns one line per task whose
-  /// cached total_mret_us() differs from it in any bit; empty when every
-  /// cache holds. O(tasks x stages), so no run path calls it: a 256-GPU
-  /// fleet holds 2M tasks across its schedulers.
+  /// Test-facing audit of the cached task state; returns one line per
+  /// finding, empty when everything holds:
+  ///  - every record's cached Eq. 2 total equals, in every bit, the sum
+  ///    recomputed from its windows and AFET seed
+  ///    (MretEstimator::stage_sum_us), and its slot points back at it;
+  ///  - every pair without a record reads a seed in the table whose total
+  ///    equals its recomputed sum (MretEstimator::afet_sum_us);
+  ///  - every slot's context is -1 or a context of this scheduler;
+  ///  - each context's resident-HP membership (the Eq. 4 aggregate) lists
+  ///    exactly the resident HP tasks assigned there, ascending.
+  /// O(tasks x stages), so no run path calls it.
   std::vector<std::string> audit() const;
 
   /// Fail-stop injection (cluster::Fleet::fail_gpu): drops every in-flight
@@ -277,13 +333,13 @@ class Scheduler {
     }
   }
   /// Moves one of the task's jobs into (+1) or out of (-1) the active set:
-  /// Task::active_jobs and, in a fleet, the shared fleet-wide count.
+  /// Task::active_jobs and the shared count TaskTable::active.
   static void count_active(Task& t, int delta);
-  bool passes_admission(const Task& task, int ctx, double util) const;
+  bool passes_admission(Priority p, int ctx, double util) const;
   /// Membership maintenance around a placement-field change: call remove
   /// before mutating the task's context/resident, add after.
-  void hp_member_remove(const Task& t);
-  void hp_member_add(const Task& t);
+  void hp_member_remove(int task_id);
+  void hp_member_add(int task_id);
   /// Predicted completion of the context's backlog (migration tie-break).
   double predicted_backlog_us(int ctx) const;
 
@@ -297,24 +353,52 @@ class Scheduler {
                          double mret_at_dispatch, bool frees_stream);
   void finish_job(const Job& job);
 
+  static constexpr std::uint32_t kNoRecord = 0xFFFFFFFFu;
+  /// What this scheduler keeps per task before (and besides) a record.
+  struct TaskSlot {
+    std::uint32_t record = kNoRecord;          // index into records_
+    std::int16_t context = -1;                 // ctx_i(t)
+    std::uint16_t seed = TaskTable::kNoSeed;  // TaskTable seed it reads
+  };
+  // A fleet holds one slot per (task, device) pair: fleet-256-poisson has
+  // 2,097,152 of them, so each byte of a slot costs 2 MB there, and the
+  // slot replaced a 104-byte rt::Task per pair. A new member must pay for
+  // itself there.
+  static_assert(sizeof(TaskSlot) <= 8,
+                "TaskSlot grew: each byte costs 2 MB in a 256-GPU fleet");
+
+  /// A slot for reading: tasks the table gained since this scheduler last
+  /// wrote a slot read as a fresh one (no record, no context, no seed).
+  const TaskSlot& slot(int id) const {
+    const auto i = static_cast<std::size_t>(id);
+    return i < slots_.size() ? slots_[i] : kFreshSlot;
+  }
+  /// A slot for writing; first catches the slots up with the table.
+  TaskSlot& slot_mut(int id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= slots_.size()) {
+      slots_.resize(static_cast<std::size_t>(table_->size()));
+    }
+    return slots_[i];
+  }
+  static const TaskSlot kFreshSlot;
+
   sim::Simulator& sim_;
   gpusim::Gpu& gpu_;
   SchedulerConfig config_;
   metrics::Collector* collector_;
 
-  /// Bitwise order on AFET vectors (length, then bytes): exact identity and
-  /// a strict weak order whatever the values hold.
-  struct AfetLess {
-    bool operator()(const std::vector<double>& a,
-                    const std::vector<double>& b) const;
-  };
-  /// One copy of each distinct AFET vector set_afet was handed; every
-  /// task's MRET estimator reads its seed from here. Set nodes never move,
-  /// and the pool is declared first so it outlives the tasks.
-  std::set<std::vector<double>, AfetLess> afet_pool_;
-  /// Tasks stored in place in blocks that never relocate, so Job::task
-  /// stays valid as tasks are added.
-  common::StableArray<Task> tasks_;
+  /// The table this scheduler owns when it has no fleet to share one with.
+  std::unique_ptr<TaskTable> own_table_;
+  TaskTable* table_;
+  /// One slot per task of the table, grown on write (slot_mut).
+  std::vector<TaskSlot> slots_;
+  /// Ids of the tasks homed here (resident()), ascending: a fleet homes a
+  /// few of its tasks on each device.
+  std::vector<int> resident_;
+  /// Records stored in place in blocks that never relocate, so Job::task
+  /// stays valid as records are added.
+  common::StableArray<Task> records_;
   double* load_slot_ = nullptr;  // publish_load
   double load_divisor_ = 1.0;
   std::vector<ContextRec> contexts_;

@@ -301,28 +301,39 @@ ClusterResult run_cluster(
   // run: kSlow/kAdd fault callbacks re-seed a changed device through the
   // same lookup, so a straggler slowed to a scale some other node already
   // runs at reuses that node's profile verbatim. A deque, so a profile
-  // stays put while later specs are added.
-  std::deque<std::pair<gpusim::GpuSpec, rt::AfetResult>> afet_cache;
+  // stays put while later specs are added. Each entry also lists every
+  // task's vector, so seeding a device looks nothing up per task.
+  struct Profile {
+    gpusim::GpuSpec spec;
+    rt::AfetResult afet;
+    std::vector<const std::vector<double>*> of_task;
+  };
+  std::deque<Profile> afet_cache;
   auto seed_afet = [&](int g) {
     const gpusim::GpuSpec spec = fleet.node(g).resolved();
     auto it = std::find_if(afet_cache.begin(), afet_cache.end(),
-                           [&](const auto& e) { return e.first == spec; });
+                           [&](const Profile& e) { return e.spec == spec; });
     if (it == afet_cache.end()) {
-      it = afet_cache.emplace(
-          afet_cache.end(), spec,
-          rt::profile_afet(spec, sched_cfg, models.distinct,
-                           /*jobs_per_stream=*/16, config.seed));
+      it = afet_cache.insert(
+          afet_cache.end(),
+          Profile{spec,
+                  rt::profile_afet(spec, sched_cfg, models.distinct,
+                                   /*jobs_per_stream=*/16, config.seed),
+                  {}});
+      for (const auto& t : config.taskset.tasks) {
+        it->of_task.push_back(&it->afet.for_model(models.of(t.model)));
+      }
     }
-    for (std::size_t i = 0; i < config.taskset.tasks.size(); ++i) {
-      fleet.set_afet(static_cast<int>(i), g,
-                     it->second.for_model(
-                         models.of(config.taskset.tasks[i].model)));
+    for (std::size_t i = 0; i < it->of_task.size(); ++i) {
+      fleet.set_afet(static_cast<int>(i), g, *it->of_task[i]);
     }
   };
   for (int g = 0; g < fleet.size(); ++g) seed_afet(g);
 
   // Offline phase 2: Algorithm 1 initial context assignment, per GPU.
+  const auto wall_alg1_start = std::chrono::steady_clock::now();
   fleet.run_offline_phase();
+  const double wall_ms_alg1 = wall_ms_since(wall_alg1_start);
   const double wall_ms_offline = wall_ms_since(wall_start);
 
   cluster::RouterConfig router_cfg;
@@ -557,7 +568,9 @@ ClusterResult run_cluster(
   static_cast<sim::ShardedSimulator::Stats&>(result.profile) =
       sharded_sim.stats();
   add_solver_stats(gpus, &result.profile);
+  result.profile.task_records = fleet.task_records();
   result.profile.wall_ms_offline = wall_ms_offline;
+  result.profile.wall_ms_alg1 = wall_ms_alg1;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);
   return result;

@@ -77,7 +77,9 @@ RunResult run_daris(const RunConfig& config) {
   }
 
   // Offline phase 2: Algorithm 1 initial context assignment.
+  const auto wall_alg1_start = std::chrono::steady_clock::now();
   scheduler.run_offline_phase();
+  const double wall_ms_alg1 = wall_ms_since(wall_alg1_start);
   const double wall_ms_offline = wall_ms_since(wall_start);
 
   const common::Time horizon = common::from_sec(config.duration_s);
@@ -97,7 +99,9 @@ RunResult run_daris(const RunConfig& config) {
 
   static_cast<sim::Simulator::Stats&>(result.profile) = sim.stats();
   add_solver_stats({&gpu}, &result.profile);
+  result.profile.task_records = scheduler.records();
   result.profile.wall_ms_offline = wall_ms_offline;
+  result.profile.wall_ms_alg1 = wall_ms_alg1;
   result.profile.wall_ms_run = wall_ms_run;
   result.profile.wall_ms_total = wall_ms_since(wall_start);
   return result;

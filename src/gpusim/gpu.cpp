@@ -346,14 +346,17 @@ void Gpu::flush_rates() {
   //    below (pressure and bandwidth use arrival order) — intentionally
   //    replicates the historical from-scratch solver, so the rates come out
   //    bit-identical to it.
+  //    `shares` only grows (its first members.size() entries are the fill),
+  //    so a flush never value-initialises or reallocates it in steady state.
   double total_alloc = 0.0;
   for (auto& cs : contexts_) {
+    const std::size_t m = cs.members.size();
     if (cs.dirty) {
       ++solver_stats_.contexts_solved;
-      cs.shares.resize(cs.members.size());
+      if (cs.shares.size() < m) cs.shares.resize(m);
       double quota = cs.quota;
-      std::size_t left = cs.members.size();
-      for (std::size_t i = 0; i < cs.members.size(); ++i) {
+      std::size_t left = m;
+      for (std::size_t i = 0; i < m; ++i) {
         const double fair = quota / static_cast<double>(left);
         const double alloc = std::min(
             slots_[static_cast<std::size_t>(cs.members[i])].parallelism, fair);
@@ -361,7 +364,7 @@ void Gpu::flush_rates() {
         quota -= alloc;
         --left;
       }
-      const auto active = static_cast<double>(cs.members.size());
+      const auto active = static_cast<double>(m);
       cs.eff_intra =
           1.0 / (1.0 + spec_.alpha_intra *
                            std::min(active - 1.0, spec_.intra_saturation));
@@ -369,7 +372,7 @@ void Gpu::flush_rates() {
     } else {
       ++solver_stats_.contexts_reused;
     }
-    for (const double s : cs.shares) total_alloc += s;
+    for (std::size_t i = 0; i < m; ++i) total_alloc += cs.shares[i];
   }
 
   // 2. Oversubscription: rescale when allocations exceed physical SMs.
@@ -392,8 +395,10 @@ void Gpu::flush_rates() {
 
   // 3/4. Per-kernel rate with wave quantisation, the small-slice penalty,
   // and the intra-context multi-stream penalty (both cached per context).
+  // The scratch only grows; its first order_.size() entries are this
+  // flush's.
   std::vector<double>& raw = wf_raw_;
-  raw.resize(order_.size());
+  if (raw.size() < order_.size()) raw.resize(order_.size());
   double bw_demand = 0.0;
   for (std::size_t k = 0; k < order_.size(); ++k) {
     const auto& ak = slots_[static_cast<std::size_t>(order_[k])];

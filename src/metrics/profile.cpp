@@ -21,7 +21,9 @@ RunProfile& RunProfile::operator+=(const RunProfile& o) {
   solver_flushes += o.solver_flushes;
   solver_contexts_solved += o.solver_contexts_solved;
   solver_contexts_reused += o.solver_contexts_reused;
+  task_records += o.task_records;
   wall_ms_offline += o.wall_ms_offline;
+  wall_ms_alg1 += o.wall_ms_alg1;
   wall_ms_run += o.wall_ms_run;
   wall_ms_total += o.wall_ms_total;
   return *this;
@@ -56,13 +58,18 @@ std::string RunProfile::to_string() const {
   std::snprintf(buf, sizeof buf,
                 "   solver flushes       %llu (ctx solved %llu, reused %llu,"
                 " %.1f%% cache hits)\n"
-                "   wall clock           offline %.1f ms, run %.1f ms,"
-                " total %.1f ms\n",
+                "   task records         %llu\n"
+                "   wall clock           offline %.1f ms (Algorithm 1 %.1f ms,"
+                " %.1f%%), run %.1f ms, total %.1f ms\n",
                 static_cast<unsigned long long>(solver_flushes),
                 static_cast<unsigned long long>(solver_contexts_solved),
                 static_cast<unsigned long long>(solver_contexts_reused),
-                100.0 * dirty_hit_rate(), wall_ms_offline, wall_ms_run,
-                wall_ms_total);
+                100.0 * dirty_hit_rate(),
+                static_cast<unsigned long long>(task_records),
+                wall_ms_offline, wall_ms_alg1,
+                wall_ms_offline > 0.0 ? 100.0 * wall_ms_alg1 / wall_ms_offline
+                                      : 0.0,
+                wall_ms_run, wall_ms_total);
   out += buf;
   return out;
 }
@@ -79,7 +86,8 @@ void RunProfile::append_json(std::string* out) const {
       "\"wall_ms_lane_wait\": %.3f, "
       "\"solver_flushes\": %llu, "
       "\"solver_contexts_solved\": %llu, \"solver_contexts_reused\": %llu, "
-      "\"dirty_hit_rate\": %.17g, \"wall_ms_offline\": %.3f, "
+      "\"dirty_hit_rate\": %.17g, \"task_records\": %llu, "
+      "\"wall_ms_offline\": %.3f, \"wall_ms_alg1\": %.3f, "
       "\"wall_ms_run\": %.3f, \"wall_ms_total\": %.3f}",
       static_cast<unsigned long long>(events_executed),
       static_cast<unsigned long long>(heap_high_water),
@@ -93,7 +101,8 @@ void RunProfile::append_json(std::string* out) const {
       static_cast<unsigned long long>(solver_flushes),
       static_cast<unsigned long long>(solver_contexts_solved),
       static_cast<unsigned long long>(solver_contexts_reused),
-      dirty_hit_rate(), wall_ms_offline, wall_ms_run, wall_ms_total);
+      dirty_hit_rate(), static_cast<unsigned long long>(task_records),
+      wall_ms_offline, wall_ms_alg1, wall_ms_run, wall_ms_total);
   *out += buf;
 }
 

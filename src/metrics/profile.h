@@ -29,8 +29,13 @@ struct RunProfile : sim::ShardedSimulator::Stats {
   std::uint64_t solver_contexts_solved = 0;  // dirty: water-fill recomputed
   std::uint64_t solver_contexts_reused = 0;  // clean: cached shares reused
 
+  // Per-device task records the run created (rt::Scheduler::task): the
+  // (task, device) pairs that admitted a job, out of tasks x devices.
+  std::uint64_t task_records = 0;
+
   // Host wall-clock, per phase.
   double wall_ms_offline = 0.0;  // model compile + AFET profiling + Alg. 1
+  double wall_ms_alg1 = 0.0;     // the Algorithm 1 part of wall_ms_offline
   double wall_ms_run = 0.0;      // the simulated horizon
   double wall_ms_total = 0.0;
 

@@ -11,7 +11,7 @@ PeriodicDriver::PeriodicDriver(sim::Simulator& sim, rt::Scheduler& scheduler,
       horizon_(horizon) {
   entries_.reserve(static_cast<std::size_t>(scheduler.task_count()));
   for (int i = 0; i < scheduler.task_count(); ++i) {
-    const auto& spec = scheduler.task(i).spec();
+    const auto& spec = scheduler.spec(i);
     entries_.push_back({spec.period, spec.phase, {}});
   }
 }

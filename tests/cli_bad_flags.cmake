@@ -5,6 +5,7 @@
 #   cmake -DCLI=<path to example_daris_cli> -P tests/cli_bad_flags.cmake
 set(cases
   "--contexts 0" "--contexts -3" "--contexts abc" "--contexts 2x"
+  "--contexts 32768"
   "--streams 0" "--batch 0" "--window 0"
   "--os nan" "--os 0.5" "--os inf"
   "--duration -1" "--duration 0" "--duration nan"

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/router.h"
 #include "common/rng.h"
 #include "fleet_harness.h"
+#include "workload/taskset.h"
 
 namespace daris::cluster {
 namespace {
@@ -148,8 +153,8 @@ TEST(Fleet, ActiveJobCountIsSharedByEveryDevice) {
   EXPECT_EQ(h.fleet->active_jobs(hp), 1);
   EXPECT_EQ(h.fleet->active_jobs(a), 1);
   EXPECT_EQ(h.fleet->active_jobs(b), 1);
-  EXPECT_EQ(h.fleet->scheduler(0).task(b).active_jobs, 0);
-  EXPECT_EQ(h.fleet->scheduler(1).task(b).active_jobs, 1);
+  EXPECT_EQ(h.fleet->scheduler(0).active_jobs(b), 0);
+  EXPECT_EQ(h.fleet->scheduler(1).active_jobs(b), 1);
   EXPECT_TRUE(h.fleet->check_conservation(conservation_input(router)).ok);
 
   // Finishes on the device shards bring every count back to zero.
@@ -528,8 +533,8 @@ TEST(Router, PlacementScoreNormalisesLoadByComputeScale) {
 TEST(Fleet, ResidencyOnlyOnHomeGpu) {
   Harness h(2);
   const int a = h.add_task(Priority::kHigh, 3000.0, 1);
-  EXPECT_FALSE(h.fleet->scheduler(0).task(a).resident());
-  EXPECT_TRUE(h.fleet->scheduler(1).task(a).resident());
+  EXPECT_FALSE(h.fleet->scheduler(0).resident(a));
+  EXPECT_TRUE(h.fleet->scheduler(1).resident(a));
   // The HP reservation (Eq. 4) is charged only where the task is resident.
   h.fleet->run_offline_phase();
   double hp0 = 0.0, hp1 = 0.0;
@@ -539,6 +544,169 @@ TEST(Fleet, ResidencyOnlyOnHomeGpu) {
   }
   EXPECT_DOUBLE_EQ(hp0, 0.0);
   EXPECT_GT(hp1, 0.0);
+}
+
+/// Per model, an AFET vector whose stage sum depends on the order it is
+/// summed in (no stage time is exact in binary), so bitwise checks against
+/// MretEstimator's stage-order sum mean something.
+std::vector<double> uneven_afet(std::size_t stages, double scale) {
+  std::vector<double> v(stages);
+  for (std::size_t s = 0; s < stages; ++s) {
+    v[s] = scale * (0.1 + 1.0 / static_cast<double>(s + 3));
+  }
+  return v;
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+TEST(Fleet, SetupOfAReplicatedFleetCreatesNoTaskRecord) {
+  // 64 GPUs x the replicated Table II mixed set (2,048 tasks, homes striped
+  // as exp::run_cluster stripes them), every pair seeded, then Algorithm 1.
+  // Registration, seeding and Algorithm 1 read each pair through queries,
+  // so the design needs a record for no pair at all: setup leaves 131,072
+  // slots and zero records. Every query answers from the pair's seed.
+  constexpr int kDevices = 64;
+  const workload::TaskSetSpec taskset =
+      workload::replicated_taskset(workload::mixed_taskset(), kDevices);
+  sim::ShardedSimulator sharded(kDevices, 1);
+  FleetConfig cfg;
+  cfg.num_gpus = kDevices;
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 6;
+  cfg.sched.oversubscription = 6.0;
+  metrics::Collector collector;
+  Fleet fleet(sharded, cfg, &collector);
+  const exp::CompiledModels models =
+      exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
+  std::map<const dnn::CompiledModel*, std::vector<double>> afet;
+  for (const dnn::CompiledModel* m : models.distinct) {
+    afet[m] = uneven_afet(m->stage_count(),
+                          700.0 + 10.0 * static_cast<double>(afet.size()));
+  }
+  for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
+    const rt::TaskSpec& t = taskset.tasks[i];
+    const dnn::CompiledModel* m = models.of(t.model);
+    const int id =
+        fleet.add_task(t, m, static_cast<int>(i) % kDevices);
+    for (int g = 0; g < kDevices; ++g) fleet.set_afet(id, g, afet.at(m));
+  }
+  fleet.run_offline_phase();
+
+  EXPECT_EQ(fleet.task_records(), 0u);
+  // One copy of each distinct profile, plus the "no profile" seed.
+  EXPECT_EQ(fleet.tasks().seed_count(), 1 + models.distinct.size());
+  for (int g = 0; g < kDevices; ++g) {
+    const rt::Scheduler& sched = fleet.scheduler(g);
+    EXPECT_EQ(sched.records(), 0u) << "gpu " << g;
+    EXPECT_TRUE(sched.audit().empty()) << "gpu " << g;
+    for (int t = 0; t < sched.task_count(); ++t) {
+      ASSERT_EQ(sched.find_task(t), nullptr);
+      ASSERT_EQ(sched.resident(t), t % kDevices == g);
+      ASSERT_GE(sched.context(t), 0);
+      ASSERT_LT(sched.context(t), sched.num_contexts());
+      const std::vector<double>& v = afet.at(fleet.model_of(t));
+      const double total = rt::MretEstimator::afet_sum_us(v.data(), v.size());
+      ASSERT_EQ(bits_of(sched.mret_total_us(t)), bits_of(total));
+      ASSERT_EQ(bits_of(sched.utilization(t)),
+                bits_of(rt::utilization_of(fleet.spec(t), total)));
+    }
+  }
+}
+
+TEST(Fleet, UntouchedPairReadsItsAfetSeedBitForBit) {
+  // What eager registration left in a pair's rt::Task: an estimator seeded
+  // with the pair's AFET vector. The untouched pair's queries must read
+  // exactly its total and utilisation, before and after the kSlow re-seed
+  // exp::run_cluster performs, and creating the record must change neither.
+  Harness h(2);
+  const int t = h.add_task(Priority::kLow, 3000.0, 0);
+  const std::size_t stages = h.model->stage_count();
+  const std::vector<double> before = uneven_afet(stages, 300.0);
+  const std::vector<double> after = uneven_afet(stages, 600.0);
+  h.fleet->set_afet(t, before);
+  h.fleet->run_offline_phase();
+  const rt::Scheduler& peer = h.fleet->scheduler(1);
+  const rt::TaskSpec& spec = h.fleet->spec(t);
+  auto eager = [&](const std::vector<double>& afet) {
+    rt::MretEstimator m(stages, 5);
+    m.set_afet(afet.data());
+    return m.total_mret_us();
+  };
+  auto expect_reads = [&](const std::vector<double>& afet) {
+    EXPECT_EQ(bits_of(peer.mret_total_us(t)), bits_of(eager(afet)));
+    EXPECT_EQ(bits_of(peer.utilization(t)),
+              bits_of(rt::utilization_of(spec, eager(afet))));
+  };
+  expect_reads(before);
+  EXPECT_EQ(peer.find_task(t), nullptr);
+
+  h.fleet->slow_gpu_now(1, 0.5);
+  h.fleet->set_afet(t, 1, after);  // re-seed the slowed device only
+  expect_reads(after);
+  EXPECT_EQ(bits_of(h.fleet->scheduler(0).mret_total_us(t)),
+            bits_of(eager(before)));
+  EXPECT_EQ(peer.find_task(t), nullptr);
+
+  const rt::Task& rec = h.fleet->scheduler(1).task(t);
+  EXPECT_EQ(peer.find_task(t), &rec);
+  EXPECT_EQ(bits_of(rec.mret().total_mret_us()), bits_of(eager(after)));
+  EXPECT_EQ(bits_of(rec.utilization()),
+            bits_of(rt::utilization_of(spec, eager(after))));
+  expect_reads(after);
+  EXPECT_EQ(rec.active_jobs, 0);
+  EXPECT_EQ(peer.records(), 1u);
+  EXPECT_EQ(audit_text(*h.fleet), "");
+}
+
+TEST(Cluster, RecordsExistOnlyWhereADeviceAdmittedAJob) {
+  // A short run of the 64-GPU replicated fleet: the per-device records at
+  // the end are exactly the (device, task) pairs the event log shows a job
+  // admitted on (home admits and hedges, migrations, steals), and the
+  // profile counts them.
+  constexpr int kDevices = 64;
+  exp::ClusterConfig cfg;
+  cfg.taskset =
+      workload::replicated_taskset(workload::mixed_taskset(), kDevices);
+  cfg.num_gpus = kDevices;
+  cfg.sched.policy = rt::Policy::kMps;
+  cfg.sched.num_contexts = 6;
+  cfg.sched.oversubscription = 6.0;
+  cfg.routing = RoutingPolicy::kLeastUtilization;
+  cfg.arrivals = exp::ArrivalMode::kPoisson;
+  cfg.duration_s = 0.2;
+  cfg.warmup_s = 0.05;
+  cfg.telemetry.enabled = true;
+  std::set<std::pair<int, int>> records;
+  std::string audit = "not run";
+  const exp::ClusterResult r =
+      exp::run_cluster(cfg, [&](const Fleet& fleet) {
+        for (int g = 0; g < fleet.size(); ++g) {
+          const rt::Scheduler& sched = fleet.scheduler(g);
+          for (std::size_t i = 0; i < sched.records(); ++i) {
+            records.emplace(g, sched.record(i).id());
+          }
+        }
+        audit = audit_text(fleet);
+      });
+  std::set<std::pair<int, int>> admitted;
+  for (const metrics::FleetEvent& ev : r.events.events()) {
+    if (ev.kind == metrics::EventKind::kAdmit) {
+      admitted.emplace(ev.gpu, ev.task);
+    } else if (ev.kind == metrics::EventKind::kMigrate ||
+               ev.kind == metrics::EventKind::kSteal) {
+      admitted.emplace(ev.peer, ev.task);
+    }
+  }
+  EXPECT_FALSE(records.empty());
+  EXPECT_EQ(records, admitted);
+  EXPECT_EQ(r.profile.task_records, records.size());
+  EXPECT_LT(records.size(), cfg.taskset.tasks.size() * kDevices / 10);
+  EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;
+  EXPECT_EQ(audit, "");
 }
 
 TEST(Cluster, RunClusterIsDeterministic) {

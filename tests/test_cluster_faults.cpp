@@ -328,7 +328,7 @@ TEST(FleetFaults, AddedGpuReservesNoHpUtilizationAndAdmitsLpWork) {
 
   const rt::Scheduler& added = h.fleet->scheduler(g);
   for (int t = 0; t < added.task_count(); ++t) {
-    EXPECT_FALSE(added.task(t).resident()) << "task " << t;
+    EXPECT_FALSE(added.resident(t)) << "task " << t;
   }
   for (int c = 0; c < added.num_contexts(); ++c) {
     EXPECT_EQ(added.hp_utilization(c), 0.0) << "context " << c;
@@ -532,7 +532,7 @@ std::vector<std::uint64_t> hand_wired_fault_schedule(int lanes) {
   for (int i = 0; i < num_tasks; ++i) {
     const int id = h.add_task(i % 3 == 0 ? Priority::kHigh : Priority::kLow,
                               1500.0 + 700.0 * i, i % 3);
-    taskset.tasks.push_back(h.fleet->scheduler(0).task(id).spec());
+    taskset.tasks.push_back(h.fleet->spec(id));
   }
   h.fleet->run_offline_phase();
   Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);

@@ -90,7 +90,7 @@ TEST(Admission, MigrationPrefersLeastBackloggedContext) {
   h.sched->release_job(filler);
   const int lp = h.add(Priority::kLow, 100.0, 3000.0, 0);
   h.sched->release_job(lp);
-  EXPECT_EQ(h.sched->task(lp).context(), 2);  // earliest predicted finish
+  EXPECT_EQ(h.sched->context(lp), 2);  // earliest predicted finish
   EXPECT_EQ(h.sched->migrations(), 1u);
   h.sim.run();
 }
@@ -121,7 +121,7 @@ TEST(Admission, UtilizationUpdatesWithMret) {
   // After a job runs, utilisation reflects measured MRET, not AFET.
   AdmissionHarness h(cfg_mps(1));
   const int lp = h.add(Priority::kLow, 50.0, 50000.0, 0);  // huge AFET
-  const double before = h.sched->task(lp).utilization();
+  const double before = h.sched->utilization(lp);
   h.sched->release_job(lp);  // admitted: 1.0 !< ... wait, u = 1.0 -> rejected
   // The AFET says u = 1.0 which fails Eq. 12; confirm rejection first.
   EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);
@@ -129,7 +129,7 @@ TEST(Admission, UtilizationUpdatesWithMret) {
   for (std::size_t j = 0; j < h.model->stage_count(); ++j) {
     h.sched->task(lp).mret().record(j, 400.0);
   }
-  EXPECT_LT(h.sched->task(lp).utilization(), before);
+  EXPECT_LT(h.sched->utilization(lp), before);
   h.sched->release_job(lp);
   EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);  // now admitted
   h.sim.run();

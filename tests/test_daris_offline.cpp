@@ -110,7 +110,7 @@ TEST_F(Algorithm1Test, HpAssignedBeforeLp) {
   const int hp = add_task(Priority::kHigh, 33.3, {4000, 4000, 4000, 4000});
   const int lp = add_task(Priority::kLow, 33.3, {100, 100, 100, 100});
   sched_->run_offline_phase();
-  EXPECT_NE(sched_->task(hp).context(), sched_->task(lp).context());
+  EXPECT_NE(sched_->context(hp), sched_->context(lp));
 }
 
 TEST_F(Algorithm1Test, HeavyTasksSpreadOut) {
@@ -128,7 +128,7 @@ TEST_F(Algorithm1Test, UtilizationUsesAfetBeforeMeasurements) {
   make_scheduler(1);
   const int id = add_task(Priority::kHigh, 10.0, {250, 250, 250, 250});
   // u = 1000us / 10000us = 0.1 (Eq. 10 with t = 0).
-  EXPECT_NEAR(sched_->task(id).utilization(), 0.1, 1e-9);
+  EXPECT_NEAR(sched_->utilization(id), 0.1, 1e-9);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // migration, stream holding, and the ablation switches.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dnn/calibration.h"
 #include "scheduler_harness.h"
 #include "workload/driver.h"
@@ -47,9 +50,31 @@ TEST(Scheduler, TasksAddedWhileJobsAreInFlightLeaveThoseJobsIntact) {
   for (int i = 0; i < 600; ++i) h.add_task(Priority::kLow, 50.0);
   h.sim.run();
   EXPECT_EQ(h.sched->jobs_completed(), 2u);
-  EXPECT_EQ(h.sched->task(hp).active_jobs, 0);
-  EXPECT_EQ(h.sched->task(lp).active_jobs, 0);
+  EXPECT_EQ(h.sched->active_jobs(hp), 0);
+  EXPECT_EQ(h.sched->active_jobs(lp), 0);
   EXPECT_EQ(h.sched->task_count(), 602);
+}
+
+TEST(Scheduler, AuditChecksTasksThatNeverRan) {
+  // A task that never ran here has no record, only its slot; the audit
+  // still checks the slot's context and seed and the resident-HP membership
+  // the slots imply.
+  Harness h(mps_config(2, 2.0));
+  const int hp = h.add_task(Priority::kHigh, 50.0);
+  const int lp = h.add_task(Priority::kLow, 50.0);
+  h.sched->run_offline_phase();
+  EXPECT_EQ(h.sched->records(), 0u);
+  EXPECT_TRUE(h.sched->audit().empty());
+  h.sched->set_task_context(hp, 1 - h.sched->context(hp));  // membership moves
+  EXPECT_TRUE(h.sched->audit().empty());
+
+  h.sched->set_task_context(lp, 7);  // no such context on this scheduler
+  const std::vector<std::string> findings = h.sched->audit();
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_NE(findings[0].find("task 1: context 7 outside [-1, 2)"),
+            std::string::npos)
+      << findings[0];
+  EXPECT_EQ(h.sched->records(), 0u);  // auditing created nothing
 }
 
 TEST(Scheduler, PeriodicTaskCompletesEveryPeriod) {
@@ -124,7 +149,7 @@ TEST(Scheduler, MigrationMovesLpToFreeContext) {
   h.sched->release_job(lp);
   h.sim.run();
   EXPECT_EQ(h.sched->migrations(), 1u);
-  EXPECT_EQ(h.sched->task(lp).context(), 1);
+  EXPECT_EQ(h.sched->context(lp), 1);
   EXPECT_EQ(h.collector.summary(Priority::kLow).completed, 1u);
 }
 
@@ -267,7 +292,7 @@ TEST(Scheduler, UtilizationAccountingReturnsToZero) {
   const int lp = h.add_task(Priority::kLow, 50.0);
   h.sched->run_offline_phase();
   h.sched->release_job(lp);
-  EXPECT_GT(h.sched->active_lp_utilization(h.sched->task(lp).context()), 0.0);
+  EXPECT_GT(h.sched->active_lp_utilization(h.sched->context(lp)), 0.0);
   h.sim.run();
   for (int c = 0; c < 2; ++c) {
     EXPECT_DOUBLE_EQ(h.sched->active_lp_utilization(c), 0.0);
