@@ -45,8 +45,9 @@
 // run while the device shards are parked at the window barrier — the same
 // contract the rebalancer relies on, so they never race a device. A default
 // ResilienceConfig{} (enabled=false) schedules nothing and leaves every
-// run byte-identical to a build without this file; cluster_runner then
-// wires the drivers straight to the router.
+// run byte-identical to a build without this file: release() then forwards
+// each job straight to the router, so cluster_runner routes through the
+// layer unconditionally.
 //
 // docs/RESILIENCE.md is the operator guide (knobs, budget math, breaker
 // state machine, scenario walkthrough).
@@ -109,7 +110,7 @@ struct RetryPolicy {
 
 struct ResilienceConfig {
   /// Master switch. Off: the layer is inert — no events, no counters, and
-  /// cluster_runner bypasses it entirely (drivers call the router).
+  /// release() forwards every job to the router untouched.
   bool enabled = false;
 
   /// Retry policies per class. Defaults retry both classes with exponential

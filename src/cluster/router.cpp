@@ -220,7 +220,7 @@ RouteResult Router::migrate(int task_id, int from, int peer,
         // The attacher's delivery event is scheduled after the leader's, so
         // at equal arrival times it runs second — the leader's delivery has
         // already warmed the model when this job is offered.
-        queue_delivery(task_id, from, peer, released, arrive, mb,
+        queue_delivery(task_id, from, peer, released, arrive,
                        /*leader=*/false);
         return pending;
       }
@@ -229,7 +229,7 @@ RouteResult Router::migrate(int task_id, int from, int peer,
                        metrics::EventCause::kColdModel, peer, -1, task_id, mb);
     if (delay > 0) {
       queue_delivery(task_id, from, peer, released,
-                     fleet_.simulator().now() + delay, mb,
+                     fleet_.simulator().now() + delay,
                      /*leader=*/config_.coalesce);
       return pending;
     }
@@ -239,8 +239,7 @@ RouteResult Router::migrate(int task_id, int from, int peer,
 
 std::uint64_t Router::queue_delivery(int task_id, int from, int peer,
                                      common::Time released,
-                                     common::Time arrive, double mb,
-                                     bool leader) {
+                                     common::Time arrive, bool leader) {
   const std::uint64_t id = next_transfer_id_++;
   PendingRec rec;
   rec.task = task_id;
@@ -248,7 +247,6 @@ std::uint64_t Router::queue_delivery(int task_id, int from, int peer,
   rec.peer = peer;
   rec.released = released;
   rec.arrive = arrive;
-  rec.mb = mb;
   rec.leader = leader;
   if (static_cast<std::size_t>(peer) >= pending_to_.size()) {
     pending_to_.resize(static_cast<std::size_t>(peer) + 1, 0);

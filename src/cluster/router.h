@@ -236,7 +236,6 @@ class Router {
     int peer = -1;
     common::Time released = 0;
     common::Time arrive = 0;
-    double mb = 0.0;
     bool leader = false;
     sim::EventHandle handle;
   };
@@ -260,7 +259,7 @@ class Router {
   /// pending gauges. Returns the transfer id.
   std::uint64_t queue_delivery(int task_id, int from, int peer,
                                common::Time released, common::Time arrive,
-                               double mb, bool leader);
+                               bool leader);
   /// Delivery event body: pops the record and admits-or-drops the job.
   void complete_transfer(std::uint64_t id);
   /// Unwinds one pending record's gauges (and its coalesce entry when it is

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <functional>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -52,51 +51,49 @@ AfetResult profile_afet(const gpusim::GpuSpec& spec,
   }
 
   // Each stream runs `jobs_per_stream` jobs of a (rotating, pseudo-random)
-  // model, stage by stage with the usual sync boundaries.
+  // model, stage by stage with the usual sync boundaries. A stream runs one
+  // stage at a time, so its loop holds the job in progress.
   struct StreamLoop {
     int remaining_jobs = 0;
+    const dnn::CompiledModel* model = nullptr;
+    std::size_t stage = 0;
+    common::Time stage_start = 0;
   };
   std::vector<StreamLoop> loops(streams.size());
 
-  // Run one stage and chain the next via the sync callback.
-  // Implemented as a recursive lambda through std::function.
-  std::function<void(std::size_t)> start_job =
-      [&](std::size_t stream_index) {
-        auto& loop = loops[stream_index];
-        if (loop.remaining_jobs <= 0) return;
-        --loop.remaining_jobs;
-        const auto* model =
-            models[rng.uniform_int(0, static_cast<std::int64_t>(
-                                          models.size() - 1))];
-        auto run_stage = std::make_shared<std::function<void(std::size_t)>>();
-        // The stored lambda must not capture its own shared_ptr (cycle =>
-        // leak); it holds a weak self-reference and hands strong copies only
-        // to the in-flight events, so the closure dies with its last event.
-        std::weak_ptr<std::function<void(std::size_t)>> weak_run = run_stage;
-        *run_stage = [&, stream_index, model,
-                      weak_run](std::size_t stage_index) {
-          auto self = weak_run.lock();
-          if (!self) return;
-          const gpusim::StreamId s = streams[stream_index];
-          const common::Time begin = sim.now();
-          for (const auto& k : model->stages[stage_index].kernels) {
-            gpu.launch_kernel(s, k);
-          }
-          gpu.enqueue_callback(s, [&, stream_index, model, stage_index, begin,
-                                   self] {
-            stats[model][stage_index].add(common::to_us(sim.now() - begin));
-            if (stage_index + 1 < model->stage_count()) {
-              sim.schedule_after(common::from_us(spec.sync_overhead_us),
-                                 [self, stage_index] {
-                                   (*self)(stage_index + 1);
-                                 });
-            } else {
-              start_job(stream_index);
-            }
-          });
-        };
-        (*run_stage)(0);
-      };
+  // Launches the stream's current stage; its sync callback records the
+  // stage's time and chains the next stage, after the host sync, or job.
+  std::function<void(std::size_t)> run_stage;
+  auto start_job = [&](std::size_t stream_index) {
+    auto& loop = loops[stream_index];
+    if (loop.remaining_jobs <= 0) return;
+    --loop.remaining_jobs;
+    loop.model = models[rng.uniform_int(
+        0, static_cast<std::int64_t>(models.size() - 1))];
+    loop.stage = 0;
+    run_stage(stream_index);
+  };
+  run_stage = [&](std::size_t stream_index) {
+    auto& loop = loops[stream_index];
+    const gpusim::StreamId s = streams[stream_index];
+    loop.stage_start = sim.now();
+    for (const auto& k : loop.model->stages[loop.stage].kernels) {
+      gpu.launch_kernel(s, k);
+    }
+    gpu.enqueue_callback(s, [&, stream_index] {
+      auto& done = loops[stream_index];
+      stats[done.model][done.stage].add(
+          common::to_us(sim.now() - done.stage_start));
+      if (++done.stage < done.model->stage_count()) {
+        sim.schedule_after(common::from_us(spec.sync_overhead_us),
+                           [&run_stage, stream_index] {
+                             run_stage(stream_index);
+                           });
+      } else {
+        start_job(stream_index);
+      }
+    });
+  };
 
   for (std::size_t i = 0; i < streams.size(); ++i) {
     loops[i].remaining_jobs = jobs_per_stream;

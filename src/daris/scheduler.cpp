@@ -376,13 +376,13 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
 
   // The first job admitted here creates the task's record on this device.
   Task& t = task(task_id);
-  auto jr = std::make_unique<JobRuntime>();
-  jr->job.task = &t;
-  jr->job.job_id = next_job_id_++;
-  jr->job.release = release;
-  jr->job.absolute_deadline = release + spec.relative_deadline;
-  jr->job.context = target_ctx;
-  jr->job.admitted_utilization = util;
+  Job job;
+  job.task = &t;
+  job.job_id = next_job_id_++;
+  job.release = release;
+  job.absolute_deadline = release + spec.relative_deadline;
+  job.context = target_ctx;
+  job.admitted_utilization = util;
 
   // Freeze virtual deadlines from the current MRET shares (Eq. 8). The last
   // stage absorbs rounding so it lands exactly on the job deadline. A
@@ -390,27 +390,27 @@ bool Scheduler::release_job(int task_id, bool report, Time released_at,
   // its stages then enter the queues miss-boosted, which is exactly the
   // behind-schedule treatment the transfer delay earned it.
   const auto shares = t.mret().virtual_deadlines(spec.relative_deadline);
-  jr->job.stage_deadlines.resize(shares.size());
+  job.stage_deadlines.resize(shares.size());
   Time acc = release;
   for (std::size_t j = 0; j + 1 < shares.size(); ++j) {
     acc += shares[j];
-    jr->job.stage_deadlines[j] = acc;
+    job.stage_deadlines[j] = acc;
   }
-  jr->job.stage_deadlines.back() = jr->job.absolute_deadline;
+  job.stage_deadlines.back() = job.absolute_deadline;
 
-  if (job_id_out != nullptr) *job_id_out = jr->job.job_id;
-  admit(t, target_ctx, std::move(jr));
+  if (job_id_out != nullptr) *job_id_out = job.job_id;
+  admit(t, target_ctx, std::move(job));
   return true;
 }
 
-void Scheduler::admit(Task& t, int ctx, std::unique_ptr<JobRuntime> jr) {
+void Scheduler::admit(Task& t, int ctx, Job job) {
   auto& rec = contexts_[static_cast<std::size_t>(ctx)];
   if (t.spec().priority == Priority::kLow) {
-    rec.active_lp_util += jr->job.admitted_utilization;
+    rec.active_lp_util += job.admitted_utilization;
   } else {
-    rec.active_hp_util += jr->job.admitted_utilization;
+    rec.active_hp_util += job.admitted_utilization;
     if (!resident(t.id())) {
-      rec.migrated_hp_util += jr->job.admitted_utilization;
+      rec.migrated_hp_util += job.admitted_utilization;
     }
   }
   rec.outstanding_work_us += t.mret().total_mret_us();
@@ -418,17 +418,18 @@ void Scheduler::admit(Task& t, int ctx, std::unique_ptr<JobRuntime> jr) {
   ++cls_[static_cast<std::size_t>(t.spec().priority)].admitted;
   refresh_load();
 
-  Job* job = &jr->job;
-  jobs_.emplace(jr->job.job_id, std::move(jr));
+  // Ids ascend, so the new job always goes last.
+  const std::uint64_t id = job.job_id;
+  Job* stored = &jobs_.emplace_hint(jobs_.end(), id, std::move(job))->second;
   if (!config_.staging) {
     // "No Staging" (Fig. 8): without synchronisation points the host never
     // learns when the GPU finishes a job, so it cannot hold work in a ready
     // queue — every admitted job is enqueued eagerly into a stream FIFO at
     // release time and priorities cannot reorder it afterwards.
-    dispatch_eager(ctx, job);
+    dispatch_eager(ctx, stored);
     return;
   }
-  enqueue_stage(job, 0, /*prev_missed=*/false);
+  enqueue_stage(stored, 0, /*prev_missed=*/false);
   try_dispatch(ctx);
 }
 
@@ -528,8 +529,7 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
                                   bool frees_stream) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return;
-  JobRuntime& jr = *it->second;
-  Job& job = jr.job;
+  Job& job = it->second;
   Task& t = *job.task;
   const Time now = sim_.now();
   auto& rec = contexts_[static_cast<std::size_t>(ctx)];
@@ -554,9 +554,6 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
 
   rec.outstanding_work_us = std::max(
       0.0, rec.outstanding_work_us - t.mret().stage_mret_us(stage));
-
-  job.next_stage = stage + 1;
-  job.prev_stage_missed = missed_virtual;
 
   const bool job_done = stage + 1 >= t.num_stages();
   // HP jobs keep their stream across the sync gap so a ready LP stage
@@ -654,8 +651,8 @@ void Scheduler::finish_job(const Job& job) {
 
 std::uint64_t Scheduler::jobs_in_flight_of(common::Priority p) const {
   std::uint64_t n = 0;
-  for (const auto& [id, jr] : jobs_) {
-    if (jr->job.task->spec().priority == p) ++n;
+  for (const auto& [id, job] : jobs_) {
+    if (job.task->spec().priority == p) ++n;
   }
   return n;
 }
@@ -676,8 +673,7 @@ double Scheduler::response_percentile_us(common::Priority p, double q) const {
 std::vector<Scheduler::StealableJob> Scheduler::donatable_lp_jobs() const {
   std::vector<StealableJob> out;
   if (!config_.staging) return out;  // eager dispatch: everything started
-  for (const auto& [id, jr] : jobs_) {
-    const Job& job = jr->job;
+  for (const auto& [id, job] : jobs_) {
     if (job.started || job.task->spec().priority != Priority::kLow) continue;
     StealableJob s;
     s.job_id = id;
@@ -686,26 +682,20 @@ std::vector<Scheduler::StealableJob> Scheduler::donatable_lp_jobs() const {
     s.absolute_deadline = job.absolute_deadline;
     out.push_back(s);
   }
-  // unordered_map iteration order is unspecified; thieves scan in ascending
-  // job-id order so the steal schedule is deterministic.
-  std::sort(out.begin(), out.end(),
-            [](const StealableJob& a, const StealableJob& b) {
-              return a.job_id < b.job_id;
-            });
   return out;
 }
 
 bool Scheduler::job_stealable(std::uint64_t job_id) const {
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;
-  const Job& job = it->second->job;
+  const Job& job = it->second;
   return !job.started && job.task->spec().priority == Priority::kLow;
 }
 
 bool Scheduler::revoke_job(std::uint64_t job_id) {
   const auto it = jobs_.find(job_id);
   if (it == jobs_.end()) return false;
-  Job& job = it->second->job;
+  Job& job = it->second;
   if (job.started) return false;  // GPU-side state: too late to donate
   Task& t = *job.task;
   auto& rec = contexts_[static_cast<std::size_t>(job.context)];
@@ -726,18 +716,10 @@ bool Scheduler::revoke_job(std::uint64_t job_id) {
 
 std::size_t Scheduler::fail_all_jobs() {
   failed_ = true;
-  // unordered_map iteration order is unspecified; unwind in ascending job-id
-  // order so the collector's event sequence (and with it every downstream
-  // report) is deterministic.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(jobs_.size());
-  for (const auto& [id, jr] : jobs_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-
+  const std::size_t dropped = jobs_.size();
   const Time now = sim_.now();
-  for (const std::uint64_t id : ids) {
-    const auto it = jobs_.find(id);
-    const Job& job = it->second->job;
+  for (auto it = jobs_.begin(); it != jobs_.end(); it = jobs_.erase(it)) {
+    const Job& job = it->second;
     // The job leaves the active set as on a finish, but it counts as failed,
     // not completed, and its finish is forced missed: a request lost to a
     // dead GPU is a deadline miss from the client's point of view even if
@@ -748,7 +730,6 @@ std::size_t Scheduler::fail_all_jobs() {
     if (collector_) {
       collector_->on_finish(device_id_, p, job.release, now, /*missed=*/true);
     }
-    jobs_.erase(it);
   }
   for (auto& rec : contexts_) {
     rec.ready.clear();  // queued ReadyStages point at the jobs just erased
@@ -757,7 +738,7 @@ std::size_t Scheduler::fail_all_jobs() {
   }
   ready_stages_[0] = 0;
   ready_stages_[1] = 0;
-  return ids.size();
+  return dropped;
 }
 
 }  // namespace daris::rt

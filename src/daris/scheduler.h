@@ -23,12 +23,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "common/stable_array.h"
 #include "daris/config.h"
 #include "daris/stage_queue.h"
 #include "daris/task.h"
@@ -314,15 +314,9 @@ class Scheduler {
     double outstanding_work_us = 0.0;  // predicted-finish proxy
   };
 
-  struct JobRuntime {
-    Job job;
-    Time stage_dispatch_time = 0;
-    double stage_mret_at_dispatch = 0.0;
-  };
-
   /// The one entry to the active set: charges the job's utilisation to its
-  /// context's running sums (Eq. 12) and counts it active.
-  void admit(Task& task, int ctx, std::unique_ptr<JobRuntime> jr);
+  /// context's running sums (Eq. 12), counts it active and stores it.
+  void admit(Task& task, int ctx, Job job);
   /// The one exit, shared by finish, revoke and failure: undoes admit's
   /// utilisation charge and active count, and rewrites the load slot.
   void leave_active(const Job& job);
@@ -396,13 +390,16 @@ class Scheduler {
   /// Ids of the tasks homed here (resident()), ascending: a fleet homes a
   /// few of its tasks on each device.
   std::vector<int> resident_;
-  /// Records stored in place in blocks that never relocate, so Job::task
-  /// stays valid as records are added.
-  common::StableArray<Task> records_;
+  /// Records in creation order; a deque never moves one as it grows, so
+  /// Job::task stays valid.
+  std::deque<Task> records_;
   double* load_slot_ = nullptr;  // publish_load
   double load_divisor_ = 1.0;
   std::vector<ContextRec> contexts_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<JobRuntime>> jobs_;
+  /// Admitted, unfinished jobs by id. Ids ascend with admission, so every
+  /// scan runs in admission order; a node never moves, so ReadyStage::job
+  /// stays valid.
+  std::map<std::uint64_t, Job> jobs_;
   std::uint64_t next_job_id_ = 1;
   std::uint64_t jobs_missed_ = 0;
   std::uint64_t migrations_ = 0;

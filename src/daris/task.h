@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/priority.h"
-#include "common/stable_array.h"
 #include "common/time.h"
 #include "daris/mret.h"
 #include "dnn/model.h"
@@ -59,9 +58,6 @@ struct Job {
   Time absolute_deadline = 0;
   /// Absolute virtual deadline per stage, frozen at admission (Eq. 8).
   std::vector<Time> stage_deadlines;
-  std::size_t next_stage = 0;
-  /// Virtual-deadline miss of the previous stage (drives priority boost).
-  bool prev_stage_missed = false;
   /// Set when the job's first stage is handed to a stream. A started job has
   /// GPU-side state and can no longer be donated to a peer scheduler
   /// (Scheduler::donatable_lp_jobs / revoke_job).
@@ -174,7 +170,7 @@ class TaskTable {
   std::deque<std::atomic<int>> active_;
   /// Per task, the seed its last intern() returned.
   std::vector<std::uint16_t> last_seed_;
-  common::StableArray<AfetSeed> seeds_;
+  std::deque<AfetSeed> seeds_;
 };
 
 /// What one device keeps about one task once it has admitted a job of it:

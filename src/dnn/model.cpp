@@ -34,7 +34,6 @@ CompiledModel lower(const NetworkDef& net, int batch,
   const double b = static_cast<double>(batch);
   const double batch_inflation =
       1.0 + params.batch_work_overhead * (b - 1.0) / b;
-  std::uint32_t tag = 0;
   double weight_bytes = 0.0;
   for (const auto& stage : net.stages) {
     for (const auto& layer : stage.layers) weight_bytes += layer.weight_bytes;
@@ -46,7 +45,6 @@ CompiledModel lower(const NetworkDef& net, int batch,
     cs.kernels.reserve(stage.layers.size());
     for (const auto& layer : stage.layers) {
       gpusim::KernelDesc k;
-      k.tag = tag++;
       k.work = params.work_scale * b * batch_inflation * layer.flops /
                kFlopsPerSmUs;
       const double par = params.par_scale * b * layer.out_elems / kElemsPerSm;

@@ -1,6 +1,7 @@
 // Shared experiment runner: wires GPU, compiled models, offline AFET
 // profiling, the DARIS scheduler, the periodic driver, and metrics into one
-// reproducible run. Every bench binary goes through this.
+// reproducible single-GPU run. The single-GPU figure drivers go through
+// this; fleet runs go through run_cluster (cluster_runner.h).
 #pragma once
 
 #include <chrono>

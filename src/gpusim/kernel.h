@@ -1,8 +1,6 @@
 // Description of a GPU kernel as seen by the simulator.
 #pragma once
 
-#include <cstdint>
-
 namespace daris::gpusim {
 
 /// A kernel is a bag of identical blocks: `work` SM-microseconds of compute
@@ -18,9 +16,6 @@ struct KernelDesc {
   /// Bandwidth units consumed per active SM (1.0 = balanced, >1 = memory
   /// bound at full width).
   double mem_intensity = 0.3;
-
-  /// Caller-defined tag (e.g. layer index); not interpreted by the GPU.
-  std::uint32_t tag = 0;
 };
 
 }  // namespace daris::gpusim

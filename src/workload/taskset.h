@@ -1,4 +1,4 @@
-// Task-set construction (Table II) and the periodic release driver.
+// Task-set construction (Table II); the release drivers are in driver.h.
 #pragma once
 
 #include <cstdint>

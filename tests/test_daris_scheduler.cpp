@@ -2,6 +2,8 @@
 // migration, stream holding, and the ablation switches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,54 @@ TEST(Scheduler, AuditChecksTasksThatNeverRan) {
             std::string::npos)
       << findings[0];
   EXPECT_EQ(h.sched->records(), 0u);  // auditing created nothing
+}
+
+TEST(Scheduler, JobScansFollowAdmissionOrder) {
+  // One context with one stream: the first job starts and the others queue
+  // behind it with ascending ids. The steal scan and the failure unwind
+  // both walk the job table; each must visit jobs in ascending id order.
+  Harness h(mps_config(1, 1.0));
+  std::vector<int> tasks;
+  for (int i = 0; i < 5; ++i) {
+    tasks.push_back(h.add_task(Priority::kLow, 100.0));
+  }
+  h.sched->run_offline_phase();
+  std::vector<std::uint64_t> ids(tasks.size(), 0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    h.sim.schedule_at(common::from_us(10.0 * static_cast<double>(i)),
+                      [&h, &tasks, &ids, i] {
+                        EXPECT_TRUE(h.sched->release_job(tasks[i], true, -1,
+                                                         &ids[i]));
+                      });
+  }
+  h.sim.run_until(common::from_us(100.0));  // job 0's first stage runs
+  ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  ASSERT_EQ(h.sched->jobs_in_flight(), 5u);
+  EXPECT_FALSE(h.sched->job_stealable(ids[0]));
+  ASSERT_TRUE(h.sched->revoke_job(ids[2]));
+
+  const auto queued = h.sched->donatable_lp_jobs();
+  ASSERT_EQ(queued.size(), 3u);
+  EXPECT_EQ(queued[0].job_id, ids[1]);
+  EXPECT_EQ(queued[1].job_id, ids[3]);
+  EXPECT_EQ(queued[2].job_id, ids[4]);
+  EXPECT_EQ(queued[1].task_id, tasks[3]);
+
+  const Time now = h.sim.now();
+  const std::size_t in_flight = h.sched->jobs_in_flight();
+  EXPECT_EQ(h.sched->fail_all_jobs(), in_flight);
+  EXPECT_EQ(h.sched->jobs_in_flight(), 0u);
+  // Each dropped job is reported as a finish at the failure instant, in
+  // the order the unwind visits it. Read before any percentile query,
+  // which sorts the samples.
+  std::vector<double> expected;
+  for (const double i : {0.0, 1.0, 3.0, 4.0}) {
+    expected.push_back(common::to_ms(now - common::from_us(10.0 * i)));
+  }
+  EXPECT_EQ(h.collector.summary(Priority::kLow).response_ms.samples(),
+            expected);
+  h.sim.run();  // the running stage's callback finds its job gone
+  EXPECT_EQ(h.sched->jobs_completed(), 0u);
 }
 
 TEST(Scheduler, PeriodicTaskCompletesEveryPeriod) {

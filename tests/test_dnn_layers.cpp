@@ -140,10 +140,6 @@ TEST(Lowering, StageStructurePreserved) {
   EXPECT_EQ(m.stages[0].name, "first");
   EXPECT_EQ(m.stages[0].kernels.size(), 1u);
   EXPECT_EQ(m.stages[1].kernels.size(), 2u);
-  // Tags are unique and sequential across the model.
-  EXPECT_EQ(m.stages[0].kernels[0].tag, 0u);
-  EXPECT_EQ(m.stages[1].kernels[0].tag, 1u);
-  EXPECT_EQ(m.stages[1].kernels[1].tag, 2u);
 }
 
 TEST(NetworkDef, Accounting) {
