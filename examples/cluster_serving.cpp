@@ -81,7 +81,6 @@ int main() {
   // control shard. More lanes also need collector.enable_lanes(2).
   sim::ShardedSimulator sim(/*device_shards=*/2, /*threads=*/1);
   metrics::Collector collector;
-  collector.set_gpu_count(2);
 
   cluster::FleetConfig fleet_cfg;
   fleet_cfg.num_gpus = 2;

@@ -50,7 +50,7 @@ EVENT_KEYS = {"ts_us", "kind", "cause", "gpu", "peer", "task", "value"}
 # schema — fail loudly instead of silently passing unknown kinds through.
 KNOWN_EVENT_KINDS = {"admit", "reject", "migrate", "transfer", "fault",
                      "rehome", "drain", "steal", "coalesce", "retry",
-                     "hedge", "breaker"}
+                     "hedge"}
 # Timestamps are printed with three decimals (nanoseconds); anything above
 # half a nanosecond is a real overlap, not print rounding.
 OVERLAP_TOLERANCE_US = 0.0005

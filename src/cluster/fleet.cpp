@@ -54,11 +54,11 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
   gpus_.reserve(n);
   schedulers_.reserve(n);
   health_.assign(n, GpuHealth::kHealthy);
-  breaker_open_.assign(n, 0);
   hot_models_.assign(n, {});
   memory_used_mb_.assign(n, 0.0);
   placement_.reserve(n);
   for (const GpuNodeSpec& node : nodes_) add_device(node);
+  collector_->set_gpu_count(size());
 }
 
 void Fleet::add_device(const GpuNodeSpec& node) {
@@ -174,12 +174,6 @@ std::uint64_t Fleet::intra_gpu_migrations() const {
   std::uint64_t total = 0;
   for (int g = 0; g < size(); ++g) total += scheduler(g).migrations();
   return total;
-}
-
-int Fleet::placeable_count() const {
-  int n = 0;
-  for (int g = 0; g < size(); ++g) n += placeable(g) ? 1 : 0;
-  return n;
 }
 
 Fleet::ConservationReport Fleet::check_conservation(
@@ -341,7 +335,6 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   const int g = size();
   nodes_.push_back(node);
   health_.push_back(GpuHealth::kHealthy);
-  breaker_open_.push_back(0);
   hot_models_.emplace_back();
   memory_used_mb_.push_back(0.0);
   // A fresh device shard (clock pre-advanced to the fleet's now) so the new
@@ -352,7 +345,7 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   (void)s;
   assert(s == g);
   add_device(node);
-  if (collector_->gpu_count() > 0) collector_->grow_gpu_count(g + 1);
+  collector_->grow_gpu_count(g + 1);
   collector_->grow_lanes(g + 1);
   // The new scheduler shares the task table, so it sees every logical task
   // non-resident (homes do not move on scale-up; load reaches the device

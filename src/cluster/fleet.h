@@ -114,8 +114,9 @@ class Fleet {
   /// rebalancer via simulator()) stays on the control shard. The simulator
   /// must be sized to the fleet: device_shards() == the configured device
   /// count. All job and stage events and every fleet decision flow into
-  /// `collector` (required), stamped with the device index; runs with more
-  /// than one lane need its per-device lanes enabled
+  /// `collector` (required), stamped with the device index. The fleet sizes
+  /// the collector's per-GPU routing counters to its devices (resetting
+  /// them); runs with more than one lane need its per-device lanes enabled
   /// (metrics::Collector::enable_lanes).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
         metrics::Collector* collector);
@@ -301,24 +302,14 @@ class Fleet {
 
   GpuHealth health(int g) const { return health_[static_cast<std::size_t>(g)]; }
 
-  /// True when the router may place new work on g: healthy, not draining,
-  /// and not masked by an open circuit breaker (cluster::ResiliencePolicy).
-  bool placeable(int g) const {
-    return health(g) == GpuHealth::kHealthy &&
-           breaker_open_[static_cast<std::size_t>(g)] == 0;
-  }
-  int placeable_count() const;
+  /// True when the router may place new work on g: healthy (neither failed
+  /// nor draining).
+  bool placeable(int g) const { return health(g) == GpuHealth::kHealthy; }
 
-  /// Circuit-breaker mask (cluster::ResiliencePolicy). An open breaker makes
-  /// the device unplaceable exactly like a draining one — routing skips it,
-  /// feasibility ignores it — but is temporary: nothing is rehomed, in-flight
-  /// transfers keep their target, and clearing the flag restores placements.
-  void set_breaker_open(int g, bool open) {
-    breaker_open_[static_cast<std::size_t>(g)] = open ? 1 : 0;
-  }
-  bool breaker_open(int g) const {
-    return breaker_open_[static_cast<std::size_t>(g)] != 0;
-  }
+  /// Always false: there is no breaker. Still declared only because
+  /// perfbench/src/traced.cpp samples it; delete it the next time the
+  /// benchmark harness changes.
+  bool breaker_open(int /*g*/) const { return false; }
 
   // --- job-conservation invariant ----------------------------------------
 
@@ -427,7 +418,6 @@ class Fleet {
   std::vector<std::unique_ptr<gpusim::Gpu>> gpus_;
   std::vector<std::unique_ptr<rt::Scheduler>> schedulers_;
   std::vector<GpuHealth> health_;
-  std::vector<std::uint8_t> breaker_open_;
   /// Placement table: placement_score(g) per device, written by device g's
   /// scheduler (on its shard) and by slow_gpu_now.
   std::vector<double> placement_;

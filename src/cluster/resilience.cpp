@@ -26,15 +26,6 @@ ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
   assert(collector_ != nullptr);
 }
 
-void ResiliencePolicy::start(common::Time horizon) {
-  if (!config_.enabled) return;
-  horizon_ = horizon;
-  if (config_.breaker) {
-    breakers_.assign(static_cast<std::size_t>(fleet_.size()), BreakerRec{});
-    sim_.schedule_after(kBreakerWindow, [this] { breaker_tick(); });
-  }
-}
-
 void ResiliencePolicy::release(int task_id) {
   if (!config_.enabled) {
     router_.release(task_id);
@@ -258,86 +249,6 @@ void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
   // miss once it clears a full period — a lower bound on rescued misses.
   if (sim_.now() > deadline + kHedgePoll) {
     collector_->count(&FleetCounters::hedge_rescued_misses);
-  }
-}
-
-void ResiliencePolicy::breaker_tick() {
-  const common::Time now = sim_.now();
-  if (breakers_.size() < static_cast<std::size_t>(fleet_.size())) {
-    breakers_.resize(static_cast<std::size_t>(fleet_.size()));
-  }
-  for (int g = 0; g < fleet_.size(); ++g) evaluate_breaker(g, now);
-  if (now < horizon_) {
-    sim_.schedule_after(kBreakerWindow, [this] { breaker_tick(); });
-  }
-}
-
-void ResiliencePolicy::evaluate_breaker(int g, common::Time now) {
-  BreakerRec& b = breakers_[static_cast<std::size_t>(g)];
-  const rt::Scheduler& sch = fleet_.scheduler(g);
-  const std::uint64_t done = sch.jobs_completed();
-  const std::uint64_t missed = sch.jobs_missed();
-  const std::uint64_t shed = router_.shed_at(g);
-  const std::uint64_t d_done = done - b.last_done;
-  const std::uint64_t d_missed = missed - b.last_missed;
-  const std::uint64_t d_shed = shed - b.last_shed;
-  b.last_done = done;
-  b.last_missed = missed;
-  b.last_shed = shed;
-  // Failed/draining devices are already unplaceable; the breaker stands
-  // aside (and clears a stale mask) so recovery stays with the health state
-  // machine.
-  if (fleet_.health(g) != GpuHealth::kHealthy) {
-    if (b.state != BreakerState::kClosed) {
-      b.state = BreakerState::kClosed;
-      fleet_.set_breaker_open(g, false);
-    }
-    return;
-  }
-  const std::uint64_t volume = d_done + d_shed;
-  const double rate =
-      volume == 0 ? 0.0
-                  : static_cast<double>(d_missed + d_shed) /
-                        static_cast<double>(volume);
-  // Never mask the last exits: an open breaker only helps when traffic has
-  // somewhere better to go. A global overload pushes EVERY device's window
-  // rate past the threshold — masking devices then just amputates capacity
-  // (the retry-storm scenario documents this failure mode) — so opening
-  // requires at least two other placeable devices to absorb the traffic.
-  const bool may_open =
-      fleet_.placeable_count() - (fleet_.placeable(g) ? 1 : 0) >= 2;
-  auto open = [&] {
-    b.state = BreakerState::kOpen;
-    b.opened_at = now;
-    fleet_.set_breaker_open(g, true);
-    collector_->record(now, EventKind::kBreaker, EventCause::kBreakerOpen, g,
-                       -1, -1, rate);
-  };
-  switch (b.state) {
-    case BreakerState::kClosed:
-      if (volume >= static_cast<std::uint64_t>(kBreakerMinVolume) &&
-          rate >= kBreakerOpenThreshold && may_open) {
-        open();
-      }
-      break;
-    case BreakerState::kOpen:
-      if (now - b.opened_at >= kBreakerCooldown) {
-        b.state = BreakerState::kHalfOpen;
-        fleet_.set_breaker_open(g, false);
-        collector_->record(now, EventKind::kBreaker,
-                           EventCause::kBreakerHalfOpen, g, -1, -1, rate);
-      }
-      break;
-    case BreakerState::kHalfOpen:
-      if (volume == 0) break;  // no probe traffic yet; keep waiting
-      if (rate <= kBreakerCloseThreshold) {
-        b.state = BreakerState::kClosed;
-        collector_->record(now, EventKind::kBreaker, EventCause::kBreakerClose,
-                           g, -1, -1, rate);
-      } else if (may_open) {
-        open();
-      }
-      break;
   }
 }
 

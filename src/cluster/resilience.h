@@ -1,6 +1,5 @@
-// Client-side resilience layer: retries, retry budgets, hedged requests,
-// and per-GPU circuit breakers, wired between the workload drivers and the
-// Router.
+// Client-side resilience layer: retries, retry budgets and hedged requests,
+// wired between the workload drivers and the Router.
 //
 // Every real serving front-end re-releases work the fleet shed — and that
 // retry traffic is the canonical *metastable failure* amplifier: the DARIS
@@ -11,23 +10,13 @@
 // backlog slot (cap 1) that would have admitted a *fresh* job. After an
 // overload pulse the fleet can sustain itself in that mode indefinitely:
 // goodput collapses while utilisation stays pinned. The layer therefore
-// ships the two standard countermeasures next to the retry policy itself:
+// ships the standard countermeasure next to the retry policy itself:
 //
 //  - Retry budget (token bucket). First attempts earn kRetryBudgetRatio
 //    tokens each; a retry or hedge spends one. The fleet-wide retry rate is
 //    thus capped at ~ratio x the first-attempt rate no matter how hard the
 //    retry policy pushes — the switch that separates the meltdown run from
 //    the recovering run in the retry-storm-meltdown scenario.
-//
-//  - Per-GPU circuit breaker. A periodic control-shard tick folds each
-//    device's completed/missed deltas (scheduler counters) with the sheds
-//    charged to it (Router::shed_at) into a rolling miss+shed rate;
-//    crossing kBreakerOpenThreshold with enough volume opens the
-//    breaker, which masks the device from routing exactly like a draining
-//    one (Fleet::set_breaker_open folds into placeable()) — without
-//    rehoming anything, because the state is temporary: after
-//    kBreakerCooldown the breaker half-opens (probe traffic allowed) and
-//    either closes or re-opens on the next window.
 //
 //  - Hedged requests (LP only). When a primary copy is still in flight
 //    after the device's recent p-th percentile response time (per-class
@@ -38,19 +27,18 @@
 //    revoke path while it is still unstarted; a loser that already started
 //    runs to completion and is counted as duplicate (wasted) work.
 //
-// Determinism: all timers (backoff, hedge triggers, pair polls, breaker
-// ticks) are ordinary control-shard sim::Callback events; backoff jitter
-// comes from the layer's own Rng, seeded with the run seed
-// (Fleet::seed()). Sharded runs stay bit-identical because control events
-// run while the device shards are parked at the window barrier — the same
-// contract the rebalancer relies on, so they never race a device. A default
-// ResilienceConfig{} (enabled=false) schedules nothing and leaves every
-// run byte-identical to a build without this file: release() then forwards
-// each job straight to the router, so cluster_runner routes through the
-// layer unconditionally.
+// Determinism: all timers (backoff, hedge triggers, pair polls) are
+// ordinary control-shard sim::Callback events; backoff jitter comes from the
+// layer's own Rng, seeded with the run seed (Fleet::seed()). Sharded runs
+// stay bit-identical because control events run while the device shards are
+// parked at the window barrier — the same contract the rebalancer relies
+// on, so they never race a device. A default ResilienceConfig{}
+// (enabled=false) schedules nothing and leaves every run byte-identical to
+// a build without this file: release() then forwards each job straight to
+// the router, so cluster_runner routes through the layer unconditionally.
 //
-// docs/RESILIENCE.md is the operator guide (knobs, budget math, breaker
-// state machine, scenario walkthrough).
+// docs/RESILIENCE.md is the operator guide (knobs, budget math, scenario
+// walkthrough).
 #pragma once
 
 #include <cstdint>
@@ -82,18 +70,6 @@ inline constexpr int kHedgeMinSamples = 16;
 inline constexpr double kHedgeFallbackFrac = 0.35;
 /// Hedge-pair settlement poll period (first-finish-wins detection).
 inline constexpr common::Duration kHedgePoll = common::from_sec(0.0005);
-/// Breaker rolling window, also the breaker tick period.
-inline constexpr common::Duration kBreakerWindow = common::from_sec(0.1);
-/// A closed breaker opens when its window's (missed + shed) /
-/// (completed + shed) reaches kBreakerOpenThreshold over at least
-/// kBreakerMinVolume outcomes.
-inline constexpr double kBreakerOpenThreshold = 0.5;
-inline constexpr int kBreakerMinVolume = 16;
-/// An open breaker half-opens after this cooldown.
-inline constexpr common::Duration kBreakerCooldown = common::from_sec(0.3);
-/// A half-open breaker closes when its probe window's miss+shed rate falls
-/// to this or below; otherwise it re-opens.
-inline constexpr double kBreakerCloseThreshold = 0.2;
 
 /// Per-class retry policy. kNone disables retries for the class;
 /// kExponential waits base_delay_us before the first retry and doubles the
@@ -129,17 +105,14 @@ struct ResilienceConfig {
   /// straggler's own inflated percentile must not get to postpone its own
   /// rescue.
   bool hedge = false;
-
-  /// Per-GPU circuit breaker, evaluated every kBreakerWindow.
-  bool breaker = false;
 };
 
 class ResiliencePolicy {
  public:
   /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
-  /// `collector` (required, the fleet's) receives the retry, hedge and
-  /// breaker records and the layer's measured counts, and holds every count
-  /// the accessors read. Backoff jitter draws from Rng(fleet.seed()).
+  /// `collector` (required, the fleet's) receives the retry and hedge
+  /// records and the layer's measured counts, and holds every count the
+  /// accessors read. Backoff jitter draws from Rng(fleet.seed()).
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
                    metrics::Collector* collector);
@@ -147,11 +120,11 @@ class ResiliencePolicy {
   ResiliencePolicy(const ResiliencePolicy&) = delete;
   ResiliencePolicy& operator=(const ResiliencePolicy&) = delete;
 
-  /// Arms the breaker tick (when configured) up to `horizon`. Retry and
-  /// hedge timers are armed per attempt by release(). A disabled config
-  /// makes this a no-op. Call after the fault schedule is posted, before
-  /// the telemetry sampler starts (the sampler stays the last setup step).
-  void start(common::Time horizon);
+  /// Does nothing: retry and hedge timers are armed per attempt by
+  /// release(). Still declared only because perfbench/src/traced.cpp calls
+  /// it; delete it and that call the next time the benchmark harness
+  /// changes.
+  void start(common::Time /*horizon*/) {}
 
   /// The drivers' ReleaseFn target: routes a first attempt and arms the
   /// retry/hedge machinery on its outcome. With the layer disabled this
@@ -174,8 +147,11 @@ class ResiliencePolicy {
   std::uint64_t hedge_cancels() const { return counters().hedge_cancels; }
   /// Pairs whose loser had already started — both copies ran to completion.
   std::uint64_t hedge_waste() const { return counters().hedge_waste; }
-  std::uint64_t breaker_opens() const { return counters().breaker_opens; }
-  std::uint64_t breaker_closes() const { return counters().breaker_closes; }
+  /// Always 0: there is no breaker. Still declared only because
+  /// perfbench/src/traced.cpp reads them; delete them the next time the
+  /// benchmark harness changes.
+  std::uint64_t breaker_opens() const { return 0; }
+  std::uint64_t breaker_closes() const { return 0; }
   /// Current budget balance (telemetry gauge).
   double budget_tokens() const { return tokens_; }
   /// q-th percentile of the CLIENT-perceived response over hedged pairs —
@@ -187,14 +163,6 @@ class ResiliencePolicy {
   double hedge_client_percentile_ms(double q) const;
 
  private:
-  enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
-  struct BreakerRec {
-    BreakerState state = BreakerState::kClosed;
-    common::Time opened_at = 0;
-    std::uint64_t last_done = 0;
-    std::uint64_t last_missed = 0;
-    std::uint64_t last_shed = 0;
-  };
   struct HedgePair {
     int task = -1;
     int primary_gpu = -1;
@@ -223,8 +191,6 @@ class ResiliencePolicy {
   /// Follows a started losing primary to completion after a hedge win to
   /// classify its recorded outcome against the original deadline.
   void watch_loser(int gpu, std::uint64_t job, common::Time deadline);
-  void breaker_tick();
-  void evaluate_breaker(int g, common::Time now);
 
   sim::Simulator& sim_;
   Fleet& fleet_;
@@ -232,14 +198,12 @@ class ResiliencePolicy {
   ResilienceConfig config_;
   metrics::Collector* collector_;
   common::Rng rng_;
-  common::Time horizon_ = 0;
   double tokens_ = 0.0;
 
   /// Unsettled hedge pairs by ascending pair id (the poll events reference
   /// pairs by id, so settlement order is a pure function of event order).
   std::map<std::uint64_t, HedgePair> pairs_;
   std::uint64_t next_pair_id_ = 1;
-  std::vector<BreakerRec> breakers_;
   /// Client-perceived response of every settled hedge pair, milliseconds.
   std::vector<double> hedge_client_ms_;
 };

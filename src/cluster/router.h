@@ -193,15 +193,6 @@ class Router {
     return pending_cls_[static_cast<std::size_t>(p)];
   }
 
-  /// Jobs shed after being routed to GPU g (any cause) — the circuit
-  /// breaker's shed signal for the device, read off the collector's
-  /// per-GPU counters (0 when the collector does not size them).
-  std::uint64_t shed_at(int g) const {
-    if (g >= collector_->gpu_count()) return 0;
-    const metrics::RoutingCounters& r = collector_->routing(g);
-    return r.dropped + r.infeasible;
-  }
-
   /// In-flight weight transfers headed for GPU g (telemetry gauge).
   int pending_transfers_to(int g) const {
     const auto i = static_cast<std::size_t>(g);

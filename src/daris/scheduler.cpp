@@ -639,7 +639,6 @@ void Scheduler::finish_job(const Job& job) {
   const std::size_t cls = static_cast<std::size_t>(p);
   ++cls_[cls].completed;
   const bool missed = now > job.absolute_deadline;
-  if (missed) ++jobs_missed_;
   resp_ring_[cls][resp_count_[cls] % kRespRing] =
       common::to_us(now - job.release);
   ++resp_count_[cls];

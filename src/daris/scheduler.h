@@ -181,10 +181,6 @@ class Scheduler {
     return cls_[0].completed + cls_[1].completed;
   }
 
-  /// Completed-but-late counter (finish past the absolute deadline, all
-  /// priorities, includes warm-up) — the breaker's miss signal.
-  std::uint64_t jobs_missed() const { return jobs_missed_; }
-
   /// True while `job_id` is admitted here and unfinished (started or not).
   bool job_in_flight(std::uint64_t job_id) const {
     return jobs_.find(job_id) != jobs_.end();
@@ -401,7 +397,6 @@ class Scheduler {
   /// stays valid.
   std::map<std::uint64_t, Job> jobs_;
   std::uint64_t next_job_id_ = 1;
-  std::uint64_t jobs_missed_ = 0;
   std::uint64_t migrations_ = 0;
   ClassCounters cls_[2];
   // Rolling response-time ring per class (response_percentile_us).

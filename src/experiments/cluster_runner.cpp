@@ -113,7 +113,7 @@ common::Time fault_time(const FaultSpec& f) {
 }  // namespace
 
 // Every metrics::FleetCounters field is 8 bytes and has one line below.
-static_assert(sizeof(metrics::FleetCounters) == 26 * 8,
+static_assert(sizeof(metrics::FleetCounters) == 24 * 8,
               "a new metrics::FleetCounters field needs its line in "
               "counters_of (its report name): add it, then count it here");
 
@@ -267,7 +267,6 @@ ClusterResult run_cluster(
   sched_cfg.canonicalize();
 
   cluster::Fleet fleet(sharded_sim, config, &collector);
-  collector.set_gpu_count(devices);
 
   // Pre-size the control pool from the task-set cardinality (one pending
   // release timer per task) and each device pool from its per-stream
@@ -416,10 +415,6 @@ ClusterResult run_cluster(
   cluster::Rebalancer rebalancer(sim, fleet, router, config.rebalance,
                                  &collector);
   rebalancer.start(horizon);
-  // Resilience breaker tick armed after the rebalancer, before the sampler
-  // (same telemetry-inert ordering contract); disabled configs schedule
-  // nothing here.
-  resilience.start(horizon);
 
   // Telemetry sampler: tracks registered up front for every device the run
   // can ever hold (initial fleet + scheduled kAdd scale-ups; probes for a
@@ -492,11 +487,6 @@ ClusterResult run_cluster(
     series.add_track("fleet/jobs_lost", -1, [&fleet] {
       return static_cast<double>(fleet.jobs_lost());
     });
-    for (int g = 0; g < max_gpus; ++g) {
-      series.add_track("gpu/breaker", g, [&fleet, online, g] {
-        return online(g) && fleet.breaker_open(g) ? 1.0 : 0.0;
-      });
-    }
     series.add_track("fleet/retry_tokens", -1, [&resilience] {
       return resilience.budget_tokens();
     });

@@ -93,9 +93,9 @@ struct ClusterConfig : cluster::FleetConfig {
   cluster::RebalanceConfig rebalance;
 
   /// Client resilience layer (cluster/resilience.h): retries with backoff,
-  /// token-bucket retry budget, hedged LP requests, per-GPU circuit
-  /// breakers. The default (disabled) config makes the layer a pass-through
-  /// to the router, leaving the run byte-identical to one predating it.
+  /// token-bucket retry budget, hedged LP requests. The default (disabled)
+  /// config makes the layer a pass-through to the router, leaving the run
+  /// byte-identical to one predating it.
   cluster::ResilienceConfig resilience;
 
   /// Telemetry (docs/OBSERVABILITY.md). When enabled, run_cluster arms a
@@ -142,6 +142,12 @@ struct ClusterResult : metrics::FleetCounters {
   /// benchmark harness changes.
   bool rebalancing = false;
   bool resilience = false;
+  /// Always 0: there is no breaker. Still declared only because perfbench
+  /// hashes them (perfbench/src/outcome.cpp), and counters_of lists them so
+  /// no fingerprint key moves; delete them the next time the benchmark
+  /// harness changes.
+  std::uint64_t breaker_opens = 0;
+  std::uint64_t breaker_closes = 0;
   /// Trace rows skipped because no task serves their (model, SLO) class.
   std::uint64_t unmatched_rows = 0;
   /// p99 of the client-perceived (first-finish) response over hedged pairs,

@@ -157,20 +157,15 @@ ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
 }
 
 // Retry-storm meltdown: the canonical metastable failure, and the reason
-// the resilience layer ships a retry budget and circuit breakers next to
-// the retry policy. A 4x flash crowd for 1.5s drives the 3-GPU fleet into
-// admission-control shedding; every shed is retried with exponential
-// backoff. The retried jobs keep their ORIGINAL release times, so the
+// the resilience layer ships a retry budget next to the retry policy. A 4x
+// flash crowd for 1.5s drives the 3-GPU fleet into admission-control
+// shedding; every shed is retried with exponential backoff. The retried jobs keep their ORIGINAL release times, so the
 // deadline-agnostic admission test (Eq. 11/12) happily admits near-doomed
 // work that burns GPU time AND occupies the LP backlog slot fresh releases
-// needed — the counterfactual (budget + breaker forced off) shows the
-// resulting amplification and goodput loss persisting past the pulse; the
-// primary run's token bucket caps retries at ~10% of the first-attempt
-// rate, so goodput recovers. The breaker is deliberately NOT armed here: a
-// global overload pushes every device past any rate threshold, and masking
-// healthy devices under global overload only amputates capacity — the
-// budget is the medicine for fleet-wide storms, the breaker for sick
-// devices (its exit guard in cluster/resilience.cpp enforces exactly that).
+// needed — the counterfactual (budget forced off) shows the resulting
+// amplification and goodput loss persisting past the pulse; the primary
+// run's token bucket caps retries at ~10% of the first-attempt rate, so
+// goodput recovers.
 ClusterConfig retry_storm(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(3);
   flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 1.5, 4.0);
@@ -237,10 +232,10 @@ ClusterConfig hedging_tail_rescue_off(const std::string& data_dir) {
 
 // Flash crowd at fleet scale: the flash-crowd shape scaled to 64 GPUs and
 // ~43k JPS, with the self-healing stack and the resilience layer's
-// defaults armed (stealing, re-homing, budgeted retries; breakers stay off,
-// ResilienceConfig::breaker's default). The row exists to keep the
-// engine, the rebalancer's O(fleet) scans, and the conservation invariant
-// honest at an order of magnitude more devices than the rest of the matrix.
+// defaults armed (stealing, re-homing, budgeted retries). The row exists to
+// keep the engine, the rebalancer's O(fleet) scans, and the conservation
+// invariant honest at an order of magnitude more devices than the rest of
+// the matrix.
 ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {
   ClusterConfig cfg = fleet_base(64);
   flash_crowd_trace(&cfg, 2.5, 2000.0 * 64.0 / 3.0, 1.0, 0.8, 2.5);

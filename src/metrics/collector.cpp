@@ -36,7 +36,7 @@ void Collector::record(Time when, EventKind kind, EventCause cause, int gpu,
                        int peer, int task, double value) {
   add_counts(routing_, fleet_, kind, cause, gpu, peer, value);
   // Per-job routing and retry records narrate at debug; device lifecycle,
-  // rebalancing, hedge and breaker transitions at info.
+  // rebalancing and hedge transitions at info.
   const bool per_job =
       kind == EventKind::kAdmit || kind == EventKind::kReject ||
       kind == EventKind::kMigrate || kind == EventKind::kTransfer ||

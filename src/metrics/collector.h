@@ -128,8 +128,6 @@ struct FleetCounters {
   std::uint64_t hedges = 0;                    // kHedge / kHedgeLaunch
   std::uint64_t hedge_wins = 0;                // kHedge / kHedgeWin
   std::uint64_t hedge_cancels = 0;             // kHedge / kHedgeCancel
-  std::uint64_t breaker_opens = 0;             // kBreaker / kBreakerOpen
-  std::uint64_t breaker_closes = 0;            // kBreaker / kBreakerClose
 
   // Measured: no record implies these; the component named counts each at
   // its one site through Collector::count.

@@ -28,8 +28,6 @@ const char* event_kind_name(EventKind k) {
       return "retry";
     case EventKind::kHedge:
       return "hedge";
-    case EventKind::kBreaker:
-      return "breaker";
   }
   return "?";
 }
@@ -80,12 +78,6 @@ const char* event_cause_name(EventCause c) {
       return "hedge-win";
     case EventCause::kHedgeCancel:
       return "hedge-cancel";
-    case EventCause::kBreakerOpen:
-      return "breaker-open";
-    case EventCause::kBreakerHalfOpen:
-      return "breaker-half-open";
-    case EventCause::kBreakerClose:
-      return "breaker-close";
   }
   return "?";
 }
@@ -167,10 +159,6 @@ void add_counts(std::vector<RoutingCounters>& per_gpu, FleetCounters& fleet,
       if (cause == EventCause::kHedgeLaunch) ++fleet.hedges;
       if (cause == EventCause::kHedgeWin) ++fleet.hedge_wins;
       if (cause == EventCause::kHedgeCancel) ++fleet.hedge_cancels;
-      break;
-    case EventKind::kBreaker:
-      if (cause == EventCause::kBreakerOpen) ++fleet.breaker_opens;
-      if (cause == EventCause::kBreakerClose) ++fleet.breaker_closes;
       break;
     case EventKind::kDrain:
       break;

@@ -47,8 +47,6 @@ enum class EventKind : std::uint8_t {
               // job (cause says which; value = attempt number)
   kHedge,     // hedged LP request lifecycle: launched on `peer` against the
               // primary copy on `gpu`, won, or was cancelled
-  kBreaker,   // per-GPU circuit breaker transition (value = observed
-              // miss+shed rate over the window that drove it)
 };
 
 /// Why the event happened; kinds use the subset that applies to them.
@@ -76,9 +74,6 @@ enum class EventCause : std::uint8_t {
   kHedgeLaunch,     // kHedge: second copy admitted on `peer`
   kHedgeWin,        // kHedge: the hedge copy finished first
   kHedgeCancel,     // kHedge: losing copy revoked before it started
-  kBreakerOpen,     // kBreaker: rolling miss+shed rate tripped the breaker
-  kBreakerHalfOpen, // kBreaker: cooldown elapsed, probe traffic allowed
-  kBreakerClose,    // kBreaker: probe window healthy, breaker closed
 };
 
 const char* event_kind_name(EventKind k);

@@ -51,7 +51,9 @@ void TimeSeries::tick() {
 }
 
 void TimeSeries::sample_now(common::Time now) {
-  if (capacity_ == 0) {  // un-started use (tests): size a small ring lazily
+  // Never started (the rebalancer's demand window, which samples on its own
+  // re-home tick, and tests): size a small ring on the first sample.
+  if (capacity_ == 0) {
     capacity_ = 64;
     stamps_.assign(capacity_, 0);
     for (Track& t : tracks_) t.ring.assign(capacity_, 0.0);

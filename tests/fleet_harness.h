@@ -37,7 +37,6 @@ struct Harness {
     cfg.sched.num_contexts = num_contexts;
     model = std::make_unique<dnn::CompiledModel>(
         dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu));
-    collector.set_gpu_count(sim.device_shards());
     if (lanes > 1) collector.enable_lanes(sim.device_shards());
     fleet = std::make_unique<Fleet>(sim, cfg, &collector);
   }

@@ -226,9 +226,9 @@ TEST(Fleet, BestPlaceablePicksTheLowestScoreTiesToTheLowestIndex) {
   ASSERT_TRUE(h.fleet->scheduler(1).release_job(t));
   EXPECT_EQ(h.fleet->best_placeable(), 2);
 
-  // An unplaceable device never wins, nor does the excluded one; between
-  // the equally loaded 0 and 1 the lower index wins.
-  h.fleet->set_breaker_open(2, true);
+  // An unplaceable (here draining) device never wins, nor does the
+  // excluded one; between the equally loaded 0 and 1 the lower index wins.
+  h.fleet->drain_gpu_now(2);
   EXPECT_EQ(h.fleet->best_placeable(), 3);
   EXPECT_EQ(h.fleet->best_placeable(/*exclude=*/3), 0);
   EXPECT_EQ(h.fleet->best_placeable(-1, [](int g) { return g == 2; }), -1);
@@ -242,7 +242,7 @@ TEST(Fleet, BestPlaceablePicksTheLowestScoreTiesToTheLowestIndex) {
 
 TEST(Fleet, BestPlaceableMatchesTheFullScan) {
   // Random placement tables with ties (equal job counts at equal compute
-  // scales, and every idle device at 0), random unplaceable devices and
+  // scales, and every idle device at 0), random drained devices and
   // exclusions, and random pure predicates: best_placeable must pick what
   // the predicate-first scan over every device picks, and must ask the
   // predicate only about a device whose score is below the best accepted
@@ -260,7 +260,7 @@ TEST(Fleet, BestPlaceableMatchesTheFullScan) {
         ASSERT_TRUE(h.fleet->scheduler(g).release_job(t));
       }
       h.fleet->slow_gpu_now(g, scales[rng.uniform_int(0, 2)]);
-      h.fleet->set_breaker_open(g, rng.uniform(0.0, 1.0) < 0.2);
+      if (rng.uniform(0.0, 1.0) < 0.2) h.fleet->drain_gpu_now(g);
     }
     for (int trial = 0; trial < 40; ++trial) {
       std::vector<bool> accept(static_cast<std::size_t>(n));
@@ -300,6 +300,31 @@ TEST(Fleet, BestPlaceableMatchesTheFullScan) {
       }
     }
   }
+}
+
+TEST(Fleet, SizesTheRoutingCountersOfAFreshCollector) {
+  // Wired by hand on a collector nobody sized: the fleet sizes its per-GPU
+  // routing counters, so the first routed job is counted on its device.
+  FleetConfig cfg;
+  cfg.num_gpus = 2;
+  cfg.sched.policy = rt::Policy::kMps;
+  const dnn::CompiledModel model =
+      dnn::compiled_model(dnn::ModelKind::kResNet18, 1, cfg.gpu);
+  sim::ShardedSimulator sim(/*device_shards=*/2, /*threads=*/1);
+  metrics::Collector collector;
+  Fleet fleet(sim, cfg, &collector);
+  rt::TaskSpec spec;
+  spec.model = dnn::ModelKind::kResNet18;
+  spec.period = common::from_ms(10.0);
+  spec.relative_deadline = spec.period;
+  spec.priority = Priority::kLow;
+  const int home = 1;
+  const int t = fleet.add_task(spec, &model, home);
+  fleet.set_afet(t, std::vector<double>(model.stage_count(), 100.0));
+  fleet.run_offline_phase();
+  Router router(fleet, RoutingPolicy::kModelAffinity, 1, &collector);
+  router.release(t);
+  EXPECT_EQ(collector.routing(home).routed, 1u);
 }
 
 TEST(Router, HybridStaysHomeUnderLightLoad) {

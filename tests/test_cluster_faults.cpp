@@ -36,7 +36,7 @@ TEST(FleetFaults, FailStopShedsOnlyTheDeadGpusJobs) {
   EXPECT_EQ(h.fleet->fail_gpu_now(0), 1u);
   EXPECT_EQ(h.fleet->health(0), GpuHealth::kFailed);
   EXPECT_FALSE(h.fleet->placeable(0));
-  EXPECT_EQ(h.fleet->placeable_count(), 1);
+  EXPECT_TRUE(h.fleet->placeable(1));
 
   // Only GPU 0's job died; GPU 1's keeps running and completes on time.
   EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
@@ -284,7 +284,7 @@ TEST(FleetFaults, AddedGpuJoinsTheFleetAndTakesPlacements) {
   const int g = h.fleet->add_gpu_now(GpuNodeSpec{});
   EXPECT_EQ(g, 2);
   EXPECT_EQ(h.fleet->size(), 3);
-  EXPECT_EQ(h.fleet->placeable_count(), 3);
+  EXPECT_TRUE(h.fleet->placeable(g));
   // Every registered task exists on the new scheduler under its fleet id.
   EXPECT_EQ(h.fleet->scheduler(g).task_count(), 3);
   h.fleet->set_afet(a, g, std::vector<double>(h.model->stage_count(), 1000.0));

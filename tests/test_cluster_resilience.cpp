@@ -1,8 +1,8 @@
 // Client resilience layer (cluster/resilience.h): retries with backoff and
 // deadline re-derivation, the token-bucket retry budget, hedged LP requests
-// with first-finish-wins, the per-GPU circuit breaker with its exit guard,
-// and the job-conservation invariant — all at the run_cluster level, where
-// every moving part (router, fleet, schedulers, drivers) is live.
+// with first-finish-wins, and the job-conservation invariant — all at the
+// run_cluster level, where every moving part (router, fleet, schedulers,
+// drivers) is live.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,7 +50,7 @@ std::string behaviour_of(const exp::ClusterResult& r) {
 // --- inertness ------------------------------------------------------------
 
 TEST(Resilience, EnabledWithAllKnobsOffMatchesDisabledExactly) {
-  // enabled=true with retries off, no hedging, no breaker must reproduce
+  // enabled=true with retries off and no hedging must reproduce
   // the disabled run's behaviour bit-for-bit: the layer only counts first
   // attempts and forwards. This pins the pass-through path as zero-cost.
   exp::ClusterConfig off = overloaded_config(3, 1.2);
@@ -177,44 +177,6 @@ TEST(Resilience, HedgesRescueLpTailOnStraggler) {
 
   const exp::ClusterResult again = exp::run_cluster(cfg);
   EXPECT_EQ(counters_text(r), counters_text(again));
-}
-
-// --- circuit breaker ------------------------------------------------------
-
-TEST(Resilience, BreakerOpensOnSickDeviceAndRecovers) {
-  // GPU 0 of 4 collapses to 0.15x mid-run: its window miss rate blows past
-  // the threshold, the breaker opens (masking it from routing), and after
-  // the straggler recovers... the device never does here, so the breaker
-  // cycles open/half-open instead of closing — opens is the signal.
-  exp::ClusterConfig cfg = overloaded_config(4, 1.1);
-  cfg.duration_s = 2.0;
-  exp::FaultSpec slow;
-  slow.kind = exp::FaultSpec::Kind::kSlow;
-  slow.gpu = 0;
-  slow.at_s = 0.5;
-  slow.factor = 0.15;
-  cfg.faults.push_back(slow);
-  cfg.resilience.enabled = true;
-  cfg.resilience.breaker = true;
-  const exp::ClusterResult r = exp::run_cluster(cfg);
-
-  EXPECT_GT(r.breaker_opens, 0u);
-  EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;
-
-  const exp::ClusterResult again = exp::run_cluster(cfg);
-  EXPECT_EQ(counters_text(r), counters_text(again));
-}
-
-TEST(Resilience, BreakerExitGuardRefusesToMaskTheWholeFleet) {
-  // Two devices, both melting under 2x load: every window crosses the open
-  // threshold, but opening would leave fewer than two placeable exits, so
-  // the guard must refuse — a breaker never amputates a 2-GPU fleet.
-  exp::ClusterConfig cfg = overloaded_config(2, 2.0);
-  cfg.resilience.enabled = true;
-  cfg.resilience.breaker = true;
-  const exp::ClusterResult r = exp::run_cluster(cfg);
-  EXPECT_EQ(r.breaker_opens, 0u);
-  EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;
 }
 
 }  // namespace

@@ -185,9 +185,7 @@ std::vector<std::pair<const char*, double>> fields_of(const FleetCounters& f) {
           {"retry_abandoned_attempts", f.retry_abandoned_attempts},
           {"hedges", f.hedges},
           {"hedge_wins", f.hedge_wins},
-          {"hedge_cancels", f.hedge_cancels},
-          {"breaker_opens", f.breaker_opens},
-          {"breaker_closes", f.breaker_closes}};
+          {"hedge_cancels", f.hedge_cancels}};
 }
 
 /// A bursty 1.5 s run with the event log on (the resilience suite's
@@ -236,8 +234,8 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
                         500000.0, 500000.0};
   late.resilience.lp = late.resilience.hp;
   configs.push_back(late);
-  // A straggler that recovers under hedging and breakers: hedge launches,
-  // wins and cancels, and a breaker that opens and later closes.
+  // A straggler that recovers under hedging: hedge launches, wins and
+  // cancels.
   exp::ClusterConfig sick = logged_config(4, 0.5);
   sick.arrivals = exp::ArrivalMode::kPoisson;
   sick.duration_s = 2.5;
@@ -247,7 +245,6 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   sick.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
   sick.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
   sick.resilience.hedge = true;
-  sick.resilience.breaker = true;
   configs.push_back(sick);
   // Fail-stop, then the last healthy device drains: lost jobs, and every
   // later release is infeasible.

@@ -442,9 +442,6 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   c.record(0, EventKind::kHedge, EventCause::kHedgeLaunch, 0, 1, 3);
   c.record(0, EventKind::kHedge, EventCause::kHedgeWin, 0, 1, 3);
   c.record(0, EventKind::kHedge, EventCause::kHedgeCancel, 0, 1, 3);
-  c.record(0, EventKind::kBreaker, EventCause::kBreakerOpen, 0, -1, -1, 0.6);
-  c.record(0, EventKind::kBreaker, EventCause::kBreakerHalfOpen, 0, -1, -1);
-  c.record(0, EventKind::kBreaker, EventCause::kBreakerClose, 0, -1, -1, 0.1);
   // The measured group: one count() each (hedge waste twice).
   c.count(&FleetCounters::steal_scans);
   c.count(&FleetCounters::rehome_rounds);
@@ -493,8 +490,6 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(f.hedges, 1u);
   EXPECT_EQ(f.hedge_wins, 1u);
   EXPECT_EQ(f.hedge_cancels, 1u);
-  EXPECT_EQ(f.breaker_opens, 1u);
-  EXPECT_EQ(f.breaker_closes, 1u);
   EXPECT_EQ(f.steal_scans, 1u);
   EXPECT_EQ(f.rehome_rounds, 1u);
   EXPECT_EQ(f.transfer_cancels, 1u);
@@ -507,7 +502,7 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   ASSERT_NE(c.event_log(), nullptr);
   const FleetCounters folded = c.event_log()->fold_counts(2).fleet;
   EXPECT_EQ(folded.cross_gpu_migrations, f.cross_gpu_migrations);
-  EXPECT_EQ(folded.breaker_closes, f.breaker_closes);
+  EXPECT_EQ(folded.hedge_cancels, f.hedge_cancels);
   EXPECT_EQ(folded.steal_scans, 0u);
   EXPECT_EQ(folded.rehome_rounds, 0u);
   EXPECT_EQ(folded.transfer_cancels, 0u);
