@@ -88,8 +88,7 @@ int main() {
   fleet_cfg.sched.num_contexts = 4;
   fleet_cfg.sched.oversubscription = 4.0;
   // Heterogeneous fleets instead set fleet_cfg.nodes: one GpuNodeSpec per
-  // device with its own compute_scale (SMs + bandwidth) and memory_mb
-  // budget for pinned model weights.
+  // device with its own compute_scale (SMs + bandwidth).
   cluster::Fleet fleet(sim, fleet_cfg, &collector);
 
   const auto model = dnn::compiled_model(dnn::ModelKind::kResNet18, 1,

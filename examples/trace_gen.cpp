@@ -7,6 +7,9 @@
 //       --diurnal-period-s 20 --flash 22:3:2.5 --seed 42
 //       --out tests/data/diurnal_50k.csv   (one line)
 //
+// ctest's trace_gen_reproduces_fixture runs this command
+// (tests/trace_gen_fixture.cmake) and compares the output byte for byte.
+//
 // The default mix is the mixed Table II task set's demand shares; override
 // per class with repeated --mix model:slo:weight flags.
 //

@@ -55,7 +55,6 @@ Fleet::Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
   schedulers_.reserve(n);
   health_.assign(n, GpuHealth::kHealthy);
   hot_models_.assign(n, {});
-  memory_used_mb_.assign(n, 0.0);
   placement_.reserve(n);
   for (const GpuNodeSpec& node : nodes_) add_device(node);
   collector_->set_gpu_count(size());
@@ -93,9 +92,6 @@ int Fleet::add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
   const int id = scheduler(home_gpu).add_task(spec, model);
   home_.push_back(home_gpu);
   assert(id + 1 == task_count());
-  // Pin the model hot on the home device while capacity allows; a model too
-  // large (or arriving once the device is full) stays cold and its migrated
-  // jobs pay the transfer.
   warm_model(home_gpu, id);
   return id;
 }
@@ -138,28 +134,18 @@ bool Fleet::model_hot(int g, int task_id) const {
   return std::find(hot.begin(), hot.end(), model) != hot.end();
 }
 
-bool Fleet::warm_model(int g, int task_id) {
-  if (model_hot(g, task_id)) return true;
-  const dnn::CompiledModel* model = model_of(task_id);
-  auto& used = memory_used_mb_[static_cast<std::size_t>(g)];
-  if (used + model->weight_mb > node(g).memory_mb) return false;
-  hot_models_[static_cast<std::size_t>(g)].push_back(model);
-  used += model->weight_mb;
-  return true;
+void Fleet::warm_model(int g, int task_id) {
+  if (!model_hot(g, task_id)) {
+    hot_models_[static_cast<std::size_t>(g)].push_back(model_of(task_id));
+  }
 }
 
 bool Fleet::feasible(int task_id) const {
   const bool tested = spec(task_id).priority == common::Priority::kLow
                           ? sched_cfg_.lp_admission
                           : sched_cfg_.hp_admission;
-  const dnn::CompiledModel* model = model_of(task_id);
   for (int g = 0; g < size(); ++g) {
     if (!placeable(g)) continue;  // failed/draining devices host nothing new
-    // Memory: hot already, or the device could still pin it.
-    const bool fits_memory =
-        model_hot(g, task_id) ||
-        memory_used_mb(g) + model->weight_mb <= node(g).memory_mb;
-    if (!fits_memory) continue;
     if (!tested) return true;
     // Utilisation: one job must fit an idle context of this device (the
     // best case of Eq. 12, with no HP reservation and no active LP load).
@@ -336,7 +322,6 @@ int Fleet::add_gpu_now(const GpuNodeSpec& node) {
   nodes_.push_back(node);
   health_.push_back(GpuHealth::kHealthy);
   hot_models_.emplace_back();
-  memory_used_mb_.push_back(0.0);
   // A fresh device shard (clock pre-advanced to the fleet's now) so the new
   // device's local events parallelise like every other; add_gpu_now runs
   // from a control-shard event, which is exactly the phase add_shard()

@@ -13,15 +13,17 @@
 // admission everywhere.
 //
 // Model weights are a per-device resource: each GPU pins ("keeps hot") the
-// models of the tasks homed on it, up to its memory capacity. A job may
-// still run where its model is cold, but the reactive migration of a
-// rejected job to such a device ships the model's footprint first
-// (Router charges `weight_mb * transfer_us_per_mb` of delay); a successful
-// transfer warms the model on the target when capacity allows, so repeat
-// migrations of a hot model are free. See docs/CLUSTER.md.
+// models of the tasks homed on it. A job may still run where its model is
+// cold, but the reactive migration of a rejected job to such a device ships
+// the model's footprint first (Router charges `weight_mb *
+// transfer_us_per_mb` of delay); a successful transfer warms the model on
+// the target, so repeat migrations of a hot model are free. Device memory
+// is not modelled: the paper's three models weigh 253.7 MB together, 2.3%
+// of an 11 GB RTX 2080 Ti, so no set of pinned models can fill one. See
+// docs/CLUSTER.md.
 //
-// Fleets may be heterogeneous: each device carries a GpuNodeSpec (compute
-// scale + memory capacity). Placement comparisons between devices go
+// Fleets may be heterogeneous: each device carries a GpuNodeSpec (a compute
+// scale over a base spec). Placement comparisons between devices go
 // through `placement_score()` (load normalised by compute scale) so a
 // half-size GPU at 40% admitted utilisation ranks busier than a flagship at
 // 50%. The scores live in one contiguous table that each device's scheduler
@@ -65,10 +67,6 @@ struct GpuNodeSpec {
   /// flagship). Latency constants (launch/sync overhead) are host-side and
   /// stay as the base spec sets them.
   double compute_scale = 1.0;
-
-  /// Device memory available for pinned (hot) model weights, in MB.
-  /// 11 GB mirrors the paper's RTX 2080 Ti.
-  double memory_mb = 11264.0;
 
   /// The base spec with compute_scale applied.
   gpusim::GpuSpec resolved() const;
@@ -114,10 +112,10 @@ class Fleet {
   /// rebalancer via simulator()) stays on the control shard. The simulator
   /// must be sized to the fleet: device_shards() == the configured device
   /// count. All job and stage events and every fleet decision flow into
-  /// `collector` (required), stamped with the device index. The fleet sizes
-  /// the collector's per-GPU routing counters to its devices (resetting
-  /// them); runs with more than one lane need its per-device lanes enabled
-  /// (metrics::Collector::enable_lanes).
+  /// `collector` (required; collector()), stamped with the device index.
+  /// The fleet sizes the collector's per-GPU routing counters to its devices
+  /// (resetting them); runs with more than one lane need its per-device
+  /// lanes enabled (metrics::Collector::enable_lanes).
   Fleet(sim::ShardedSimulator& sharded, const FleetConfig& config,
         metrics::Collector* collector);
 
@@ -127,6 +125,11 @@ class Fleet {
   /// The control-shard simulator: cross-device event timelines — routing,
   /// transfers, faults — live here.
   sim::Simulator& simulator() { return sim_; }
+
+  /// The collector the fleet was built on. The router, rebalancer and
+  /// resilience layer count every decision here, so the per-GPU counters
+  /// they index are always the ones the fleet sized.
+  metrics::Collector& collector() { return *collector_; }
 
   int size() const { return static_cast<int>(gpus_.size()); }
 
@@ -152,9 +155,8 @@ class Fleet {
 
   /// Registers the task once for the whole fleet (every scheduler sees it
   /// under the same id) with `home_gpu` carrying its static HP reservation,
-  /// and pins the task's model hot on the home GPU when its memory capacity
-  /// allows. O(1): no device but the home writes anything. Returns the task
-  /// id.
+  /// and pins the task's model hot on the home GPU. O(1): no device but the
+  /// home writes anything. Returns the task id.
   int add_task(const rt::TaskSpec& spec, const dnn::CompiledModel* model,
                int home_gpu);
 
@@ -187,10 +189,10 @@ class Fleet {
   std::uint64_t task_records() const;
 
   /// Moves one task's home (and its Eq. 11 HP reservation) to `to`, warming
-  /// its model there when capacity allows. The rebalancer's demand-aware
-  /// re-homing and the fault paths both land here; `cause` distinguishes
-  /// them in the event log (kNone: fault-driven, kDemandShift: periodic
-  /// rebalancing). No-op when the task is already homed on `to`.
+  /// its model there. The rebalancer's demand-aware re-homing and the fault
+  /// paths both land here; `cause` distinguishes them in the event log
+  /// (kNone: fault-driven, kDemandShift: periodic rebalancing). No-op when
+  /// the task is already homed on `to`.
   void rehome_task(int task_id, int to,
                    metrics::EventCause cause = metrics::EventCause::kNone);
 
@@ -249,14 +251,9 @@ class Fleet {
   /// needed to run there).
   bool model_hot(int g, int task_id) const;
 
-  /// Pins the task's model on GPU g if free capacity allows (called after a
-  /// successful weight transfer). Returns true when the model is hot on g
-  /// afterwards.
-  bool warm_model(int g, int task_id);
-
-  double memory_used_mb(int g) const {
-    return memory_used_mb_[static_cast<std::size_t>(g)];
-  }
+  /// Pins the task's model on GPU g (called after a successful weight
+  /// transfer); a no-op when it is hot already.
+  void warm_model(int g, int task_id);
 
   /// Distinct models pinned hot on GPU g (telemetry gauge).
   int hot_model_count(int g) const {
@@ -265,11 +262,11 @@ class Fleet {
 
   // --- fleet-level admission (feasibility) -------------------------------
 
-  /// True when some device could host a job of the task at all: the model
-  /// is hot there or could still be pinned, and — for jobs subject to the
-  /// admission test — one job's utilisation fits an idle context (Eq. 12
-  /// could ever pass). The router rejects infeasible jobs outright instead
-  /// of bouncing them through migration retries.
+  /// True when some placeable device could host a job of the task at all:
+  /// for jobs subject to the admission test, one job's utilisation fits an
+  /// idle context there (Eq. 12 could ever pass). The router rejects
+  /// infeasible jobs outright instead of bouncing them through migration
+  /// retries.
   bool feasible(int task_id) const;
 
   /// Fleet-wide admitted-but-unfinished jobs of one logical task. The
@@ -355,7 +352,7 @@ class Fleet {
   /// finishes — see rt::Scheduler::fail_all_jobs), halts the simulated
   /// device, and rehomes the tasks homed on g (their Eq. 11 HP reservation
   /// moves to the least-loaded placeable device, and their models are
-  /// warmed there when capacity allows). Returns the number of jobs lost.
+  /// warmed there). Returns the number of jobs lost.
   std::size_t fail_gpu_now(int g);
 
   /// Straggler: multiplies g's compute scale by `factor` (< 1 slows, > 1
@@ -431,9 +428,8 @@ class Fleet {
   std::uint64_t seed_ = 0;
   common::Rng seed_rng_{0};
   std::function<void(int)> on_unplaceable_;
-  /// Per GPU: distinct models pinned hot, and the MB they occupy.
+  /// Per GPU: distinct models pinned hot.
   std::vector<std::vector<const dnn::CompiledModel*>> hot_models_;
-  std::vector<double> memory_used_mb_;
   double transfer_us_per_mb_ = 0.0;
 };
 

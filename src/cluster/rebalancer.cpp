@@ -1,7 +1,6 @@
 #include "cluster/rebalancer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 
@@ -75,16 +74,10 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
   return homes;
 }
 
-Rebalancer::Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
+Rebalancer::Rebalancer(sim::Simulator& /*sim*/, Fleet& fleet, Router& router,
                        const RebalanceConfig& config,
-                       metrics::Collector* collector)
-    : sim_(sim),
-      fleet_(fleet),
-      router_(router),
-      config_(config),
-      collector_(collector) {
-  assert(collector_ != nullptr);
-}
+                       metrics::Collector* /*collector*/)
+    : fleet_(fleet), router_(router), config_(config) {}
 
 void Rebalancer::start(common::Time horizon) {
   if (!config_.enabled) return;
@@ -99,15 +92,10 @@ void Rebalancer::start(common::Time horizon) {
     last_move_round_.assign(static_cast<std::size_t>(tasks),
                             -config_.min_dwell_rounds);
     router_.set_release_observer([this](int t) { note_release(t); });
-    for (int t = 0; t < tasks; ++t) {
-      demand_.add_track("task/releases", t, [this, t] {
-        return static_cast<double>(
-            release_count_[static_cast<std::size_t>(t)]);
-      });
-    }
-    demand_.sample_now(sim_.now());  // window baseline at arm time
-    if (sim_.now() + kRehomePeriod <= horizon_) {
-      sim_.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
+    sim::Simulator& sim = fleet_.simulator();
+    demand_.emplace_back(sim.now(), release_count_);  // baseline at arm time
+    if (sim.now() + kRehomePeriod <= horizon_) {
+      sim.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
     }
   }
 }
@@ -128,17 +116,18 @@ void Rebalancer::on_pressure(int gpu) {
   // The scan runs as its own event right after the triggering release, not
   // inside it: the router is mid-release() when the observer fires, and
   // simulator-event granularity is what keeps the steal schedule replayable.
-  sim_.schedule_after(0, [this, gpu] {
+  fleet_.simulator().schedule_after(0, [this, gpu] {
     scan_pending_[static_cast<std::size_t>(gpu)] = 0;
     steal_scan(gpu);
   });
 }
 
 void Rebalancer::steal_scan(int victim) {
-  collector_->count(&metrics::FleetCounters::steal_scans);
+  metrics::Collector& collector = fleet_.collector();
+  collector.count(&metrics::FleetCounters::steal_scans);
   const auto jobs = fleet_.scheduler(victim).donatable_lp_jobs();
   if (jobs.empty()) return;
-  const common::Time now = sim_.now();
+  const common::Time now = fleet_.simulator().now();
   int taken = 0;
   for (const auto& j : jobs) {
     if (taken >= config_.max_steals_per_scan) break;
@@ -169,43 +158,42 @@ void Rebalancer::steal_scan(int victim) {
     }
     fleet_.scheduler(victim).revoke_job(j.job_id);
     ++taken;
-    collector_->record(now, metrics::EventKind::kSteal,
-                       metrics::EventCause::kBacklogSteal, victim, thief,
-                       j.task_id);
+    collector.record(now, metrics::EventKind::kSteal,
+                     metrics::EventCause::kBacklogSteal, victim, thief,
+                     j.task_id);
   }
 }
 
 void Rebalancer::rehome_tick() {
-  const common::Time now = sim_.now();
-  demand_.sample_now(now);
+  sim::Simulator& sim = fleet_.simulator();
+  const common::Time now = sim.now();
+  demand_.emplace_back(now, release_count_);
+  while (demand_.front().first < now - kDemandWindow) demand_.pop_front();
   ++round_;
   rehome_round(now);
   if (now + kRehomePeriod <= horizon_) {
-    sim_.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
+    sim.schedule_after(kRehomePeriod, [this] { rehome_tick(); });
   }
 }
 
 void Rebalancer::rehome_round(common::Time now) {
   const int n = fleet_.size();
   const int tasks = fleet_.task_count();
-  const std::size_t samples = demand_.size();
-  if (tasks == 0 || samples < 2) return;
+  if (tasks == 0) return;
 
-  // Windowed demand: the oldest retained sample inside [now - window, now]
-  // anchors the rate. Early rounds fall back to the full history so the
-  // controller can act before a whole window has elapsed.
-  std::size_t lo = 0;
-  const common::Time window_start = now - kDemandWindow;
-  while (lo + 1 < samples && demand_.stamp(lo) < window_start) ++lo;
-  const double span_s = common::to_sec(now - demand_.stamp(lo));
+  // Windowed demand: the oldest snapshot inside [now - window, now] anchors
+  // the rate. Early rounds fall back to the full history (the arm-time
+  // baseline) so the controller can act before a whole window has elapsed.
+  const auto& [since, base] = demand_.front();
+  const double span_s = common::to_sec(now - since);
   if (span_s <= 0.0) return;
 
   std::vector<double> load(static_cast<std::size_t>(tasks), 0.0);
   std::vector<int> kind(static_cast<std::size_t>(tasks), 0);
   double total = 0.0;
   for (int t = 0; t < tasks; ++t) {
-    const double released =
-        demand_.value(t, samples - 1) - demand_.value(t, lo);
+    const auto i = static_cast<std::size_t>(t);
+    const auto released = static_cast<double>(release_count_[i] - base[i]);
     const double rate = released / span_s;  // jobs per second in the window
     load[static_cast<std::size_t>(t)] =
         rate * fleet_.model_of(t)->total_work();  // SM-us of work per second
@@ -273,7 +261,9 @@ void Rebalancer::rehome_round(common::Time now) {
     last_move_round_[static_cast<std::size_t>(t)] = round_;
     ++moved;
   }
-  if (moved > 0) collector_->count(&metrics::FleetCounters::rehome_rounds);
+  if (moved > 0) {
+    fleet_.collector().count(&metrics::FleetCounters::rehome_rounds);
+  }
 }
 
 }  // namespace daris::cluster

@@ -23,13 +23,13 @@
 //    backlog trip.
 //
 //  - Demand-aware re-homing (proactive, periodic). An event every
-//    kRehomePeriod samples cumulative per-task release counts into a
-//    private metrics::TimeSeries ring and converts the sliding
-//    kDemandWindow into per-task load (release rate x SM-us per job — the
-//    same unit the static packer balances). When some device carries more than
-//    `hysteresis` times its fair share, the round replays the static
-//    hybrid packer (pack_homes below) against the *windowed* demand and
-//    moves at most `max_moves_per_round` homes toward the packed
+//    kRehomePeriod snapshots the cumulative per-task release counts, keeps
+//    the snapshots of the last kDemandWindow, and converts the counts
+//    released since the oldest one into per-task load (release rate x SM-us
+//    per job — the same unit the static packer balances). When some device
+//    carries more than `hysteresis` times its fair share, the round replays
+//    the static hybrid packer (pack_homes below) against the *windowed*
+//    demand and moves at most `max_moves_per_round` homes toward the packed
 //    assignment, heaviest tasks first, skipping tasks moved within
 //    `min_dwell_rounds`. Hysteresis + dwell + the move cap keep the
 //    controller from thrashing on noise; each executed move is
@@ -45,13 +45,14 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "cluster/fleet.h"
 #include "cluster/router.h"
 #include "common/time.h"
 #include "metrics/collector.h"
-#include "metrics/timeseries.h"
 #include "sim/simulator.h"
 
 namespace daris::cluster {
@@ -100,8 +101,12 @@ std::vector<int> pack_homes(const std::vector<double>& task_load,
 
 class Rebalancer {
  public:
-  /// `collector` (required, the fleet's) receives the steal records and
-  /// the scan and round counts, and holds every count the accessors read.
+  /// Schedules its events on the fleet's control shard (Fleet::simulator)
+  /// and counts the steal records and the scan and round counts into the
+  /// fleet's collector (Fleet::collector), which holds every count the
+  /// accessors read. `sim` and `collector` are unused: still declared only
+  /// because perfbench passes them; delete them the next time the benchmark
+  /// harness changes.
   Rebalancer(sim::Simulator& sim, Fleet& fleet, Router& router,
              const RebalanceConfig& config, metrics::Collector* collector);
 
@@ -130,24 +135,23 @@ class Rebalancer {
   void rehome_tick();
   void rehome_round(common::Time now);
   const metrics::FleetCounters& counters() const {
-    return collector_->fleet_counters();
+    return fleet_.collector().fleet_counters();
   }
 
-  sim::Simulator& sim_;
   Fleet& fleet_;
   Router& router_;
   RebalanceConfig config_;
-  metrics::Collector* collector_;
   common::Time horizon_ = 0;
   int round_ = 0;
-  /// Cumulative releases per task (the demand probes read these).
+  /// Cumulative releases per task.
   std::vector<std::uint64_t> release_count_;
   /// Round a task last moved in (dwell enforcement).
   std::vector<int> last_move_round_;
   /// Per-GPU flag: a steal scan is already scheduled there.
   std::vector<char> scan_pending_;
-  /// Sliding demand window: one track per task over release_count_.
-  metrics::TimeSeries demand_;
+  /// Sliding demand window: (time, release_count_) snapshots, oldest first,
+  /// none older than kDemandWindow before the last tick.
+  std::deque<std::pair<common::Time, std::vector<std::uint64_t>>> demand_;
 };
 
 }  // namespace daris::cluster

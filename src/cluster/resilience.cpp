@@ -1,7 +1,6 @@
 #include "cluster/resilience.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "metrics/eventlog.h"
 
@@ -11,42 +10,31 @@ using metrics::EventCause;
 using metrics::EventKind;
 using metrics::FleetCounters;
 
-ResiliencePolicy::ResiliencePolicy(sim::Simulator& sim, Fleet& fleet,
+ResiliencePolicy::ResiliencePolicy(sim::Simulator& /*sim*/, Fleet& fleet,
                                    Router& router,
                                    const ResilienceConfig& config,
-                                   metrics::Collector* collector)
-    : sim_(sim),
-      fleet_(fleet),
+                                   metrics::Collector* /*collector*/)
+    : fleet_(fleet),
       router_(router),
       config_(config),
-      collector_(collector),
       // Rng(run seed) also draws the fleet's per-device jitter seeds; the
       // two sequences are equal but feed unrelated decisions.
-      rng_(fleet.seed()) {
-  assert(collector_ != nullptr);
-}
+      rng_(fleet.seed()) {}
 
 void ResiliencePolicy::release(int task_id) {
   if (!config_.enabled) {
     router_.release(task_id);
     return;
   }
-  collector_->count(&FleetCounters::first_attempts);
+  fleet_.collector().count(&FleetCounters::first_attempts);
   // First attempts fund the bucket; retries and hedges drain it. The cap
   // bounds how large a burst of sheds can be retried back-to-back.
   if (config_.budget_enabled) {
     tokens_ = std::min(kRetryBudgetBurst, tokens_ + kRetryBudgetRatio);
   }
-  const common::Time released = sim_.now();
+  const common::Time released = fleet_.simulator().now();
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, /*attempt=*/1, r);
-}
-
-const RetryPolicy& ResiliencePolicy::policy_for(int task_id) const {
-  return fleet_.spec(task_id).priority ==
-                 common::Priority::kHigh
-             ? config_.hp
-             : config_.lp;
 }
 
 bool ResiliencePolicy::spend_token() {
@@ -58,8 +46,9 @@ bool ResiliencePolicy::spend_token() {
 
 void ResiliencePolicy::after_attempt(int task_id, common::Time released,
                                      int attempt, const RouteResult& r) {
+  metrics::Collector& collector = fleet_.collector();
   if (r.status == RouteResult::Status::kAdmitted) {
-    if (attempt > 1) collector_->count(&FleetCounters::retry_admits);
+    if (attempt > 1) collector.count(&FleetCounters::retry_admits);
     arm_hedge(task_id, released, r);
     return;
   }
@@ -72,18 +61,17 @@ void ResiliencePolicy::after_attempt(int task_id, common::Time released,
   if (r.cause != EventCause::kBacklog && r.cause != EventCause::kPeerReject) {
     return;
   }
-  const RetryPolicy& pol = policy_for(task_id);
-  if (pol.backoff == RetryPolicy::Backoff::kNone) return;
-  if (attempt >= pol.max_attempts) {
-    collector_->record(sim_.now(), EventKind::kRetry, EventCause::kMaxAttempts,
-                       -1, -1, task_id, attempt);
+  if (config_.retry.max_attempts <= 1) return;
+  if (attempt >= config_.retry.max_attempts) {
+    collector.record(fleet_.simulator().now(), EventKind::kRetry,
+                     EventCause::kMaxAttempts, -1, -1, task_id, attempt);
     return;
   }
   schedule_retry(task_id, released, attempt);
 }
 
-common::Duration ResiliencePolicy::backoff_delay(const RetryPolicy& pol,
-                                                 int attempt) {
+common::Duration ResiliencePolicy::backoff_delay(int attempt) {
+  const RetryPolicy& pol = config_.retry;
   double us = pol.base_delay_us;
   for (int i = 1; i < attempt; ++i) us = std::min(us * 2.0, pol.max_delay_us);
   us = std::min(us, pol.max_delay_us);
@@ -93,31 +81,32 @@ common::Duration ResiliencePolicy::backoff_delay(const RetryPolicy& pol,
 
 void ResiliencePolicy::schedule_retry(int task_id, common::Time released,
                                       int attempt) {
-  const common::Duration delay = backoff_delay(policy_for(task_id), attempt);
-  sim_.schedule_after(delay, [this, task_id, released, attempt] {
-    fire_retry(task_id, released, attempt + 1);
-  });
+  fleet_.simulator().schedule_after(
+      backoff_delay(attempt), [this, task_id, released, attempt] {
+        fire_retry(task_id, released, attempt + 1);
+      });
 }
 
 void ResiliencePolicy::fire_retry(int task_id, common::Time released,
                                   int attempt) {
-  const common::Time now = sim_.now();
+  const common::Time now = fleet_.simulator().now();
   const auto& spec = fleet_.spec(task_id);
+  metrics::Collector& collector = fleet_.collector();
   // Deadline re-derivation: the retry keeps the ORIGINAL release time, so
   // the remaining slack is real. A retry whose deadline already passed is
   // abandoned — releasing it would only burn GPU time on a guaranteed miss.
   if (now >= released + spec.relative_deadline) {
-    collector_->record(now, EventKind::kRetry, EventCause::kExpired, -1, -1,
-                       task_id, attempt);
+    collector.record(now, EventKind::kRetry, EventCause::kExpired, -1, -1,
+                     task_id, attempt);
     return;
   }
   if (!spend_token()) {
-    collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
-                       -1, -1, task_id, attempt);
+    collector.record(now, EventKind::kRetry, EventCause::kBudgetExhausted, -1,
+                     -1, task_id, attempt);
     return;
   }
-  collector_->record(now, EventKind::kRetry, EventCause::kBackoff, -1, -1,
-                     task_id, attempt);
+  collector.record(now, EventKind::kRetry, EventCause::kBackoff, -1, -1,
+                   task_id, attempt);
   const RouteResult r = router_.route_job(task_id, released);
   after_attempt(task_id, released, attempt, r);
 }
@@ -152,30 +141,33 @@ void ResiliencePolicy::arm_hedge(int task_id, common::Time released,
   }
   const int gpu = r.gpu;
   const std::uint64_t job = r.job_id;
-  sim_.schedule_after(common::from_us(std::max(0.0, delay_us)),
-                      [this, task_id, released, gpu, job] {
-                        fire_hedge(task_id, released, gpu, job);
-                      });
+  fleet_.simulator().schedule_after(
+      common::from_us(std::max(0.0, delay_us)),
+      [this, task_id, released, gpu, job] {
+        fire_hedge(task_id, released, gpu, job);
+      });
 }
 
 void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
                                   int primary_gpu,
                                   std::uint64_t primary_job) {
-  const common::Time now = sim_.now();
+  sim::Simulator& sim = fleet_.simulator();
+  metrics::Collector& collector = fleet_.collector();
+  const common::Time now = sim.now();
   // Primary already settled (finished, or shed with its failed device):
   // nothing left to beat.
   if (!fleet_.scheduler(primary_gpu).job_in_flight(primary_job)) return;
   const auto& spec = fleet_.spec(task_id);
   if (now >= released + spec.relative_deadline) return;  // no slack to rescue
   if (!spend_token()) {
-    collector_->record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
-                       primary_gpu, -1, task_id, 1);
+    collector.record(now, EventKind::kRetry, EventCause::kBudgetExhausted,
+                     primary_gpu, -1, task_id, 1);
     return;
   }
   const RouteResult h = router_.route_hedge(task_id, primary_gpu, released);
   if (h.status != RouteResult::Status::kAdmitted) return;
-  collector_->record(now, EventKind::kHedge, EventCause::kHedgeLaunch,
-                     primary_gpu, h.gpu, task_id);
+  collector.record(now, EventKind::kHedge, EventCause::kHedgeLaunch,
+                   primary_gpu, h.gpu, task_id);
   const std::uint64_t id = next_pair_id_++;
   HedgePair p;
   p.task = task_id;
@@ -185,30 +177,32 @@ void ResiliencePolicy::fire_hedge(int task_id, common::Time released,
   p.hedge_job = h.job_id;
   p.released = released;
   pairs_.emplace(id, p);
-  sim_.schedule_after(kHedgePoll, [this, id] { poll_pair(id); });
+  sim.schedule_after(kHedgePoll, [this, id] { poll_pair(id); });
 }
 
 void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const auto it = pairs_.find(pair_id);
   if (it == pairs_.end()) return;
   const HedgePair p = it->second;
+  sim::Simulator& sim = fleet_.simulator();
+  metrics::Collector& collector = fleet_.collector();
   const bool primary_live =
       fleet_.scheduler(p.primary_gpu).job_in_flight(p.primary_job);
   const bool hedge_live =
       fleet_.scheduler(p.hedge_gpu).job_in_flight(p.hedge_job);
   if (primary_live && hedge_live) {
-    sim_.schedule_after(kHedgePoll, [this, pair_id] { poll_pair(pair_id); });
+    sim.schedule_after(kHedgePoll, [this, pair_id] { poll_pair(pair_id); });
     return;
   }
   pairs_.erase(it);
-  const common::Time now = sim_.now();
+  const common::Time now = sim.now();
   // The first copy to finish defines what the CLIENT saw, whatever happens
   // to the loser; detection is at poll granularity.
   hedge_client_ms_.push_back(common::to_ms(now - p.released));
   if (!primary_live && !hedge_live) {
     // Both settled within one poll period: the copies raced to completion
     // and the duplicate work was spent either way.
-    collector_->count(&FleetCounters::hedge_waste);
+    collector.count(&FleetCounters::hedge_waste);
     return;
   }
   // First-finish-wins: revoke the losing copy while it is still unstarted
@@ -217,14 +211,14 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
   const int loser_gpu = primary_live ? p.primary_gpu : p.hedge_gpu;
   const std::uint64_t loser_job = primary_live ? p.primary_job : p.hedge_job;
   if (primary_live) {
-    collector_->record(now, EventKind::kHedge, EventCause::kHedgeWin,
-                       p.primary_gpu, p.hedge_gpu, p.task);
+    collector.record(now, EventKind::kHedge, EventCause::kHedgeWin,
+                     p.primary_gpu, p.hedge_gpu, p.task);
   }
   if (fleet_.scheduler(loser_gpu).revoke_job(loser_job)) {
-    collector_->record(now, EventKind::kHedge, EventCause::kHedgeCancel,
-                       p.primary_gpu, p.hedge_gpu, p.task);
+    collector.record(now, EventKind::kHedge, EventCause::kHedgeCancel,
+                     p.primary_gpu, p.hedge_gpu, p.task);
   } else {
-    collector_->count(&FleetCounters::hedge_waste);
+    collector.count(&FleetCounters::hedge_waste);
     if (primary_live) {
       // The hedge won inside the deadline but the started primary could not
       // be revoked: follow it to completion to learn whether the histogram
@@ -238,17 +232,17 @@ void ResiliencePolicy::poll_pair(std::uint64_t pair_id) {
 
 void ResiliencePolicy::watch_loser(int gpu, std::uint64_t job,
                                    common::Time deadline) {
+  sim::Simulator& sim = fleet_.simulator();
   if (fleet_.scheduler(gpu).job_in_flight(job)) {
-    sim_.schedule_after(kHedgePoll,
-                        [this, gpu, job, deadline] {
-                          watch_loser(gpu, job, deadline);
-                        });
+    sim.schedule_after(kHedgePoll, [this, gpu, job, deadline] {
+      watch_loser(gpu, job, deadline);
+    });
     return;
   }
   // Settlement is observed up to one poll period late, so only count the
   // miss once it clears a full period — a lower bound on rescued misses.
-  if (sim_.now() > deadline + kHedgePoll) {
-    collector_->count(&FleetCounters::hedge_rescued_misses);
+  if (sim.now() > deadline + kHedgePoll) {
+    fleet_.collector().count(&FleetCounters::hedge_rescued_misses);
   }
 }
 

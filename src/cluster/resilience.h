@@ -28,14 +28,15 @@
 //    runs to completion and is counted as duplicate (wasted) work.
 //
 // Determinism: all timers (backoff, hedge triggers, pair polls) are
-// ordinary control-shard sim::Callback events; backoff jitter comes from the
-// layer's own Rng, seeded with the run seed (Fleet::seed()). Sharded runs
-// stay bit-identical because control events run while the device shards are
-// parked at the window barrier — the same contract the rebalancer relies
-// on, so they never race a device. A default ResilienceConfig{}
-// (enabled=false) schedules nothing and leaves every run byte-identical to
-// a build without this file: release() then forwards each job straight to
-// the router, so cluster_runner routes through the layer unconditionally.
+// ordinary control-shard sim::Callback events (Fleet::simulator); backoff
+// jitter comes from the layer's own Rng, seeded with the run seed
+// (Fleet::seed()). Sharded runs stay bit-identical because control events
+// run while the device shards are parked at the window barrier — the same
+// contract the rebalancer relies on, so they never race a device. A
+// default ResilienceConfig{} (enabled=false) schedules nothing and leaves
+// every run byte-identical to a build without this file: release() then
+// forwards each job straight to the router, so cluster_runner routes
+// through the layer unconditionally.
 //
 // docs/RESILIENCE.md is the operator guide (knobs, budget math, scenario
 // walkthrough).
@@ -71,14 +72,11 @@ inline constexpr double kHedgeFallbackFrac = 0.35;
 /// Hedge-pair settlement poll period (first-finish-wins detection).
 inline constexpr common::Duration kHedgePoll = common::from_sec(0.0005);
 
-/// Per-class retry policy. kNone disables retries for the class;
-/// kExponential waits base_delay_us before the first retry and doubles the
-/// delay per attempt up to max_delay_us, each delay jittered by
-/// kRetryJitter.
+/// Retry policy, one for both classes: wait base_delay_us before the first
+/// retry and double the delay per attempt up to max_delay_us, each delay
+/// jittered by kRetryJitter.
 struct RetryPolicy {
-  enum class Backoff { kNone, kExponential };
-  Backoff backoff = Backoff::kNone;
-  /// Total attempts including the first release.
+  /// Total attempts including the first release; 1 disables retries.
   int max_attempts = 3;
   double base_delay_us = 500.0;
   double max_delay_us = 20000.0;
@@ -89,10 +87,8 @@ struct ResilienceConfig {
   /// release() forwards every job to the router untouched.
   bool enabled = false;
 
-  /// Retry policies per class. Defaults retry both classes with exponential
-  /// backoff; set backoff = kNone to disable a class.
-  RetryPolicy hp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0};
-  RetryPolicy lp{RetryPolicy::Backoff::kExponential, 3, 500.0, 20000.0};
+  /// Retry policy of both classes; max_attempts = 1 disables retries.
+  RetryPolicy retry;
 
   /// Token-bucket retry budget. Each first attempt earns kRetryBudgetRatio
   /// tokens (capped at kRetryBudgetBurst); each retry or hedge launch spends
@@ -109,10 +105,13 @@ struct ResilienceConfig {
 
 class ResiliencePolicy {
  public:
-  /// `sim` must be the fleet's control-shard simulator (fleet.simulator()).
-  /// `collector` (required, the fleet's) receives the retry and hedge
-  /// records and the layer's measured counts, and holds every count the
-  /// accessors read. Backoff jitter draws from Rng(fleet.seed()).
+  /// Schedules its timers on the fleet's control shard (Fleet::simulator)
+  /// and counts the retry and hedge records and the layer's measured counts
+  /// into the fleet's collector (Fleet::collector), which holds every count
+  /// the accessors read. Backoff jitter draws from Rng(fleet.seed()).
+  /// `sim` and `collector` are unused: still declared only because
+  /// perfbench passes them; delete them the next time the benchmark harness
+  /// changes.
   ResiliencePolicy(sim::Simulator& sim, Fleet& fleet, Router& router,
                    const ResilienceConfig& config,
                    metrics::Collector* collector);
@@ -173,9 +172,8 @@ class ResiliencePolicy {
   };
 
   const metrics::FleetCounters& counters() const {
-    return collector_->fleet_counters();
+    return fleet_.collector().fleet_counters();
   }
-  const RetryPolicy& policy_for(int task_id) const;
   bool spend_token();
   /// Reacts to a route attempt's synchronous outcome: arms a hedge trigger
   /// on an admitted LP primary, a backoff timer on a retriable shed.
@@ -183,7 +181,7 @@ class ResiliencePolicy {
                      const RouteResult& r);
   void schedule_retry(int task_id, common::Time released, int attempt);
   void fire_retry(int task_id, common::Time released, int attempt);
-  common::Duration backoff_delay(const RetryPolicy& pol, int attempt);
+  common::Duration backoff_delay(int attempt);
   void arm_hedge(int task_id, common::Time released, const RouteResult& r);
   void fire_hedge(int task_id, common::Time released, int primary_gpu,
                   std::uint64_t primary_job);
@@ -192,11 +190,9 @@ class ResiliencePolicy {
   /// classify its recorded outcome against the original deadline.
   void watch_loser(int gpu, std::uint64_t job, common::Time deadline);
 
-  sim::Simulator& sim_;
   Fleet& fleet_;
   Router& router_;
   ResilienceConfig config_;
-  metrics::Collector* collector_;
   common::Rng rng_;
   double tokens_ = 0.0;
 

@@ -1,6 +1,5 @@
 #include "cluster/router.h"
 
-#include <cassert>
 #include <limits>
 
 #include "metrics/eventlog.h"
@@ -24,12 +23,8 @@ const char* routing_policy_name(RoutingPolicy p) {
 }
 
 Router::Router(Fleet& fleet, const RouterConfig& config,
-               metrics::Collector* collector)
-    : fleet_(fleet),
-      config_(config),
-      rng_(config.seed),
-      collector_(collector) {
-  assert(collector_ != nullptr);
+               metrics::Collector* /*collector*/)
+    : fleet_(fleet), config_(config), rng_(config.seed) {
   // Transfers headed to a device that fails or drains must be cancelled the
   // instant it stops being placeable — before the fleet rehomes its tasks —
   // so no delivery ever lands on a halted GPU. With no transfers in flight
@@ -125,12 +120,13 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   }
   if (home < 0) home = 0;  // whole fleet unplaceable: nominal accounting slot
 
-  collector_->on_release(spec.priority);
-  collector_->on_route(home);
+  metrics::Collector& collector = fleet_.collector();
+  collector.on_release(spec.priority);
+  collector.on_route(home);
 
-  // Fleet admission controller: a job no device can feasibly host (model
-  // fits no GPU's memory, or one job's utilisation exceeds every idle
-  // context) is shed here, not bounced through placement and migration.
+  // Fleet admission controller: a job no device can feasibly host (one
+  // job's utilisation exceeds every idle context) is shed here, not bounced
+  // through placement and migration.
   if (!fleet_.feasible(task_id)) {
     return drop(task_id, home, released, metrics::EventCause::kInfeasible);
   }
@@ -149,8 +145,8 @@ RouteResult Router::route_job(int task_id, common::Time released) {
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(home).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    collector_->record(released, metrics::EventKind::kAdmit,
-                       metrics::EventCause::kHomeAdmit, home, -1, task_id);
+    collector.record(released, metrics::EventKind::kAdmit,
+                     metrics::EventCause::kHomeAdmit, home, -1, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = home;
@@ -176,8 +172,9 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   if (best < 0) return r;  // no eligible peer: hedge not launched, no counts
 
   const auto& spec = fleet_.spec(task_id);
-  collector_->on_release(spec.priority);
-  collector_->on_route(best);
+  metrics::Collector& collector = fleet_.collector();
+  collector.on_release(spec.priority);
+  collector.on_route(best);
 
   // The fleet-wide backlog guard is skipped by design (the primary copy
   // holds the task's backlog slot); the peer scheduler's own admission test
@@ -185,8 +182,8 @@ RouteResult Router::route_hedge(int task_id, int exclude_gpu,
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(best).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    collector_->record(released, metrics::EventKind::kAdmit,
-                       metrics::EventCause::kHomeAdmit, best, -1, task_id);
+    collector.record(released, metrics::EventKind::kAdmit,
+                     metrics::EventCause::kHomeAdmit, best, -1, task_id);
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = best;
     r.job_id = job_id;
@@ -208,15 +205,16 @@ RouteResult Router::migrate(int task_id, int from, int peer,
     const double mb = fleet_.transfer_mb(task_id);
     const common::Duration delay =
         common::from_us(mb * fleet_.transfer_us_per_mb());
+    const common::Time now = fleet_.simulator().now();
+    metrics::Collector& collector = fleet_.collector();
     if (config_.coalesce && delay > 0) {
       const auto lead = inflight_copy_.find(
           CoalesceKey{peer, fleet_.model_of(task_id)});
       if (lead != inflight_copy_.end()) {
         const common::Time arrive = inflight_.at(lead->second).arrive;
-        collector_->record(fleet_.simulator().now(),
-                           metrics::EventKind::kCoalesce,
-                           metrics::EventCause::kCoalesced, peer, -1, task_id,
-                           mb);
+        collector.record(now, metrics::EventKind::kCoalesce,
+                         metrics::EventCause::kCoalesced, peer, -1, task_id,
+                         mb);
         // The attacher's delivery event is scheduled after the leader's, so
         // at equal arrival times it runs second — the leader's delivery has
         // already warmed the model when this job is offered.
@@ -225,11 +223,10 @@ RouteResult Router::migrate(int task_id, int from, int peer,
         return pending;
       }
     }
-    collector_->record(fleet_.simulator().now(), metrics::EventKind::kTransfer,
-                       metrics::EventCause::kColdModel, peer, -1, task_id, mb);
+    collector.record(now, metrics::EventKind::kTransfer,
+                     metrics::EventCause::kColdModel, peer, -1, task_id, mb);
     if (delay > 0) {
-      queue_delivery(task_id, from, peer, released,
-                     fleet_.simulator().now() + delay,
+      queue_delivery(task_id, from, peer, released, now + delay,
                      /*leader=*/config_.coalesce);
       return pending;
     }
@@ -298,7 +295,7 @@ void Router::cancel_transfers_to(int g) {
     fleet_.simulator().cancel(rec.handle);
     inflight_.erase(it);
     finish_pending(rec);
-    collector_->count(&metrics::FleetCounters::transfer_cancels);
+    fleet_.collector().count(&metrics::FleetCounters::transfer_cancels);
     // The bytes already shipped toward g are sunk; the job is not. Retarget
     // it to the best surviving device (a cancelled leader's followers
     // retarget right after it and coalesce onto its new copy) or drop it
@@ -322,15 +319,16 @@ RouteResult Router::deliver(int task_id, int from, int peer,
     return drop(task_id, from, released);
   }
   // Weights are on the device now (transfer done, or hot already); pin them
-  // while capacity allows so repeat migrations of this model are free. The
-  // job keeps its original release time: the transfer consumed deadline
-  // slack (and shows in its response time), it did not reset the clock.
+  // so repeat migrations of this model are free. The job keeps its original
+  // release time: the transfer consumed deadline slack (and shows in its
+  // response time), it did not reset the clock.
   fleet_.warm_model(peer, task_id);
   std::uint64_t job_id = 0;
   if (fleet_.scheduler(peer).release_job(task_id, /*report=*/false, released,
                                          &job_id)) {
-    collector_->record(fleet_.simulator().now(), metrics::EventKind::kMigrate,
-                       metrics::EventCause::kSpill, from, peer, task_id);
+    fleet_.collector().record(fleet_.simulator().now(),
+                              metrics::EventKind::kMigrate,
+                              metrics::EventCause::kSpill, from, peer, task_id);
     RouteResult r;
     r.status = RouteResult::Status::kAdmitted;
     r.gpu = peer;
@@ -343,9 +341,10 @@ RouteResult Router::deliver(int task_id, int from, int peer,
 RouteResult Router::drop(int task_id, int gpu, common::Time released,
                          metrics::EventCause cause) {
   const auto& spec = fleet_.spec(task_id);
-  collector_->on_reject(spec.priority);
-  collector_->record(released, metrics::EventKind::kReject, cause, gpu, -1,
-                     task_id);
+  metrics::Collector& collector = fleet_.collector();
+  collector.on_reject(spec.priority);
+  collector.record(released, metrics::EventKind::kReject, cause, gpu, -1,
+                   task_id);
   RouteResult r;
   r.cause = cause;
   return r;

@@ -4,9 +4,9 @@
 // device carrying their static Eq. 11 reservation — the paper's fixed HP
 // context assignment, lifted one level), LP jobs to the GPU chosen by the
 // routing policy. Before any placement the fleet admission controller sheds
-// jobs no device can feasibly host (model fits no GPU's memory, or — for
-// admission-tested classes — one job's utilisation exceeds every idle
-// context), so hopeless jobs never bounce through migration retries.
+// jobs no device can feasibly host (for admission-tested classes, one
+// job's utilisation exceeds every idle context of every placeable device),
+// so hopeless jobs never bounce through migration retries.
 //
 // If the routed GPU's DARIS scheduler rejects the job (Eq. 12 failed on
 // every context, or a backlog guard fired), the router offers it once to
@@ -34,10 +34,11 @@
 //
 // The router owns the fleet-level release/reject accounting (the schedulers
 // run in silent mode so a retried job is not double-counted) and reports
-// every routing decision once, through metrics::Collector::record, which
-// keeps the per-GPU and fleet-wide counts. In-flight transfer deliveries
-// are simulator events that reference the router: keep it alive while the
-// simulator runs, as with the release drivers.
+// every routing decision once, through the fleet's collector
+// (Fleet::collector, metrics::Collector::record), which keeps the per-GPU
+// and fleet-wide counts. In-flight transfer deliveries are simulator events
+// that reference the router: keep it alive while the simulator runs, as
+// with the release drivers.
 //
 // docs/CLUSTER.md is the policy guide (when each policy wins, the
 // skewed-demand failure mode, threshold semantics, rebalancing hooks).
@@ -102,8 +103,10 @@ struct RouterConfig {
 
 class Router {
  public:
-  /// `collector` (required) receives every routing decision and holds the
-  /// counts the accessors below read.
+  /// Every routing decision is counted into the fleet's collector
+  /// (Fleet::collector), which holds the counts the accessors below read.
+  /// `collector` is unused: still declared only because perfbench passes
+  /// it; delete it the next time the benchmark harness changes.
   Router(Fleet& fleet, const RouterConfig& config,
          metrics::Collector* collector);
   /// Convenience: default spill threshold.
@@ -181,12 +184,12 @@ class Router {
 
   /// Route attempts (releases + retries + hedges) of the class.
   std::uint64_t released_of(common::Priority p) const {
-    return collector_->class_counts(p).released;
+    return fleet_.collector().class_counts(p).released;
   }
   /// Synchronous + asynchronous sheds (infeasible, backlog, peer-reject,
   /// post-transfer drops) of the class.
   std::uint64_t shed_of(common::Priority p) const {
-    return collector_->class_counts(p).rejected;
+    return fleet_.collector().class_counts(p).rejected;
   }
   /// Jobs of the class still riding an in-flight weight transfer.
   std::uint64_t pending_of(common::Priority p) const {
@@ -265,13 +268,12 @@ class Router {
   int pending_jobs(int task_id) const;
   void add_pending_job(int task_id, int delta);
   const metrics::FleetCounters& counters() const {
-    return collector_->fleet_counters();
+    return fleet_.collector().fleet_counters();
   }
 
   Fleet& fleet_;
   RouterConfig config_;
   common::Rng rng_;
-  metrics::Collector* collector_;
   int rr_next_ = 0;
   std::uint64_t pending_cls_[2] = {0, 0};
   std::vector<int> pending_jobs_;  // per task id

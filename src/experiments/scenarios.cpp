@@ -173,9 +173,7 @@ ClusterConfig retry_storm(const std::string& /*data_dir*/) {
   // An aggressive client: 5 attempts with fast exponential backoff — the
   // policy a front-end team tunes for transient blips, and exactly what
   // melts the fleet down when the blip is a capacity shortfall.
-  cfg.resilience.hp = {cluster::RetryPolicy::Backoff::kExponential, 5, 300.0,
-                       5000.0};
-  cfg.resilience.lp = cfg.resilience.hp;
+  cfg.resilience.retry = {5, 300.0, 5000.0};
   cfg.resilience.budget_enabled = true;
   return cfg;
 }
@@ -212,8 +210,7 @@ ClusterConfig hedging_tail_rescue(const std::string& /*data_dir*/) {
   f.factor = 0.4;
   cfg.faults.push_back(f);
   cfg.resilience.enabled = true;
-  cfg.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
-  cfg.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
+  cfg.resilience.retry.max_attempts = 1;
   // The trigger percentile (cluster::kHedgePercentile, p95) is read off the
   // FLEET's fastest device (see ResiliencePolicy::arm_hedge), so it means
   // "slower than a healthy peer's p95" — which nearly every straggler-stuck

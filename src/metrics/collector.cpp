@@ -133,12 +133,6 @@ void Collector::on_route(int gpu) {
   ++routing_[static_cast<std::size_t>(gpu)].routed;
 }
 
-RoutingCounters Collector::fleet_routing() const {
-  RoutingCounters total;
-  for (const auto& r : routing_) total += r;
-  return total;
-}
-
 std::uint64_t Collector::total_completed() const {
   return classes_[0].completed + classes_[1].completed;
 }

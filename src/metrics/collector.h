@@ -70,9 +70,9 @@ struct ClassSummary : ClassCounts {
   }
 };
 
-/// Cluster-level routing outcomes for one GPU (also summed fleet-wide).
-/// Filled by Collector::on_route and, through add_counts
-/// (metrics/eventlog.h), Collector::record; zero in single-GPU runs.
+/// Cluster-level routing outcomes for one GPU. Filled by
+/// Collector::on_route and, through add_counts (metrics/eventlog.h),
+/// Collector::record; zero in single-GPU runs.
 struct RoutingCounters {
   std::uint64_t routed = 0;        // arrivals first offered to this GPU
   std::uint64_t home_admits = 0;   // admitted by the GPU they were routed to
@@ -88,22 +88,6 @@ struct RoutingCounters {
   std::uint64_t coalesced = 0;     // migrations here that attached to an
                                    // in-flight weight copy
   double coalesced_mb = 0.0;       // MB those attachments did NOT re-ship
-
-  RoutingCounters& operator+=(const RoutingCounters& o) {
-    routed += o.routed;
-    home_admits += o.home_admits;
-    migrated_in += o.migrated_in;
-    migrated_out += o.migrated_out;
-    dropped += o.dropped;
-    infeasible += o.infeasible;
-    transfers_in += o.transfers_in;
-    transferred_mb += o.transferred_mb;
-    steals_in += o.steals_in;
-    steals_out += o.steals_out;
-    coalesced += o.coalesced;
-    coalesced_mb += o.coalesced_mb;
-    return *this;
-  }
 };
 
 /// Fleet-wide counters of a cluster run. The first group is implied by the
@@ -242,8 +226,6 @@ class Collector {
   const RoutingCounters& routing(int gpu) const {
     return routing_[static_cast<std::size_t>(gpu)];
   }
-  /// Sum of the per-GPU routing counters.
-  RoutingCounters fleet_routing() const;
   /// Fleet-wide decision totals (every record, whatever its device).
   const FleetCounters& fleet_counters() const { return fleet_; }
 

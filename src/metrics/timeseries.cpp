@@ -21,14 +21,16 @@ void TimeSeries::start(sim::Simulator& sim, common::Duration period,
   period_ = period < 1 ? 1 : period;
   horizon_ = horizon;
   // One slot per cadence tick over [now, horizon], inclusive on both ends,
-  // plus slack for the fencepost. Sized once here; ticks only write.
+  // plus slack for the fencepost. Reserved once here; ticks only append.
   const common::Time span =
       horizon > sim.now() ? horizon - sim.now() : common::Time{0};
-  capacity_ = static_cast<std::size_t>(span / period_) + 2;
-  head_ = 0;
-  count_ = 0;
-  stamps_.assign(capacity_, 0);
-  for (Track& t : tracks_) t.ring.assign(capacity_, 0.0);
+  const auto slots = static_cast<std::size_t>(span / period_) + 2;
+  stamps_.clear();
+  stamps_.reserve(slots);
+  for (Track& t : tracks_) {
+    t.samples.clear();
+    t.samples.reserve(slots);
+  }
   // The whole steady state is this one event re-arming itself: an 8-byte
   // {this} capture on the simulator's inline path, exactly the periodic-
   // driver pattern.
@@ -51,23 +53,8 @@ void TimeSeries::tick() {
 }
 
 void TimeSeries::sample_now(common::Time now) {
-  // Never started (the rebalancer's demand window, which samples on its own
-  // re-home tick, and tests): size a small ring on the first sample.
-  if (capacity_ == 0) {
-    capacity_ = 64;
-    stamps_.assign(capacity_, 0);
-    for (Track& t : tracks_) t.ring.assign(capacity_, 0.0);
-  }
-  std::size_t slot = 0;
-  if (count_ < capacity_) {
-    slot = (head_ + count_) % capacity_;
-    ++count_;
-  } else {  // ring full: overwrite the oldest sample
-    slot = head_;
-    head_ = (head_ + 1) % capacity_;
-  }
-  stamps_[slot] = now;
-  for (Track& t : tracks_) t.ring[slot] = t.probe();
+  stamps_.push_back(now);
+  for (Track& t : tracks_) t.samples.push_back(t.probe());
 }
 
 void TimeSeries::append_json(std::string* out) const {

@@ -1,15 +1,15 @@
-// Time-series sampler: fixed-cadence ring-buffered tracks of fleet and
+// Time-series sampler: fixed-cadence append-only tracks of fleet and
 // per-GPU gauges, driven by ONE pooled re-armed simulator event.
 //
 // Tracks are registered at setup time as (name, device, probe) triples; the
 // probe is a read-only closure over const simulation state (scheduler
 // utilisation, queue depths, fleet health...). At every cadence tick the
-// sampler records the shared timestamp once and folds every probe into its
-// track's pre-sized ring. Two invariants make observation safe:
+// sampler appends the shared timestamp once and every probe's value to its
+// track. Two invariants make observation safe:
 //
-//  - Zero steady-state allocation: rings and the timestamp axis are sized
-//    up front from the horizon and cadence (`start` reserves; ticks only
-//    write), and the single timer event's {this} capture rides the
+//  - Zero steady-state allocation: `start` reserves one slot per tick of
+//    the span on every track and the timestamp axis, so ticks append within
+//    capacity, and the single timer event's {this} capture rides the
 //    simulator's inline-callback path — pinned in tests/test_sim_alloc.cpp.
 //  - No perturbation: probes are const reads, the tick mutates only the
 //    sampler's own storage, and re-arming draws tie-break sequence numbers
@@ -19,8 +19,7 @@
 //    byte-identical (enforced by bench_fig_scenarios' telemetry-off
 //    comparison and scripts/check_telemetry.py).
 //
-// The ring overwrites its oldest samples once the horizon estimate is
-// outrun, so a sampler can also run open-ended at bounded memory.
+// Memory is bounded because ticks stop at the horizon.
 #pragma once
 
 #include <cstdint>
@@ -58,12 +57,12 @@ class TimeSeries {
   }
 
   /// Arms the sampler on `sim`: one pooled event at t = now, re-armed every
-  /// `period` until `horizon` (inclusive). Rings are sized for the full
-  /// span; older samples are overwritten if the span is outrun.
+  /// `period` until `horizon` (inclusive). Reserves one slot per tick of
+  /// the span on every track.
   void start(sim::Simulator& sim, common::Duration period,
              common::Time horizon);
 
-  /// Cancels the pending tick (idempotent; rings keep their samples).
+  /// Cancels the pending tick (idempotent; tracks keep their samples).
   void stop();
 
   /// Takes one sample immediately (start() ticks call this; tests may too).
@@ -71,15 +70,13 @@ class TimeSeries {
 
   common::Duration period() const { return period_; }
 
-  /// Samples currently held (ring occupancy), oldest first.
-  std::size_t size() const { return count_; }
+  /// Samples taken.
+  std::size_t size() const { return stamps_.size(); }
   /// Timestamp of sample `i` in chronological order.
-  common::Time stamp(std::size_t i) const {
-    return stamps_[index(i)];
-  }
+  common::Time stamp(std::size_t i) const { return stamps_[i]; }
   /// Track `t`'s value at sample `i` in chronological order.
   double value(int t, std::size_t i) const {
-    return tracks_[static_cast<std::size_t>(t)].ring[index(i)];
+    return tracks_[static_cast<std::size_t>(t)].samples[i];
   }
 
   /// Appends the series as a JSON object: {"period_us": ...,
@@ -91,19 +88,13 @@ class TimeSeries {
     std::string name;
     int device = -1;
     Probe probe;
-    std::vector<double> ring;
+    std::vector<double> samples;
   };
 
-  std::size_t index(std::size_t i) const {
-    return (head_ + i) % capacity_;
-  }
   void tick();
 
   std::vector<Track> tracks_;
   std::vector<common::Time> stamps_;
-  std::size_t capacity_ = 0;
-  std::size_t head_ = 0;   // ring start (oldest sample)
-  std::size_t count_ = 0;  // samples held, <= capacity_
   common::Duration period_ = 0;
   common::Time horizon_ = 0;
   sim::Simulator* sim_ = nullptr;

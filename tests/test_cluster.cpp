@@ -327,6 +327,23 @@ TEST(Fleet, SizesTheRoutingCountersOfAFreshCollector) {
   EXPECT_EQ(collector.routing(home).routed, 1u);
 }
 
+TEST(Router, CountsIntoItsFleetsCollector) {
+  // A router handed some other collector still counts into the one its
+  // fleet was built on (Fleet::collector): that collector's per-GPU
+  // counters are the ones the fleet sized, and the other stays untouched.
+  Harness h(2);
+  const int home = 1;
+  const int t = h.add_task(Priority::kLow, 500.0, home);
+  h.fleet->run_offline_phase();
+  metrics::Collector other;
+  Router router(*h.fleet, RoutingPolicy::kModelAffinity, 1, &other);
+  router.release(t);
+  EXPECT_EQ(h.collector.routing(home).routed, 1u);
+  EXPECT_EQ(router.released_of(Priority::kLow), 1u);
+  EXPECT_EQ(other.gpu_count(), 0);
+  EXPECT_EQ(other.class_counts(Priority::kLow).released, 0u);
+}
+
 TEST(Router, HybridStaysHomeUnderLightLoad) {
   Harness h(2);
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/1);
@@ -462,48 +479,27 @@ TEST(Router, MigrationToHotPeerIsImmediate) {
   EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 1u);
 }
 
-TEST(Fleet, ModelPinningRespectsMemoryCapacity) {
-  std::vector<GpuNodeSpec> nodes(2);
-  nodes[0].memory_mb = 10.0;  // smaller than ResNet18's ~45 MB of weights
-  nodes[1].memory_mb = 4096.0;
-  Harness h(2, 1, 0.0, 1, nodes);
+TEST(Fleet, ModelPinningIsPerDeviceAndIdempotent) {
+  Harness h(2);
   const int a = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/0);
-  EXPECT_FALSE(h.fleet->model_hot(0, a));
-  EXPECT_DOUBLE_EQ(h.fleet->memory_used_mb(0), 0.0);
-  // Pinning on the roomy device succeeds and charges the footprint once.
-  EXPECT_TRUE(h.fleet->warm_model(1, a));
+  // Registration pins the model on the task's home only.
+  EXPECT_TRUE(h.fleet->model_hot(0, a));
+  EXPECT_FALSE(h.fleet->model_hot(1, a));
+  h.fleet->warm_model(1, a);
   EXPECT_TRUE(h.fleet->model_hot(1, a));
-  EXPECT_DOUBLE_EQ(h.fleet->memory_used_mb(1), h.model->weight_mb);
+  // A second task of the same model finds it pinned, and pinning it again
+  // adds nothing.
   const int b = h.add_task(Priority::kLow, 500.0, /*home_gpu=*/1);
-  EXPECT_TRUE(h.fleet->model_hot(1, b));  // same model, already pinned
-  EXPECT_DOUBLE_EQ(h.fleet->memory_used_mb(1), h.model->weight_mb);
-}
-
-TEST(Router, MemoryInfeasibleJobIsShedByAdmissionController) {
-  // No device can ever hold the model's weights: the admission controller
-  // sheds the job outright instead of bouncing it through a migration.
-  std::vector<GpuNodeSpec> nodes(2);
-  nodes[0].memory_mb = 1.0;
-  nodes[1].memory_mb = 1.0;
-  Harness h(2, 1, 100.0, 1, nodes);
-  const int a = h.add_task(Priority::kLow, 500.0, 0);
-  h.fleet->run_offline_phase();
-  Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
-  router.release(a);
-  EXPECT_EQ(router.drops(), 1u);
-  EXPECT_EQ(router.infeasible_rejects(), 1u);
-  EXPECT_EQ(router.cross_gpu_migrations(), 0u);
-  EXPECT_EQ(router.transfers(), 0u);
-  EXPECT_EQ(h.collector.routing(0).infeasible, 1u);
-  EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);
-  EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
-  EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
+  EXPECT_TRUE(h.fleet->model_hot(1, b));
+  h.fleet->warm_model(1, b);
+  EXPECT_EQ(h.fleet->hot_model_count(1), 1);
 }
 
 TEST(Router, UtilizationInfeasibleLpJobShedWithoutRetries) {
-  Harness h(2);
+  Harness h(2, 1, /*transfer_us_per_mb=*/100.0);
   // One job's utilisation (1.5) exceeds every idle context: Eq. 12 can
-  // never pass, so the controller sheds instead of retrying on the peer.
+  // never pass, so the controller sheds the job outright instead of
+  // migrating it (and shipping its weights) to the cold peer.
   const int a = h.add_task(Priority::kLow, 15000.0, 0);
   h.fleet->run_offline_phase();
   Router router(*h.fleet, RoutingPolicy::kLeastUtilization, 1, &h.collector);
@@ -511,6 +507,12 @@ TEST(Router, UtilizationInfeasibleLpJobShedWithoutRetries) {
   EXPECT_EQ(router.drops(), 1u);
   EXPECT_EQ(router.infeasible_rejects(), 1u);
   EXPECT_EQ(router.cross_gpu_migrations(), 0u);
+  EXPECT_EQ(router.transfers(), 0u);
+  EXPECT_EQ(router.pending_transfers(), 0u);
+  EXPECT_EQ(h.collector.routing(0).infeasible, 1u);
+  EXPECT_EQ(h.collector.summary(Priority::kLow).rejected, 1u);
+  EXPECT_EQ(h.fleet->scheduler(0).jobs_in_flight(), 0u);
+  EXPECT_EQ(h.fleet->scheduler(1).jobs_in_flight(), 0u);
 }
 
 TEST(Router, HpJobsBypassUtilizationFeasibility) {

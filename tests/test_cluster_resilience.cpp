@@ -58,8 +58,7 @@ TEST(Resilience, EnabledWithAllKnobsOffMatchesDisabledExactly) {
 
   exp::ClusterConfig noop = overloaded_config(3, 1.2);
   noop.resilience.enabled = true;
-  noop.resilience.hp.backoff = RetryPolicy::Backoff::kNone;
-  noop.resilience.lp.backoff = RetryPolicy::Backoff::kNone;
+  noop.resilience.retry.max_attempts = 1;
   const exp::ClusterResult r = exp::run_cluster(noop);
 
   EXPECT_EQ(behaviour_of(r), behaviour_of(base));
@@ -142,9 +141,7 @@ TEST(Resilience, RetriesRespectTheOriginalDeadline) {
   // slack it does not have.
   exp::ClusterConfig cfg = overloaded_config(3, 1.4);
   cfg.resilience.enabled = true;
-  cfg.resilience.hp = {RetryPolicy::Backoff::kExponential, 3, 500000.0,
-                       500000.0};
-  cfg.resilience.lp = cfg.resilience.hp;
+  cfg.resilience.retry = {3, 500000.0, 500000.0};
   const exp::ClusterResult r = exp::run_cluster(cfg);
   EXPECT_EQ(r.retries, 0u);
   EXPECT_GT(r.retry_abandoned_expired, 0u);
@@ -164,8 +161,7 @@ TEST(Resilience, HedgesRescueLpTailOnStraggler) {
   slow.factor = 0.4;
   cfg.faults.push_back(slow);
   cfg.resilience.enabled = true;
-  cfg.resilience.hp.backoff = RetryPolicy::Backoff::kNone;
-  cfg.resilience.lp.backoff = RetryPolicy::Backoff::kNone;
+  cfg.resilience.retry.max_attempts = 1;
   cfg.resilience.hedge = true;
   const exp::ClusterResult r = exp::run_cluster(cfg);
 

@@ -1,5 +1,5 @@
 // Telemetry layer (docs/OBSERVABILITY.md): the time-series sampler's
-// cadence, ring, and JSON shape; the structured event log's fold back to
+// cadence, stop, and JSON shape; the structured event log's fold back to
 // RoutingCounters and FleetCounters — pinned against the live collector
 // counters over real cluster runs, the property that makes the log the
 // source of truth; and the end-to-end capture run_cluster wires up.
@@ -35,20 +35,6 @@ TEST(TimeSeries, SamplesEveryPeriodOverTheHorizon) {
   // The probe reads live state: samples before the t=55 mutation see 0.
   EXPECT_DOUBLE_EQ(ts.value(track, 5), 0.0);
   EXPECT_DOUBLE_EQ(ts.value(track, 6), 1.0);
-}
-
-TEST(TimeSeries, RingOverwritesOldestWhenOutrun) {
-  sim::Simulator sim;
-  TimeSeries ts;
-  ts.add_track("g", -1, [] { return 0.0; });
-  ts.start(sim, common::from_us(10.0), common::from_us(100.0));
-  sim.run();
-  const std::size_t held = ts.size();  // 11 of capacity 12
-  ts.sample_now(common::from_us(110.0));
-  ts.sample_now(common::from_us(120.0));
-  EXPECT_EQ(ts.size(), held + 1) << "ring is full; the oldest sample went";
-  EXPECT_EQ(ts.stamp(0), common::from_us(10.0));
-  EXPECT_EQ(ts.stamp(ts.size() - 1), common::from_us(120.0));
 }
 
 TEST(TimeSeries, StopIsIdempotentAndKeepsSamples) {
@@ -230,9 +216,7 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   // Retries whose backoff outlives every deadline: all abandoned expired.
   exp::ClusterConfig late = logged_config(3, 1.4);
   late.resilience.enabled = true;
-  late.resilience.hp = {cluster::RetryPolicy::Backoff::kExponential, 3,
-                        500000.0, 500000.0};
-  late.resilience.lp = late.resilience.hp;
+  late.resilience.retry = {3, 500000.0, 500000.0};
   configs.push_back(late);
   // A straggler that recovers under hedging: hedge launches, wins and
   // cancels.
@@ -242,8 +226,7 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   sick.faults = {fault_at(exp::FaultSpec::Kind::kSlow, 0, 0.5, 0.1),
                  fault_at(exp::FaultSpec::Kind::kSlow, 0, 1.0, 10.0)};
   sick.resilience.enabled = true;
-  sick.resilience.hp.backoff = cluster::RetryPolicy::Backoff::kNone;
-  sick.resilience.lp.backoff = cluster::RetryPolicy::Backoff::kNone;
+  sick.resilience.retry.max_attempts = 1;
   sick.resilience.hedge = true;
   configs.push_back(sick);
   // Fail-stop, then the last healthy device drains: lost jobs, and every

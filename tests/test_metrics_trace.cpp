@@ -463,14 +463,6 @@ TEST(CollectorRouting, PerGpuAndFleetCounters) {
   EXPECT_EQ(c.routing(1).steals_in, 1u);
   EXPECT_EQ(c.routing(1).coalesced, 1u);
   EXPECT_DOUBLE_EQ(c.routing(1).coalesced_mb, 12.25);
-  const RoutingCounters fleet = c.fleet_routing();
-  EXPECT_EQ(fleet.routed, 3u);
-  EXPECT_EQ(fleet.migrated_in, 1u);
-  EXPECT_EQ(fleet.migrated_out, 1u);
-  EXPECT_EQ(fleet.dropped, 1u);
-  EXPECT_EQ(fleet.infeasible, 1u);
-  EXPECT_EQ(fleet.transfers_in, 2u);
-  EXPECT_DOUBLE_EQ(fleet.transferred_mb, 45.0);
 
   const FleetCounters& f = c.fleet_counters();
   EXPECT_EQ(f.cross_gpu_migrations, 1u);

@@ -200,9 +200,9 @@ TEST(SimulatorAlloc, TraceDriverSteadyStateDoesNotAllocate) {
 }
 
 // The telemetry sampler's whole steady state is one re-armed pooled event
-// writing into pre-sized rings: after start() reserves them, a full
-// horizon of cadence ticks performs zero allocations — the invariant that
-// lets telemetry stay on in perf-sensitive runs.
+// appending to reserved tracks: after start() reserves one slot per tick, a
+// full horizon of cadence ticks performs zero allocations — the invariant
+// that lets telemetry stay on in perf-sensitive runs.
 TEST(SimulatorAlloc, TelemetrySamplerTicksDoNotAllocate) {
   using daris::metrics::TimeSeries;
   Simulator sim;
@@ -216,7 +216,8 @@ TEST(SimulatorAlloc, TelemetrySamplerTicksDoNotAllocate) {
   sim.run();
   const std::size_t after = g_allocations;
   EXPECT_EQ(after - before, 0u)
-      << "sampler ticks must only write pre-sized rings and re-arm in place";
+      << "sampler ticks must only append within the reservation and re-arm "
+         "in place";
   EXPECT_EQ(series.size(), 1001u);
 }
 

@@ -445,15 +445,16 @@ exp::ClusterConfig chaos_cluster_config(std::uint64_t seed) {
 
   cfg.rebalance.enabled = rng.uniform(0.0, 1.0) < 0.5;
 
-  // Three draws are discarded (the last was the retired breaker's coin) so
-  // that each seed's budget and hedge coin flips stay the ones the goldens
-  // below were captured with.
+  // Five draws are discarded (the last was the retired breaker's coin; two
+  // were the retired separate LP retry policy's) so that each seed's
+  // budget and hedge coin flips stay the ones the goldens below were
+  // captured with.
   cfg.resilience.enabled = true;
   (void)rng.uniform(0.0, 1.0);  // discarded
-  cfg.resilience.hp.max_attempts = static_cast<int>(rng.uniform_int(2, 5));
-  cfg.resilience.lp.max_attempts = static_cast<int>(rng.uniform_int(2, 5));
-  cfg.resilience.hp.base_delay_us = rng.uniform(100.0, 800.0);
-  cfg.resilience.lp.base_delay_us = rng.uniform(100.0, 800.0);
+  cfg.resilience.retry.max_attempts = static_cast<int>(rng.uniform_int(2, 5));
+  (void)rng.uniform_int(2, 5);  // discarded
+  cfg.resilience.retry.base_delay_us = rng.uniform(100.0, 800.0);
+  (void)rng.uniform(100.0, 800.0);  // discarded
   cfg.resilience.budget_enabled = rng.uniform(0.0, 1.0) < 0.7;
   (void)rng.uniform(0.05, 0.5);  // discarded
   cfg.resilience.hedge = rng.uniform(0.0, 1.0) < 0.5;
@@ -468,115 +469,116 @@ TEST(ShardedDifferential, ChaosScheduleConservesAndMatchesAcrossLanes) {
   // every scheduler's cached Eq. 2 totals must equal their stage sums at
   // end of run (rt::Scheduler::audit), kSlow and kAdd re-seeds included.
   // Seed 3 exercises retries and budget abandons, seed 11 retries and
-  // hedges, and 0xABCD retries and hedges.
+  // hedges, and 0xABCD retries and hedges. The goldens were re-captured at
+  // every lane count when one retry policy replaced the per-class pair
+  // (LP jobs now retry with what was the HP draw).
   struct Golden {
     std::uint64_t seed;
     const char* counters;
   };
   const Golden golden[] = {
       {3ull,
-       "total_jps=1638.8888888888889;hp_released=1453;hp_accepted=1158;"
-       "hp_rejected=265;hp_completed=874;hp_missed=84;lp_released=2989;"
-       "lp_accepted=848;lp_rejected=2134;lp_completed=601;lp_missed=120;"
-       "cross_gpu_migrations=271;drops=2399;infeasible=0;transfers=6;"
-       "transferred_mb=534.9420166015625;intra_gpu_migrations=427;"
+       "total_jps=1642.2222222222222;hp_released=1461;hp_accepted=1145;"
+       "hp_rejected=287;hp_completed=862;hp_missed=80;lp_released=2981;"
+       "lp_accepted=854;lp_rejected=2123;lp_completed=616;lp_missed=126;"
+       "cross_gpu_migrations=238;drops=2410;infeasible=0;transfers=7;"
+       "transferred_mb=579.4935302734375;intra_gpu_migrations=422;"
        "arrivals=4039;steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;"
        "coalesced=0;coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;"
-       "unmatched_rows=0;first_attempts=4039;retries=403;retry_admits=8;"
-       "retry_abandoned_budget=1638;retry_abandoned_expired=0;"
-       "retry_abandoned_attempts=356;hedges=0;hedge_wins=0;hedge_cancels=0;"
+       "unmatched_rows=0;first_attempts=4039;retries=403;retry_admits=23;"
+       "retry_abandoned_budget=2002;retry_abandoned_expired=0;"
+       "retry_abandoned_attempts=0;hedges=0;hedge_wins=0;hedge_cancels=0;"
        "hedge_waste=0;hedge_rescued=0;hedge_client_p99_ms=0;breaker_opens=0;"
-       "breaker_closes=0;conservation=1;gpu0_utilization=0.76992998099626775;"
-       "gpu0_completed=638;gpu0_intra_migrations=185;gpu0_routed=1392;"
-       "gpu0_home_admits=447;gpu0_migrated_in=210;gpu0_migrated_out=9;"
-       "gpu0_dropped=936;gpu0_infeasible=0;gpu0_transfers_in=3;"
+       "breaker_closes=0;conservation=1;gpu0_utilization=0.76076084313049153;"
+       "gpu0_completed=623;gpu0_intra_migrations=183;gpu0_routed=1398;"
+       "gpu0_home_admits=456;gpu0_migrated_in=184;gpu0_migrated_out=8;"
+       "gpu0_dropped=934;gpu0_infeasible=0;gpu0_transfers_in=3;"
        "gpu0_transferred_mb=281.253173828125;gpu0_steals_in=0;"
        "gpu0_steals_out=0;gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=1.2332222977473342;gpu1_completed=317;"
-       "gpu1_intra_migrations=51;gpu1_routed=683;gpu1_home_admits=286;"
-       "gpu1_migrated_in=49;gpu1_migrated_out=54;gpu1_dropped=343;"
-       "gpu1_infeasible=0;gpu1_transfers_in=1;"
-       "gpu1_transferred_mb=44.551513671875;gpu1_steals_in=0;gpu1_steals_out=0;"
+       "gpu1_utilization=1.2342148412466158;gpu1_completed=318;"
+       "gpu1_intra_migrations=45;gpu1_routed=674;gpu1_home_admits=290;"
+       "gpu1_migrated_in=44;gpu1_migrated_out=50;gpu1_dropped=334;"
+       "gpu1_infeasible=0;gpu1_transfers_in=2;"
+       "gpu1_transferred_mb=89.10302734375;gpu1_steals_in=0;gpu1_steals_out=0;"
        "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.66554623911588739;gpu2_completed=1051;"
-       "gpu2_intra_migrations=191;gpu2_routed=2367;gpu2_home_admits=1039;"
-       "gpu2_migrated_in=12;gpu2_migrated_out=208;gpu2_dropped=1120;"
+       "gpu2_utilization=0.66824123175953187;gpu2_completed=1058;"
+       "gpu2_intra_migrations=194;gpu2_routed=2370;gpu2_home_admits=1048;"
+       "gpu2_migrated_in=10;gpu2_migrated_out=180;gpu2_dropped=1142;"
        "gpu2_infeasible=0;gpu2_transfers_in=2;"
        "gpu2_transferred_mb=209.1373291015625;gpu2_steals_in=0;"
        "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"},
       {11ull,
-       "total_jps=1666.6666666666665;hp_released=1408;hp_accepted=997;"
-       "hp_rejected=408;hp_completed=750;hp_missed=17;lp_released=6725;"
-       "lp_accepted=1002;lp_rejected=5699;lp_completed=750;lp_missed=104;"
-       "cross_gpu_migrations=276;drops=6107;infeasible=0;transfers=9;"
-       "transferred_mb=788.630859375;intra_gpu_migrations=439;arrivals=3085;"
+       "total_jps=1616.6666666666665;hp_released=1396;hp_accepted=994;"
+       "hp_rejected=396;hp_completed=750;hp_missed=14;lp_released=4130;"
+       "lp_accepted=957;lp_rejected=3145;lp_completed=705;lp_missed=95;"
+       "cross_gpu_migrations=222;drops=3541;infeasible=0;transfers=9;"
+       "transferred_mb=714.83154296875;intra_gpu_migrations=446;arrivals=3085;"
        "steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;coalesced=0;"
        "coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;unmatched_rows=0;"
-       "first_attempts=3085;retries=4993;retry_admits=334;"
+       "first_attempts=3085;retries=2366;retry_admits=51;"
        "retry_abandoned_budget=0;retry_abandoned_expired=0;"
-       "retry_abandoned_attempts=1072;hedges=16;hedge_wins=8;hedge_cancels=9;"
-       "hedge_waste=7;hedge_rescued=0;hedge_client_p99_ms=73.015844999999999;"
+       "retry_abandoned_attempts=1140;hedges=40;hedge_wins=17;hedge_cancels=14;"
+       "hedge_waste=26;hedge_rescued=3;hedge_client_p99_ms=73.395107999999993;"
        "breaker_opens=0;breaker_closes=0;conservation=1;"
-       "gpu0_utilization=1.0854649652627237;gpu0_completed=292;"
-       "gpu0_intra_migrations=65;gpu0_routed=1035;gpu0_home_admits=214;"
-       "gpu0_migrated_in=84;gpu0_migrated_out=3;gpu0_dropped=818;"
+       "gpu0_utilization=1.0784180033804647;gpu0_completed=291;"
+       "gpu0_intra_migrations=47;gpu0_routed=754;gpu0_home_admits=236;"
+       "gpu0_migrated_in=63;gpu0_migrated_out=3;gpu0_dropped=515;"
        "gpu0_infeasible=0;gpu0_transfers_in=3;"
        "gpu0_transferred_mb=281.253173828125;gpu0_steals_in=0;"
        "gpu0_steals_out=0;gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=0.7678453360645433;gpu1_completed=467;"
-       "gpu1_intra_migrations=101;gpu1_routed=2164;gpu1_home_admits=319;"
-       "gpu1_migrated_in=152;gpu1_migrated_out=84;gpu1_dropped=1761;"
-       "gpu1_infeasible=0;gpu1_transfers_in=2;"
-       "gpu1_transferred_mb=89.10302734375;gpu1_steals_in=0;gpu1_steals_out=0;"
-       "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.81531228415568946;gpu2_completed=1240;"
-       "gpu2_intra_migrations=273;gpu2_routed=4934;gpu2_home_admits=1217;"
-       "gpu2_migrated_in=40;gpu2_migrated_out=189;gpu2_dropped=3528;"
-       "gpu2_infeasible=0;gpu2_transfers_in=4;"
-       "gpu2_transferred_mb=418.274658203125;gpu2_steals_in=0;"
-       "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"},
+       "gpu1_utilization=0.74876214582021494;gpu1_completed=437;"
+       "gpu1_intra_migrations=90;gpu1_routed=1457;gpu1_home_admits=329;"
+       "gpu1_migrated_in=114;gpu1_migrated_out=78;gpu1_dropped=1050;"
+       "gpu1_infeasible=0;gpu1_transfers_in=3;"
+       "gpu1_transferred_mb=133.654541015625;gpu1_steals_in=0;"
+       "gpu1_steals_out=0;gpu1_coalesced=0;gpu1_coalesced_mb=0;"
+       "gpu2_utilization=0.81221884990484172;gpu2_completed=1223;"
+       "gpu2_intra_migrations=309;gpu2_routed=3315;gpu2_home_admits=1198;"
+       "gpu2_migrated_in=45;gpu2_migrated_out=141;gpu2_dropped=1976;"
+       "gpu2_infeasible=0;gpu2_transfers_in=3;"
+       "gpu2_transferred_mb=299.923828125;gpu2_steals_in=0;gpu2_steals_out=0;"
+       "gpu2_coalesced=0;gpu2_coalesced_mb=0;"},
       {0xABCDull,
-       "total_jps=1952.2222222222222;hp_released=1008;hp_accepted=901;"
-       "hp_rejected=97;hp_completed=716;hp_missed=13;lp_released=2478;"
-       "lp_accepted=1343;lp_rejected=1102;lp_completed=1041;lp_missed=63;"
-       "cross_gpu_migrations=316;drops=1199;infeasible=0;transfers=14;"
-       "transferred_mb=1057.6234130859375;intra_gpu_migrations=404;"
+       "total_jps=1944.4444444444443;hp_released=1008;hp_accepted=906;"
+       "hp_rejected=90;hp_completed=722;hp_missed=15;lp_released=2479;"
+       "lp_accepted=1336;lp_rejected=1112;lp_completed=1028;lp_missed=56;"
+       "cross_gpu_migrations=311;drops=1202;infeasible=0;transfers=19;"
+       "transferred_mb=1427.9796142578125;intra_gpu_migrations=386;"
        "arrivals=3172;steals=0;steal_scans=0;rehomes=0;rehome_rounds=0;"
        "coalesced=0;coalesced_mb_saved=0;transfer_cancels=0;jobs_lost=0;"
-       "unmatched_rows=0;first_attempts=3172;retries=276;retry_admits=4;"
-       "retry_abandoned_budget=1079;retry_abandoned_expired=0;"
-       "retry_abandoned_attempts=26;hedges=33;hedge_wins=19;hedge_cancels=6;"
-       "hedge_waste=27;hedge_rescued=7;hedge_client_p99_ms=41.738377999999997;"
+       "unmatched_rows=0;first_attempts=3172;retries=279;retry_admits=1;"
+       "retry_abandoned_budget=829;retry_abandoned_expired=0;"
+       "retry_abandoned_attempts=278;hedges=28;hedge_wins=17;hedge_cancels=7;"
+       "hedge_waste=21;hedge_rescued=4;hedge_client_p99_ms=38.653979999999997;"
        "breaker_opens=0;breaker_closes=0;conservation=1;"
-       "gpu0_utilization=0.64100365953257743;gpu0_completed=386;"
-       "gpu0_intra_migrations=65;gpu0_routed=427;gpu0_home_admits=284;"
-       "gpu0_migrated_in=107;gpu0_migrated_out=2;gpu0_dropped=141;"
-       "gpu0_infeasible=0;gpu0_transfers_in=4;"
-       "gpu0_transferred_mb=252.00537109375;gpu0_steals_in=0;gpu0_steals_out=0;"
-       "gpu0_coalesced=0;gpu0_coalesced_mb=0;"
-       "gpu1_utilization=0.7748674414268325;gpu1_completed=394;"
-       "gpu1_intra_migrations=73;gpu1_routed=761;gpu1_home_admits=353;"
-       "gpu1_migrated_in=50;gpu1_migrated_out=162;gpu1_dropped=246;"
-       "gpu1_infeasible=0;gpu1_transfers_in=2;"
-       "gpu1_transferred_mb=89.10302734375;gpu1_steals_in=0;gpu1_steals_out=0;"
+       "gpu0_utilization=0.63639359689213271;gpu0_completed=381;"
+       "gpu0_intra_migrations=42;gpu0_routed=418;gpu0_home_admits=281;"
+       "gpu0_migrated_in=104;gpu0_migrated_out=0;gpu0_dropped=137;"
+       "gpu0_infeasible=0;gpu0_transfers_in=2;gpu0_transferred_mb=162.90234375;"
+       "gpu0_steals_in=0;gpu0_steals_out=0;gpu0_coalesced=0;"
+       "gpu0_coalesced_mb=0;gpu1_utilization=0.76686188394144816;"
+       "gpu1_completed=385;gpu1_intra_migrations=74;gpu1_routed=774;"
+       "gpu1_home_admits=354;gpu1_migrated_in=43;gpu1_migrated_out=170;"
+       "gpu1_dropped=250;gpu1_infeasible=0;gpu1_transfers_in=4;"
+       "gpu1_transferred_mb=178.2060546875;gpu1_steals_in=0;gpu1_steals_out=0;"
        "gpu1_coalesced=0;gpu1_coalesced_mb=0;"
-       "gpu2_utilization=0.81341284572623174;gpu2_completed=1280;"
-       "gpu2_intra_migrations=266;gpu2_routed=2221;gpu2_home_admits=1274;"
-       "gpu2_migrated_in=26;gpu2_migrated_out=152;gpu2_dropped=795;"
+       "gpu2_utilization=0.81379024151243795;gpu2_completed=1290;"
+       "gpu2_intra_migrations=268;gpu2_routed=2229;gpu2_home_admits=1287;"
+       "gpu2_migrated_in=23;gpu2_migrated_out=141;gpu2_dropped=801;"
        "gpu2_infeasible=0;gpu2_transfers_in=2;"
        "gpu2_transferred_mb=209.1373291015625;gpu2_steals_in=0;"
        "gpu2_steals_out=0;gpu2_coalesced=0;gpu2_coalesced_mb=0;"
-       "gpu3_utilization=0.18424762426101959;gpu3_completed=130;"
-       "gpu3_intra_migrations=0;gpu3_routed=51;gpu3_home_admits=38;"
-       "gpu3_migrated_in=95;gpu3_migrated_out=0;gpu3_dropped=13;"
-       "gpu3_infeasible=0;gpu3_transfers_in=3;"
-       "gpu3_transferred_mb=253.6888427734375;gpu3_steals_in=0;"
+       "gpu3_utilization=0.19128517199339531;gpu3_completed=120;"
+       "gpu3_intra_migrations=2;gpu3_routed=32;gpu3_home_admits=26;"
+       "gpu3_migrated_in=98;gpu3_migrated_out=0;gpu3_dropped=6;"
+       "gpu3_infeasible=0;gpu3_transfers_in=6;"
+       "gpu3_transferred_mb=534.9420166015625;gpu3_steals_in=0;"
        "gpu3_steals_out=0;gpu3_coalesced=0;gpu3_coalesced_mb=0;"
-       "gpu4_utilization=0.089975253160521601;gpu4_completed=54;"
-       "gpu4_intra_migrations=0;gpu4_routed=26;gpu4_home_admits=22;"
-       "gpu4_migrated_in=38;gpu4_migrated_out=0;gpu4_dropped=4;"
-       "gpu4_infeasible=0;gpu4_transfers_in=3;"
-       "gpu4_transferred_mb=253.6888427734375;gpu4_steals_in=0;"
+       "gpu4_utilization=0.099737137384964397;gpu4_completed=66;"
+       "gpu4_intra_migrations=0;gpu4_routed=34;gpu4_home_admits=26;"
+       "gpu4_migrated_in=43;gpu4_migrated_out=0;gpu4_dropped=8;"
+       "gpu4_infeasible=0;gpu4_transfers_in=5;"
+       "gpu4_transferred_mb=342.7918701171875;gpu4_steals_in=0;"
        "gpu4_steals_out=0;gpu4_coalesced=0;gpu4_coalesced_mb=0;"},
   };
   for (const Golden& g : golden) {
