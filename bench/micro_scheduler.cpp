@@ -67,13 +67,16 @@ void BM_EndToEndScheduling(benchmark::State& state) {
   }
 }
 
-/// The fleet registration layer alone: build a range(0)-GPU fleet, register
-/// the replicated mixed task set (32 tasks per GPU), seed every (task,
-/// device) pair with profiled AFET, run Algorithm 1, and destroy the fleet.
-/// Items are (task, device) pairs; AFET is profiled once, outside the timed
-/// loop. /1024 holds 33.5M pairs.
+/// The fleet registration layer alone: build a range(0)-GPU fleet on
+/// range(1) lanes, register the replicated mixed task set (32 tasks per
+/// GPU), intern the profiled AFET once and seed every (task, device) pair
+/// from it while running Algorithm 1, on the lanes (the calls run_cluster
+/// makes), and destroy the fleet. Items are (task, device) pairs per wall
+/// second; AFET is profiled once, outside the timed loop. /1024 holds 33.5M
+/// pairs.
 void BM_FleetRegistration(benchmark::State& state) {
   const int num_gpus = static_cast<int>(state.range(0));
+  const int lanes = static_cast<int>(state.range(1));
   const workload::TaskSetSpec taskset =
       workload::replicated_taskset(workload::mixed_taskset(), num_gpus);
   cluster::FleetConfig cfg;
@@ -88,18 +91,16 @@ void BM_FleetRegistration(benchmark::State& state) {
       rt::profile_afet(cfg.gpu, cfg.sched, models.distinct,
                        /*jobs_per_stream=*/16, cfg.seed);
   for (auto _ : state) {
-    sim::ShardedSimulator sim(num_gpus, 1);
+    sim::ShardedSimulator sim(num_gpus, lanes);
     metrics::Collector collector;
     cluster::Fleet fleet(sim, cfg, &collector);
     for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
       const rt::TaskSpec& t = taskset.tasks[i];
-      const dnn::CompiledModel* m = models.of(t.model);
-      const int id = fleet.add_task(t, m, static_cast<int>(i) % num_gpus);
-      for (int g = 0; g < num_gpus; ++g) {
-        fleet.set_afet(id, g, afet.for_model(m));
-      }
+      fleet.add_task(t, models.of(t.model), static_cast<int>(i) % num_gpus);
     }
-    fleet.run_offline_phase();
+    const std::vector<std::uint16_t> seeds = fleet.intern_afet(afet);
+    fleet.run_offline_phase(std::vector<const std::vector<std::uint16_t>*>(
+        static_cast<std::size_t>(num_gpus), &seeds));
     benchmark::DoNotOptimize(fleet.task_count());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -113,10 +114,12 @@ BENCHMARK(BM_MretRecordAndQuery);
 BENCHMARK(BM_VirtualDeadlines);
 BENCHMARK(BM_EndToEndScheduling)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_FleetRegistration)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Unit(benchmark::kMillisecond);
+    ->Args({256, 1})
+    ->Args({256, 4})
+    ->Args({1024, 1})
+    ->Args({1024, 4})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 int main(int argc, char** argv) {
   return daris::bench::run_benchmarks_with_json_out(

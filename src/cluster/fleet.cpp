@@ -107,10 +107,31 @@ void Fleet::set_afet(int task_id, int g,
   scheduler(g).set_afet(task_id, per_stage_us);
 }
 
-void Fleet::run_offline_phase() {
-  for (int g = 0; g < size(); ++g) {
-    scheduler(g).run_offline_phase();
+std::vector<std::uint16_t> Fleet::intern_afet(const rt::AfetResult& afet) {
+  std::vector<std::uint16_t> seeds(static_cast<std::size_t>(task_count()));
+  for (int t = 0; t < task_count(); ++t) {
+    seeds[static_cast<std::size_t>(t)] =
+        tasks_.intern(t, afet.for_model(model_of(t)));
   }
+  return seeds;
+}
+
+void Fleet::run_offline_phase() {
+  run_offline_phase(std::vector<const std::vector<std::uint16_t>*>());
+}
+
+void Fleet::run_offline_phase(
+    const std::vector<const std::vector<std::uint16_t>*>& seeds) {
+  assert(seeds.empty() || seeds.size() == static_cast<std::size_t>(size()));
+  // Device g is shard g. A lane writes only its devices' schedulers and
+  // reads the task table, which nothing grows meanwhile.
+  sharded_.for_each_shard([this, &seeds](int g) {
+    rt::Scheduler& sched = scheduler(g);
+    if (!seeds.empty()) {
+      sched.set_afet_seeds(*seeds[static_cast<std::size_t>(g)]);
+    }
+    sched.run_offline_phase();
+  });
 }
 
 std::uint64_t Fleet::task_records() const {

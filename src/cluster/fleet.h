@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "daris/offline.h"
 #include "daris/scheduler.h"
 #include "gpusim/gpu.h"
 #include "metrics/collector.h"
@@ -168,8 +169,23 @@ class Fleet {
   /// searches the table's seed pool once (rt::TaskTable::intern).
   void set_afet(int task_id, int g, const std::vector<double>& per_stage_us);
 
-  /// Algorithm 1 initial context assignment, on every GPU.
+  /// Interns one AFET profile for every registered task (each task reads
+  /// its model's vector) and returns the seed ids, one per task, that
+  /// run_offline_phase(seeds) and rt::Scheduler::set_afet_seeds take.
+  /// Calling thread only, before a lane pass: the task table grows here and
+  /// in set_afet, never on a lane.
+  std::vector<std::uint16_t> intern_afet(const rt::AfetResult& afet);
+
+  /// Algorithm 1 initial context assignment, on every GPU, each on the lane
+  /// that simulates it (sim::ShardedSimulator::for_each_shard).
   void run_offline_phase();
+
+  /// The whole offline phase on every GPU, on the lanes as above: device g
+  /// reads the seeds `*seeds[g]` (intern_afet's; rt::Scheduler::
+  /// set_afet_seeds), then runs Algorithm 1. Devices of one profile share
+  /// one seed vector.
+  void run_offline_phase(
+      const std::vector<const std::vector<std::uint16_t>*>& seeds);
 
   int task_count() const { return static_cast<int>(home_.size()); }
   int home_gpu(int task_id) const {

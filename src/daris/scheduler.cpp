@@ -161,6 +161,21 @@ void Scheduler::set_afet(int task_id, const std::vector<double>& per_stage_us) {
   }
 }
 
+void Scheduler::set_afet_seeds(const std::vector<std::uint16_t>& seeds) {
+  assert(seeds.size() == static_cast<std::size_t>(task_count()));
+  if (slots_.size() < seeds.size()) slots_.resize(seeds.size());
+  for (std::size_t id = 0; id < seeds.size(); ++id) {
+    TaskSlot& s = slots_[id];
+    assert(table_->seed(seeds[id]).per_stage_us.size() ==
+           model(static_cast<int>(id)).stage_count());
+    s.seed = seeds[id];
+    if (s.record != kNoRecord) {
+      records_[s.record].mret().set_afet(
+          table_->seed(s.seed).per_stage_us.data());
+    }
+  }
+}
+
 void Scheduler::publish_load(double* slot, double divisor) {
   load_slot_ = slot;
   load_divisor_ = divisor;

@@ -67,6 +67,12 @@ class Scheduler {
   /// vector need not outlive the call.
   void set_afet(int task_id, const std::vector<double>& per_stage_us);
 
+  /// Seeds every task from seeds the table has already interned: task id
+  /// reads seed `seeds[id]` (TaskTable::intern's result), as set_afet with
+  /// that seed's vector leaves it. Only reads the table, so devices sharing
+  /// one may run it concurrently (cluster::Fleet::run_offline_phase).
+  void set_afet_seeds(const std::vector<std::uint16_t>& seeds);
+
   /// Algorithm 1: initial context assignment balancing utilisation.
   void run_offline_phase();
 

@@ -86,8 +86,10 @@ struct AfetSeed {
 /// distinct AFET vector the schedulers were seeded with. The TaskInfo
 /// entries are contiguous, so a per-device pass over every task (Algorithm
 /// 1, seeding) streams through them; the counts and seeds never move, so a
-/// Task record and an MRET estimator point into them. Grows only while no
-/// device shard runs (setup, or a control-phase event).
+/// Task record and an MRET estimator point into them. Grows only on the
+/// calling thread (setup, or a control-phase event), never on a lane: lanes
+/// only read it, and intern() writes its per-task hint even when it finds
+/// the vector.
 class TaskTable {
  public:
   /// Seed id of "no AFET profile yet": an empty vector reading as zeros.

@@ -296,42 +296,37 @@ ClusterResult run_cluster(
   // Offline phase 1: AFET profiling, once per distinct resolved device
   // spec, in device order (a homogeneous fleet profiles once;
   // heterogeneous nodes each measure their own full-load execution times,
-  // seeding per-device MRET honestly). The cache stays live for the whole
-  // run: kSlow/kAdd fault callbacks re-seed a changed device through the
-  // same lookup, so a straggler slowed to a scale some other node already
-  // runs at reuses that node's profile verbatim. A deque, so a profile
-  // stays put while later specs are added. Each entry also lists every
-  // task's vector, so seeding a device looks nothing up per task.
+  // seeding per-device MRET honestly). Each profile is interned into the
+  // task table once, on this thread, so every device of its spec reads the
+  // same seed ids; interning in device order fixes the ids. The cache stays
+  // live for the whole run: kSlow/kAdd fault callbacks re-seed a changed
+  // device through the same lookup, so a straggler slowed to a scale some
+  // other node already runs at reuses that node's seeds verbatim. A deque,
+  // so a profile stays put while later specs are added.
   struct Profile {
     gpusim::GpuSpec spec;
-    rt::AfetResult afet;
-    std::vector<const std::vector<double>*> of_task;
+    std::vector<std::uint16_t> seeds;  // per task, its interned AFET seed
   };
   std::deque<Profile> afet_cache;
-  auto seed_afet = [&](int g) {
+  auto profile_of = [&](int g) -> const Profile& {
     const gpusim::GpuSpec spec = fleet.node(g).resolved();
-    auto it = std::find_if(afet_cache.begin(), afet_cache.end(),
-                           [&](const Profile& e) { return e.spec == spec; });
-    if (it == afet_cache.end()) {
-      it = afet_cache.insert(
-          afet_cache.end(),
-          Profile{spec,
-                  rt::profile_afet(spec, sched_cfg, models.distinct,
-                                   /*jobs_per_stream=*/16, config.seed),
-                  {}});
-      for (const auto& t : config.taskset.tasks) {
-        it->of_task.push_back(&it->afet.for_model(models.of(t.model)));
-      }
+    for (const Profile& p : afet_cache) {
+      if (p.spec == spec) return p;
     }
-    for (std::size_t i = 0; i < it->of_task.size(); ++i) {
-      fleet.set_afet(static_cast<int>(i), g, *it->of_task[i]);
-    }
+    return *afet_cache.insert(
+        afet_cache.end(),
+        Profile{spec, fleet.intern_afet(rt::profile_afet(
+                          spec, sched_cfg, models.distinct,
+                          /*jobs_per_stream=*/16, config.seed))});
   };
-  for (int g = 0; g < fleet.size(); ++g) seed_afet(g);
+  std::vector<const std::vector<std::uint16_t>*> seeds;
+  seeds.reserve(static_cast<std::size_t>(fleet.size()));
+  for (int g = 0; g < fleet.size(); ++g) seeds.push_back(&profile_of(g).seeds);
 
-  // Offline phase 2: Algorithm 1 initial context assignment, per GPU.
+  // Offline phase 2: every device reads its profile's seeds and runs
+  // Algorithm 1, on the lane that will simulate it.
   const auto wall_alg1_start = std::chrono::steady_clock::now();
-  fleet.run_offline_phase();
+  fleet.run_offline_phase(seeds);
   const double wall_ms_alg1 = wall_ms_since(wall_alg1_start);
   const double wall_ms_offline = wall_ms_since(wall_start);
 
@@ -392,15 +387,15 @@ ClusterResult run_cluster(
         sim.schedule_at(when, [&fleet, g = f.gpu] { fleet.drain_gpu_now(g); });
         break;
       case FaultSpec::Kind::kSlow:
-        sim.schedule_at(when, [&fleet, &seed_afet, f] {
+        sim.schedule_at(when, [&fleet, &profile_of, f] {
           fleet.slow_gpu_now(f.gpu, f.factor);
-          seed_afet(f.gpu);
+          fleet.scheduler(f.gpu).set_afet_seeds(profile_of(f.gpu).seeds);
         });
         break;
       case FaultSpec::Kind::kAdd:
-        sim.schedule_at(when, [&fleet, &seed_afet, f] {
+        sim.schedule_at(when, [&fleet, &profile_of, f] {
           const int g = fleet.add_gpu_now(f.node);
-          seed_afet(g);
+          fleet.scheduler(g).set_afet_seeds(profile_of(g).seeds);
           fleet.run_offline_phase(g);
         });
         break;

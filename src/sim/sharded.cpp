@@ -1,6 +1,7 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 
 namespace daris::sim {
@@ -128,6 +129,17 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
   bound_ = bound;
   active_shards_ = n;
   drained_.store(0, std::memory_order_relaxed);
+  wake_workers();
+  const std::size_t executed = run_lane(threads_ - 1, bound, n);
+  const Clock::time_point lane_done = Clock::now();
+  join_workers();
+  const Clock::time_point end = Clock::now();
+  parallel_wall_ += end - start;
+  lane_wait_wall_ += end - lane_done;
+  return executed + drained_.load(std::memory_order_relaxed);
+}
+
+void ShardedSimulator::wake_workers() {
   pending_workers_.store(static_cast<int>(workers_.size()),
                          std::memory_order_relaxed);
   epoch_.fetch_add(1, std::memory_order_seq_cst);
@@ -137,8 +149,9 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     std::lock_guard<std::mutex> lk(mu_);
     cv_work_.notify_all();
   }
-  const std::size_t executed = run_lane(threads_ - 1, bound, n);
-  const Clock::time_point lane_done = Clock::now();
+}
+
+void ShardedSimulator::join_workers() {
   for (int spin = oversubscribed_ ? kSpinIterations : 0;
        pending_workers_.load(std::memory_order_acquire) > 0; ++spin) {
     if (spin < kSpinIterations) {
@@ -154,10 +167,27 @@ std::size_t ShardedSimulator::drain_shards(common::Time bound) {
     }
     caller_waiting_.store(false, std::memory_order_relaxed);
   }
-  const Clock::time_point end = Clock::now();
-  parallel_wall_ += end - start;
-  lane_wait_wall_ += end - lane_done;
-  return executed + drained_.load(std::memory_order_relaxed);
+}
+
+void ShardedSimulator::for_each_shard(const std::function<void(int)>& fn) {
+  assert(!in_run_ && "for_each_shard runs outside run_until only");
+  // The pool stays cold (hot_ is off outside run_until): woken through the
+  // futex path, each worker parks again once its spin budget runs out. With
+  // no workers the caller's lane is every shard.
+  active_shards_ = shards_.size();
+  pass_ = &fn;
+  wake_workers();
+  run_pass(threads_ - 1);
+  join_workers();
+  pass_ = nullptr;
+}
+
+void ShardedSimulator::run_pass(int lane) const {
+  const auto lanes = static_cast<std::size_t>(threads_);
+  for (std::size_t s = static_cast<std::size_t>(lane); s < active_shards_;
+       s += lanes) {
+    (*pass_)(static_cast<int>(s));
+  }
 }
 
 void ShardedSimulator::worker_loop(int lane) {
@@ -187,9 +217,13 @@ void ShardedSimulator::worker_loop(int lane) {
     }
     if (e == seen) return;  // stop_ with no new work
     seen = e;
-    const std::size_t executed = run_lane(lane, bound_, active_shards_);
-    if (executed != 0) {
-      drained_.fetch_add(executed, std::memory_order_relaxed);
+    if (pass_ != nullptr) {
+      run_pass(lane);
+    } else {
+      const std::size_t executed = run_lane(lane, bound_, active_shards_);
+      if (executed != 0) {
+        drained_.fetch_add(executed, std::memory_order_relaxed);
+      }
     }
     if (pending_workers_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       // Last worker out: notify only if the caller gave up spinning —
@@ -211,6 +245,7 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
   if (!workers_.empty() && !oversubscribed_) {
     hot_.store(true, std::memory_order_relaxed);
   }
+  in_run_ = true;
   const Clock::time_point run_start = Clock::now();
   std::size_t executed = 0;
   for (;;) {
@@ -222,6 +257,7 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
       executed += control_.run_until(deadline);
       for (auto& s : shards_) s->advance_to(deadline);
       hot_.store(false, std::memory_order_relaxed);
+      in_run_ = false;
       run_wall_ += Clock::now() - run_start;
       return executed;
     }

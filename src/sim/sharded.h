@@ -48,7 +48,9 @@
 // cross-device events land, independent of thread count and scheduling noise.
 //
 // This is the only engine a cluster::Fleet runs on: one shard per device,
-// with one lane (no pool) unless more are asked for.
+// with one lane (no pool) unless more are asked for. The same pool also runs
+// the fleet's setup: for_each_shard hands every shard to the lane that will
+// simulate it, before the first run_until (cluster::Fleet's offline phase).
 #pragma once
 
 #include <atomic>
@@ -56,6 +58,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -114,6 +117,20 @@ class ShardedSimulator {
   /// of events executed across all shards.
   std::size_t run_until(common::Time deadline);
 
+  /// Runs fn(s) once for every device shard s, on lane s % threads() — the
+  /// lane that drains shard s in run_until — and returns when every call
+  /// has. Lanes run concurrently, so fn(s) may write only what belongs to
+  /// shard s and must not throw. Call it from outside run_until() only: it
+  /// dispatches through the window barrier's handoff (the calls see every
+  /// write made before it, and the caller sees theirs), wakes parked
+  /// workers and leaves them to park again. One lane runs it inline.
+  void for_each_shard(const std::function<void(int)>& fn);
+
+  /// Pool workers blocked on the futex path, waiting for a dispatch.
+  int parked_workers() const {
+    return sleepers_.load(std::memory_order_seq_cst);
+  }
+
   /// Pending events across the control shard and every device shard.
   std::size_t pending() const;
   bool empty() const;
@@ -163,9 +180,16 @@ class ShardedSimulator {
   /// Drains the due shards among [lane, lane + threads_, ...) through
   /// `bound`.
   std::size_t run_lane(int lane, common::Time bound, std::size_t num_shards);
+  /// Runs the published pass on shards [lane, lane + threads_, ...).
+  void run_pass(int lane) const;
   /// Parallel phase: every device shard with an event due by `bound` runs
   /// run_until(bound).
   std::size_t drain_shards(common::Time bound);
+  /// Hands the dispatch published in (bound_, active_shards_, pass_) to the
+  /// pool workers, waking any that sleep.
+  void wake_workers();
+  /// Returns once every pool worker has finished the current dispatch.
+  void join_workers();
   void worker_loop(int lane);
 
   Simulator control_;
@@ -190,10 +214,12 @@ class ShardedSimulator {
   // True when worker lanes exceed hardware cores; disables every spin path
   // (hot mode included) so oversubscribed runs cost futex waits, not quanta.
   bool oversubscribed_ = false;
+  bool in_run_ = false;  // inside run_until (caller thread only)
 
-  // Pool coordination. A window dispatch publishes (bound_, active_shards_)
-  // and bumps epoch_; workers spin briefly on epoch_ and fall back to
-  // cv_work_. Completion is a pending_workers_ countdown the caller spins on
+  // Pool coordination. A dispatch — a window, or a for_each_shard pass —
+  // publishes (bound_, active_shards_, pass_) and bumps epoch_; workers spin
+  // briefly on epoch_ and fall back to cv_work_. Completion is a
+  // pending_workers_ countdown the caller spins on
   // (cv_done_ fallback, entered only after flagging caller_waiting_ so the
   // last worker's notify is elided on the spin-success path). epoch_/
   // sleepers_/caller_waiting_/pending_workers_ use seq_cst where the "new
@@ -215,6 +241,8 @@ class ShardedSimulator {
   std::atomic<bool> caller_waiting_{false};
   common::Time bound_ = 0;          // published by the epoch_ bump
   std::size_t active_shards_ = 0;   // ditto
+  // Ditto: a for_each_shard pass, or null for a window.
+  const std::function<void(int)>* pass_ = nullptr;
 };
 
 }  // namespace daris::sim

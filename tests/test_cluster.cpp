@@ -2,12 +2,16 @@
 // failure, fleet-wide backlog shedding, and fleet determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -640,6 +644,130 @@ TEST(Fleet, SetupOfAReplicatedFleetCreatesNoTaskRecord) {
       ASSERT_EQ(bits_of(sched.mret_total_us(t)), bits_of(total));
       ASSERT_EQ(bits_of(sched.utilization(t)),
                 bits_of(rt::utilization_of(fleet.spec(t), total)));
+    }
+  }
+}
+
+/// A fleet set up as exp::run_cluster sets one up, on `lanes` lanes: the
+/// replicated mixed set with striped homes, one synthetic AFET profile per
+/// distinct node spec, each interned once in device order, then the offline
+/// phase on the lanes.
+struct LaneSetup {
+  LaneSetup(const std::vector<GpuNodeSpec>& nodes, int lanes)
+      : sharded(static_cast<int>(nodes.size()), lanes) {
+    const int n = static_cast<int>(nodes.size());
+    FleetConfig cfg;
+    cfg.nodes = nodes;
+    cfg.sched.policy = rt::Policy::kMps;
+    cfg.sched.num_contexts = 6;
+    cfg.sched.oversubscription = 6.0;
+    collector.enable_lanes(n);
+    fleet = std::make_unique<Fleet>(sharded, cfg, &collector);
+    const workload::TaskSetSpec taskset =
+        workload::replicated_taskset(workload::mixed_taskset(), n);
+    models = exp::compile_models(taskset, cfg.sched.batch, cfg.gpu);
+    for (std::size_t i = 0; i < taskset.tasks.size(); ++i) {
+      const rt::TaskSpec& t = taskset.tasks[i];
+      fleet->add_task(t, models.of(t.model), static_cast<int>(i) % n);
+    }
+    std::vector<const std::vector<std::uint16_t>*> seeds;
+    for (int g = 0; g < n; ++g) {
+      const double scale = fleet->compute_scale(g);
+      auto it = std::find_if(profiles.begin(), profiles.end(),
+                             [scale](const Profile& p) {
+                               return p.scale == scale;
+                             });
+      if (it == profiles.end()) {
+        rt::AfetResult afet;
+        for (const dnn::CompiledModel* m : models.distinct) {
+          afet.per_stage_us[m] = uneven_afet(
+              m->stage_count(),
+              (700.0 + 10.0 * static_cast<double>(afet.per_stage_us.size())) /
+                  scale);
+        }
+        const std::vector<std::uint16_t> ids = fleet->intern_afet(afet);
+        it = profiles.insert(profiles.end(), {scale, std::move(afet), ids});
+      }
+      of_device.push_back(&*it);
+      seeds.push_back(&it->seeds);
+    }
+    fleet->run_offline_phase(seeds);
+  }
+
+  /// The AFET vector device g was seeded with for task t.
+  const std::vector<double>& afet(int g, int t) const {
+    return of_device[static_cast<std::size_t>(g)]->afet.for_model(
+        fleet->model_of(t));
+  }
+
+  struct Profile {
+    double scale;
+    rt::AfetResult afet;
+    std::vector<std::uint16_t> seeds;
+  };
+  sim::ShardedSimulator sharded;
+  metrics::Collector collector;
+  exp::CompiledModels models;
+  std::unique_ptr<Fleet> fleet;
+  std::deque<Profile> profiles;  // a deque: a profile never moves
+  std::vector<const Profile*> of_device;
+};
+
+TEST(Fleet, OfflinePhaseIsIdenticalAtEveryLaneCount) {
+  // 64 GPUs with the replicated mixed set, and 12 GPUs of two node specs
+  // (two AFET profiles), each set up at 1, 2, 4 and more lanes than this
+  // machine has cores. Every pair must leave the offline phase exactly as
+  // on one lane, read its own profile's seed, hold a context and no
+  // record.
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
+  std::vector<GpuNodeSpec> mixed(12);
+  for (std::size_t g = 0; g < mixed.size(); ++g) {
+    mixed[g].compute_scale = g % 3 == 1 ? 0.5 : 1.0;
+  }
+  for (const std::vector<GpuNodeSpec>& nodes :
+       {std::vector<GpuNodeSpec>(64), mixed}) {
+    const LaneSetup one(nodes, 1);
+    const Fleet& ref = *one.fleet;
+    ASSERT_EQ(one.profiles.size(), nodes.size() == 64 ? 1u : 2u);
+    for (const int lanes : {1, 2, 4, std::max(cores, 1) + 1}) {
+      const LaneSetup setup(nodes, lanes);
+      const Fleet& fleet = *setup.fleet;
+      SCOPED_TRACE(std::to_string(fleet.size()) + " GPUs, " +
+                   std::to_string(lanes) + " lanes");
+      // The seed pool, entry by entry: interned on the calling thread only,
+      // in device order.
+      ASSERT_EQ(fleet.tasks().seed_count(), ref.tasks().seed_count());
+      ASSERT_EQ(fleet.tasks().seed_count(),
+                1 + setup.profiles.size() * setup.models.distinct.size());
+      for (std::size_t i = 0; i < fleet.tasks().seed_count(); ++i) {
+        const auto id = static_cast<std::uint16_t>(i);
+        ASSERT_EQ(fleet.tasks().seed(id).per_stage_us,
+                  ref.tasks().seed(id).per_stage_us)
+            << "seed " << i;
+      }
+      EXPECT_EQ(fleet.task_records(), 0u);
+      EXPECT_EQ(audit_text(fleet), "");
+      for (int g = 0; g < fleet.size(); ++g) {
+        const rt::Scheduler& sched = fleet.scheduler(g);
+        const rt::Scheduler& want = ref.scheduler(g);
+        ASSERT_EQ(sched.records(), 0u) << "gpu " << g;
+        for (int t = 0; t < sched.task_count(); ++t) {
+          ASSERT_GE(sched.context(t), 0) << "gpu " << g << " task " << t;
+          ASSERT_EQ(sched.context(t), want.context(t))
+              << "gpu " << g << " task " << t;
+          const std::vector<double>& v = setup.afet(g, t);
+          ASSERT_EQ(bits_of(sched.mret_total_us(t)),
+                    bits_of(rt::MretEstimator::afet_sum_us(v.data(),
+                                                           v.size())))
+              << "gpu " << g << " task " << t;
+          ASSERT_EQ(bits_of(sched.mret_total_us(t)),
+                    bits_of(want.mret_total_us(t)))
+              << "gpu " << g << " task " << t;
+          ASSERT_EQ(bits_of(sched.utilization(t)),
+                    bits_of(want.utilization(t)))
+              << "gpu " << g << " task " << t;
+        }
+      }
     }
   }
 }

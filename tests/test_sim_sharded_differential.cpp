@@ -7,7 +7,9 @@
 //     transfers, and steals — replayed at 1, 2, and N worker threads. The
 //     per-shard (when, seq) execution logs and their FNV-1a digest must be
 //     bit-identical at every thread count: the conservative window barrier
-//     makes thread scheduling invisible.
+//     makes thread scheduling invisible. A for_each_shard pass before the
+//     run (the fleet's offline phase) must visit each shard once, on its
+//     lane, and change nothing the run then does.
 //
 //  2. run_cluster with routing, faults, autoscaling, and rebalancing all
 //     armed: runs at 1/2/4 lanes must reproduce every counter exactly, and
@@ -21,9 +23,11 @@
 //     form without moving a value.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -313,6 +317,64 @@ TEST(ShardedDifferential, IdleShardsPublishHeadsAndFollowTheControlClock) {
     EXPECT_EQ(r.stats.shard_runs, one.stats.shard_runs);
     EXPECT_LT(r.stats.shard_runs, 2 * r.stats.windows_dispatched)
         << threads << " lanes";
+  }
+}
+
+/// The synthetic fleet with one shard added by add_shard, after a
+/// for_each_shard pass that records, per shard, how often and on which
+/// thread it ran.
+struct PassRun {
+  std::vector<int> calls;
+  std::vector<std::thread::id> thread;
+  int parked_workers = 0;
+  SyntheticRun run;
+};
+
+PassRun run_after_pass(int threads) {
+  constexpr int kShards = 8;
+  SyntheticFleet fleet(kShards, threads, 0x5E7Dull);
+  EXPECT_EQ(fleet.engine.threads(), threads);
+  EXPECT_EQ(fleet.engine.add_shard(), kShards);
+  PassRun out;
+  out.calls.assign(kShards + 1, 0);
+  out.thread.resize(kShards + 1);
+  fleet.engine.for_each_shard([&out](int s) {
+    ++out.calls[static_cast<std::size_t>(s)];
+    out.thread[static_cast<std::size_t>(s)] = std::this_thread::get_id();
+  });
+  // Workers left cold park once their spin budget runs out.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fleet.engine.parked_workers() < threads - 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  out.parked_workers = fleet.engine.parked_workers();
+  out.run.executed = fleet.engine.run_until(common::from_ms(20.0));
+  out.run.digest = fleet.digest();
+  return out;
+}
+
+TEST(ShardedDifferential, ForEachShardRunsEachShardOnceOnItsLane) {
+  const PassRun one = run_after_pass(1);
+  ASSERT_GT(one.run.executed, 100u);
+  for (const int threads : {1, 2, 4, 8}) {
+    const PassRun r = run_after_pass(threads);
+    const auto lanes = static_cast<std::size_t>(threads);
+    for (std::size_t s = 0; s < r.calls.size(); ++s) {
+      EXPECT_EQ(r.calls[s], 1) << threads << " lanes, shard " << s;
+      // The caller is the last lane; each lane is one thread of its own.
+      EXPECT_EQ(r.thread[s] == std::this_thread::get_id(),
+                s % lanes == lanes - 1)
+          << threads << " lanes, shard " << s;
+      for (std::size_t t = 0; t < s; ++t) {
+        EXPECT_EQ(r.thread[s] == r.thread[t], s % lanes == t % lanes)
+            << threads << " lanes, shards " << t << " and " << s;
+      }
+    }
+    EXPECT_EQ(r.parked_workers, threads - 1) << threads << " lanes";
+    EXPECT_EQ(r.run.digest, one.run.digest) << threads << " lanes";
+    EXPECT_EQ(r.run.executed, one.run.executed) << threads << " lanes";
   }
 }
 
