@@ -23,7 +23,7 @@
 //
 // Exit status: 0 when every check passes and every contract holds, 1
 // otherwise, 2 on a bad flag or a scenario config the runner refuses
-// (exp::validate_faults).
+// (exp::validate_config).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>

@@ -232,8 +232,6 @@ Fleet::ConservationReport Fleet::check_conservation(
     }
     const std::uint64_t accounted = in.shed[c] + in.pending[c] + completed +
                                     failed + in_flight + (revoked - steals);
-    rep.released[c] = in.released[c];
-    rep.accounted[c] = accounted;
     if (in.released[c] != accounted) {
       fail("class " + std::to_string(c) + ": released " +
            std::to_string(in.released[c]) + " != shed " +

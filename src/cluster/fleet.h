@@ -341,10 +341,7 @@ class Fleet {
 
   struct ConservationReport {
     bool ok = true;
-    /// Per-class accounting, filled either way; `detail` names the first
-    /// violated identity when !ok.
-    std::uint64_t released[2] = {0, 0};
-    std::uint64_t accounted[2] = {0, 0};
+    /// Names the first violated identity when !ok.
     std::string detail;
   };
 

@@ -62,8 +62,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * mag * std::cos(2.0 * 3.14159265358979323846 * u2);
 }
 
-bool Rng::bernoulli(double p) { return uniform() < p; }
-
 Rng Rng::fork() { return Rng(next_u64()); }
 
 }  // namespace daris::common

@@ -32,9 +32,6 @@ class Rng {
   /// Normally distributed value (Box-Muller).
   double normal(double mean, double stddev);
 
-  /// Returns true with probability p.
-  bool bernoulli(double p);
-
   /// Derives an independent child generator (for per-task streams).
   Rng fork();
 

@@ -8,38 +8,8 @@ namespace daris::common {
 
 void OnlineStats::add(double x) {
   ++count_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
-
-void OnlineStats::merge(const OnlineStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = n1 + n2;
-  mean_ += delta * n2 / total;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void OnlineStats::reset() { *this = OnlineStats(); }
-
-double OnlineStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void Percentiles::ensure_sorted() const {
   if (!sorted_) {
@@ -63,12 +33,6 @@ double Percentiles::mean() const {
   double sum = 0.0;
   for (double s : samples_) sum += s;
   return sum / static_cast<double>(samples_.size());
-}
-
-double Percentiles::min() const {
-  if (samples_.empty()) return 0.0;
-  ensure_sorted();
-  return samples_.front();
 }
 
 double Percentiles::max() const {

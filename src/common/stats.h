@@ -3,32 +3,21 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace daris::common {
 
-/// Streaming mean/variance/min/max (Welford).
+/// Streaming mean (Welford's update, which AFET profiles are seeded from).
 class OnlineStats {
  public:
   void add(double x);
-  void merge(const OnlineStats& other);
-  void reset();
 
   std::size_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double sum() const { return mean_ * static_cast<double>(count_); }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
 };
 
 /// Stores samples and answers percentile queries (nearest-rank).
@@ -42,9 +31,7 @@ class Percentiles {
 
   /// p in [0, 100]; returns 0 when empty.
   double percentile(double p) const;
-  double median() const { return percentile(50.0); }
   double mean() const;
-  double min() const;
   double max() const;
 
   const std::vector<double>& samples() const { return samples_; }

@@ -41,30 +41,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char ch : s) {
-      if (ch == '"') q += "\"\"";
-      else q += ch;
-    }
-    q += '"';
-    return q;
-  };
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ',';
-      out << quote(row[c]);
-    }
-    out << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string fmt_double(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

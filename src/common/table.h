@@ -1,7 +1,7 @@
 // Plain-text table formatting for bench/experiment output.
 //
-// Every bench binary prints paper-expected vs measured rows through this so
-// the output is uniform and easy to diff into EXPERIMENTS.md.
+// Every bench binary prints paper-expected vs measured rows through this, so
+// the output is uniform and two runs' stdout can be diffed line by line.
 #pragma once
 
 #include <cstddef>
@@ -20,9 +20,6 @@ class Table {
 
   /// Renders with column alignment and a separator under the header.
   std::string to_string() const;
-
-  /// Renders as CSV (no alignment, comma-separated, quoted when needed).
-  std::string to_csv() const;
 
   std::size_t rows() const { return rows_.size(); }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -110,6 +111,28 @@ common::Time fault_time(const FaultSpec& f) {
   return f.at_s <= 0.0 ? 0 : common::from_sec(f.at_s);
 }
 
+/// Empty when the node's compute scale is finite and > 0 and resolves to an
+/// SM count in [1, 2^31 - 1] without clamping. GpuNodeSpec::resolved rounds
+/// base.sm_count x scale and raises anything under half an SM to one SM,
+/// while it still scales the memory bandwidth by the scale itself.
+std::string node_error(const cluster::GpuNodeSpec& node) {
+  const double scale = node.compute_scale;
+  if (!(std::isfinite(scale) && scale > 0.0)) {
+    return "compute scale " + std::to_string(scale) + " is not finite and > 0";
+  }
+  const double sms = static_cast<double>(node.base.sm_count) * scale;
+  if (!(sms >= 0.5 &&
+        sms <= static_cast<double>(std::numeric_limits<int>::max()))) {
+    char text[128];
+    std::snprintf(text, sizeof text,
+                  "compute scale %g times %d SMs is %g SMs, outside "
+                  "[0.5, 2^31 - 1]",
+                  scale, node.base.sm_count, sms);
+    return text;
+  }
+  return {};
+}
+
 }  // namespace
 
 // Every metrics::FleetCounters field is 8 bytes and has one line below.
@@ -197,7 +220,12 @@ std::string format_counters(const std::vector<NamedCounter>& counters) {
   return out;
 }
 
-std::string validate_faults(const ClusterConfig& config) {
+std::string validate_config(const ClusterConfig& config) {
+  for (std::size_t n = 0; n < config.nodes.size(); ++n) {
+    if (std::string error = node_error(config.nodes[n]); !error.empty()) {
+      return "node " + std::to_string(n) + ": " + error;
+    }
+  }
   const std::vector<FaultSpec>& faults = config.faults;
   auto label = [&faults](std::size_t i) {
     return "fault " + std::to_string(i) + " (" +
@@ -214,10 +242,10 @@ std::string validate_faults(const ClusterConfig& config) {
       return label(i) + ": factor " + std::to_string(f.factor) +
              " is not finite and > 0";
     }
-    if (f.kind == FaultSpec::Kind::kAdd &&
-        !(std::isfinite(f.node.compute_scale) && f.node.compute_scale > 0.0)) {
-      return label(i) + ": compute scale " +
-             std::to_string(f.node.compute_scale) + " is not finite and > 0";
+    if (f.kind == FaultSpec::Kind::kAdd) {
+      if (std::string error = node_error(f.node); !error.empty()) {
+        return label(i) + ": " + error;
+      }
     }
   }
   const int initial = config.device_count();
@@ -242,7 +270,7 @@ std::string validate_faults(const ClusterConfig& config) {
 ClusterResult run_cluster(
     const ClusterConfig& config,
     const std::function<void(const cluster::Fleet&)>& inspect) {
-  if (std::string error = validate_faults(config); !error.empty()) {
+  if (std::string error = validate_config(config); !error.empty()) {
     ClusterResult refused;
     refused.error = std::move(error);
     return refused;

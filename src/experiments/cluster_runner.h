@@ -127,7 +127,7 @@ struct GpuSummary {
 /// filled from the run's collector) plus the class summaries, the per-device
 /// slices and the run's artifacts.
 struct ClusterResult : metrics::FleetCounters {
-  /// Non-empty when run_cluster refused the config (validate_faults); no
+  /// Non-empty when run_cluster refused the config (validate_config); no
   /// other field is filled then.
   std::string error;
   double total_jps = 0.0;
@@ -196,17 +196,20 @@ std::vector<NamedCounter> counters_of(const ClusterResult& r);
 /// fingerprints and goldens compare.
 std::string format_counters(const std::vector<NamedCounter>& counters);
 
-/// Checks the fault schedule against the fleet it will run on. Returns an
-/// error naming the first bad entry, or an empty string when every entry is
-/// valid: times are finite and at most 1e9 s; a kSlow factor and a kAdd
-/// node's compute scale are finite and > 0; and a kFail, kSlow or kDrain
-/// targets a device that exists when it fires — one of the initial devices
-/// or one brought online by a kAdd firing no later (at equal times, earlier
-/// in the list: equal-time faults fire in list order).
-std::string validate_faults(const ClusterConfig& config);
+/// Checks the fleet's nodes and its fault schedule. Returns an error naming
+/// the first bad node or entry, or an empty string when all are valid:
+/// every node, initial (`nodes`) or added (a kAdd's `node`), has a compute
+/// scale that is finite and > 0 and an SM count base.sm_count x scale of at
+/// least 0.5 and at most 2^31 - 1 (it rounds to [1, 2^31 - 1] unclamped);
+/// fault times are finite and at most 1e9 s; a kSlow factor is finite and
+/// > 0; and a kFail, kSlow or kDrain targets a device that exists when it
+/// fires — one of the initial devices or one brought online
+/// by a kAdd firing no later (at equal times, earlier in the list:
+/// equal-time faults fire in list order).
+std::string validate_config(const ClusterConfig& config);
 
 /// Runs the fleet on the configured task set and returns the fleet summary.
-/// A config validate_faults rejects is not simulated: the result carries
+/// A config validate_config rejects is not simulated: the result carries
 /// only the error. `inspect`, when set, sees the fleet after the run and
 /// before its teardown: the test suites audit every scheduler there
 /// (rt::Scheduler::audit), which a run does not do itself.

@@ -74,21 +74,6 @@ void Gpu::halt() {
   arm_completion_event(-1);
 }
 
-void Gpu::set_context_quota(ContextId ctx, double sm_quota) {
-  assert(ctx >= 0 && ctx < static_cast<int>(contexts_.size()));
-  auto& cs = contexts_[static_cast<std::size_t>(ctx)];
-  if (cs.quota == sm_quota) return;  // no-op: nothing to settle or re-solve
-  cs.quota = sm_quota;
-  cs.eff_quota = context_eff_quota(sm_quota);
-  mark_context_dirty(ctx);
-  flush_rates();
-}
-
-double Gpu::context_quota(ContextId ctx) const {
-  assert(ctx >= 0 && ctx < static_cast<int>(contexts_.size()));
-  return contexts_[static_cast<std::size_t>(ctx)].quota;
-}
-
 StreamId Gpu::create_stream(ContextId ctx) {
   assert(ctx >= 0 && ctx < static_cast<int>(contexts_.size()));
   StreamState s;
@@ -107,11 +92,6 @@ void Gpu::enqueue_callback(StreamId s, sim::Callback fn) {
   Command cmd{Command::Kind::kCallback, {}, std::move(fn)};
   streams_[static_cast<std::size_t>(s)].queue.push_back(std::move(cmd));
   advance_stream(s);
-}
-
-bool Gpu::stream_idle(StreamId s) const {
-  const auto& st = streams_[static_cast<std::size_t>(s)];
-  return !st.busy && st.queue.empty();
 }
 
 std::size_t Gpu::stream_depth(StreamId s) const {

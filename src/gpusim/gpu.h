@@ -19,9 +19,9 @@
 // Allocation engine (see docs/ARCHITECTURE.md "Executor model"): resident
 // kernels are bucketed per context in parallelism-sorted small vectors, and
 // each context's water-fill is cached and recomputed only when that context
-// changed (kernel added/removed or quota adjusted) — the dirty flag each
-// kernel event sets; the flush that consumes it re-solves only what the
-// epoch actually touched. The per-context efficiency factors that need
+// changed (kernel added or removed) — the dirty flag each kernel event
+// sets; the flush that consumes it re-solves only what the epoch actually
+// touched. The per-context efficiency factors that need
 // transcendentals (the small-quota exp penalty) or counts (the intra-context
 // penalty) are cached the same way. Predicted kernel completions live in a
 // Gpu-internal index (per-kernel fire time + a tie-break number drawn from
@@ -92,13 +92,10 @@ class Gpu {
   /// stays structurally valid (contexts/streams remain) but idle.
   void halt();
 
-  /// Creates an MPS context limited to `sm_quota` SMs (Eq. 9 output).
+  /// Creates an MPS context limited to `sm_quota` SMs (Eq. 9 output). The
+  /// quota is fixed for the context's lifetime: DARIS adapts at run time by
+  /// staging and migration between these partitions, never by resizing one.
   ContextId create_context(double sm_quota);
-
-  /// Adjusts a context's quota (used by reconfiguration experiments).
-  /// Setting the current quota again is a no-op: no settle, no rate flush.
-  void set_context_quota(ContextId ctx, double sm_quota);
-  double context_quota(ContextId ctx) const;
 
   /// Creates an in-order stream bound to `ctx`.
   StreamId create_stream(ContextId ctx);
@@ -112,14 +109,8 @@ class Gpu {
   /// stored inline (no allocation), same as simulator events.
   void enqueue_callback(StreamId s, sim::Callback fn);
 
-  /// True when the stream has no queued or running work.
-  bool stream_idle(StreamId s) const;
-
-  /// Number of enqueued-but-unfinished commands on the stream.
+  /// Number of enqueued-but-unfinished commands on the stream (0 = idle).
   std::size_t stream_depth(StreamId s) const;
-
-  /// Total resident kernels on the device.
-  int total_active_kernels() const { return static_cast<int>(order_.size()); }
 
   /// Integral of busy SMs over time, in SM-nanoseconds.
   double busy_sm_integral() const;
@@ -196,9 +187,9 @@ class Gpu {
     // --- Incrementally maintained allocation bucket ---
     // Resident kernels sorted by (parallelism, arrival) — the exact order
     // the historical global sort produced per context — plus the cached
-    // water-fill shares aligned with it. `dirty` marks the bucket (or the
-    // quota) as changed since the last flush; clean contexts reuse their
-    // cached shares verbatim.
+    // water-fill shares aligned with it. `dirty` marks the bucket (or, after
+    // set_spec, the efficiency factors) as changed since the last flush;
+    // clean contexts reuse their cached shares verbatim.
     std::vector<int> members;    // slots, insertion-sorted by parallelism
     std::vector<double> shares;  // cached water-fill, aligned with members
     double eff_intra = 1.0;      // cached 1/(1 + a*min(m-1, sat))

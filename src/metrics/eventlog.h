@@ -124,8 +124,6 @@ class EventLog {
 
   const std::vector<FleetEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-  bool empty() const { return events_.empty(); }
-  void clear() { events_.clear(); }
 
   /// The counters the records imply, per GPU and fleet-wide.
   struct Counts {

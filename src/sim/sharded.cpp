@@ -270,20 +270,6 @@ std::size_t ShardedSimulator::run_until(common::Time deadline) {
   }
 }
 
-std::size_t ShardedSimulator::pending() const {
-  std::size_t n = control_.pending();
-  for (const auto& s : shards_) n += s->pending();
-  return n;
-}
-
-bool ShardedSimulator::empty() const {
-  if (!control_.empty()) return false;
-  for (const auto& s : shards_) {
-    if (!s->empty()) return false;
-  }
-  return true;
-}
-
 void ShardedSimulator::reserve(std::size_t control_events,
                                std::size_t per_shard_events) {
   control_.reserve(control_events);

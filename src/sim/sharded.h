@@ -131,10 +131,6 @@ class ShardedSimulator {
     return sleepers_.load(std::memory_order_seq_cst);
   }
 
-  /// Pending events across the control shard and every device shard.
-  std::size_t pending() const;
-  bool empty() const;
-
   /// Pre-sizes the control heap and each device-shard heap.
   void reserve(std::size_t control_events, std::size_t per_shard_events);
 

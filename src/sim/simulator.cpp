@@ -133,10 +133,6 @@ bool Simulator::reschedule(EventHandle handle, Time when) {
   return true;
 }
 
-bool Simulator::reschedule_after(EventHandle handle, Duration delay) {
-  return reschedule(handle, now() + (delay < 0 ? 0 : delay));
-}
-
 EventHandle Simulator::schedule_at_with_sequence(Time when, std::uint64_t seq,
                                                  Callback cb) {
   const Time t = now();

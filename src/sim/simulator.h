@@ -78,9 +78,6 @@ class Simulator {
   /// false — and does nothing — when the handle is stale or invalid.
   bool reschedule(EventHandle handle, Time when);
 
-  /// reschedule() at `delay` after now (negative delays clamp to 0).
-  bool reschedule_after(EventHandle handle, Duration delay);
-
   /// Draws the next tie-break sequence number without scheduling anything.
   /// Support for two-level queues: a client that keeps many logical timers
   /// in its own ordered index and mirrors only the earliest into the

@@ -5,6 +5,7 @@
 // schedule is bit-identical across repeat runs and across lane counts.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -447,7 +448,7 @@ TEST(FaultValidation, FaultOnAMissingGpuIsRefusedWithoutSimulating) {
   }
   exp::ClusterConfig cfg = four_gpu_config();
   cfg.faults = {fault(exp::FaultSpec::Kind::kFail, -1, 0.2)};
-  EXPECT_FALSE(exp::validate_faults(cfg).empty());
+  EXPECT_FALSE(exp::validate_config(cfg).empty());
 }
 
 TEST(FaultValidation, DevicesAddedNoLaterCountAndTiesGoInListOrder) {
@@ -455,7 +456,7 @@ TEST(FaultValidation, DevicesAddedNoLaterCountAndTiesGoInListOrder) {
   // GPU 4 exists once the kAdd at 0.2 s has fired.
   cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, 0.2),
                 fault(exp::FaultSpec::Kind::kFail, 4, 0.4)};
-  EXPECT_EQ(exp::validate_faults(cfg), "");
+  EXPECT_EQ(exp::validate_config(cfg), "");
   const exp::ClusterResult r = exp::run_cluster(cfg);
   EXPECT_TRUE(r.error.empty()) << r.error;
   ASSERT_EQ(r.per_gpu.size(), 5u);
@@ -464,17 +465,17 @@ TEST(FaultValidation, DevicesAddedNoLaterCountAndTiesGoInListOrder) {
   // Same instant: the kAdd must come first in the list.
   cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, 0.3),
                 fault(exp::FaultSpec::Kind::kDrain, 4, 0.3)};
-  EXPECT_EQ(exp::validate_faults(cfg), "");
+  EXPECT_EQ(exp::validate_config(cfg), "");
   cfg.faults = {fault(exp::FaultSpec::Kind::kDrain, 4, 0.3),
                 fault(exp::FaultSpec::Kind::kAdd, 0, 0.3)};
-  EXPECT_NE(exp::validate_faults(cfg), "");
+  EXPECT_NE(exp::validate_config(cfg), "");
   // A kAdd after the fault, or times at/before the start firing together.
   cfg.faults = {fault(exp::FaultSpec::Kind::kSlow, 4, 0.2),
                 fault(exp::FaultSpec::Kind::kAdd, 0, 0.3)};
-  EXPECT_NE(exp::validate_faults(cfg), "");
+  EXPECT_NE(exp::validate_config(cfg), "");
   cfg.faults = {fault(exp::FaultSpec::Kind::kAdd, 0, -1.0),
                 fault(exp::FaultSpec::Kind::kFail, 4, -2.0)};
-  EXPECT_EQ(exp::validate_faults(cfg), "");
+  EXPECT_EQ(exp::validate_config(cfg), "");
 }
 
 TEST(FaultValidation, SlowFactorAndTimesMustBeFinite) {
@@ -485,17 +486,65 @@ TEST(FaultValidation, SlowFactorAndTimesMustBeFinite) {
     exp::FaultSpec slow = fault(exp::FaultSpec::Kind::kSlow, 1, 0.2);
     slow.factor = factor;
     cfg.faults = {slow};
-    EXPECT_NE(exp::validate_faults(cfg).find("factor"), std::string::npos)
+    EXPECT_NE(exp::validate_config(cfg).find("factor"), std::string::npos)
         << factor;
   }
   cfg.faults = {fault(exp::FaultSpec::Kind::kFail, 1,
                       std::numeric_limits<double>::quiet_NaN())};
-  EXPECT_NE(exp::validate_faults(cfg), "");
+  EXPECT_NE(exp::validate_config(cfg), "");
   exp::FaultSpec add = fault(exp::FaultSpec::Kind::kAdd, 0, 0.2);
   add.node.compute_scale = 0.0;
   cfg.faults = {add};
-  EXPECT_NE(exp::validate_faults(cfg).find("compute scale"),
+  EXPECT_NE(exp::validate_config(cfg).find("compute scale"),
             std::string::npos);
+}
+
+TEST(FaultValidation, EveryNodeFollowsOneScaleRuleInitialOrAdded) {
+  // A compute scale must be finite and > 0, and base.sm_count x scale must
+  // round to an SM count in [1, 2^31 - 1] without clamping
+  // (GpuNodeSpec::resolved). Initial nodes follow the same rule as added
+  // ones: a negative scale would report negative utilisation, 1e300 would
+  // overflow into a one-SM device, and 1e-300 would be raised to one SM
+  // with ~1e-298 of the memory bandwidth, so a kernel's fire time would
+  // overflow Time.
+  for (const double scale :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity(), 1e300, 1e-300}) {
+    exp::ClusterConfig cfg = four_gpu_config();
+    cfg.nodes.resize(2);
+    cfg.nodes[1].compute_scale = scale;
+    const exp::ClusterResult r = exp::run_cluster(cfg);
+    EXPECT_NE(r.error.find("node 1: compute scale"), std::string::npos)
+        << scale << ": " << r.error;
+    EXPECT_TRUE(r.per_gpu.empty()) << scale;  // nothing ran
+  }
+  for (const double scale : {1e300, 1e-300}) {
+    exp::ClusterConfig cfg = four_gpu_config();
+    exp::FaultSpec add = fault(exp::FaultSpec::Kind::kAdd, 0, 0.2);
+    add.node.compute_scale = scale;
+    cfg.faults = {add};
+    EXPECT_NE(exp::validate_config(cfg).find("fault 0 (add): compute scale"),
+              std::string::npos)
+        << scale;
+  }
+  // The lower bound is on the SM count: half an SM rounds up to one, and a
+  // hair less is refused (64 SMs, so both products are exact).
+  exp::ClusterConfig cfg = four_gpu_config();
+  cfg.nodes.resize(2);
+  cfg.nodes[1].base.sm_count = 64;
+  cfg.nodes[1].compute_scale = 0.5 / 64;
+  EXPECT_EQ(exp::validate_config(cfg), "");
+  cfg.nodes[1].compute_scale = std::nextafter(0.5, 0.0) / 64;
+  EXPECT_NE(exp::validate_config(cfg).find("node 1: compute scale"),
+            std::string::npos);
+  // bench_fig_cluster_scaling's heterogeneous fleet is valid.
+  cfg = four_gpu_config();
+  for (const double scale : {2.0, 1.0, 1.0, 0.5}) {
+    GpuNodeSpec node;
+    node.compute_scale = scale;
+    cfg.nodes.push_back(node);
+  }
+  EXPECT_EQ(exp::validate_config(cfg), "");
 }
 
 // --- the counter list ------------------------------------------------------

@@ -96,24 +96,6 @@ TEST(Rng, NormalMoments) {
   EXPECT_NEAR(std::sqrt(var), 3.0, 0.05);
 }
 
-TEST(Rng, BernoulliProbability) {
-  Rng rng(16);
-  int hits = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.bernoulli(0.3)) ++hits;
-  }
-  EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
-}
-
-TEST(Rng, BernoulliDegenerate) {
-  Rng rng(17);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(rng.bernoulli(0.0));
-    EXPECT_TRUE(rng.bernoulli(1.0));
-  }
-}
-
 TEST(Rng, ForkIsIndependentButDeterministic) {
   Rng a(21), b(21);
   Rng fa = a.fork();

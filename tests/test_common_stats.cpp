@@ -13,7 +13,6 @@ TEST(OnlineStats, Empty) {
   OnlineStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(OnlineStats, SingleValue) {
@@ -21,48 +20,13 @@ TEST(OnlineStats, SingleValue) {
   s.add(4.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_EQ(s.mean(), 4.0);
-  EXPECT_EQ(s.min(), 4.0);
-  EXPECT_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(OnlineStats, KnownMoments) {
+TEST(OnlineStats, KnownMean) {
   OnlineStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Sample variance of the classic data set: 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_EQ(s.min(), 2.0);
-  EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(OnlineStats, MergeMatchesBulk) {
-  OnlineStats a, b, all;
-  Rng rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(5.0, 2.0);
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats a, empty;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  OnlineStats b;
-  b.merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(Percentiles, EmptyReturnsZero) {
@@ -78,7 +42,6 @@ TEST(Percentiles, NearestRank) {
   EXPECT_EQ(p.percentile(50), 50.0);
   EXPECT_EQ(p.percentile(95), 95.0);
   EXPECT_EQ(p.percentile(100), 100.0);
-  EXPECT_EQ(p.min(), 1.0);
   EXPECT_EQ(p.max(), 100.0);
   EXPECT_DOUBLE_EQ(p.mean(), 50.5);
 }
@@ -86,18 +49,18 @@ TEST(Percentiles, NearestRank) {
 TEST(Percentiles, UnsortedInput) {
   Percentiles p;
   for (double x : {9.0, 1.0, 5.0, 3.0, 7.0}) p.add(x);
-  EXPECT_EQ(p.median(), 5.0);
-  EXPECT_EQ(p.min(), 1.0);
+  EXPECT_EQ(p.percentile(50), 5.0);
+  EXPECT_EQ(p.percentile(0), 1.0);
   EXPECT_EQ(p.max(), 9.0);
 }
 
 TEST(Percentiles, AddAfterQueryStillCorrect) {
   Percentiles p;
   p.add(10.0);
-  EXPECT_EQ(p.median(), 10.0);
+  EXPECT_EQ(p.percentile(50), 10.0);
   p.add(20.0);
   p.add(0.0);
-  EXPECT_EQ(p.median(), 10.0);
+  EXPECT_EQ(p.percentile(50), 10.0);
   EXPECT_EQ(p.max(), 20.0);
 }
 

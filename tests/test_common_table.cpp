@@ -46,21 +46,6 @@ TEST(Table, ColumnAlignment) {
   }
 }
 
-TEST(Table, CsvEscapesCommasAndQuotes) {
-  Table t({"a", "b"});
-  t.add_row({"x,y", "he said \"hi\""});
-  const std::string csv = t.to_csv();
-  EXPECT_NE(csv.find("\"x,y\""), std::string::npos);
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(Table, CsvPlainValuesUnquoted) {
-  Table t({"a"});
-  t.add_row({"simple"});
-  EXPECT_NE(t.to_csv().find("simple\n"), std::string::npos);
-  EXPECT_EQ(t.to_csv().find("\"simple\""), std::string::npos);
-}
-
 TEST(Formatting, FmtDouble) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(3.14159, 0), "3");

@@ -104,7 +104,7 @@ TEST(GpuBasic, CallbackOnEmptyStreamRunsImmediately) {
   bool ran = false;
   gpu.enqueue_callback(s, [&] { ran = true; });
   EXPECT_TRUE(ran);  // nothing queued: runs inline
-  EXPECT_TRUE(gpu.stream_idle(s));
+  EXPECT_EQ(gpu.stream_depth(s), 0u);
 }
 
 TEST(GpuBasic, StreamIdleAndDepthTracking) {
@@ -113,16 +113,14 @@ TEST(GpuBasic, StreamIdleAndDepthTracking) {
   spec.launch_overhead_us = 1.0;
   Gpu gpu(sim, spec);
   const auto s = gpu.create_stream(gpu.create_context(68.0));
-  EXPECT_TRUE(gpu.stream_idle(s));
+  EXPECT_EQ(gpu.stream_depth(s), 0u);
   KernelDesc k;
   k.work = 68.0;
   k.parallelism = 68.0;
   gpu.launch_kernel(s, k);
   gpu.launch_kernel(s, k);
-  EXPECT_FALSE(gpu.stream_idle(s));
   EXPECT_EQ(gpu.stream_depth(s), 2u);
   sim.run();
-  EXPECT_TRUE(gpu.stream_idle(s));
   EXPECT_EQ(gpu.stream_depth(s), 0u);
   EXPECT_EQ(gpu.kernels_completed(), 2u);
 }
@@ -180,54 +178,56 @@ TEST(GpuBasic, JitterPreservesDeterminismPerSeed) {
   EXPECT_NE(run_once(5), run_once(6));
 }
 
-TEST(GpuBasic, QuotaChangeTakesEffect) {
+TEST(GpuBasic, HaltDropsResidentAndQueuedWorkAndKeepsBusyTime) {
+  // Fail-stop mid-kernel with work on two streams: nothing queued or
+  // resident survives the halt, no callback runs, nothing counts as
+  // completed, and the utilisation integral keeps exactly the busy SM-time
+  // folded up to the halt.
   sim::Simulator sim;
-  Gpu gpu(sim, ideal_spec());
-  const auto ctx = gpu.create_context(10.0);
-  const auto s = gpu.create_stream(ctx);
+  GpuSpec spec = ideal_spec();
+  spec.launch_overhead_us = 1.0;
+  Gpu gpu(sim, spec);
+  const auto s1 = gpu.create_stream(gpu.create_context(34.0));
+  const auto c2 = gpu.create_context(34.0);
+  const auto s2 = gpu.create_stream(c2);
+  const auto s3 = gpu.create_stream(c2);
   KernelDesc k;
-  k.work = 200.0;
+  k.work = 340.0;  // 10 us in a 34-SM context, resident from t = 1 us
   k.parallelism = 100.0;
-  gpu.launch_kernel(s, k);
-  common::Time finish = 0;
-  gpu.enqueue_callback(s, [&] { finish = sim.now(); });
-  // After 10 us (100 SM-us done at 10 SMs), double the quota.
-  sim.schedule_at(from_us(10.0), [&] { gpu.set_context_quota(ctx, 20.0); });
-  sim.run();
-  // Remaining 100 SM-us at 20 SMs = 5 us -> finish at 15 us.
-  EXPECT_NEAR(to_us(finish), 15.0, 0.05);
-  EXPECT_EQ(gpu.context_quota(ctx), 20.0);
-}
+  int callbacks = 0;
+  gpu.launch_kernel(s1, k);
+  gpu.enqueue_callback(s1, [&] { ++callbacks; });
+  gpu.launch_kernel(s1, k);
+  gpu.enqueue_callback(s1, [&] { ++callbacks; });
+  gpu.launch_kernel(s2, k);
+  gpu.enqueue_callback(s2, [&] { ++callbacks; });
+  // A launch still in flight at the halt (due at 6.5 us) must go stale.
+  sim.schedule_at(from_us(5.5), [&] { gpu.launch_kernel(s3, k); });
 
-TEST(GpuBasic, EqualQuotaSetIsANoOp) {
-  // Setting a context's current quota again must not settle progress or
-  // re-solve rates: with the full (jittered) model, a run peppered with
-  // same-value quota sets produces the exact timeline of a run without
-  // them, and the redundant calls burn no simulator state (no events, no
-  // tie-break sequence numbers — either would perturb the timeline).
-  auto run_once = [](bool redundant_sets) {
-    sim::Simulator sim;
-    Gpu gpu(sim, GpuSpec{}, /*seed=*/7);
-    const auto ctx = gpu.create_context(24.0);
-    const auto s = gpu.create_stream(ctx);
-    std::vector<common::Time> finishes;
-    for (int i = 0; i < 8; ++i) {
-      KernelDesc k;
-      k.work = 100.0 + 17.0 * i;
-      k.parallelism = 40.0;
-      gpu.launch_kernel(s, k);
-      gpu.enqueue_callback(s, [&finishes, &sim] { finishes.push_back(sim.now()); });
-    }
-    if (redundant_sets) {
-      for (int i = 1; i <= 5; ++i) {
-        sim.schedule_at(from_us(20.0 * i),
-                        [&gpu, ctx] { gpu.set_context_quota(ctx, 24.0); });
-      }
-    }
-    sim.run();
-    return finishes;
-  };
-  EXPECT_EQ(run_once(false), run_once(true));
+  double busy_at_halt = -1.0;
+  sim.schedule_at(from_us(6.0), [&] {
+    EXPECT_EQ(gpu.debug_active_kernels().size(), 2u);
+    busy_at_halt = gpu.busy_sm_integral();
+    gpu.halt();
+    EXPECT_TRUE(gpu.debug_active_kernels().empty());
+    EXPECT_EQ(gpu.stream_depth(s1), 0u);
+    EXPECT_EQ(gpu.stream_depth(s2), 0u);
+    EXPECT_EQ(gpu.stream_depth(s3), 0u);
+  });
+  sim.run();
+
+  EXPECT_EQ(callbacks, 0);
+  EXPECT_EQ(gpu.kernels_completed(), 0u);
+  EXPECT_TRUE(gpu.debug_active_kernels().empty());
+  // The stale launch event is the last to fire: the mirrored completion
+  // event (due at 11 us) was cancelled.
+  EXPECT_EQ(sim.now(), from_us(6.5));
+  // Two 34-SM kernels busy from 1 us to 6 us: 340 SM-us of 20 us x 68 SMs.
+  const common::Time horizon = from_us(20.0);
+  EXPECT_DOUBLE_EQ(gpu.busy_sm_integral(), busy_at_halt);
+  EXPECT_DOUBLE_EQ(gpu.utilization(horizon),
+                   busy_at_halt / (static_cast<double>(horizon) * 68.0));
+  EXPECT_NEAR(gpu.utilization(horizon), 0.25, 1e-9);
 }
 
 }  // namespace

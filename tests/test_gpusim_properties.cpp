@@ -137,25 +137,5 @@ TEST(GpuDeterminism, IdenticalRunsIdenticalTimelines) {
   EXPECT_NE(run(42), run(43));
 }
 
-/// Conservation under quota changes: shrinking a quota mid-run slows but
-/// never deadlocks; all kernels still complete.
-TEST(GpuDynamics, QuotaShrinkDoesNotDeadlock) {
-  sim::Simulator sim;
-  Gpu gpu(sim, ideal_spec());
-  const auto ctx = gpu.create_context(68.0);
-  const auto s = gpu.create_stream(ctx);
-  for (int i = 0; i < 10; ++i) {
-    KernelDesc k;
-    k.work = 100.0;
-    k.parallelism = 100.0;
-    gpu.launch_kernel(s, k);
-  }
-  sim.schedule_at(common::from_us(5.0), [&] { gpu.set_context_quota(ctx, 4.0); });
-  sim.schedule_at(common::from_us(50.0),
-                  [&] { gpu.set_context_quota(ctx, 68.0); });
-  sim.run();
-  EXPECT_EQ(gpu.kernels_completed(), 10u);
-}
-
 }  // namespace
 }  // namespace daris::gpusim

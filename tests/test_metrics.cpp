@@ -55,7 +55,7 @@ TEST(Collector, ResponseTimesInMilliseconds) {
   finish_job(c, Priority::kHigh, 10, 14, 100);
   finish_job(c, Priority::kHigh, 20, 32, 100);
   const auto& r = c.summary(Priority::kHigh).response_ms;
-  EXPECT_DOUBLE_EQ(r.min(), 4.0);
+  EXPECT_DOUBLE_EQ(r.percentile(0), 4.0);
   EXPECT_DOUBLE_EQ(r.max(), 12.0);
 }
 

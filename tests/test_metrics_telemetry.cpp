@@ -130,7 +130,7 @@ exp::ClusterResult telemetry_run() {
 
 TEST(TelemetryCluster, FoldedEventLogMatchesLiveRoutingCounters) {
   const exp::ClusterResult r = telemetry_run();
-  ASSERT_FALSE(r.events.empty());
+  ASSERT_FALSE(r.events.events().empty());
   const auto fold =
       r.events.fold_counts(static_cast<int>(r.per_gpu.size())).per_gpu;
   ASSERT_EQ(fold.size(), r.per_gpu.size());
@@ -241,7 +241,7 @@ TEST(TelemetryCluster, FoldedEventLogMatchesLiveFleetCounters) {
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const exp::ClusterResult r = exp::run_cluster(configs[i]);
     ASSERT_TRUE(r.error.empty()) << r.error;
-    ASSERT_FALSE(r.events.empty());
+    ASSERT_FALSE(r.events.events().empty());
     const auto fold =
         fields_of(r.events.fold_counts(static_cast<int>(r.per_gpu.size()))
                       .fleet);
@@ -285,7 +285,7 @@ TEST(TelemetryCluster, DisabledByDefaultLeavesCaptureEmpty) {
   cfg.warmup_s = 0.1;
   const exp::ClusterResult r = exp::run_cluster(cfg);
   EXPECT_EQ(r.timeseries.track_count(), 0);
-  EXPECT_TRUE(r.events.empty());
+  EXPECT_TRUE(r.events.events().empty());
   EXPECT_GT(r.profile.events_executed, 0u)
       << "the self-profiler is unconditional";
 }

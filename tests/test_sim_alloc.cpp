@@ -99,7 +99,7 @@ TEST(SimulatorAlloc, RescheduleDoesNotAllocate) {
   const std::size_t before = g_allocations;
   for (int round = 0; round < 4; ++round) {
     for (const auto& h : handles) {
-      sim.reschedule_after(h, (round + 2) * kBurst);
+      sim.reschedule(h, sim.now() + (round + 2) * kBurst);
     }
   }
   const std::size_t after = g_allocations;

@@ -213,8 +213,9 @@ TEST(ShardedDifferential, ClocksAllReachTheDeadline) {
   EXPECT_EQ(s.now(), common::from_ms(2.0));
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(s.shard(i).now(), common::from_ms(2.0)) << "shard " << i;
+    EXPECT_TRUE(s.shard(i).empty()) << "shard " << i;
   }
-  EXPECT_TRUE(s.empty());
+  EXPECT_TRUE(s.control().empty());
 }
 
 TEST(ShardedDifferential, AddShardJoinsMidRunAtFleetTime) {
