@@ -174,6 +174,10 @@ int main(int argc, char** argv) {
   cfg.stage_trace = !trace_file.empty();
 
   const exp::RunResult r = exp::run_daris(cfg);
+  if (!r.error.empty()) {
+    std::fprintf(stderr, "%s\n", r.error.c_str());
+    return 2;
+  }
 
   if (csv) {
     std::printf("%s,%s,%s,%.1f,%.2f,%.4f,%.4f,%.3f,%.3f,%.4f,%llu\n",

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "daris/mret.h"
+
 namespace daris::rt {
 
 const char* policy_name(Policy p) {
@@ -47,6 +49,16 @@ SchedulerConfig& SchedulerConfig::canonicalize() {
   mret_window = std::max(1, mret_window);
   batch = std::max(1, batch);
   return *this;
+}
+
+std::string SchedulerConfig::error() const {
+  constexpr auto kMax = static_cast<int>(MretEstimator::kMaxWindow);
+  if (mret_window > kMax) {
+    return "MRET window " + std::to_string(mret_window) + " is above " +
+           std::to_string(kMax) +
+           " (the paper uses 5; each recorded stage keeps ws samples)";
+  }
+  return {};
 }
 
 }  // namespace daris::rt

@@ -41,7 +41,8 @@ struct SchedulerConfig {
   /// OS=Nc shares all SMs with every context.
   double oversubscription = 1.0;
 
-  /// MRET window size ws (Eq. 1). The paper selects 5.
+  /// MRET window size ws (Eq. 1). The paper selects 5; error() refuses
+  /// more than MretEstimator::kMaxWindow.
   int mret_window = 5;
 
   /// Batch size per job (1 in the main experiments; Fig. 10 uses 4/2/8).
@@ -86,6 +87,13 @@ struct SchedulerConfig {
 
   /// Applies policy constraints (STR => Nc=1, MPS => Ns=1) and returns self.
   SchedulerConfig& canonicalize();
+
+  /// Empty when a scheduler can run this config, else why not: an
+  /// mret_window above MretEstimator::kMaxWindow (each recorded stage keeps
+  /// its last ws samples, so a task record's size follows ws). The one
+  /// check exp::run_daris and exp::run_cluster (exp::validate_config) run
+  /// before simulating; example_daris_cli exits 2 on it.
+  std::string error() const;
 };
 
 }  // namespace daris::rt

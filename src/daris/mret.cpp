@@ -1,12 +1,15 @@
 #include "daris/mret.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace daris::rt {
 
 MretEstimator::MretEstimator(std::size_t num_stages, std::size_t window)
     : num_stages_(static_cast<std::uint32_t>(num_stages)),
-      window_(static_cast<std::uint32_t>(window)) {}
+      window_(static_cast<std::uint32_t>(window)) {
+  assert(window >= 1 && window <= kMaxWindow);
+}
 
 void MretEstimator::set_afet(const double* per_stage_us) {
   afet_us_ = per_stage_us;
@@ -15,23 +18,32 @@ void MretEstimator::set_afet(const double* per_stage_us) {
 
 void MretEstimator::record(std::size_t stage, double execution_us) {
   assert(stage < num_stages());
-  if (!windows_) {
-    windows_ = std::make_unique<common::SlidingWindowMax[]>(num_stages());
-    for (std::size_t i = 0; i < num_stages(); ++i) {
-      windows_[i] = common::SlidingWindowMax(window_);
-    }
+  if (!block_) {
+    // Value-initialised: every header reads zero samples, head at slot 0.
+    block_ =
+        std::make_unique<Cell[]>(num_stages() * (window_ + std::size_t{1}));
   }
-  windows_[stage].push(execution_us);
+  Cell* cells = ring(stage);
+  Cell::Header& h = cells[0].header;
+  cells[1 + h.head].sample = execution_us;
+  h.head = h.head + 1 == window_ ? 0 : h.head + 1;
+  if (h.count < window_) ++h.count;
   total_us_ = stage_sum_us();
 }
 
 double MretEstimator::stage_mret_us(std::size_t stage) const {
   assert(stage < num_stages());
-  return windows_ ? windows_[stage].max_or(afet(stage)) : afet(stage);
+  if (!block_) return afet(stage);
+  const Cell* cells = ring(stage);
+  const std::uint32_t n = cells[0].header.count;
+  if (n == 0) return afet(stage);
+  double best = cells[1].sample;
+  for (std::uint32_t i = 2; i <= n; ++i) best = std::max(best, cells[i].sample);
+  return best;
 }
 
 double MretEstimator::stage_sum_us() const {
-  if (!windows_) return afet_sum_us(afet_us_, num_stages());
+  if (!block_) return afet_sum_us(afet_us_, num_stages());
   double total = 0.0;
   for (std::size_t i = 0; i < num_stages(); ++i) total += stage_mret_us(i);
   return total;

@@ -8,7 +8,11 @@
 // Virtual deadlines (Eq. 8) split the task's relative deadline across stages
 // proportionally to their MRET shares.
 //
-// The per-stage windows are created on the first record(), and the AFET
+// The windows live in one block, allocated by the first record() and never
+// again: per stage, a ring of its last `ws` samples behind an 8-byte header
+// (how many it holds, where the next goes). A stage's MRET is a scan of at
+// most `ws` samples; a maximum over the same samples is exact, so it equals
+// what any other window-maximum structure returns, bit for bit. The AFET
 // seed is read from an immutable per-stage array the estimator does not own
 // (rt::TaskTable keeps one copy per distinct AFET vector), so an estimator
 // that has recorded nothing allocates nothing.
@@ -25,13 +29,19 @@
 #include <memory>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/time.h"
 
 namespace daris::rt {
 
 class MretEstimator {
  public:
+  /// Largest window ws: the block holds ws samples per stage, so its size
+  /// follows ws. The paper uses 5 and Fig. 9 sweeps 1-20;
+  /// SchedulerConfig::error() refuses a larger mret_window.
+  static constexpr std::size_t kMaxWindow = 64;
+
+  /// `window` is ws, in [1, kMaxWindow] (a canonical, error-free
+  /// SchedulerConfig::mret_window).
   MretEstimator(std::size_t num_stages, std::size_t window);
 
   /// Seeds stage estimates with offline AFET values (microseconds): the
@@ -68,17 +78,30 @@ class MretEstimator {
 
   std::size_t num_stages() const { return num_stages_; }
   std::size_t observations(std::size_t stage) const {
-    return windows_ ? windows_[stage].size() : 0;
+    return block_ ? ring(stage)->header.count : 0;
   }
 
  private:
+  /// One 8-byte cell of the block: a stage's header, or one of its samples.
+  union Cell {
+    struct Header {
+      std::uint32_t count;  // samples held, <= window_
+      std::uint32_t head;   // the sample slot the next record() writes
+    } header;
+    double sample;
+  };
+
   double afet(std::size_t stage) const {
     return afet_us_ == nullptr ? 0.0 : afet_us_[stage];
   }
+  /// Stage `stage`'s header cell; its window_ sample cells follow it.
+  Cell* ring(std::size_t stage) const {
+    return block_.get() + stage * (window_ + std::size_t{1});
+  }
 
-  /// num_stages() windows, one allocation, once any stage has been
-  /// recorded; null before.
-  std::unique_ptr<common::SlidingWindowMax[]> windows_;
+  /// num_stages() x (1 + window_) cells once any stage has been recorded;
+  /// null before.
+  std::unique_ptr<Cell[]> block_;
   const double* afet_us_ = nullptr;
   double total_us_ = 0.0;
   std::uint32_t num_stages_;

@@ -216,4 +216,11 @@ class Task {
   int active_jobs = 0;
 };
 
+// A fleet holds one record per (task, device) pair that admitted a job:
+// fleet-256-poisson creates 52,639 of them, so each byte of a record costs
+// about 53 kB there, besides its MRET block. A new member must pay for
+// itself there.
+static_assert(sizeof(Task) <= 96,
+              "rt::Task grew: each byte costs ~53 kB in a 256-GPU fleet");
+
 }  // namespace daris::rt

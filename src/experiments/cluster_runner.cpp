@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -221,6 +222,9 @@ std::string format_counters(const std::vector<NamedCounter>& counters) {
 }
 
 std::string validate_config(const ClusterConfig& config) {
+  if (std::string error = config.sched.error(); !error.empty()) {
+    return "scheduler: " + error;
+  }
   for (std::size_t n = 0; n < config.nodes.size(); ++n) {
     if (std::string error = node_error(config.nodes[n]); !error.empty()) {
       return "node " + std::to_string(n) + ": " + error;
@@ -248,20 +252,40 @@ std::string validate_config(const ClusterConfig& config) {
       }
     }
   }
-  const int initial = config.device_count();
-  for (std::size_t i = 0; i < faults.size(); ++i) {
-    if (faults[i].kind == FaultSpec::Kind::kAdd) continue;
-    const common::Time when = fault_time(faults[i]);
-    int devices = initial;
-    for (std::size_t j = 0; j < faults.size(); ++j) {
-      if (faults[j].kind != FaultSpec::Kind::kAdd) continue;
-      const common::Time added = fault_time(faults[j]);
-      if (added < when || (added == when && j < i)) ++devices;
+  // Replay the schedule in firing order (by time; equal times in list
+  // order, as the control simulator runs them), carrying every device's
+  // node: a kAdd brings its node online, and a kSlow multiplies its
+  // target's compute scale as Fleet::slow_gpu_now does, so the product must
+  // pass the node rule too.
+  std::vector<cluster::GpuNodeSpec> nodes = config.nodes;
+  if (nodes.empty()) {
+    nodes.assign(static_cast<std::size_t>(config.device_count()),
+                 cluster::GpuNodeSpec{config.gpu});
+  }
+  std::vector<std::size_t> order(faults.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&faults](std::size_t a, std::size_t b) {
+                     return fault_time(faults[a]) < fault_time(faults[b]);
+                   });
+  for (const std::size_t i : order) {
+    const FaultSpec& f = faults[i];
+    if (f.kind == FaultSpec::Kind::kAdd) {
+      nodes.push_back(f.node);
+      continue;
     }
-    if (faults[i].gpu < 0 || faults[i].gpu >= devices) {
-      return label(i) + ": gpu " + std::to_string(faults[i].gpu) +
-             " does not exist when it fires (" + std::to_string(devices) +
-             " devices then)";
+    if (f.gpu < 0 || f.gpu >= static_cast<int>(nodes.size())) {
+      return label(i) + ": gpu " + std::to_string(f.gpu) +
+             " does not exist when it fires (" +
+             std::to_string(nodes.size()) + " devices then)";
+    }
+    if (f.kind == FaultSpec::Kind::kSlow) {
+      cluster::GpuNodeSpec& node = nodes[static_cast<std::size_t>(f.gpu)];
+      node.compute_scale *= f.factor;
+      if (std::string error = node_error(node); !error.empty()) {
+        return label(i) + ": gpu " + std::to_string(f.gpu) + " slowed to " +
+               error;
+      }
     }
   }
   return {};

@@ -196,16 +196,19 @@ std::vector<NamedCounter> counters_of(const ClusterResult& r);
 /// fingerprints and goldens compare.
 std::string format_counters(const std::vector<NamedCounter>& counters);
 
-/// Checks the fleet's nodes and its fault schedule. Returns an error naming
-/// the first bad node or entry, or an empty string when all are valid:
+/// Checks the scheduler config, the fleet's nodes and its fault schedule.
+/// Returns an error naming the first bad setting, node or entry, or an
+/// empty string when all are valid: `sched` passes SchedulerConfig::error;
 /// every node, initial (`nodes`) or added (a kAdd's `node`), has a compute
 /// scale that is finite and > 0 and an SM count base.sm_count x scale of at
 /// least 0.5 and at most 2^31 - 1 (it rounds to [1, 2^31 - 1] unclamped);
 /// fault times are finite and at most 1e9 s; a kSlow factor is finite and
-/// > 0; and a kFail, kSlow or kDrain targets a device that exists when it
+/// > 0; a kFail, kSlow or kDrain targets a device that exists when it
 /// fires — one of the initial devices or one brought online
 /// by a kAdd firing no later (at equal times, earlier in the list:
-/// equal-time faults fire in list order).
+/// equal-time faults fire in list order); and every kSlow leaves its
+/// device's scale, the product of its initial scale and every factor
+/// applied to it so far, within the same node rule.
 std::string validate_config(const ClusterConfig& config);
 
 /// Runs the fleet on the configured task set and returns the fleet summary.

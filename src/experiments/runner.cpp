@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <utility>
 
 #include "daris/offline.h"
 #include "daris/scheduler.h"
@@ -44,6 +45,11 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
 }
 
 RunResult run_daris(const RunConfig& config) {
+  if (std::string error = config.sched.error(); !error.empty()) {
+    RunResult refused;
+    refused.error = std::move(error);
+    return refused;
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   sim::Simulator sim;
   gpusim::Gpu gpu(sim, config.gpu, config.seed);

@@ -36,6 +36,9 @@ struct RunConfig {
 };
 
 struct RunResult {
+  /// Non-empty when run_daris refused the config (SchedulerConfig::error);
+  /// no other field is filled then.
+  std::string error;
   double total_jps = 0.0;
   metrics::ClassSummary hp;
   metrics::ClassSummary lp;
@@ -47,6 +50,8 @@ struct RunResult {
 };
 
 /// Runs DARIS on the configured task set and returns the measured summary.
+/// A config SchedulerConfig::error refuses is not simulated: the result
+/// carries only the error.
 RunResult run_daris(const RunConfig& config);
 
 // --- Setup shared by run_daris and run_cluster ----------------------------

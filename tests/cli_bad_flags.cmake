@@ -6,7 +6,7 @@
 set(cases
   "--contexts 0" "--contexts -3" "--contexts abc" "--contexts 2x"
   "--contexts 32768"
-  "--streams 0" "--batch 0" "--window 0"
+  "--streams 0" "--batch 0" "--window 0" "--window 65" "--window 2147483647"
   "--os nan" "--os 0.5" "--os inf"
   "--duration -1" "--duration 0" "--duration nan"
   "--load 0" "--load inf"

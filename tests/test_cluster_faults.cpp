@@ -499,6 +499,59 @@ TEST(FaultValidation, SlowFactorAndTimesMustBeFinite) {
             std::string::npos);
 }
 
+TEST(FaultValidation, EverySlowLeavesItsDeviceWithinTheNodeRule) {
+  // Fleet::slow_gpu_now multiplies the device's compute scale by the
+  // factor, so the scale each kSlow leaves must pass the node rule: 1e300
+  // would make GPU 1 a one-SM device with 1e300 times the bandwidth.
+  auto slow = [](int gpu, double at_s, double factor) {
+    exp::FaultSpec f = fault(exp::FaultSpec::Kind::kSlow, gpu, at_s);
+    f.factor = factor;
+    return f;
+  };
+  exp::ClusterConfig cfg = four_gpu_config();
+  cfg.faults = {slow(1, 0.2, 1e300)};
+  const exp::ClusterResult refused = exp::run_cluster(cfg);
+  EXPECT_NE(refused.error.find("fault 0 (slow): gpu 1 slowed to compute "
+                               "scale 1e+300 times 68 SMs"),
+            std::string::npos)
+      << refused.error;
+  EXPECT_TRUE(refused.per_gpu.empty());  // nothing ran
+
+  // Slows of one device compound, in firing order, not list order: each
+  // 1e4 alone leaves 680,000 SMs, both 6.8e9, past 2^31 - 1. The one
+  // listed first fires second, so it is the one refused.
+  cfg.faults = {slow(1, 0.3, 1e4), slow(1, 0.2, 1e4)};
+  EXPECT_NE(exp::validate_config(cfg).find("fault 0 (slow): gpu 1 slowed"),
+            std::string::npos)
+      << exp::validate_config(cfg);
+  cfg.faults = {slow(1, 0.3, 1e4), slow(2, 0.2, 1e4)};
+  EXPECT_EQ(exp::validate_config(cfg), "");
+  // Downwards too: 68 SMs x 0.1 x 0.1 is 0.68 SMs, a third 0.1 is 0.068.
+  cfg.faults = {slow(3, 0.1, 0.1), slow(3, 0.2, 0.1)};
+  EXPECT_EQ(exp::validate_config(cfg), "");
+  cfg.faults.push_back(slow(3, 0.2, 0.1));
+  EXPECT_NE(exp::validate_config(cfg).find("fault 2 (slow): gpu 3 slowed"),
+            std::string::npos)
+      << exp::validate_config(cfg);
+  // An added device starts from its own node: 68 x 0.02 is 1.36 SMs, and
+  // a quarter of that is under half an SM.
+  exp::FaultSpec add = fault(exp::FaultSpec::Kind::kAdd, 0, 0.1);
+  add.node.compute_scale = 0.02;
+  cfg.faults = {add, slow(4, 0.2, 0.5)};
+  EXPECT_EQ(exp::validate_config(cfg), "");
+  cfg.faults = {add, slow(4, 0.2, 0.25)};
+  EXPECT_NE(exp::validate_config(cfg).find("fault 1 (slow): gpu 4 slowed"),
+            std::string::npos)
+      << exp::validate_config(cfg);
+
+  // An in-range slow still runs.
+  cfg.faults = {slow(1, 0.2, 0.5)};
+  const exp::ClusterResult r = exp::run_cluster(cfg);
+  EXPECT_TRUE(r.error.empty()) << r.error;
+  ASSERT_EQ(r.per_gpu.size(), 4u);
+  EXPECT_TRUE(r.conservation_ok) << r.conservation_detail;
+}
+
 TEST(FaultValidation, EveryNodeFollowsOneScaleRuleInitialOrAdded) {
   // A compute scale must be finite and > 0, and base.sm_count x scale must
   // round to an SM count in [1, 2^31 - 1] without clamping

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "daris/config.h"
+#include "daris/mret.h"
 
 namespace daris::rt {
 namespace {
@@ -90,6 +94,26 @@ TEST(Config, SanitizesDegenerateValues) {
   EXPECT_GE(c.streams_per_context, 1);
   EXPECT_GE(c.mret_window, 1);
   EXPECT_GE(c.batch, 1);
+}
+
+TEST(Config, ErrorRefusesAnMretWindowAboveTheBound) {
+  // Each recorded stage keeps its last ws samples, so the window is bounded
+  // where the runners and the CLI check it; canonicalize() raises the
+  // other end to 1.
+  const int bound = static_cast<int>(MretEstimator::kMaxWindow);
+  SchedulerConfig c;
+  EXPECT_EQ(c.error(), "");
+  c.mret_window = bound;
+  EXPECT_EQ(c.error(), "");
+  c.mret_window = 0;
+  EXPECT_EQ(c.error(), "");
+  for (const int ws : {bound + 1, std::numeric_limits<int>::max()}) {
+    c.mret_window = ws;
+    EXPECT_NE(c.error().find("MRET window " + std::to_string(ws) +
+                             " is above " + std::to_string(bound)),
+              std::string::npos)
+        << c.error();
+  }
 }
 
 }  // namespace

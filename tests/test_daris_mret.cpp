@@ -2,13 +2,14 @@
 // (Eq. 8).
 #include <gtest/gtest.h>
 
-#include "common/time.h"
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/time.h"
 #include "daris/mret.h"
 
 namespace daris::rt {
@@ -170,6 +171,66 @@ TEST(Mret, CachedTotalMatchesFromScratchSum) {
     }
   }
 }
+
+/// The Eq. 1 window against a brute-force maximum, at window sizes from 1
+/// to the bound. Three stages take turns, each fed the same four shapes in
+/// blocks of 2 ws + 1 samples: a spike that expires by age followed by
+/// small repeated levels (ties), a falling ramp (each sample stays the
+/// maximum until it expires by age), a rising ramp (each sample is the
+/// maximum at once) and a constant run. At least 50 windows' worth of
+/// samples per stage wrap every ring many times, and after each record()
+/// every stage, recorded or not, must read the maximum of its own last ws
+/// samples (its AFET seed before the first).
+class MretWindowBruteForce : public ::testing::TestWithParam<int> {};
+
+TEST_P(MretWindowBruteForce, EveryStageReadsTheMaximumOfItsLastWsSamples) {
+  const auto ws = static_cast<std::size_t>(GetParam());
+  constexpr std::size_t kStages = 3;
+  MretEstimator m(kStages, ws);
+  const double afet[kStages] = {-1.0, -2.0, -3.0};
+  m.set_afet(afet);
+  common::Rng rng(1000 + ws);
+  std::vector<double> history[kStages];
+  const int per_stage = std::max(500, 50 * GetParam());
+  const int block = 2 * GetParam() + 1;
+  for (int i = 0; i < per_stage * static_cast<int>(kStages); ++i) {
+    const auto stage = static_cast<std::size_t>(i) % kStages;
+    const int k = i / static_cast<int>(kStages);  // the stage's sample index
+    double x = 2.0;
+    switch ((k / block) % 4) {
+      case 0:
+        x = k % block == 0 ? 10.0 : static_cast<double>(rng.uniform_int(0, 3));
+        break;
+      case 1:
+        x = static_cast<double>(per_stage - k);
+        break;
+      case 2:
+        x = static_cast<double>(k);
+        break;
+      default:
+        break;
+    }
+    history[stage].push_back(x);
+    m.record(stage, x);
+    for (std::size_t j = 0; j < kStages; ++j) {
+      const std::vector<double>& h = history[j];
+      const std::size_t start = h.size() > ws ? h.size() - ws : 0;
+      const double expect =
+          h.empty() ? afet[j]
+                    : *std::max_element(h.begin() + static_cast<long>(start),
+                                        h.end());
+      ASSERT_EQ(m.stage_mret_us(j), expect)
+          << "ws " << ws << ", stage " << j << ", call " << i;
+      ASSERT_EQ(m.observations(j), h.size() - start)
+          << "ws " << ws << ", stage " << j << ", call " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, MretWindowBruteForce,
+    ::testing::Values(1, 2, 3, 5, 8, 12, 20,
+                      static_cast<int>(MretEstimator::kMaxWindow)));
 
 /// Property: MRET is always >= the most recent observation and >= every
 /// observation still inside the window.

@@ -30,6 +30,32 @@ RunResult run_mps(dnn::ModelKind kind, int nc, double os) {
   return run_daris(cfg);
 }
 
+TEST(Experiments, AWindowAboveTheBoundIsRefusedWithoutSimulating) {
+  // The one SchedulerConfig check, run by both runners before anything is
+  // built.
+  RunConfig cfg = base_config(dnn::ModelKind::kResNet18);
+  cfg.sched.mret_window = 65;
+  const RunResult r = run_daris(cfg);
+  EXPECT_NE(r.error.find("MRET window 65"), std::string::npos) << r.error;
+  EXPECT_EQ(r.hp.released + r.lp.released, 0u);
+  EXPECT_EQ(r.profile.events_executed, 0u);
+
+  ClusterConfig cluster;
+  cluster.taskset = cfg.taskset;
+  cluster.sched.mret_window = 65;
+  const ClusterResult c = run_cluster(cluster);
+  EXPECT_NE(c.error.find("scheduler: MRET window 65"), std::string::npos)
+      << c.error;
+  EXPECT_TRUE(c.per_gpu.empty());
+
+  cfg.sched.mret_window = 64;
+  cfg.duration_s = 0.3;
+  cfg.warmup_s = 0.1;
+  const RunResult ok = run_daris(cfg);
+  EXPECT_TRUE(ok.error.empty()) << ok.error;
+  EXPECT_GT(ok.hp.completed, 0u);
+}
+
 TEST(Experiments, NoHpDeadlineMissesInMainScenario) {
   for (auto kind : {dnn::ModelKind::kResNet18, dnn::ModelKind::kUNet}) {
     const RunResult r = run_mps(kind, 6, 6.0);

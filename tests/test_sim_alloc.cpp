@@ -2,7 +2,8 @@
 // not touch the heap. Callbacks with <= 48 bytes of captures are stored
 // inline in pooled event nodes, and the pool, position index, and heap are
 // recycled, so after a warm-up burst that sizes them, an equally-sized burst
-// of schedule/run (or reschedule) cycles performs zero allocations.
+// of schedule/run (or reschedule) cycles performs zero allocations. An MRET
+// estimator allocates its window block once, on its first record().
 //
 // The global operator new/delete overrides below count every allocation in
 // this test binary; gtest itself allocates, so the measured windows contain
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "cluster/fleet.h"
+#include "daris/mret.h"
 #include "experiments/runner.h"
 #include "metrics/eventlog.h"
 #include "metrics/timeseries.h"
@@ -365,3 +367,40 @@ TEST(SimulatorAlloc, OversizedCapturesFallBackToTheHeap) {
 
 }  // namespace
 }  // namespace daris::sim
+
+namespace daris::rt {
+namespace {
+
+TEST(MretAlloc, OnlyTheFirstRecordAllocatesAndItAllocatesOnce) {
+  // A fleet creates one estimator per (task, device) pair that admits a
+  // job, so each one's windows are a single block: the first record()
+  // allocates it, and nothing afterwards (records that wrap every ring,
+  // re-seeds, reads) allocates again.
+  const double afet[] = {100.0, 200.0, 300.0, 400.0};
+  const double reseed[] = {50.0, 60.0, 70.0, 80.0};
+  MretEstimator m(4, 5);
+  std::size_t before = g_allocations;
+  m.set_afet(afet);
+  EXPECT_EQ(m.total_mret_us(), 1000.0);
+  EXPECT_EQ(g_allocations - before, 0u);
+
+  m.record(2, 35.0);
+  EXPECT_EQ(g_allocations - before, 1u);
+
+  before = g_allocations;
+  double sink = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    m.record(static_cast<std::size_t>(i) % 4, 10.0 + i % 7);
+    if (i % 50 == 0) m.set_afet(i % 100 == 0 ? reseed : nullptr);
+    for (std::size_t j = 0; j < 4; ++j) {
+      sink += m.stage_mret_us(j) + static_cast<double>(m.observations(j));
+    }
+    sink += m.total_mret_us() + m.stage_sum_us();
+  }
+  EXPECT_EQ(g_allocations - before, 0u);
+  EXPECT_GT(sink, 0.0);
+  EXPECT_EQ(m.stage_mret_us(0), 16.0);  // its last 5: 15, 12, 16, 13, 10
+}
+
+}  // namespace
+}  // namespace daris::rt
