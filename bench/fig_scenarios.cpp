@@ -42,14 +42,6 @@ using namespace daris;
 
 namespace {
 
-const char* default_data_dir() {
-#ifdef DARIS_TEST_DATA_DIR
-  return DARIS_TEST_DATA_DIR;
-#else
-  return "tests/data";
-#endif
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   for (const char c : s) {
@@ -152,7 +144,6 @@ bool write_file(const std::string& path, const std::string& content) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string data_dir = default_data_dir();
   std::string json_path;
   std::string telemetry_dir;
   bool show_profile = false;
@@ -169,9 +160,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--data-dir") {
-      data_dir = value();
-    } else if (arg == "--json") {
+    if (arg == "--json") {
       json_path = value();
     } else if (arg == "--telemetry") {
       telemetry_dir = value();
@@ -199,9 +188,8 @@ int main(int argc, char** argv) {
       common::set_log_level(level);
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
-          "usage: %s [--data-dir DIR] [--json FILE] [--telemetry DIR] "
-          "[--profile] [--threads N] [--log LEVEL] "
-          "[SCENARIO]...\n",
+          "usage: %s [--json FILE] [--telemetry DIR] [--profile] "
+          "[--threads N] [--log LEVEL] [SCENARIO]...\n",
           argv[0]);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -221,7 +209,7 @@ int main(int argc, char** argv) {
 
   for (const auto& name : wanted) {
     ScenarioRow row;
-    row.result = exp::run_scenario(name, data_dir, /*telemetry=*/true);
+    row.result = exp::run_scenario(name, /*telemetry=*/true);
     exp::ScenarioResult& r = row.result;
     if (!r.cluster.error.empty()) {
       std::fprintf(stderr, "%s: invalid config: %s\n", name.c_str(),
@@ -232,12 +220,12 @@ int main(int argc, char** argv) {
     // must repeat bit-identically, and disabling telemetry must not move
     // the behaviour digest (observation is inert).
     const exp::ScenarioResult again =
-        exp::run_scenario(name, data_dir, /*telemetry=*/true);
-    const exp::ScenarioResult bare = exp::run_scenario(name, data_dir);
+        exp::run_scenario(name, /*telemetry=*/true);
+    const exp::ScenarioResult bare = exp::run_scenario(name);
     row.deterministic = r.fingerprint == again.fingerprint;
     if (threads > 0) {
       const exp::ScenarioResult lanes =
-          exp::run_scenario(name, data_dir, /*telemetry=*/true, threads);
+          exp::run_scenario(name, /*telemetry=*/true, threads);
       // Telemetry digest included: the sampler/event-log capture must be
       // insensitive to the lane count, not just the end-of-run counters.
       row.threads_matches = lanes.fingerprint == r.fingerprint &&

@@ -1,14 +1,14 @@
 // Trace generator CLI: emits the CSV traces workload::TraceDriver replays
 // (docs/SCENARIOS.md documents the format and the scenario harness that
-// consumes them). The bundled tests/data/diurnal_50k.csv fixture was
-// produced by this tool; regenerate it with:
+// consumes them). The diurnal-replay scenario generates its trace in code;
+// this command writes the same trace as CSV:
 //
 //   example_trace_gen --duration-s 30 --rate 1260 --diurnal-amp 0.5
 //       --diurnal-period-s 20 --flash 22:3:2.5 --seed 42
-//       --out tests/data/diurnal_50k.csv   (one line)
+//       --out diurnal.csv   (one line)
 //
 // ctest's trace_gen_reproduces_fixture runs this command
-// (tests/trace_gen_fixture.cmake) and compares the output byte for byte.
+// (tests/trace_gen_fixture.cmake) and checks the output's SHA-256.
 //
 // The default mix is the mixed Table II task set's demand shares; override
 // per class with repeated --mix model:slo:weight flags.

@@ -3,7 +3,7 @@
 
 Usage:
     scripts/check_scenarios.py --bench build/bench_fig_scenarios \
-        [--data-dir tests/data] [--json OUT.json] [--telemetry DIR] \
+        [--json OUT.json] [--telemetry DIR] \
         [--baseline .baseline_scenarios.json] [--threads N]
     scripts/check_scenarios.py --json build/scenarios.json
 
@@ -57,10 +57,8 @@ def fingerprint_diff(got, want):
     return lines
 
 
-def run_bench(bench, data_dir, json_path, telemetry_dir=None, threads=None):
+def run_bench(bench, json_path, telemetry_dir=None, threads=None):
     cmd = [bench, "--json", json_path]
-    if data_dir:
-        cmd += ["--data-dir", data_dir]
     if telemetry_dir:
         cmd += ["--telemetry", telemetry_dir]
     if threads:
@@ -80,7 +78,6 @@ def run_bench(bench, data_dir, json_path, telemetry_dir=None, threads=None):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--bench", help="path to bench_fig_scenarios")
-    parser.add_argument("--data-dir", help="trace fixture directory")
     parser.add_argument("--json", help="JSON report path (read, or written "
                         "by --bench)")
     parser.add_argument("--telemetry", help="with --bench: directory for the "
@@ -108,8 +105,7 @@ def main():
             tmp = tempfile.NamedTemporaryFile(suffix=".json", delete=False)
             tmp.close()
             json_path = tmp.name
-        if not run_bench(args.bench, args.data_dir, json_path,
-                         args.telemetry, args.threads):
+        if not run_bench(args.bench, json_path, args.telemetry, args.threads):
             return 1
 
     doc = load(json_path)

@@ -1,9 +1,11 @@
 #include "daris/config.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "daris/mret.h"
+#include "daris/scheduler.h"
 
 namespace daris::rt {
 
@@ -52,6 +54,17 @@ SchedulerConfig& SchedulerConfig::canonicalize() {
 }
 
 std::string SchedulerConfig::error() const {
+  if (!std::isfinite(oversubscription)) {
+    // canonicalize()'s clamp passes NaN through, and Eq. 9 sizes every
+    // context from it.
+    return "oversubscription " + std::to_string(oversubscription) +
+           " is not finite (Eq. 9 wants OS in [1, Nc])";
+  }
+  if (num_contexts > Scheduler::kMaxContexts) {
+    return std::to_string(num_contexts) + " contexts are more than " +
+           std::to_string(Scheduler::kMaxContexts) +
+           " (a task's context is an int16_t)";
+  }
   constexpr auto kMax = static_cast<int>(MretEstimator::kMaxWindow);
   if (mret_window > kMax) {
     return "MRET window " + std::to_string(mret_window) + " is above " +

@@ -88,11 +88,12 @@ struct SchedulerConfig {
   /// Applies policy constraints (STR => Nc=1, MPS => Ns=1) and returns self.
   SchedulerConfig& canonicalize();
 
-  /// Empty when a scheduler can run this config, else why not: an
-  /// mret_window above MretEstimator::kMaxWindow (each recorded stage keeps
-  /// its last ws samples, so a task record's size follows ws). The one
-  /// check exp::run_daris and exp::run_cluster (exp::validate_config) run
-  /// before simulating; example_daris_cli exits 2 on it.
+  /// Empty when a scheduler can run this config, else why not: a NaN or
+  /// infinite oversubscription, more than Scheduler::kMaxContexts contexts,
+  /// or an mret_window above MretEstimator::kMaxWindow (each recorded stage
+  /// keeps its last ws samples, so a task record's size follows ws). The
+  /// one check exp::run_daris and exp::run_cluster (exp::validate_config)
+  /// run before simulating; example_daris_cli exits 2 on it.
   std::string error() const;
 };
 

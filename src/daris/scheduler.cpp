@@ -483,15 +483,12 @@ void Scheduler::dispatch_eager(int ctx, Job* job) {
 
 void Scheduler::enqueue_stage(Job* job, std::size_t stage, bool prev_missed) {
   Task& t = *job->task;
-  const std::size_t n = t.num_stages();
   ReadyStage rs;
   rs.job = job;
   rs.stage = stage;
-  const bool is_last =
-      config_.staging ? (stage == n - 1) : true;  // whole job acts as last
+  const bool is_last = stage + 1 == t.num_stages();
   rs.level = stage_level(config_, t.spec().priority, is_last, prev_missed);
-  rs.deadline = config_.staging ? job->stage_deadlines[stage]
-                                : job->absolute_deadline;
+  rs.deadline = job->stage_deadlines[stage];
   contexts_[static_cast<std::size_t>(job->context)].ready.push(rs);
   ++ready_stages_[static_cast<std::size_t>(t.spec().priority)];
 }
@@ -572,8 +569,9 @@ void Scheduler::on_stage_complete(int ctx, int stream_idx,
 
   const bool job_done = stage + 1 >= t.num_stages();
   // HP jobs keep their stream across the sync gap so a ready LP stage
-  // cannot interpose a whole stage between two HP stages.
-  const bool hold_stream = frees_stream && !job_done && config_.staging &&
+  // cannot interpose a whole stage between two HP stages. Only a staged
+  // dispatch frees its stream, so a held stream implies staging.
+  const bool hold_stream = frees_stream && !job_done &&
                            config_.hp_stream_hold &&
                            t.spec().priority == Priority::kHigh;
 

@@ -339,6 +339,7 @@ class Scheduler {
   /// Predicted completion of the context's backlog (migration tie-break).
   double predicted_backlog_us(int ctx) const;
 
+  /// Staging path: queues the job's `stage` in its context's ready queue.
   void enqueue_stage(Job* job, std::size_t stage, bool prev_missed);
   /// "No Staging" path: whole job straight into a stream FIFO at release.
   void dispatch_eager(int ctx, Job* job);

@@ -58,7 +58,7 @@ void flash_crowd_trace(ClusterConfig* cfg, double duration_s, double rate_jps,
 // Overload storm: bursty (MMPP-style) arrivals at 1.6x nominal demand on a
 // healthy 4-GPU fleet. The fleet must shed load through admission control
 // (LP rejections / drops), not through HP deadline misses or starvation.
-ClusterConfig overload_storm(const std::string& /*data_dir*/) {
+ClusterConfig overload_storm() {
   ClusterConfig cfg = fleet_base(4);
   cfg.arrivals = ArrivalMode::kBursty;
   cfg.rate_scale = 1.6;
@@ -68,7 +68,7 @@ ClusterConfig overload_storm(const std::string& /*data_dir*/) {
 // Fail-stop mid-burst: GPU 1 dies at t=1.5s while bursty arrivals run at
 // 1.2x nominal. In-flight jobs on the dead device become misses (bounded),
 // its tasks rehome, and the survivors absorb the demand.
-ClusterConfig fail_stop_mid_burst(const std::string& /*data_dir*/) {
+ClusterConfig fail_stop_mid_burst() {
   ClusterConfig cfg = fleet_base(4);
   cfg.arrivals = ArrivalMode::kBursty;
   cfg.rate_scale = 1.2;
@@ -83,7 +83,7 @@ ClusterConfig fail_stop_mid_burst(const std::string& /*data_dir*/) {
 // Straggler: GPU 0 halves its throughput at t=1.0s (thermal throttling /
 // noisy neighbour). AFET re-profiles against the degraded spec, so admission
 // stays truthful and HP work keeps meeting deadlines fleet-wide.
-ClusterConfig straggler(const std::string& /*data_dir*/) {
+ClusterConfig straggler() {
   ClusterConfig cfg = fleet_base(4);
   FaultSpec f;
   f.kind = FaultSpec::Kind::kSlow;
@@ -98,7 +98,7 @@ ClusterConfig straggler(const std::string& /*data_dir*/) {
 // work, takes nothing new) and a replacement device comes online at t=1.2s,
 // is profiled live, and picks up the rehomed tasks. Graceful scale-down must
 // lose zero jobs.
-ClusterConfig drain_under_load(const std::string& /*data_dir*/) {
+ClusterConfig drain_under_load() {
   ClusterConfig cfg = fleet_base(4);
   FaultSpec drain;
   drain.kind = FaultSpec::Kind::kDrain;
@@ -112,27 +112,30 @@ ClusterConfig drain_under_load(const std::string& /*data_dir*/) {
   return cfg;
 }
 
-// Diurnal replay: the bundled ~50k-row production-shaped trace (diurnal
-// rate swing plus a 2.5x flash crowd at t=22s) replayed through the same
-// ReleaseFn sink the synthetic drivers use, on a 3-GPU fleet.
-ClusterConfig diurnal_replay(const std::string& data_dir) {
+// Diurnal replay: a ~50k-row production-shaped trace (a diurnal rate swing
+// over a compressed 20 s "day" plus a 2.5x flash crowd at t=22s) replayed
+// through the same ReleaseFn sink the synthetic drivers use, on a 3-GPU
+// fleet. The command in examples/trace_gen.cpp writes this trace as CSV.
+ClusterConfig diurnal_replay() {
   ClusterConfig cfg = fleet_base(3);
   cfg.arrivals = ArrivalMode::kTrace;
   cfg.duration_s = 30.0;
   cfg.warmup_s = 1.0;
-  std::string error;
-  if (!workload::load_trace_csv(data_dir + "/diurnal_50k.csv", &cfg.trace,
-                                &error)) {
-    // Leave the trace empty: the arrivals floor check reports the miss.
-    std::fprintf(stderr, "diurnal-replay: %s\n", error.c_str());
-  }
+  workload::TraceGenConfig gen;
+  gen.duration_s = cfg.duration_s;
+  gen.mean_rate_jps = 1260.0;
+  gen.diurnal_amplitude = 0.5;
+  gen.diurnal_period_s = 20.0;
+  gen.flashes.push_back({22.0, 3.0, 2.5});  // start_s, duration_s, factor
+  gen.seed = 42;
+  cfg.trace = workload::generate_trace(workload::trace_mix(cfg.taskset), gen);
   return cfg;
 }
 
 // Flash crowd: an in-process generated trace — steady 2000 JPS with a 3x
 // spike for 1.5s — on a 3-GPU fleet sized for the steady state. The spike
 // must be absorbed by admission control without starving resident HP work.
-ClusterConfig flash_crowd(const std::string& /*data_dir*/) {
+ClusterConfig flash_crowd() {
   ClusterConfig cfg = fleet_base(3);
   flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 1.5, 3.0);
   return cfg;
@@ -146,7 +149,7 @@ ClusterConfig flash_crowd(const std::string& /*data_dir*/) {
 // rebalancing-off counterfactual and exposes the *_gain metrics the checks
 // gate on: the off-run misses the committed LP deadline-miss rate, the
 // on-run recovers it.
-ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
+ClusterConfig flash_crowd_recovery() {
   ClusterConfig cfg = fleet_base(3);
   // A 4x spike for 2 s, harsher than flash-crowd: the off-run must hurt.
   flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 2.0, 4.0);
@@ -166,7 +169,7 @@ ClusterConfig flash_crowd_recovery(const std::string& /*data_dir*/) {
 // amplification and goodput loss persisting past the pulse; the primary
 // run's token bucket caps retries at ~10% of the first-attempt rate, so
 // goodput recovers.
-ClusterConfig retry_storm(const std::string& /*data_dir*/) {
+ClusterConfig retry_storm() {
   ClusterConfig cfg = fleet_base(3);
   flash_crowd_trace(&cfg, 6.0, 2000.0, 2.0, 1.5, 4.0);
   cfg.resilience.enabled = true;
@@ -180,8 +183,8 @@ ClusterConfig retry_storm(const std::string& /*data_dir*/) {
 
 // The meltdown counterfactual: identical storm, budget forced off. Naive
 // unbudgeted retries — the run the *_gain gates measure against.
-ClusterConfig retry_storm_naive(const std::string& data_dir) {
-  ClusterConfig cfg = retry_storm(data_dir);
+ClusterConfig retry_storm_naive() {
+  ClusterConfig cfg = retry_storm();
   cfg.resilience.budget_enabled = false;
   return cfg;
 }
@@ -198,7 +201,7 @@ ClusterConfig retry_storm_naive(const std::string& data_dir) {
 // counterfactual (hedging off) pins the overhead gates. Duplicate work is
 // bounded twice over: healthy-device jobs rarely outlive a healthy p95,
 // and every hedge launch spends a retry-budget token.
-ClusterConfig hedging_tail_rescue(const std::string& /*data_dir*/) {
+ClusterConfig hedging_tail_rescue() {
   ClusterConfig cfg = fleet_base(4);
   cfg.arrivals = ArrivalMode::kBursty;
   cfg.rate_scale = 1.1;
@@ -221,8 +224,8 @@ ClusterConfig hedging_tail_rescue(const std::string& /*data_dir*/) {
   return cfg;
 }
 
-ClusterConfig hedging_tail_rescue_off(const std::string& data_dir) {
-  ClusterConfig cfg = hedging_tail_rescue(data_dir);
+ClusterConfig hedging_tail_rescue_off() {
+  ClusterConfig cfg = hedging_tail_rescue();
   cfg.resilience.hedge = false;
   return cfg;
 }
@@ -233,7 +236,7 @@ ClusterConfig hedging_tail_rescue_off(const std::string& data_dir) {
 // keep the engine, the rebalancer's O(fleet) scans, and the conservation
 // invariant honest at an order of magnitude more devices than the rest of
 // the matrix.
-ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {
+ClusterConfig flash_crowd_64() {
   ClusterConfig cfg = fleet_base(64);
   flash_crowd_trace(&cfg, 2.5, 2000.0 * 64.0 / 3.0, 1.0, 0.8, 2.5);
   cfg.rebalance.enabled = true;
@@ -250,7 +253,7 @@ ClusterConfig flash_crowd_64(const std::string& /*data_dir*/) {
 // redistribute homes across both survivors. Stealing is off so recovery is
 // attributable to re-homing alone; the counterfactual run shows the
 // off-run's pile-up.
-ClusterConfig drain_recovery(const std::string& /*data_dir*/) {
+ClusterConfig drain_recovery() {
   ClusterConfig cfg = fleet_base(3);
   // Poisson at 0.7x nominal: the two survivors can host the whole demand
   // once homes are balanced — so the pile-up, not raw capacity, is what the
@@ -273,14 +276,14 @@ ClusterConfig drain_recovery(const std::string& /*data_dir*/) {
 
 // Counterfactuals for the rebalancing recovery scenarios: the identical
 // run with rebalancing forced off.
-ClusterConfig flash_crowd_recovery_off(const std::string& data_dir) {
-  ClusterConfig cfg = flash_crowd_recovery(data_dir);
+ClusterConfig flash_crowd_recovery_off() {
+  ClusterConfig cfg = flash_crowd_recovery();
   cfg.rebalance = cluster::RebalanceConfig{};
   return cfg;
 }
 
-ClusterConfig drain_recovery_off(const std::string& data_dir) {
-  ClusterConfig cfg = drain_recovery(data_dir);
+ClusterConfig drain_recovery_off() {
+  ClusterConfig cfg = drain_recovery();
   cfg.rebalance = cluster::RebalanceConfig{};
   return cfg;
 }
@@ -304,12 +307,12 @@ ThresholdCheck ge(const char* metric, double limit) {
 struct ScenarioDef {
   const char* name;
   const char* description;
-  ClusterConfig (*config)(const std::string& data_dir);
+  ClusterConfig (*config)();
   std::vector<ThresholdCheck> checks;
   /// Non-null: also run this config — the scenario with its recovery
   /// mechanism forced off, everything else identical — and expose base_*
   /// and *_gain metrics (recovery scenarios gate on the gains).
-  ClusterConfig (*counterfactual)(const std::string& data_dir) = nullptr;
+  ClusterConfig (*counterfactual)() = nullptr;
 };
 
 // The committed behaviour envelope. Limits are calibrated from the seeded
@@ -342,7 +345,7 @@ const std::vector<ScenarioDef>& scenario_defs() {
         ge("added_gpu_completed", 1.0), le("starved_frac", 0.02),
         le("worst_stall_us", 100e3)}},
       {"diurnal-replay",
-       "bundled 50k-row diurnal+flash trace on 3 GPUs",
+       "generated 50k-row diurnal+flash trace on 3 GPUs",
        &diurnal_replay,
        {ge("arrivals", 45000.0), le("unmatched_rows", 0.0),
         le("hp_dmr", 0.05), le("starved_frac", 0.02),
@@ -437,9 +440,7 @@ std::vector<std::string> scenario_names() {
   return names;
 }
 
-ScenarioResult run_scenario(const std::string& name,
-                            const std::string& data_dir,
-                            bool telemetry,
+ScenarioResult run_scenario(const std::string& name, bool telemetry,
                             int sim_threads) {
   ScenarioResult out;
   out.name = name;
@@ -450,7 +451,7 @@ ScenarioResult run_scenario(const std::string& name,
   }
   out.description = def->description;
 
-  ClusterConfig cfg = def->config(data_dir);
+  ClusterConfig cfg = def->config();
   if (telemetry) {
     cfg.telemetry.enabled = true;
     cfg.telemetry.sample_period_s = kScenarioSamplePeriodS;
@@ -555,7 +556,7 @@ ScenarioResult run_scenario(const std::string& name,
     // like the primary run, so the gains are stable numbers, but kept out
     // of the fingerprint: the behaviour digest describes the primary run
     // alone.
-    ClusterConfig base_cfg = def->counterfactual(data_dir);
+    ClusterConfig base_cfg = def->counterfactual();
     base_cfg.telemetry.enabled = false;
     base_cfg.sim_threads = sim_threads;
     const ClusterResult base = run_cluster(base_cfg);

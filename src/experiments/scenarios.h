@@ -70,8 +70,7 @@ inline constexpr double kScenarioSamplePeriodS = 0.005;
 /// Registered scenario names, in run order.
 std::vector<std::string> scenario_names();
 
-/// Runs one named scenario; `data_dir` locates bundled traces (the
-/// repository's tests/data). Unknown names return a ScenarioResult with
+/// Runs one named scenario. Unknown names return a ScenarioResult with
 /// pass = false and an "unknown scenario" description; a config run_cluster
 /// refuses returns pass = false with cluster.error set and nothing run.
 /// `telemetry` enables the sampler (every kScenarioSamplePeriodS) and the
@@ -80,9 +79,7 @@ std::vector<std::string> scenario_names();
 /// `sim_threads` is the worker-lane count of the run and of its
 /// counterfactual (ClusterConfig::sim_threads); results are identical at any
 /// value (bench_fig_scenarios --threads verifies).
-ScenarioResult run_scenario(const std::string& name,
-                            const std::string& data_dir,
-                            bool telemetry = false,
+ScenarioResult run_scenario(const std::string& name, bool telemetry = false,
                             int sim_threads = 1);
 
 }  // namespace daris::exp

@@ -12,7 +12,8 @@
 // CSV format (docs/SCENARIOS.md): `arrival_us,model,slo` per row, header
 // optional, '#' comments and blank lines skipped, models by zoo name
 // (case-insensitive), slo in {hp, lp}. Parse errors carry 1-based line
-// numbers. tests/data/ bundles a downsampled ~50k-row diurnal trace.
+// numbers. The scenario matrix generates its traces in code; the CSV path
+// replays a user's own export (examples/trace_gen.cpp writes one).
 #pragma once
 
 #include <cstdint>

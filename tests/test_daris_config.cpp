@@ -116,5 +116,37 @@ TEST(Config, ErrorRefusesAnMretWindowAboveTheBound) {
   }
 }
 
+TEST(Config, ErrorRefusesANonFiniteOversubscription) {
+  // canonicalize()'s clamp passes NaN through, and Eq. 9 would size every
+  // context from it; both ends of [1, Nc] stay accepted.
+  SchedulerConfig c;
+  c.num_contexts = 6;
+  for (const double os : {1.0, 6.0}) {
+    c.oversubscription = os;
+    EXPECT_EQ(c.error(), "") << os;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double os :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    c.oversubscription = os;
+    EXPECT_NE(c.error().find("oversubscription " + std::to_string(os) +
+                             " is not finite"),
+              std::string::npos)
+        << c.error();
+  }
+}
+
+TEST(Config, ErrorRefusesMoreContextsThanASchedulerHolds) {
+  // A task's context is an int16_t (Scheduler::kMaxContexts).
+  SchedulerConfig c;
+  c.num_contexts = 32767;
+  c.oversubscription = 6.0;
+  EXPECT_EQ(c.error(), "");
+  c.num_contexts = 32768;
+  EXPECT_NE(c.error().find("32768 contexts are more than 32767"),
+            std::string::npos)
+      << c.error();
+}
+
 }  // namespace
 }  // namespace daris::rt

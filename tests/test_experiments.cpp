@@ -3,8 +3,11 @@
 // fast. Exact figures are regenerated by the bench binaries.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/batching_server.h"
 #include "experiments/cluster_runner.h"
@@ -30,24 +33,38 @@ RunResult run_mps(dnn::ModelKind kind, int nc, double os) {
   return run_daris(cfg);
 }
 
-TEST(Experiments, AWindowAboveTheBoundIsRefusedWithoutSimulating) {
+TEST(Experiments, ASchedulerConfigErrorIsRefusedWithoutSimulating) {
   // The one SchedulerConfig check, run by both runners before anything is
-  // built.
+  // built: a window above the bound, and a NaN or infinite OS that
+  // canonicalize()'s clamp would pass on to Eq. 9.
+  rt::SchedulerConfig window;
+  window.mret_window = 65;
+  rt::SchedulerConfig nan_os;
+  nan_os.oversubscription = std::numeric_limits<double>::quiet_NaN();
+  rt::SchedulerConfig inf_os;
+  inf_os.oversubscription = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<rt::SchedulerConfig, std::string>> refused = {
+      {window, "MRET window 65"},
+      {nan_os, "oversubscription nan"},
+      {inf_os, "oversubscription inf"}};
   RunConfig cfg = base_config(dnn::ModelKind::kResNet18);
-  cfg.sched.mret_window = 65;
-  const RunResult r = run_daris(cfg);
-  EXPECT_NE(r.error.find("MRET window 65"), std::string::npos) << r.error;
-  EXPECT_EQ(r.hp.released + r.lp.released, 0u);
-  EXPECT_EQ(r.profile.events_executed, 0u);
+  for (const auto& [sched, want] : refused) {
+    cfg.sched = sched;
+    const RunResult r = run_daris(cfg);
+    EXPECT_NE(r.error.find(want), std::string::npos) << r.error;
+    EXPECT_EQ(r.hp.released + r.lp.released, 0u);
+    EXPECT_EQ(r.profile.events_executed, 0u);
 
-  ClusterConfig cluster;
-  cluster.taskset = cfg.taskset;
-  cluster.sched.mret_window = 65;
-  const ClusterResult c = run_cluster(cluster);
-  EXPECT_NE(c.error.find("scheduler: MRET window 65"), std::string::npos)
-      << c.error;
-  EXPECT_TRUE(c.per_gpu.empty());
+    ClusterConfig cluster;
+    cluster.taskset = cfg.taskset;
+    cluster.sched = sched;
+    const ClusterResult c = run_cluster(cluster);
+    EXPECT_NE(c.error.find("scheduler: " + want), std::string::npos)
+        << c.error;
+    EXPECT_TRUE(c.per_gpu.empty());
+  }
 
+  cfg.sched = rt::SchedulerConfig{};
   cfg.sched.mret_window = 64;
   cfg.duration_s = 0.3;
   cfg.warmup_s = 0.1;

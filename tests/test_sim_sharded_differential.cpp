@@ -713,10 +713,9 @@ TEST(ShardedDifferential, ScenarioFingerprintAndTelemetryDigestMatchGolden) {
       "stages=31571;context_switches=773;gpu_migrations=2174;"
       "starved_stages=107;worst_stall_us=6960.3559999999998;";
   const std::uint64_t want_digest = 0xa8bfd8969de6ae6cull;
-  const std::string data_dir = DARIS_TEST_DATA_DIR;
   for (const int threads : {1, 2, 0}) {
-    const exp::ScenarioResult r = exp::run_scenario(
-        "overload-storm", data_dir, /*telemetry=*/true, threads);
+    const exp::ScenarioResult r =
+        exp::run_scenario("overload-storm", /*telemetry=*/true, threads);
     EXPECT_EQ(r.fingerprint, want_fingerprint) << threads << " lanes";
     EXPECT_EQ(r.telemetry_digest, want_digest) << threads << " lanes";
   }

@@ -409,19 +409,34 @@ TEST(TraceMix, WeightsClassesByAggregateRate) {
   EXPECT_DOUBLE_EQ(mix[1].weight, 50.0);
 }
 
-TEST(TraceFixture, BundledDiurnalTraceLoadsAndMatchesTheMixedSet) {
-  Trace trace;
-  std::string error;
-  ASSERT_TRUE(load_trace_csv(std::string(DARIS_TEST_DATA_DIR) +
-                                 "/diurnal_50k.csv",
-                             &trace, &error))
-      << error;
+TEST(TraceCsv, DiurnalReplayTraceRoundTripsAtWorkloadSize) {
+  // The diurnal-replay scenario's trace (src/experiments/scenarios.cpp),
+  // through the writer and back: the reader's test at workload size.
+  TraceGenConfig cfg;
+  cfg.duration_s = 30.0;
+  cfg.mean_rate_jps = 1260.0;
+  cfg.diurnal_amplitude = 0.5;
+  cfg.diurnal_period_s = 20.0;
+  cfg.flashes.push_back({22.0, 3.0, 2.5});  // start_s, duration_s, factor
+  cfg.seed = 42;
+  const Trace trace = generate_trace(trace_mix(mixed_taskset()), cfg);
   EXPECT_GT(trace.rows.size(), 45000u);
   EXPECT_LT(trace.rows.size(), 55000u);
 
+  std::ostringstream out;
+  write_trace_csv(out, trace);
+  const Trace back = parse_ok(out.str());
+  ASSERT_EQ(back.rows.size(), trace.rows.size());
+  EXPECT_TRUE(std::equal(
+      trace.rows.begin(), trace.rows.end(), back.rows.begin(),
+      [](const TraceRow& a, const TraceRow& b) {
+        return a.arrival_us == b.arrival_us && a.model == b.model &&
+               a.slo == b.slo;
+      }));
+
   // Every row must map to a task of the mixed set (no unmatched classes).
   std::uint64_t unmatched = 0;
-  replay(mixed_taskset(), trace, common::from_sec(30.0), nullptr, &unmatched);
+  replay(mixed_taskset(), back, common::from_sec(30.0), nullptr, &unmatched);
   EXPECT_EQ(unmatched, 0u);
 }
 
